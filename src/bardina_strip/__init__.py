@@ -15,7 +15,7 @@ from .weights import (WeightSpec, WeightField, g_profile, phi_limit, varphi,
                       certify_lemma_wfuncs, certify_phi_control)
 from .solver import (SolverConfig, SolverState, ForcingSpec,
                      InitialConditionSpec, BlowUpError, ImexStepper,
-                     step, run, nse_run)
+                     run, nse_run)
 from .diagnostics import (DiagnosticsRecord, DiagnosticsSeries, energy_budget,
                           weighted_energy_budget, translation_modulus,
                           galerkin_refinement_study, poincare_check,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .strip_grid import Field, Grid, inner_product, l2_norm
 
-__all__ = ["OperatorSet", "d2_matrix"]
+__all__ = ["OperatorSet", "d2_matrix", "d2_wall_rows"]
 
 
 def d2_values(values: np.ndarray, dy: float) -> np.ndarray:
@@ -40,6 +40,12 @@ def d2sq_values(values: np.ndarray, dy: float) -> np.ndarray:
 def d2_matrix(ny: int, dy: float) -> np.ndarray:
     """Dense ``x2`` second-derivative matrix matching :func:`d2sq_values`."""
     return np.ascontiguousarray(d2sq_values(np.eye(ny), dy).T)
+
+
+def d2_wall_rows(ny: int, dy: float) -> np.ndarray:
+    """Rows of the ``x2`` first-derivative matrix of :func:`d2_values` at the
+    two walls, shape ``(2, ny)``: ``x2 = -M`` first, then ``x2 = +M``."""
+    return d2_values(np.eye(ny), dy)[:, [0, -1]].T
 
 
 def d1_wavenumber_factor(grid: Grid) -> np.ndarray:

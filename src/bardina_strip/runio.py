@@ -146,7 +146,10 @@ def parse_config_text(text: str, allow_gamma_override: bool = False) -> RunSetti
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in pairs:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        pairs[key] = _parse_value(key, raw)
+        try:
+            pairs[key] = _parse_value(key, raw)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: key {key!r}: {exc}") from None
 
     def take(prefix: str, cls):
         kw = {}
@@ -172,7 +175,8 @@ def parse_config_text(text: str, allow_gamma_override: bool = False) -> RunSetti
     if "output.every" in pairs:
         solver_kw["record_every"] = pairs.pop("output.every")
     solver = SolverConfig(forcing=forcing, ic=ic, weight=weight, **solver_kw)
-    assert not pairs, f"unconsumed keys {sorted(pairs)}"
+    if pairs:
+        raise ValueError(f"unconsumed keys {sorted(pairs)}")
     return RunSettings(solver=solver, output_dir=str(output_dir), seed=int(seed))
 
 

@@ -18,13 +18,13 @@ Adams-Bashforth-2 extrapolation of the explicit terms), the quadratic term
 explicit.  Solving for the update of the mass operator ``(D2 - k^2)`` keeps
 the ``k = 0`` column well-posed, and the combined implicit matrix with the
 four clamped boundary rows is banded (bandwidth five) and nonsingular for
-``nu dt > 0``; all modes are factorized once per run as a block-diagonal
+``nu dt > 0``.  The operator is assembled in sparse form for all modes at
+once, as one block-diagonal matrix, and factorized once per run as a single
 sparse LU.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass, replace
 
@@ -34,7 +34,8 @@ import scipy.sparse.linalg as spla
 
 from . import diagnostics as diag
 from .horizontal_filter import FilterSpec, helmholtz_multiplier
-from .operators import OperatorSet, d1_wavenumber_factor, d2_matrix, d2sq_values, d2_values
+from .operators import (OperatorSet, d1_wavenumber_factor, d2_matrix, d2_values,
+                        d2_wall_rows, d2sq_values)
 from .strip_grid import Field, Grid, StripDomain, make_grid
 from .weights import WeightSpec, make_weight_field
 
@@ -47,7 +48,6 @@ __all__ = [
     "BlowUpError",
     "CflWarning",
     "ImexStepper",
-    "step",
     "run",
     "nse_run",
     "build_field",
@@ -217,10 +217,9 @@ class ImexStepper:
         self.ops = OperatorSet(self.grid, dealias=config.dealias)
         self.filter_spec = FilterSpec(config.alpha)
         self.mult = helmholtz_multiplier(self.grid, self.filter_spec)
-        ny, dy = self.grid.ny, self.grid.dy
+        ny = self.grid.ny
         self.bc_rows = (0, 1, ny - 2, ny - 1)
         self.theta = 1.0 if config.scheme == "imex_euler" else 0.5
-        self._d2 = d2_matrix(ny, dy)
         self._ik = d1_wavenumber_factor(self.grid)
         self._lu = self._build_implicit(self.theta)
         # CNAB2 starts with one IMEX-Euler step: an initial state only
@@ -241,28 +240,29 @@ class ImexStepper:
 
     # -- setup ----------------------------------------------------------------
 
-    def _bc_stamp(self, mat: np.ndarray):
-        ny, dy = self.grid.ny, self.grid.dy
-        mat[0, :] = 0.0
-        mat[0, 0] = 1.0
-        mat[ny - 1, :] = 0.0
-        mat[ny - 1, ny - 1] = 1.0
-        mat[1, :] = 0.0
-        mat[1, :3] = np.array([-3.0, 4.0, -1.0]) / (2.0 * dy)
-        mat[ny - 2, :] = 0.0
-        mat[ny - 2, ny - 3:] = np.array([1.0, -4.0, 3.0]) / (2.0 * dy)
-
     def _build_implicit(self, theta: float):
+        """Factorize ``L - theta nu dt L^2`` for all modes at once.
+
+        ``L = D2 - kappa^2`` is assembled in sparse form as one block-diagonal
+        matrix, one five-banded ``x2`` block per mode; in every block the four
+        clamped rows are replaced by ``v = 0`` and the wall rows of the ``x2``
+        first-derivative stencil.
+        """
         cfg = self.config
-        ny = self.grid.ny
-        eye = np.eye(ny)
-        blocks = []
-        for kap in self.grid.wavenumbers:
-            lap1d = self._d2 - kap ** 2 * eye
-            mat = lap1d - theta * cfg.nu * cfg.dt * (lap1d @ lap1d)
-            self._bc_stamp(mat)
-            blocks.append(sp.csc_matrix(mat))
-        big = sp.block_diag(blocks, format="csc")
+        ny, dy, n_modes = self.grid.ny, self.grid.dy, self.grid.n_modes
+        modes = sp.identity(n_modes, format="csr")
+        lap = (sp.kron(modes, sp.csr_matrix(d2_matrix(ny, dy)), format="csr")
+               - sp.diags(np.repeat(self.grid.wavenumbers ** 2, ny), format="csr"))
+        mat = lap - theta * cfg.nu * cfg.dt * (lap @ lap)
+        del lap  # the temporaries go before SuperLU allocates its factors
+        keep = np.ones(ny)
+        keep[list(self.bc_rows)] = 0.0
+        clamped = np.zeros((ny, ny))
+        clamped[[0, -1], [0, -1]] = 1.0
+        clamped[[1, -2]] = d2_wall_rows(ny, dy)
+        big = (sp.diags(np.tile(keep, n_modes), format="csr") @ mat
+               + sp.kron(modes, sp.csr_matrix(clamped), format="csr")).tocsc()
+        del mat
         try:
             return spla.splu(big)
         except RuntimeError as exc:  # singular factorization
@@ -355,16 +355,6 @@ class ImexStepper:
             v=v, v_hat=v_hat,
             prev_explicit=explicit if cfg.scheme == "imex_cnab2" else None,
             cfl=cfl)
-
-
-@functools.lru_cache(maxsize=4)
-def _cached_stepper(config: SolverConfig) -> ImexStepper:
-    return ImexStepper(config)
-
-
-def step(state: SolverState, config: SolverConfig) -> SolverState:
-    """Single-step convenience wrapper (factorizations cached per config)."""
-    return _cached_stepper(config).step(state)
 
 
 def run(config: SolverConfig, on_record=None):

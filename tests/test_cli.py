@@ -68,6 +68,11 @@ class TestRun:
         assert main(["run", cfg]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_bad_value_is_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "nx = abc\n")
+        assert main(["run", cfg]) == 2
+        assert "line 1: key 'nx'" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
 

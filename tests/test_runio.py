@@ -162,6 +162,12 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="key = value"):
             parse_config_text("just some words\n")
 
+    def test_bad_value_names_line_and_key(self):
+        with pytest.raises(ValueError, match="line 1: key 'nx': invalid literal"):
+            parse_config_text("nx = abc")
+        with pytest.raises(ValueError, match="line 3: key 'rho'"):
+            parse_config_text("nx = 16\n# comment\nrho = large\n")
+
     def test_positivity_enforced(self):
         with pytest.raises(ValueError, match="nu"):
             parse_config_text("nu = 0\n")

@@ -9,8 +9,7 @@ from bardina_strip.mms import get_reference
 from bardina_strip.operators import OperatorSet, d2_matrix, d2_values
 from bardina_strip.solver import (BlowUpError, CflWarning, ForcingSpec,
                                   ImexStepper, InitialConditionSpec,
-                                  SolverConfig, build_field, nse_run, run,
-                                  step)
+                                  SolverConfig, build_field, nse_run, run)
 from bardina_strip.strip_grid import Field, l2_norm
 from bardina_strip.verification import fit_order
 
@@ -103,13 +102,56 @@ class TestFixedPointAndBoundaries:
             d1v = ops.d1(state.v).values
             assert np.abs(d1v[:, [0, -1]]).max() <= 1e-12 * scale
 
-    def test_step_function_matches_stepper(self):
-        cfg = _decay_config()
-        stepper = ImexStepper(cfg)
-        s0 = stepper.initial_state()
-        a = stepper.step(s0)
-        b = step(stepper.initial_state(), cfg)
-        assert np.array_equal(a.v.values, b.v.values)
+
+class TestImplicitAssembly:
+    """The block-diagonal operator handed to SuperLU against a dense
+    per-mode oracle built here."""
+
+    @staticmethod
+    def _dense_block(grid, kap, theta, nu, dt):
+        ny, dy = grid.ny, grid.dy
+        lap1d = d2_matrix(ny, dy) - kap ** 2 * np.eye(ny)
+        # lap1d @ lap1d, summed over k in ascending order with every product
+        # rounded on its own: a BLAS matmul may fuse multiply-adds and differ
+        # from any sparse product in the last bit.
+        sq = np.zeros((ny, ny))
+        for k in range(ny):
+            sq += np.outer(lap1d[:, k], lap1d[k, :])
+        mat = lap1d - theta * nu * dt * sq
+        mat[[0, 1, -2, -1]] = 0.0
+        mat[0, 0] = mat[-1, -1] = 1.0
+        mat[1, :3] = np.array([-3.0, 4.0, -1.0]) / (2 * dy)
+        mat[-2, -3:] = np.array([1.0, -4.0, 3.0]) / (2 * dy)
+        return mat
+
+    @pytest.mark.parametrize("nx,ny,lx,m", [(16, 17, 2 * np.pi, 1.0),
+                                            (12, 21, 5.0, 1.3)])
+    @pytest.mark.parametrize("scheme,thetas", [("imex_euler", (1.0,)),
+                                               ("imex_cnab2", (0.5, 1.0))])
+    def test_matches_dense_per_mode_oracle(self, monkeypatch, nx, ny, lx, m,
+                                           scheme, thetas):
+        import scipy.sparse.linalg as spla
+
+        handed = []
+        splu = spla.splu
+
+        def capture(mat):
+            handed.append(mat)
+            return splu(mat)
+
+        monkeypatch.setattr(spla, "splu", capture)
+        cfg = SolverConfig(nx=nx, ny=ny, lx=lx, m=m, nu=0.03, dt=2e-3,
+                           scheme=scheme)
+        ImexStepper(cfg)
+        grid = cfg.grid()
+        assert len(handed) == len(thetas)
+        for mat, theta in zip(handed, thetas):
+            expected = sla.block_diag(*(
+                self._dense_block(grid, kap, theta, cfg.nu, cfg.dt)
+                for kap in grid.wavenumbers))
+            assert mat.format == "csc"
+            assert np.array_equal(mat.toarray(), expected)
+            assert np.diff(mat.tocsr().indptr).max() <= 5
 
 
 class TestLinearizedPropagator:
