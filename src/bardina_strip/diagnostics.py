@@ -22,8 +22,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .operators import OperatorSet, d1_wavenumber_factor, d2_values
-from .strip_grid import Field, Grid, inner_product, l2_norm
+from .operators import OperatorSet
+from .strip_grid import Field, Grid, inner_product, l2_norm, quadrature
 from .weights import WeightField, WeightSpec, make_weight_field
 
 __all__ = [
@@ -71,9 +71,7 @@ class DiagnosticsRecord:
     budget_residual: float
     weighted_budget_residual: float
     cfl: float
-    norm_vt: float = 0.0
     forcing_power: float = 0.0
-    forcing_power_w: float = 0.0
 
     def csv_values(self) -> tuple[float, ...]:
         return (self.t, self.energy, self.dissipation, self.energy_w,
@@ -125,99 +123,64 @@ def lambda1_estimate(grid: Grid) -> Lambda1Estimate:
 class DiagnosticsCollector:
     """Computes one :class:`DiagnosticsRecord` per call, with budget memory.
 
-    Derivatives are evaluated from a single forward transform of the state
-    (the same stencils as :class:`OperatorSet`); quadratures run on the raw
-    arrays since this sits on the per-step hot path.  The forcing-power
-    term uses the forcing sampled at the start of the run, so the budget
-    columns are meaningful for the model's time-independent forcing only.
+    Every quantity comes from one :meth:`OperatorSet.ladder` of the state
+    and two stacked quadratures.  The forcing power ``-(g, v)`` needs the
+    forcing at the record time; ``g = None`` marks a time-dependent forcing
+    (``mms``), for which ``forcing_power``, ``g_norm`` and both budget
+    residual columns are NaN rather than a value that means something else.
     """
 
     def __init__(self, grid: Grid, ops: OperatorSet, nu: float, alpha: float,
-                 weight: WeightField, g: Field, dt: float):
-        self.grid = grid
+                 weight: WeightField, g: Field | None):
         self.ops = ops
         self.nu = nu
         self.alpha = alpha
-        self.weight = weight
         self.g = g
-        self.dt = dt
-        self.g_norm = l2_norm(g)
+        self.g_norm = l2_norm(g) if g is not None else math.nan
         self.lambda1 = lambda1_estimate(grid).value
         self._qw = grid.dx * grid.quad_weights
         self._qw_phi = self._qw * weight.phi
-        self._ik = None
-        self._prev: tuple[float, float, float, np.ndarray] | None = None
+        self._prev: tuple[float, float, float] | None = None
 
-    def _q(self, arr: np.ndarray, weighted: bool) -> float:
-        w = self._qw_phi if weighted else self._qw
-        if w.ndim == 1:
-            return float(((arr * arr) @ w).sum())
-        return float((arr * arr * w).sum())
-
-    def _pair(self, a: np.ndarray, b: np.ndarray, weighted: bool) -> float:
-        w = self._qw_phi if weighted else self._qw
-        if w.ndim == 1:
-            return float(((a * b) @ w).sum())
-        return float((a * b * w).sum())
-
+    @np.errstate(over="ignore", invalid="ignore")
     def record(self, t: float, v: Field, cfl: float) -> DiagnosticsRecord:
-        if self._ik is None:
-            self._ik = d1_wavenumber_factor(self.grid)[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._record(t, v, cfl)
-
-    def _record(self, t: float, v: Field, cfl: float) -> DiagnosticsRecord:
-        grid, nx = self.grid, self.grid.nx
         a2 = self.alpha ** 2
-        c = np.fft.rfft(v.values, axis=0)
-        d1v = np.fft.irfft(self._ik * c, n=nx, axis=0)
-        d1d1 = np.fft.irfft(self._ik ** 2 * c, n=nx, axis=0)
-        lap_modal = self.ops.laplacian_modal(c)
-        lap = np.fft.irfft(lap_modal, n=nx, axis=0)
-        d1lap = np.fft.irfft(self._ik * lap_modal, n=nx, axis=0)
-        d2v = d2_values(v.values, grid.dy)
-        d1d2 = d2_values(d1v, grid.dy)
+        sq = self.ops.ladder(v.values)
+        sq *= sq
+        f, d1f, d2f, d1d1f, d1d2f, lap, d1lap = quadrature(sq, self._qw).tolist()
+        (f_w, d1f_w, d2f_w, d1d1f_w, d1d2f_w, lap_w,
+         d1lap_w) = quadrature(sq, self._qw_phi).tolist()
 
-        grad_sq = self._q(d1v, False) + self._q(d2v, False)
-        d1grad_sq = self._q(d1d1, False) + self._q(d1d2, False)
-        energy = grad_sq + a2 * d1grad_sq
-        dissipation = self.nu * (self._q(lap, False) + a2 * self._q(d1lap, False))
+        energy = (d1f + d2f) + a2 * (d1d1f + d1d2f)
+        dissipation = self.nu * (lap + a2 * d1lap)
+        energy_w = (d1f_w + d2f_w) + a2 * (d1d1f_w + d1d2f_w)
+        dissipation_w = self.nu * (lap_w + a2 * d1lap_w)
+        h2h_w_sq = f_w + (d1f_w + d2f_w) + (d1d1f_w + d1d2f_w)
 
-        grad_sq_w = self._q(d1v, True) + self._q(d2v, True)
-        d1grad_sq_w = self._q(d1d1, True) + self._q(d1d2, True)
-        energy_w = grad_sq_w + a2 * d1grad_sq_w
-        dissipation_w = self.nu * (self._q(lap, True) + a2 * self._q(d1lap, True))
-
-        v_sq = self._q(v.values, False)
-        v_sq_w = self._q(v.values, True)
-        h2h_w_sq = v_sq_w + grad_sq_w + d1grad_sq_w
-        norm_h3h = math.sqrt(h2h_w_sq + self._q(d1lap, True))
-
-        power = -self._pair(self.g.values, v.values, False)
-        power_w = -self._pair(self.g.values, v.values, True)
-
-        residual = 0.0
-        residual_w = 0.0
-        norm_vt = 0.0
+        if self.g is None:
+            power = power_w = residual = residual_w = math.nan
+        else:
+            gv = self.g.values * v.values
+            power = -float(quadrature(gv, self._qw))
+            power_w = -float(quadrature(gv, self._qw_phi))
+            residual = residual_w = 0.0
         if self._prev is not None:
-            t0, e0, ew0, v0 = self._prev
+            t0, e0, ew0 = self._prev
             dtr = t - t0
             if dtr > 0:
                 residual = (energy - e0) / dtr + 2.0 * dissipation - 2.0 * power
                 residual_w = (energy_w - ew0) / dtr + 2.0 * dissipation_w - 2.0 * power_w
-                norm_vt = math.sqrt(self._q(v.values - v0, False)) / dtr
-        self._prev = (t, energy, energy_w, v.values.copy())
+        self._prev = (t, energy, energy_w)
 
         return DiagnosticsRecord(
             t=t, energy=energy, dissipation=dissipation,
             energy_w=energy_w, dissipation_w=dissipation_w,
-            norm_l2=math.sqrt(v_sq),
-            norm_h1h=math.sqrt(v_sq + self._q(d1v, False)),
+            norm_l2=math.sqrt(f),
+            norm_h1h=math.sqrt(f + d1f),
             norm_h2h_gamma=math.sqrt(h2h_w_sq),
-            norm_h3h_gamma=norm_h3h,
+            norm_h3h_gamma=math.sqrt(h2h_w_sq + d1lap_w),
             budget_residual=residual, weighted_budget_residual=residual_w,
-            cfl=cfl, norm_vt=norm_vt,
-            forcing_power=power, forcing_power_w=power_w)
+            cfl=cfl, forcing_power=power)
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +202,6 @@ class BudgetReport:
     excess_over_bound: np.ndarray
     bound: float
     energy_increases: np.ndarray
-
-    @property
-    def max_positive_residual(self) -> float:
-        return float(max(self.residuals.max(initial=0.0), 0.0))
 
     @property
     def max_excess(self) -> float:
@@ -334,27 +293,19 @@ def norm_channels(v: Field, ops: OperatorSet, psi_sqrt_quad: np.ndarray,
     """Stacked integrand channels whose squared sum is the space norm squared.
 
     ``l2``: the field; ``h1h`` adds ``d1 f``; ``h2h`` adds the gradient and
-    ``d1`` of the gradient.  Each channel is premultiplied by
-    ``psi * sqrt(dx * quad_weights)`` so that a Euclidean inner product of
-    two channel stacks equals the weighted quadrature pairing.
+    ``d1`` of the gradient: the leading channels of :meth:`OperatorSet.ladder`.
+    Each channel is premultiplied by ``psi * sqrt(dx * quad_weights)`` so
+    that a Euclidean inner product of two channel stacks equals the weighted
+    quadrature pairing.
     """
     if norm not in _NORM_CHANNELS:
         raise ValueError(f"norm must be one of {sorted(_NORM_CHANNELS)}, got {norm!r}")
-    chans = [v.values]
-    if norm in ("h1h", "h2h"):
-        d1v = ops.d1(v)
-        chans.append(d1v.values)
-        if norm == "h2h":
-            d2v = ops.d2(v)
-            chans.extend([d2v.values, ops.d1(d1v).values, ops.d1(d2v).values])
-    return np.stack([c * psi_sqrt_quad for c in chans])
+    return ops.ladder(v.values)[:_NORM_CHANNELS[norm]] * psi_sqrt_quad
 
 
 def _psi_sqrt_quad(grid: Grid, weight: WeightField | None) -> np.ndarray:
     q = np.sqrt(grid.dx * grid.quad_weights)[None, :]
-    if weight is None:
-        return np.broadcast_to(q, grid.shape).copy()
-    return weight.psi * q
+    return q if weight is None else weight.psi * q
 
 
 @dataclass
@@ -571,20 +522,20 @@ def poincare_check(sample_count: int, spec: WeightSpec, grid: Grid,
                    seed: int = 0) -> PoincareReport:
     """Audit both weighted Poincare inequalities over random clamped fields."""
     lam = lambda1_estimate(grid)
-    weight = make_weight_field(grid, spec)
-    w = weight.phi_field()
+    qw_phi = grid.dx * grid.quad_weights * make_weight_field(grid, spec).phi
     ops = OperatorSet(grid, dealias=False)
     rng = np.random.default_rng(seed)
     worst0 = worst1 = 0.0
     n = 0
     while n < sample_count:
         v = random_clamped_field(grid, rng)
-        nv = l2_norm(v, w)
+        sq = ops.ladder(v.values)
+        f, d1f, d2f, _, _, lap, _ = quadrature(sq * sq, qw_phi).tolist()
+        nv = math.sqrt(f)
         if nv < 1e-12:
             continue  # rejected degenerate sample
-        d1v, d2v = ops.d1(v), ops.d2(v)
-        grad = math.sqrt(l2_norm(d1v, w) ** 2 + l2_norm(d2v, w) ** 2)
-        lap = l2_norm(ops.laplacian(v), w)
+        grad = math.sqrt(d1f + d2f)
+        lap = math.sqrt(lap)
         worst0 = max(worst0, nv / grad)
         worst1 = max(worst1, grad / lap)
         n += 1
@@ -610,17 +561,18 @@ def weak_residual(v_prev: Field, v_next: Field, dt: float, h: Field,
     individual pairings.
     """
     a2 = alpha ** 2
-    vt = Field(v_prev.grid, (v_next.values - v_prev.values) / dt)
-    d1h, d2h = ops.d1(h), ops.d2(h)
-    d1vt, d2vt = ops.d1(vt), ops.d2(vt)
-    lap_h = ops.laplacian(h)
-    lap_v = ops.laplacian(v_next)
+    grid = v_prev.grid
+    qw = grid.dx * grid.quad_weights
+    ladder_h = ops.ladder(h.values)
+    # pairings of the ladders of v_t and of v_next with the one of h
+    _, d1t, d2t, d1d1t, d1d2t, _, _ = quadrature(
+        ops.ladder((v_next.values - v_prev.values) / dt) * ladder_h, qw).tolist()
+    *_, lap, d1lap = quadrature(ops.ladder(v_next.values) * ladder_h, qw).tolist()
     terms = [
-        inner_product(d1vt, d1h) + inner_product(d2vt, d2h),
-        a2 * (inner_product(ops.d1(d1vt), ops.d1(d1h))
-              + inner_product(ops.d1(d2vt), ops.d1(d2h))),
-        nu * inner_product(lap_v, lap_h),
-        nu * a2 * inner_product(ops.d1(lap_v), ops.d1(lap_h)),
+        d1t + d2t,
+        a2 * (d1d1t + d1d2t),
+        nu * lap,
+        nu * a2 * d1lap,
         -inner_product(ops.bilinear_B_conservative(v_prev, v_prev), h),
         inner_product(g, h),
     ]

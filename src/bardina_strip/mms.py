@@ -20,7 +20,7 @@ import sympy as sym
 
 from .strip_grid import Field, Grid
 
-__all__ = ["ManufacturedReference", "get_reference", "mms_forcing", "REFERENCE_NAMES"]
+__all__ = ["ManufacturedReference", "get_reference"]
 
 _X1, _X2, _T = sym.symbols("x1 x2 t", real=True)
 
@@ -47,9 +47,6 @@ def _catalog(lx: float, m: float) -> dict[str, sym.Expr]:
         # trivial reference: zero solution, zero forcing
         "zero_field": sym.Integer(0) * _X1,
     }
-
-
-REFERENCE_NAMES = ("pulsing_mode", "two_mode", "steady_mode", "zero_field")
 
 
 class ManufacturedReference:
@@ -93,8 +90,3 @@ class ManufacturedReference:
 def get_reference(name: str, lx: float, m: float, nu: float = 0.01,
                   alpha: float = 0.5) -> ManufacturedReference:
     return ManufacturedReference(name, lx, m, nu, alpha)
-
-
-def mms_forcing(reference: ManufacturedReference, t: float, grid: Grid) -> Field:
-    """Forcing making ``reference`` exact at time ``t`` on ``grid``."""
-    return reference.forcing_field(grid, t)

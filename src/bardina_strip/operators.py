@@ -13,7 +13,7 @@ import numpy as np
 
 from .strip_grid import Field, Grid, inner_product, l2_norm
 
-__all__ = ["OperatorSet", "d2_matrix", "d2_wall_rows"]
+__all__ = ["OperatorSet", "d2_matrix", "d2_wall_rows", "trilinear_relative"]
 
 
 def d2_values(values: np.ndarray, dy: float) -> np.ndarray:
@@ -77,28 +77,52 @@ class OperatorSet:
 
     # -- linear operators ---------------------------------------------------
 
+    def _spectral(self, values: np.ndarray, modal_op) -> np.ndarray:
+        """Values of ``modal_op`` applied to the ``x1`` coefficients of ``values``."""
+        return np.fft.irfft(modal_op(np.fft.rfft(values, axis=0)), n=self.grid.nx, axis=0)
+
     def d1(self, f: Field) -> Field:
-        c = np.fft.rfft(f.values, axis=0)
-        c *= self._ik[:, None]
-        return Field(self.grid, np.fft.irfft(c, n=self.grid.nx, axis=0),
+        return Field(self.grid, self._spectral(f.values, lambda c: self._ik[:, None] * c),
                      clamped=f.clamped)
 
     def d2(self, f: Field) -> Field:
         return Field(self.grid, d2_values(f.values, self.grid.dy))
 
+    def ladder(self, values: np.ndarray) -> np.ndarray:
+        """The derivative set of the anisotropic norms, stacked ``(7, nx, ny)``.
+
+        Channels in order: ``f, d1 f, d2 f, d1 d1 f, d1 d2 f, lap f,
+        d1 lap f``, so the ``l2``, ``h1h`` and ``h2h`` norms use the first
+        one, two and five.  One forward transform feeds the four spectral
+        channels, which come back through one batched inverse transform;
+        ``d2 f`` and ``d1 d2 f`` are the ``x2`` stencil applied to ``f`` and
+        ``d1 f``.
+        """
+        nx, dy = self.grid.nx, self.grid.dy
+        c = np.fft.rfft(values, axis=0)
+        ik = self._ik[:, None]
+        modal = np.empty((4,) + c.shape, dtype=np.complex128)
+        np.multiply(ik, c, out=modal[0])
+        np.multiply(ik ** 2, c, out=modal[1])
+        modal[2] = self.laplacian_modal(c)
+        np.multiply(ik, modal[2], out=modal[3])
+        out = np.empty((7, nx, self.grid.ny))
+        out[0] = values
+        out[[1, 3, 5, 6]] = np.fft.irfft(modal, n=nx, axis=1)
+        out[2] = d2_values(values, dy)
+        out[4] = d2_values(out[1], dy)
+        return out
+
     def laplacian_modal(self, coeffs: np.ndarray) -> np.ndarray:
         return d2sq_values(coeffs, self.grid.dy) - self._k2[:, None] * coeffs
 
     def laplacian(self, f: Field) -> Field:
-        c = np.fft.rfft(f.values, axis=0)
-        out = np.fft.irfft(self.laplacian_modal(c), n=self.grid.nx, axis=0)
-        return Field(self.grid, out)
+        return Field(self.grid, self._spectral(f.values, self.laplacian_modal))
 
     def biharmonic(self, f: Field) -> Field:
         """Laplacian applied twice; interior rows match the solver's matrix."""
-        c = np.fft.rfft(f.values, axis=0)
-        out = self.laplacian_modal(self.laplacian_modal(c))
-        return Field(self.grid, np.fft.irfft(out, n=self.grid.nx, axis=0))
+        return Field(self.grid, self._spectral(
+            f.values, lambda c: self.laplacian_modal(self.laplacian_modal(c))))
 
     # -- dealiased products ---------------------------------------------------
 
@@ -108,20 +132,15 @@ class OperatorSet:
         return out
 
     def dealias_field(self, f: Field) -> Field:
-        c = self.dealias_modal(np.fft.rfft(f.values, axis=0))
-        return Field(self.grid, np.fft.irfft(c, n=self.grid.nx, axis=0))
+        return Field(self.grid, self._spectral(f.values, self.dealias_modal))
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Pointwise product of two value arrays, dealiased when enabled."""
         if not self.dealias:
             return a * b
-        at = np.fft.irfft(self.dealias_modal(np.fft.rfft(a, axis=0)),
-                          n=self.grid.nx, axis=0)
-        bt = np.fft.irfft(self.dealias_modal(np.fft.rfft(b, axis=0)),
-                          n=self.grid.nx, axis=0)
-        prod = np.fft.rfft(at * bt, axis=0)
-        prod[~self._dealias_mask, :] = 0.0
-        return np.fft.irfft(prod, n=self.grid.nx, axis=0)
+        at = self._spectral(a, self.dealias_modal)
+        bt = self._spectral(b, self.dealias_modal)
+        return self._spectral(at * bt, self.dealias_modal)
 
     # -- bilinear form --------------------------------------------------------
 
@@ -144,26 +163,22 @@ class OperatorSet:
         f2 = Field(self.grid, self.product(self.d1(v).values, lap_u.values))
         return Field(self.grid, self.d1(f1).values - self.d2(f2).values)
 
-    def trilinear_identity_residuals(self, u: Field, v: Field, w: Field) -> tuple[float, float]:
-        """Absolute defects of the skew-symmetry pairings.
-
-        Returns ``(r1, r2)`` with ``r1 = |(B(u,v),w) + (B(u,w),v)|`` and
-        ``r2 = |(B(u,v),v)|``, both evaluated with the conservative form and
-        the grid quadrature.  Exact integration by parts makes both vanish
-        for clamped ``v, w``; the residuals measure the discretization error.
-        """
-        b_uv = self.bilinear_B_conservative(u, v)
-        b_uw = self.bilinear_B_conservative(u, w)
-        r1 = abs(inner_product(b_uv, w) + inner_product(b_uw, v))
-        r2 = abs(inner_product(b_uv, v))
-        return r1, r2
-
     def trilinear_identity_relative(self, u: Field, v: Field, w: Field) -> tuple[float, float]:
-        """Residuals normalized by the Cauchy-Schwarz size of the pairings."""
-        b_uv = self.bilinear_B_conservative(u, v)
-        b_uw = self.bilinear_B_conservative(u, w)
-        r1 = abs(inner_product(b_uv, w) + inner_product(b_uw, v))
-        r2 = abs(inner_product(b_uv, v))
-        s1 = l2_norm(b_uv) * l2_norm(w) + l2_norm(b_uw) * l2_norm(v)
-        s2 = l2_norm(b_uv) * l2_norm(v)
-        return r1 / max(s1, 1e-300), r2 / max(s2, 1e-300)
+        """:func:`trilinear_relative` of the conservative form."""
+        return trilinear_relative(self.bilinear_B_conservative(u, v),
+                                  self.bilinear_B_conservative(u, w), v, w)
+
+
+def trilinear_relative(b_uv: Field, b_uw: Field, v: Field, w: Field) -> tuple[float, float]:
+    """Relative defects of the skew-symmetry pairings of one bilinear form.
+
+    ``b_uv = B(u, v)`` and ``b_uw = B(u, w)``.  Returns ``(r1, r2)`` with
+    ``r1 = |(B(u,v),w) + (B(u,w),v)|`` and ``r2 = |(B(u,v),v)|``, each divided
+    by its Cauchy-Schwarz size.  Exact integration by parts makes both vanish
+    for clamped ``v, w``; the residuals measure the discretization error.
+    """
+    r1 = abs(inner_product(b_uv, w) + inner_product(b_uw, v))
+    r2 = abs(inner_product(b_uv, v))
+    s1 = l2_norm(b_uv) * l2_norm(w) + l2_norm(b_uw) * l2_norm(v)
+    s2 = l2_norm(b_uv) * l2_norm(v)
+    return r1 / max(s1, 1e-300), r2 / max(s2, 1e-300)

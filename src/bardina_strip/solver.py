@@ -35,7 +35,7 @@ import scipy.sparse.linalg as spla
 from . import diagnostics as diag
 from .horizontal_filter import FilterSpec, helmholtz_multiplier
 from .operators import (OperatorSet, d1_wavenumber_factor, d2_matrix, d2_values,
-                        d2_wall_rows, d2sq_values)
+                        d2_wall_rows)
 from .strip_grid import Field, Grid, StripDomain, make_grid
 from .weights import WeightSpec, make_weight_field
 
@@ -277,12 +277,6 @@ class ImexStepper:
 
     # -- per-step pieces --------------------------------------------------------
 
-    def _apply_mass(self, coeffs: np.ndarray) -> np.ndarray:
-        """Per-mode mass operator ``(D2 - kappa^2)`` applied along ``x2``."""
-        out = d2sq_values(coeffs, self.grid.dy)
-        out -= (self.grid.wavenumbers ** 2)[:, None] * coeffs
-        return out
-
     def _forcing_modal(self, t: float) -> np.ndarray:
         if self._mms_ref is not None:
             g = self._mms_ref.forcing_field(self.grid, t)
@@ -328,15 +322,16 @@ class ImexStepper:
                     f"t = {state.t:.6g}; the implicit part is stable but the "
                     "explicit term may not be", CflWarning, stacklevel=2)
                 self._warned_cfl = True
-            rhs = self._apply_mass(state.v_hat)
+            # the mass operator (D2 - kappa^2) is the modal Laplacian
+            rhs = self.ops.laplacian_modal(state.v_hat)
             starting = cfg.scheme == "imex_cnab2" and state.prev_explicit is None
             if cfg.scheme == "imex_euler" or starting:
                 lu = self._lu_start if starting else self._lu
                 rhs += cfg.dt * explicit
             else:
                 lu = self._lu
-                rhs += 0.5 * cfg.nu * cfg.dt * self._apply_mass(
-                    self._apply_mass(state.v_hat))
+                rhs += 0.5 * cfg.nu * cfg.dt * self.ops.laplacian_modal(
+                    self.ops.laplacian_modal(state.v_hat))
                 rhs += cfg.dt * (1.5 * explicit - 0.5 * state.prev_explicit)
             rhs[:, list(self.bc_rows)] = 0.0
 
@@ -368,13 +363,11 @@ def run(config: SolverConfig, on_record=None):
     stepper = ImexStepper(config)
     grid = stepper.grid
     weight = make_weight_field(grid, config.weight)
-    if config.forcing.kind == "mms":
-        g0 = stepper._mms_ref.forcing_field(grid, 0.0)
-    else:
-        g0 = build_field(config.forcing, grid)
+    # mms is the one time-dependent forcing: its budget columns are NaN
+    g = None if config.forcing.kind == "mms" else build_field(config.forcing, grid)
     collector = diag.DiagnosticsCollector(
         grid=grid, ops=stepper.ops, nu=config.nu, alpha=config.alpha,
-        weight=weight, g=g0, dt=config.dt)
+        weight=weight, g=g)
     series = diag.DiagnosticsSeries.for_run(
         nu=config.nu, alpha=config.alpha, dt=config.dt,
         record_every=config.record_every,

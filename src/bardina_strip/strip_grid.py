@@ -26,6 +26,7 @@ __all__ = [
     "to_physical",
     "inner_product",
     "l2_norm",
+    "quadrature",
 ]
 
 
@@ -41,14 +42,6 @@ class StripDomain:
             raise ValueError(f"lx must be positive and finite, got {self.lx}")
         if not (np.isfinite(self.m) and self.m > 0):
             raise ValueError(f"m must be positive and finite, got {self.m}")
-
-    @property
-    def b_lo(self) -> float:
-        return -self.m
-
-    @property
-    def b_hi(self) -> float:
-        return self.m
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,9 +146,6 @@ class ModalField:
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("modal field contains non-finite entries")
 
-    def copy(self) -> "ModalField":
-        return ModalField(self.grid, self.coeffs.copy())
-
 
 def to_modal(f: Field) -> ModalField:
     """Real FFT along ``x1`` for every ``x2`` row (unnormalized convention)."""
@@ -189,3 +179,17 @@ def inner_product(f: Field, h: Field, w: Field | None = None) -> float:
 
 def l2_norm(f: Field, w: Field | None = None) -> float:
     return float(np.sqrt(max(inner_product(f, f, w), 0.0)))
+
+
+def quadrature(integrand: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Grid quadrature of every trailing ``(nx, ny)`` block of ``integrand``.
+
+    ``weights`` are node weights: ``dx * quad_weights`` of shape ``(ny,)``,
+    or that times a weight field, of shape ``(nx, ny)``.  Leading axes are
+    kept, so a stack of channels gives one value per channel.  Field weights
+    are applied one block at a time, so no temporary exceeds one field.
+    """
+    if weights.ndim == 1:
+        return (integrand @ weights).sum(axis=-1)
+    blocks = integrand.reshape((-1,) + weights.shape)
+    return np.array([(b * weights).sum() for b in blocks]).reshape(integrand.shape[:-2])

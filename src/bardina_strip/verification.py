@@ -15,12 +15,11 @@ import numpy as np
 
 from .diagnostics import (StreamingTranslationModulus, energy_budget,
                           poincare_check, random_clamped_field)
-from .mms import get_reference
-from .operators import OperatorSet
+from .operators import OperatorSet, trilinear_relative
 from .runio import RunSettings
-from .solver import (ForcingSpec, InitialConditionSpec, SolverConfig,
-                     build_field, run)
-from .strip_grid import Field, Grid, StripDomain, inner_product, l2_norm, make_grid
+from .solver import (ForcingSpec, ImexStepper, InitialConditionSpec,
+                     SolverConfig, SolverState, build_field, run)
+from .strip_grid import Field, Grid, StripDomain, l2_norm, make_grid, quadrature
 from .weights import (WeightSpec, certify_lemma_wfuncs, certify_phi_control,
                       lemma_beta_set, make_weight_field)
 
@@ -28,7 +27,7 @@ __all__ = [
     "CheckResult", "SuiteReport", "SUITE_NAMES", "run_suite",
     "identity_test_fields", "operator_identity_study", "fit_order",
     "mms_spatial_study", "mms_temporal_study", "decay_config",
-    "energy_monotonicity_study", "alpha_sweep_study",
+    "alpha_sweep_study",
     "continuous_dependence_study", "weight_rho_stability", "compare_nse",
 ]
 
@@ -142,14 +141,9 @@ def operator_identity_study(nx: int = 128, ny: int = 129,
         grid = make_grid(domain, nx, ny_j)
         ops = OperatorSet(grid, dealias=True)
         u, v, w = identity_test_fields(grid)
-        b_uv = ops.bilinear_B(u, v)
-        b_uw = ops.bilinear_B(u, w)
-        r1 = abs(inner_product(b_uv, w) + inner_product(b_uw, v))
-        r2 = abs(inner_product(b_uv, v))
-        s1 = l2_norm(b_uv) * l2_norm(w) + l2_norm(b_uw) * l2_norm(v)
-        s2 = l2_norm(b_uv) * l2_norm(v)
-        r1s.append(r1 / s1)
-        r2s.append(r2 / s2)
+        r1, r2 = trilinear_relative(ops.bilinear_B(u, v), ops.bilinear_B(u, w), v, w)
+        r1s.append(r1)
+        r2s.append(r2)
         if j == 0:
             cons = ops.trilinear_identity_relative(u, v, w)
     return OperatorIdentityStudy(ny_values=ny_values, r1_pointwise=r1s,
@@ -175,6 +169,8 @@ def mms_spatial_study(scheme: str = "imex_cnab2", ny_values=(33, 65, 129),
                       nu: float = 0.05, alpha: float = 0.4,
                       reference: str = "two_mode"):
     """Final-time error against the closed-form solution under ``x2`` refinement."""
+    from .mms import get_reference  # sympy is imported only when a study needs it
+
     errors = []
     for ny in ny_values:
         cfg = _mms_config(scheme, nx, ny, dt, t_end, nu, alpha, reference)
@@ -225,27 +221,15 @@ def decay_config(nx: int = 128, ny: int = 129, dt: float = 1e-3,
                                 k1=1, k2=0))
 
 
-def energy_monotonicity_study(cfg: SolverConfig):
-    """Run and report (series, budget report, worst energy increase)."""
-    _state, series = run(cfg)
-    report = energy_budget(series)
-    return series, report
-
-
 def alpha_sweep_study(alphas=(0.4, 0.2, 0.1, 0.05), nx: int = 64, ny: int = 65,
                       dt: float = 2e-3, t_end: float = 1.0, nu: float = 0.02):
     """Distance at final time between filtered runs and the unfiltered one."""
-    base = dict(
+    cfg = SolverConfig(
         nx=nx, ny=ny, dt=dt, t_end=t_end, nu=nu,
         ic=InitialConditionSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0),
         forcing=ForcingSpec(kind="trig_clamped", amplitude=0.5, k1=2, k2=1))
-    state0, _ = run(SolverConfig(alpha=0.0, **base))
-    diffs = []
-    for a in alphas:
-        state, _ = run(SolverConfig(alpha=a, **base))
-        diffs.append(l2_norm(Field(state.v.grid,
-                                   state.v.values - state0.v.values)))
-    return list(alphas), diffs, fit_order(alphas, diffs)
+    diffs, slope = compare_nse(RunSettings(solver=cfg), alphas)
+    return list(alphas), diffs, slope
 
 
 def compare_nse(settings: RunSettings, alphas):
@@ -272,10 +256,11 @@ def continuous_dependence_study(deltas=(1e-3, 1e-4), nx: int = 64, ny: int = 65,
                                                amplitude=1.0, k1=1, k2=0))
     grid = cfg.grid()
     ops = OperatorSet(grid, dealias=False)
+    qw = grid.dx * grid.quad_weights
 
     def h1_norm(f: Field) -> float:
-        return math.sqrt(l2_norm(f) ** 2 + l2_norm(ops.d1(f)) ** 2
-                         + l2_norm(ops.d2(f)) ** 2)
+        sq = ops.ladder(f.values)[:3]
+        return math.sqrt(quadrature(sq * sq, qw).sum())
 
     base_state, _ = run(cfg)
     rng = np.random.default_rng(seed)
@@ -286,7 +271,6 @@ def continuous_dependence_study(deltas=(1e-3, 1e-4), nx: int = 64, ny: int = 65,
     ratios = []
     for delta in deltas:
         stepper_cfg = replace(cfg, ic=InitialConditionSpec(kind="zero"))
-        from .solver import ImexStepper, SolverState
         stepper = ImexStepper(stepper_cfg)
         values = base_ic.values + delta * direction
         v0 = Field(grid, values, clamped=True)
@@ -375,7 +359,8 @@ def _suite_poincare(settings: RunSettings) -> SuiteReport:
 def _suite_budget(settings: RunSettings) -> SuiteReport:
     cfg = settings.solver
     rep = SuiteReport("budget")
-    series, budget = energy_monotonicity_study(cfg)
+    _, series = run(cfg)
+    budget = energy_budget(series)
     e0 = series.records[0].energy
     if settings.solver.forcing.kind == "zero" and e0 > 0:
         rep.add("max per-record energy increase", budget.max_energy_increase,
@@ -383,8 +368,8 @@ def _suite_budget(settings: RunSettings) -> SuiteReport:
         half = replace(cfg, dt=cfg.dt / 2.0,
                        t_end=min(cfg.t_end, 256 * cfg.dt))
         short = replace(cfg, t_end=half.t_end)
-        _, b_short = energy_monotonicity_study(short)
-        _, b_half = energy_monotonicity_study(half)
+        b_short = energy_budget(run(short)[1])
+        b_half = energy_budget(run(half)[1])
         rep.add("energy increase after dt halving",
                 b_half.max_energy_increase,
                 0.5 * b_short.max_energy_increase + 1e-16 * e0)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import OperatorSet
-from .strip_grid import Field, Grid, l2_norm
+from .strip_grid import Field, Grid, quadrature
 
 __all__ = [
     "GAMMA_THRESHOLD",
@@ -150,9 +150,6 @@ class WeightField:
         if np.any(self.phi < 1.0 - 1e-12):
             raise ValueError("weight must be >= 1 everywhere")
 
-    def phi_field(self) -> Field:
-        return Field(self.grid, self.phi)
-
 
 def make_weight_field(grid: Grid, spec: WeightSpec) -> WeightField:
     x1, x2 = grid.mesh()
@@ -160,37 +157,23 @@ def make_weight_field(grid: Grid, spec: WeightSpec) -> WeightField:
     return WeightField(grid=grid, spec=spec, phi=phi, psi=np.sqrt(phi))
 
 
-def weighted_sobolev_norms(f: Field, spec: WeightSpec,
-                           weight: WeightField | None = None,
-                           ops: OperatorSet | None = None) -> dict[str, float]:
+def weighted_sobolev_norms(f: Field, spec: WeightSpec) -> dict[str, float]:
     """Quadrature norms ``|psi D f|`` for the anisotropic space ladder.
 
     Returns the six primitives keyed ``psi_f, psi_d1f, psi_grad_f,
     psi_d1_grad_f, psi_lap_f, psi_d1_lap_f``; composite space norms are
     square-sums of these.
     """
-    if weight is None:
-        weight = make_weight_field(f.grid, spec)
-    if ops is None:
-        ops = OperatorSet(f.grid, dealias=False)
-    w = weight.phi_field()
-    d1f = ops.d1(f)
-    d2f = ops.d2(f)
-    d1d1 = ops.d1(d1f)
-    d1d2 = ops.d1(d2f)
-    lap = ops.laplacian(f)
-    d1lap = ops.d1(lap)
-
-    def wnorm(*fields: Field) -> float:
-        return math.sqrt(sum(l2_norm(g, w) ** 2 for g in fields))
-
+    sq = OperatorSet(f.grid, dealias=False).ladder(f.values)
+    qw_phi = f.grid.dx * f.grid.quad_weights * make_weight_field(f.grid, spec).phi
+    f_sq, d1f, d2f, d1d1f, d1d2f, lap, d1lap = quadrature(sq * sq, qw_phi).tolist()
     return {
-        "psi_f": wnorm(f),
-        "psi_d1f": wnorm(d1f),
-        "psi_grad_f": wnorm(d1f, d2f),
-        "psi_d1_grad_f": wnorm(d1d1, d1d2),
-        "psi_lap_f": wnorm(lap),
-        "psi_d1_lap_f": wnorm(d1lap),
+        "psi_f": math.sqrt(f_sq),
+        "psi_d1f": math.sqrt(d1f),
+        "psi_grad_f": math.sqrt(d1f + d2f),
+        "psi_d1_grad_f": math.sqrt(d1d1f + d1d2f),
+        "psi_lap_f": math.sqrt(lap),
+        "psi_d1_lap_f": math.sqrt(d1lap),
     }
 
 

@@ -1,8 +1,10 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bardina_strip
 from bardina_strip.cli import main
 from bardina_strip.runio import read_snapshot, read_timeseries
 
@@ -138,3 +140,13 @@ class TestEntryPoint:
                                 capture_output=True, text=True)
         assert result.returncode == 0
         assert "compare-nse" in result.stdout
+
+    def test_import_leaves_sympy_out(self):
+        # sympy is needed only by the manufactured-solution studies
+        src = str(Path(bardina_strip.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import bardina_strip.cli; "
+                "print('sympy' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

@@ -99,6 +99,19 @@ class TestEnergyBudget:
         assert 2 * last.dissipation == pytest.approx(2 * last.forcing_power,
                                                      rel=5e-2)
 
+    def test_budget_columns_nan_only_under_time_dependent_forcing(self):
+        common = dict(nx=16, ny=17, dt=1e-3, t_end=5e-3, nu=0.05, alpha=0.4)
+        _, mms = run(SolverConfig(
+            forcing=ForcingSpec(kind="mms", reference="two_mode"),
+            ic=InitialConditionSpec(kind="mms", reference="two_mode"), **common))
+        _, trig = run(SolverConfig(
+            forcing=ForcingSpec(kind="trig_clamped", amplitude=1.0),
+            ic=InitialConditionSpec(kind="trig_clamped", amplitude=1.0), **common))
+        for name in ("budget_residual", "weighted_budget_residual", "forcing_power"):
+            assert np.all(np.isnan(mms.column(name)))
+            assert np.all(np.isfinite(trig.column(name)))
+        assert np.all(np.isfinite(mms.column("energy")))
+
     def test_excess_measured_against_closed_bound(self):
         _, _, series, _ = _run_decay(record_every=1)
         report = energy_budget(series)

@@ -162,6 +162,21 @@ class TestLaplacianBiharmonic:
         assert np.allclose(vals @ mat.T, d2sq_values(vals, grid.dy), atol=1e-10)
 
 
+class TestLadder:
+
+    def test_channels_match_field_operators(self, rng):
+        grid = make_grid(StripDomain(5.0, 1.3), 32, 33)
+        ops = OperatorSet(grid, dealias=False)
+        f = Field(grid, rng.standard_normal(grid.shape))
+        d1f, d2f, lap = ops.d1(f), ops.d2(f), ops.laplacian(f)
+        expected = [f, d1f, d2f, ops.d1(d1f), ops.d1(d2f), lap, ops.d1(lap)]
+        got = ops.ladder(f.values)
+        assert got.shape == (7,) + grid.shape
+        for channel, want in zip(got, expected):
+            err = np.abs(channel - want.values).max()
+            assert err <= 1e-13 * np.abs(want.values).max()
+
+
 class TestBilinearForm:
 
     def test_horizontal_independence_annihilates(self):
@@ -207,7 +222,7 @@ class TestTrilinearIdentities:
     def test_zero_triple(self):
         grid = _grid()
         z = Field(grid, np.zeros(grid.shape), clamped=True)
-        assert OperatorSet(grid).trilinear_identity_residuals(z, z, z) == (0.0, 0.0)
+        assert OperatorSet(grid).trilinear_identity_relative(z, z, z) == (0.0, 0.0)
 
     def test_conservative_form_telescopes_exactly(self):
         # spectral summation by parts in x1 plus wall-vanishing tangential
@@ -223,8 +238,8 @@ class TestTrilinearIdentities:
         grid = _grid(32, 33)
         ops = OperatorSet(grid, dealias=True)
         u, v, w = identity_test_fields(grid)
-        r1a, _ = ops.trilinear_identity_residuals(u, v, w)
-        r1b, _ = ops.trilinear_identity_residuals(u, w, v)
+        r1a, _ = ops.trilinear_identity_relative(u, v, w)
+        r1b, _ = ops.trilinear_identity_relative(u, w, v)
         assert r1a == pytest.approx(r1b, rel=1e-9, abs=1e-14)
 
     def test_pointwise_defect_second_order(self):
