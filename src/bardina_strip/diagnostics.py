@@ -388,7 +388,7 @@ def translation_modulus(traj: FieldTrajectory, k_list, norm: str = "h2h",
             raise ValueError(f"k = {k} exceeds the trajectory span {span}")
         lags.append(lag)
     grid = traj.fields[0].grid
-    ops = OperatorSet(grid, dealias=False)
+    ops = OperatorSet(grid)
     weight = make_weight_field(grid, spec) if spec is not None else None
     acc = StreamingTranslationModulus(grid, ops, lags, dt_rec, norm=norm,
                                       weight=weight, tau=tau)
@@ -427,7 +427,7 @@ def trajectory_h2h_distance(a: FieldTrajectory, b: FieldTrajectory,
     if len(a) != len(b):
         raise ValueError("trajectories have different lengths")
     grid = a.fields[0].grid
-    ops = OperatorSet(grid, dealias=False)
+    ops = OperatorSet(grid)
     psi_q = _psi_sqrt_quad(grid, None)
     dt_rec = a.dt_record
     total = 0.0
@@ -523,7 +523,7 @@ def poincare_check(sample_count: int, spec: WeightSpec, grid: Grid,
     """Audit both weighted Poincare inequalities over random clamped fields."""
     lam = lambda1_estimate(grid)
     qw_phi = grid.dx * grid.quad_weights * make_weight_field(grid, spec).phi
-    ops = OperatorSet(grid, dealias=False)
+    ops = OperatorSet(grid)
     rng = np.random.default_rng(seed)
     worst0 = worst1 = 0.0
     n = 0

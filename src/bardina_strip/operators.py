@@ -48,30 +48,20 @@ def d2_wall_rows(ny: int, dy: float) -> np.ndarray:
     return d2_values(np.eye(ny), dy)[:, [0, -1]].T
 
 
-def d1_wavenumber_factor(grid: Grid) -> np.ndarray:
-    """``i * kappa`` per stored mode, with the Nyquist mode zeroed."""
-    factor = 1j * grid.wavenumbers.astype(np.complex128)
-    if grid.nx % 2 == 0:
-        factor[-1] = 0.0
-    return factor
-
-
 class OperatorSet:
     """Differential operators bound to one grid.
 
-    Parameters
-    ----------
-    grid : Grid
-    dealias : bool
-        Apply 2/3-rule truncation in ``x1`` to the factors and results of
-        quadratic products (the bilinear form).  Linear operators are never
-        dealiased.
+    Quadratic products (the bilinear forms) are always dealiased: the 2/3
+    rule truncates their factors and results in ``x1``.  Linear operators
+    are never dealiased.  ``dealias`` has no effect; it is still accepted
+    because ``perfbench/worker.py`` passes it.
     """
 
-    def __init__(self, grid: Grid, dealias: bool = True):
+    def __init__(self, grid: Grid, *, dealias: bool = True):
         self.grid = grid
-        self.dealias = dealias
-        self._ik = d1_wavenumber_factor(grid)
+        self._ik = 1j * grid.wavenumbers.astype(np.complex128)  # d1 per mode
+        if grid.nx % 2 == 0:
+            self._ik[-1] = 0.0  # odd derivatives zero the Nyquist mode
         self._k2 = grid.wavenumbers ** 2
         self._dealias_mask = np.arange(grid.n_modes) < grid.nx / 3.0
 
@@ -131,13 +121,8 @@ class OperatorSet:
         out[~self._dealias_mask, :] = 0.0
         return out
 
-    def dealias_field(self, f: Field) -> Field:
-        return Field(self.grid, self._spectral(f.values, self.dealias_modal))
-
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Pointwise product of two value arrays, dealiased when enabled."""
-        if not self.dealias:
-            return a * b
+        """Dealiased pointwise product of two value arrays."""
         at = self._spectral(a, self.dealias_modal)
         bt = self._spectral(b, self.dealias_modal)
         return self._spectral(at * bt, self.dealias_modal)
@@ -151,17 +136,34 @@ class OperatorSet:
         t2 = self.product(self.d1(v).values, self.d2(lap_u).values)
         return Field(self.grid, t1 - t2)
 
+    def advection_modal(self, u_hat: np.ndarray,
+                        v_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Dealiased divergence form ``d1(d2(v) lap u) - d2(d1(v) lap u)``, the
+        advective term the solver integrates, from and to ``x1`` coefficients;
+        also the values of ``d1 v`` and ``d2 v`` of the truncated ``v``.
+        Passing the same array twice truncates it once."""
+        nx, dy = self.grid.nx, self.grid.dy
+        ut = self.dealias_modal(u_hat)
+        vt = ut if v_hat is u_hat else self.dealias_modal(v_hat)
+        ik = self._ik[:, None]
+        d1v = np.fft.irfft(ik * vt, n=nx, axis=0)
+        d2v = d2_values(np.fft.irfft(vt, n=nx, axis=0), dy)
+        lap = np.fft.irfft(self.laplacian_modal(ut), n=nx, axis=0)
+        b_hat = ik * np.fft.rfft(d2v * lap, axis=0)
+        b_hat -= d2_values(np.fft.rfft(d1v * lap, axis=0), dy)
+        return self.dealias_modal(b_hat), d1v, d2v
+
     def bilinear_B_conservative(self, u: Field, v: Field) -> Field:
-        """Divergence form ``d1(d2(v) lap u) - d2(d1(v) lap u)``.
+        """Values of :meth:`advection_modal`.
 
         Identical to :meth:`bilinear_B` in the continuum; discretely this is
         the form whose pairings telescope, so it is the one used for energy
         accounting.
         """
-        lap_u = self.laplacian(u)
-        f1 = Field(self.grid, self.product(self.d2(v).values, lap_u.values))
-        f2 = Field(self.grid, self.product(self.d1(v).values, lap_u.values))
-        return Field(self.grid, self.d1(f1).values - self.d2(f2).values)
+        u_hat = np.fft.rfft(u.values, axis=0)
+        v_hat = u_hat if v is u else np.fft.rfft(v.values, axis=0)
+        b_hat = self.advection_modal(u_hat, v_hat)[0]
+        return Field(self.grid, np.fft.irfft(b_hat, n=self.grid.nx, axis=0))
 
     def trilinear_identity_relative(self, u: Field, v: Field, w: Field) -> tuple[float, float]:
         """:func:`trilinear_relative` of the conservative form."""

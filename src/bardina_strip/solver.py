@@ -15,7 +15,9 @@ fourth-order boundary value problem in ``x2``:
 
 The stiff linear part is implicit (Euler, or Crank-Nicolson with
 Adams-Bashforth-2 extrapolation of the explicit terms), the quadratic term
-explicit.  Solving for the update of the mass operator ``(D2 - k^2)`` keeps
+explicit.  ``B_hat`` is ``OperatorSet.advection_modal``: the conservative
+form whose skew-symmetry the operator suite checks, always dealiased by the
+2/3 rule.  Solving for the update of the mass operator ``(D2 - k^2)`` keeps
 the ``k = 0`` column well-posed, and the combined implicit matrix with the
 four clamped boundary rows is banded (bandwidth five) and nonsingular for
 ``nu dt > 0``.  The operator is assembled in sparse form for all modes at
@@ -34,13 +36,13 @@ import scipy.sparse.linalg as spla
 
 from . import diagnostics as diag
 from .horizontal_filter import FilterSpec, helmholtz_multiplier
-from .operators import (OperatorSet, d1_wavenumber_factor, d2_matrix, d2_values,
-                        d2_wall_rows)
+from .operators import OperatorSet, d2_matrix, d2_wall_rows
 from .strip_grid import Field, Grid, StripDomain, make_grid
 from .weights import WeightSpec, make_weight_field
 
 __all__ = [
     "SCHEMES",
+    "CFL_LIMIT",
     "ForcingSpec",
     "InitialConditionSpec",
     "SolverConfig",
@@ -54,6 +56,7 @@ __all__ = [
 ]
 
 SCHEMES = ("imex_euler", "imex_cnab2")
+CFL_LIMIT = 0.5  # advective CFL number above which a CflWarning is issued
 
 
 class BlowUpError(RuntimeError):
@@ -134,9 +137,7 @@ class SolverConfig:
     ic: InitialConditionSpec = InitialConditionSpec()
     record_every: int = 1
     weight: WeightSpec = WeightSpec(epsilon=0.1, rho=10.0, gamma=2.0 / 3.0)
-    dealias: bool = True
     nonlinear: bool = True
-    cfl_limit: float = 0.5
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -214,19 +215,18 @@ class ImexStepper:
     def __init__(self, config: SolverConfig):
         self.config = config
         self.grid = config.grid()
-        self.ops = OperatorSet(self.grid, dealias=config.dealias)
+        self.ops = OperatorSet(self.grid)
         self.filter_spec = FilterSpec(config.alpha)
         self.mult = helmholtz_multiplier(self.grid, self.filter_spec)
         ny = self.grid.ny
         self.bc_rows = (0, 1, ny - 2, ny - 1)
         self.theta = 1.0 if config.scheme == "imex_euler" else 0.5
-        self._ik = d1_wavenumber_factor(self.grid)
         self._lu = self._build_implicit(self.theta)
         # CNAB2 starts with one IMEX-Euler step: an initial state only
         # satisfies the clamped rows to discretization accuracy, and the
         # Crank-Nicolson half of the operator must not see that defect.
         self._lu_start = self._lu if self.theta == 1.0 else self._build_implicit(1.0)
-        self._g_static = None
+        self.g: Field | None = None  # the time-independent forcing; None under mms
         self._mms_ref = None
         if config.forcing.kind == "mms":
             from .mms import get_reference
@@ -234,8 +234,8 @@ class ImexStepper:
                                           config.lx, config.m, nu=config.nu,
                                           alpha=config.alpha)
         else:
-            g = build_field(config.forcing, self.grid)
-            self._g_static = np.fft.rfft(g.values, axis=0)
+            self.g = build_field(config.forcing, self.grid)
+            self._g_static = np.fft.rfft(self.g.values, axis=0)
         self._warned_cfl = False
 
     # -- setup ----------------------------------------------------------------
@@ -286,39 +286,27 @@ class ImexStepper:
     def _explicit_and_cfl(self, state: SolverState) -> tuple[np.ndarray, float]:
         """``(g_hat - B_hat) / (1 + alpha^2 kappa^2)`` plus the CFL number.
 
-        The advective term is the conservative form evaluated from the
-        (dealiased) modal state in one pass: the same arrays feed the CFL
-        estimate, since the truncated field is the one actually advecting.
+        ``B_hat`` is :meth:`OperatorSet.advection_modal` of the modal state;
+        the truncated velocity it returns feeds the CFL estimate, since the
+        truncated field is the one actually advecting.
         """
         cfg = self.config
         out = self._forcing_modal(state.t).copy()
         cfl = 0.0
         if cfg.nonlinear:
-            nx, dy = self.grid.nx, self.grid.dy
-            ct = state.v_hat
-            if cfg.dealias:
-                ct = self.ops.dealias_modal(ct)
-            ik = self._ik[:, None]
-            d1v = np.fft.irfft(ik * ct, n=nx, axis=0)
-            vt = np.fft.irfft(ct, n=nx, axis=0)
-            d2v = d2_values(vt, dy)
-            lap = np.fft.irfft(self.ops.laplacian_modal(ct), n=nx, axis=0)
-            b_hat = ik * np.fft.rfft(d2v * lap, axis=0)
-            b_hat -= d2_values(np.fft.rfft(d1v * lap, axis=0), dy)
-            if cfg.dealias:
-                b_hat = self.ops.dealias_modal(b_hat)
+            b_hat, d1v, d2v = self.ops.advection_modal(state.v_hat, state.v_hat)
             out -= b_hat
             vmax = float(np.sqrt(d1v ** 2 + d2v ** 2).max())
-            cfl = cfg.dt * vmax / min(self.grid.dx, dy)
+            cfl = cfg.dt * vmax / min(self.grid.dx, self.grid.dy)
         return out / self.mult[:, None], cfl
 
     def step(self, state: SolverState) -> SolverState:
         cfg = self.config
         with np.errstate(over="ignore", invalid="ignore"):
             explicit, cfl = self._explicit_and_cfl(state)
-            if cfl > cfg.cfl_limit and not self._warned_cfl:
+            if cfl > CFL_LIMIT and not self._warned_cfl:
                 warnings.warn(
-                    f"advective CFL {cfl:.3g} exceeds {cfg.cfl_limit} at "
+                    f"advective CFL {cfl:.3g} exceeds {CFL_LIMIT} at "
                     f"t = {state.t:.6g}; the implicit part is stable but the "
                     "explicit term may not be", CflWarning, stacklevel=2)
                 self._warned_cfl = True
@@ -363,11 +351,10 @@ def run(config: SolverConfig, on_record=None):
     stepper = ImexStepper(config)
     grid = stepper.grid
     weight = make_weight_field(grid, config.weight)
-    # mms is the one time-dependent forcing: its budget columns are NaN
-    g = None if config.forcing.kind == "mms" else build_field(config.forcing, grid)
+    # under mms, the one time-dependent forcing, stepper.g is None: NaN budgets
     collector = diag.DiagnosticsCollector(
         grid=grid, ops=stepper.ops, nu=config.nu, alpha=config.alpha,
-        weight=weight, g=g)
+        weight=weight, g=stepper.g)
     series = diag.DiagnosticsSeries.for_run(
         nu=config.nu, alpha=config.alpha, dt=config.dt,
         record_every=config.record_every,

@@ -31,6 +31,13 @@ __all__ = [
     "continuous_dependence_study", "weight_rho_stability", "compare_nse",
 ]
 
+# Bounds shared by the suites and the acceptance criteria.
+IDENTITY_DEFECT_BOUND = 1e-3  # pointwise-form r1, r2 at the base resolution
+IDENTITY_ORDER_MIN = 1.8  # fitted x2 order of the pointwise-form r1, r2
+TELESCOPING_BOUND = 1e-12  # conservative-form r1, r2
+FIRST_ORDER_WINDOW = (0.7, 1.3)  # fitted MMS orders, imex_euler in time
+SECOND_ORDER_WINDOW = (1.7, 2.3)  # fitted MMS orders, space and imex_cnab2
+
 
 @dataclass
 class CheckResult:
@@ -139,7 +146,7 @@ def operator_identity_study(nx: int = 128, ny: int = 129,
     cons = (0.0, 0.0)
     for j, ny_j in enumerate(ny_values):
         grid = make_grid(domain, nx, ny_j)
-        ops = OperatorSet(grid, dealias=True)
+        ops = OperatorSet(grid)
         u, v, w = identity_test_fields(grid)
         r1, r2 = trilinear_relative(ops.bilinear_B(u, v), ops.bilinear_B(u, w), v, w)
         r1s.append(r1)
@@ -255,7 +262,7 @@ def continuous_dependence_study(deltas=(1e-3, 1e-4), nx: int = 64, ny: int = 65,
                        ic=InitialConditionSpec(kind="trig_clamped",
                                                amplitude=1.0, k1=1, k2=0))
     grid = cfg.grid()
-    ops = OperatorSet(grid, dealias=False)
+    ops = OperatorSet(grid)
     qw = grid.dx * grid.quad_weights
 
     def h1_norm(f: Field) -> float:
@@ -306,12 +313,12 @@ def _suite_operators(settings: RunSettings) -> SuiteReport:
     cfg = settings.solver
     rep = SuiteReport("operators")
     study = operator_identity_study(nx=cfg.nx, ny=cfg.ny, doublings=2)
-    rep.add("pointwise r1 at base resolution", study.r1_pointwise[0], 1e-3)
-    rep.add("pointwise r2 at base resolution", study.r2_pointwise[0], 1e-3)
-    rep.add("fitted order of r1", study.order_r1, 1.8, comparison=">=")
-    rep.add("fitted order of r2", study.order_r2, 1.8, comparison=">=")
-    rep.add("conservative r1 (exact telescoping)", study.r1_conservative, 1e-12)
-    rep.add("conservative r2 (exact telescoping)", study.r2_conservative, 1e-12)
+    rep.add("pointwise r1 at base resolution", study.r1_pointwise[0], IDENTITY_DEFECT_BOUND)
+    rep.add("pointwise r2 at base resolution", study.r2_pointwise[0], IDENTITY_DEFECT_BOUND)
+    rep.add("fitted order of r1", study.order_r1, IDENTITY_ORDER_MIN, comparison=">=")
+    rep.add("fitted order of r2", study.order_r2, IDENTITY_ORDER_MIN, comparison=">=")
+    rep.add("conservative r1 (exact telescoping)", study.r1_conservative, TELESCOPING_BOUND)
+    rep.add("conservative r2 (exact telescoping)", study.r2_conservative, TELESCOPING_BOUND)
     return rep
 
 
@@ -358,6 +365,9 @@ def _suite_poincare(settings: RunSettings) -> SuiteReport:
 
 def _suite_budget(settings: RunSettings) -> SuiteReport:
     cfg = settings.solver
+    if cfg.forcing.kind == "mms":
+        raise ValueError("the budget suite's closed dissipation bound needs a "
+                         "time-independent forcing; forcing.kind = mms changes in time")
     rep = SuiteReport("budget")
     _, series = run(cfg)
     budget = energy_budget(series)
@@ -384,7 +394,7 @@ def _suite_compactness(settings: RunSettings) -> SuiteReport:
     record_cfg = replace(cfg, record_every=2)
     lags = [2 ** j for j in range(6)]
     stepper_grid = record_cfg.grid()
-    ops = OperatorSet(stepper_grid, dealias=False)
+    ops = OperatorSet(stepper_grid)
     weight = make_weight_field(stepper_grid, cfg.weight)
     acc = StreamingTranslationModulus(
         stepper_grid, ops, lags, dt_record=2 * cfg.dt, norm="h2h", weight=weight)
@@ -400,10 +410,10 @@ def _suite_mms(settings: RunSettings) -> SuiteReport:
     cfg = settings.solver
     rep = SuiteReport("mms")
     _errs, spatial = mms_spatial_study(scheme="imex_cnab2")
-    rep.add("spatial order (imex_cnab2)", spatial, 1.7, comparison=">=")
-    rep.add("spatial order upper window", spatial, 2.3)
+    rep.add("spatial order (imex_cnab2)", spatial, SECOND_ORDER_WINDOW[0], comparison=">=")
+    rep.add("spatial order upper window", spatial, SECOND_ORDER_WINDOW[1])
     _errs, temporal = mms_temporal_study(cfg.scheme)
-    lo, hi = (0.7, 1.3) if cfg.scheme == "imex_euler" else (1.7, 2.3)
+    lo, hi = FIRST_ORDER_WINDOW if cfg.scheme == "imex_euler" else SECOND_ORDER_WINDOW
     rep.add(f"temporal order ({cfg.scheme})", temporal, lo, comparison=">=")
     rep.add("temporal order upper window", temporal, hi)
     return rep

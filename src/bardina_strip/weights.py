@@ -164,7 +164,7 @@ def weighted_sobolev_norms(f: Field, spec: WeightSpec) -> dict[str, float]:
     psi_d1_grad_f, psi_lap_f, psi_d1_lap_f``; composite space norms are
     square-sums of these.
     """
-    sq = OperatorSet(f.grid, dealias=False).ladder(f.values)
+    sq = OperatorSet(f.grid).ladder(f.values)
     qw_phi = f.grid.dx * f.grid.quad_weights * make_weight_field(f.grid, spec).phi
     f_sq, d1f, d2f, d1d1f, d1d2f, lap, d1lap = quadrature(sq * sq, qw_phi).tolist()
     return {

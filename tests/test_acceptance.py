@@ -19,7 +19,11 @@ from bardina_strip.operators import OperatorSet
 from bardina_strip.solver import InitialConditionSpec, SolverConfig, run
 from bardina_strip.strip_grid import (Field, StripDomain, inner_product,
                                       l2_norm, make_grid)
-from bardina_strip.verification import (alpha_sweep_study,
+from bardina_strip.verification import (FIRST_ORDER_WINDOW,
+                                        IDENTITY_DEFECT_BOUND,
+                                        IDENTITY_ORDER_MIN,
+                                        SECOND_ORDER_WINDOW,
+                                        TELESCOPING_BOUND, alpha_sweep_study,
                                         continuous_dependence_study,
                                         decay_config, mms_spatial_study,
                                         mms_temporal_study,
@@ -38,7 +42,7 @@ def _report(num, ok, detail):
 def baseline_run():
     cfg = decay_config()  # 128 x 129, dt = 1e-3, T = 5, record every step
     grid = cfg.grid()
-    ops = OperatorSet(grid, dealias=False)
+    ops = OperatorSet(grid)
     weight = make_weight_field(grid, cfg.weight)
     acc = StreamingTranslationModulus(grid, ops, [1, 2, 4, 8, 16, 32],
                                       dt_record=2 * cfg.dt, norm="h2h",
@@ -54,9 +58,12 @@ def baseline_run():
 
 def test_criterion_1_operator_identities():
     study = operator_identity_study(nx=128, ny=129, doublings=2)
-    ok = (study.r1_pointwise[0] <= 1e-3 and study.r2_pointwise[0] <= 1e-3
-          and study.order_r1 >= 1.8 and study.order_r2 >= 1.8
-          and study.r1_conservative <= 1e-12 and study.r2_conservative <= 1e-12)
+    ok = (study.r1_pointwise[0] <= IDENTITY_DEFECT_BOUND
+          and study.r2_pointwise[0] <= IDENTITY_DEFECT_BOUND
+          and study.order_r1 >= IDENTITY_ORDER_MIN
+          and study.order_r2 >= IDENTITY_ORDER_MIN
+          and study.r1_conservative <= TELESCOPING_BOUND
+          and study.r2_conservative <= TELESCOPING_BOUND)
     assert _report(1, ok, (
         f"r1={study.r1_pointwise[0]:.2e} r2={study.r2_pointwise[0]:.2e} "
         f"orders=({study.order_r1:.2f}, {study.order_r2:.2f}) "
@@ -90,8 +97,10 @@ def test_criterion_3_mms_convergence():
                                        ny_values=(33, 65, 129))
     _e1, t_euler = mms_temporal_study("imex_euler")
     _e2, t_cnab2 = mms_temporal_study("imex_cnab2")
-    ok = (1.7 <= spatial <= 2.3 and 0.7 <= t_euler <= 1.3
-          and 1.7 <= t_cnab2 <= 2.3)
+    lo1, hi1 = FIRST_ORDER_WINDOW
+    lo2, hi2 = SECOND_ORDER_WINDOW
+    ok = (lo2 <= spatial <= hi2 and lo1 <= t_euler <= hi1
+          and lo2 <= t_cnab2 <= hi2)
     assert _report(3, ok, (f"spatial={spatial:.2f} euler={t_euler:.2f} "
                            f"cnab2={t_cnab2:.2f}"))
 

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +108,16 @@ class TestVerify:
         assert main(["verify", cfg, "--suite", "weights"]) == 2
         assert "override" in capsys.readouterr().err
 
+    def test_budget_suite_rejects_time_dependent_forcing(self, tmp_path, capsys):
+        cfg = _write(tmp_path, (
+            "nx = 16\nny = 17\ndt = 1e-3\nt_end = 0.002\nnu = 0.05\nalpha = 0.4\n"
+            "forcing.kind = mms\nforcing.reference = two_mode\n"
+            "ic.kind = mms\nic.reference = two_mode\n"))
+        assert main(["verify", cfg, "--suite", "budget"]) == 2
+        err = capsys.readouterr().err
+        assert "time-independent" in err
+        assert "forcing.kind = mms" in err
+
     def test_unknown_suite_rejected_by_parser(self, tmp_path):
         cfg = _write(tmp_path, "nx = 16\n")
         with pytest.raises(SystemExit):
@@ -136,8 +147,11 @@ class TestCompareNse:
 class TestEntryPoint:
 
     def test_module_invocation(self):
+        src = str(Path(bardina_strip.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         result = subprocess.run([sys.executable, "-m", "bardina_strip", "--help"],
-                                capture_output=True, text=True)
+                                capture_output=True, text=True, env=env)
         assert result.returncode == 0
         assert "compare-nse" in result.stdout
 

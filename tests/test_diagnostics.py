@@ -168,7 +168,7 @@ class TestTranslationModulus:
     def test_streaming_matches_posthoc(self):
         cfg, _, _, traj = _run_decay(t_end=0.2)
         grid = traj.fields[0].grid
-        ops = OperatorSet(grid, dealias=False)
+        ops = OperatorSet(grid)
         weight = make_weight_field(grid, cfg.weight)
         lags = [1, 2, 4]
         acc = StreamingTranslationModulus(grid, ops, lags,
@@ -260,7 +260,7 @@ class TestPoincare:
         x1, x2 = grid.mesh()
         m = grid.domain.m
         v = Field(grid, np.sin(np.pi * (x2 + m) / (2 * m)) * np.ones_like(x1))
-        ops = OperatorSet(grid, dealias=False)
+        ops = OperatorSet(grid)
         from bardina_strip.strip_grid import l2_norm
         ratio = l2_norm(v) / math.sqrt(l2_norm(ops.d1(v)) ** 2
                                        + l2_norm(ops.d2(v)) ** 2)

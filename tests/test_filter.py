@@ -95,7 +95,7 @@ class TestCommutation:
 
     def test_commutes_with_d1_and_d2(self):
         from bardina_strip.operators import OperatorSet
-        ops = OperatorSet(_GRID, dealias=False)
+        ops = OperatorSet(_GRID)
         f = _random_field(3)
         spec = FilterSpec(alpha=0.9)
         scale = np.abs(f.values).max()

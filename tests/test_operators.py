@@ -166,7 +166,7 @@ class TestLadder:
 
     def test_channels_match_field_operators(self, rng):
         grid = make_grid(StripDomain(5.0, 1.3), 32, 33)
-        ops = OperatorSet(grid, dealias=False)
+        ops = OperatorSet(grid)
         f = Field(grid, rng.standard_normal(grid.shape))
         d1f, d2f, lap = ops.d1(f), ops.d2(f), ops.laplacian(f)
         expected = [f, d1f, d2f, ops.d1(d1f), ops.d1(d2f), lap, ops.d1(lap)]
@@ -192,7 +192,7 @@ class TestBilinearForm:
         errs, hs = [], []
         for ny in (17, 33, 65):
             grid = _grid(32, ny)
-            ops = OperatorSet(grid, dealias=True)
+            ops = OperatorSet(grid)
             u, v = _table_fields(grid)
             b = getattr(ops, form)(u, v).values
             worst = 0.0
@@ -209,7 +209,7 @@ class TestBilinearForm:
         diffs, hs = [], []
         for ny in (33, 65, 129):
             grid = _grid(32, ny)
-            ops = OperatorSet(grid, dealias=True)
+            ops = OperatorSet(grid)
             u, v, _w = identity_test_fields(grid)
             d = ops.bilinear_B(u, v).values - ops.bilinear_B_conservative(u, v).values
             diffs.append(np.abs(d).max() / np.abs(ops.bilinear_B(u, v).values).max())
@@ -228,7 +228,7 @@ class TestTrilinearIdentities:
         # spectral summation by parts in x1 plus wall-vanishing tangential
         # derivatives make the conservative pairings cancel to rounding
         grid = _grid(64, 65)
-        ops = OperatorSet(grid, dealias=True)
+        ops = OperatorSet(grid)
         u, v, w = identity_test_fields(grid)
         r1, r2 = ops.trilinear_identity_relative(u, v, w)
         assert r1 <= 1e-12
@@ -236,7 +236,7 @@ class TestTrilinearIdentities:
 
     def test_swap_symmetry(self):
         grid = _grid(32, 33)
-        ops = OperatorSet(grid, dealias=True)
+        ops = OperatorSet(grid)
         u, v, w = identity_test_fields(grid)
         r1a, _ = ops.trilinear_identity_relative(u, v, w)
         r1b, _ = ops.trilinear_identity_relative(u, w, v)
@@ -246,7 +246,7 @@ class TestTrilinearIdentities:
         rels, hs = [], []
         for ny in (65, 129, 257):
             grid = _grid(32, ny)
-            ops = OperatorSet(grid, dealias=True)
+            ops = OperatorSet(grid)
             u, v, w = identity_test_fields(grid)
             b_uv = ops.bilinear_B(u, v)
             b_uw = ops.bilinear_B(u, w)
@@ -273,7 +273,7 @@ class TestDealiasing:
 
     def test_matches_padded_transform_oracle(self, rng):
         grid = _grid(24, 17)
-        ops = OperatorSet(grid, dealias=True)
+        ops = OperatorSet(grid)
         kmax = 7  # inside the retained band (k < 8)
         a = self._band_limited(grid, kmax, rng)
         b = self._band_limited(grid, kmax, rng)
@@ -292,17 +292,11 @@ class TestDealiasing:
         oracle = np.fft.irfft(cback, n=grid.nx, axis=0)
         assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
-    def test_disabled_dealiasing_is_plain_product(self, rng):
-        grid = _grid(16, 17)
-        ops = OperatorSet(grid, dealias=False)
-        a = rng.standard_normal(grid.shape)
-        b = rng.standard_normal(grid.shape)
-        assert np.array_equal(ops.product(a, b), a * b)
-
     def test_truncation_is_projection(self, rng):
         grid = _grid(16, 17)
-        ops = OperatorSet(grid, dealias=True)
-        f = Field(grid, rng.standard_normal(grid.shape))
-        once = ops.dealias_field(f)
-        twice = ops.dealias_field(once)
-        assert np.abs(once.values - twice.values).max() <= 1e-13
+        ops = OperatorSet(grid)
+        c = np.fft.rfft(rng.standard_normal(grid.shape), axis=0)
+        once = ops.dealias_modal(c)
+        assert np.array_equal(ops.dealias_modal(once), once)
+        assert np.array_equal(once[:6], c[:6])  # k < 16 / 3 is kept
+        assert np.all(once[6:] == 0.0)

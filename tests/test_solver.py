@@ -98,7 +98,7 @@ class TestFixedPointAndBoundaries:
             dv = d2_values(v, stepper.grid.dy)
             assert np.abs(dv[:, [0, -1]]).max() <= 1e-11 * scale / stepper.grid.dy
             # tangential derivatives on the walls vanish with the wall values
-            ops = OperatorSet(stepper.grid, dealias=False)
+            ops = OperatorSet(stepper.grid)
             d1v = ops.d1(state.v).values
             assert np.abs(d1v[:, [0, -1]]).max() <= 1e-12 * scale
 
@@ -152,6 +152,24 @@ class TestImplicitAssembly:
             assert mat.format == "csc"
             assert np.array_equal(mat.toarray(), expected)
             assert np.diff(mat.tocsr().indptr).max() <= 5
+
+
+class TestExplicitTerm:
+
+    @pytest.mark.parametrize("scheme", ["imex_euler", "imex_cnab2"])
+    def test_is_the_shared_advective_operator(self, scheme):
+        cfg = _decay_config(scheme=scheme,
+                            forcing=ForcingSpec(kind="trig_clamped",
+                                                amplitude=0.5, k1=2, k2=1))
+        stepper = ImexStepper(cfg)
+        state = stepper.initial_state()
+        for _ in range(3):
+            state = stepper.step(state)
+        explicit, _cfl = stepper._explicit_and_cfl(state)
+        g_hat = np.fft.rfft(stepper.g.values, axis=0)
+        b_hat = stepper.ops.advection_modal(state.v_hat, state.v_hat)[0]
+        assert np.abs(b_hat).max() > 0.0
+        assert np.array_equal(explicit, (g_hat - b_hat) / stepper.mult[:, None])
 
 
 class TestLinearizedPropagator:
@@ -252,7 +270,7 @@ class TestManufacturedForcing:
         for ny in (33, 65, 129):
             cfg = _decay_config(nx=32, ny=ny)
             grid = cfg.grid()
-            ops = OperatorSet(grid, dealias=False)
+            ops = OperatorSet(grid)
             ref = get_reference("steady_mode", 2 * np.pi, 1.0, nu=nu, alpha=alpha)
             v = ref.solution_field(grid, 0.0)
             g = ref.forcing_field(grid, 0.0)
@@ -271,7 +289,7 @@ class TestManufacturedForcing:
         grid = _decay_config().grid()
         with_f = get_reference("steady_mode", 2 * np.pi, 1.0, nu=0.05, alpha=0.3)
         without = get_reference("steady_mode", 2 * np.pi, 1.0, nu=0.05, alpha=0.0)
-        ops = OperatorSet(grid, dealias=False)
+        ops = OperatorSet(grid)
         v = without.solution_field(grid, 0.0)
         advect = ops.bilinear_B(v, v)
         plain = advect.values - 0.05 * ops.biharmonic(v).values
@@ -333,6 +351,27 @@ class TestFileFields:
         file_state, _ = run(replace(cfg, forcing=ForcingSpec(kind="file",
                                                              path=str(path))))
         assert np.array_equal(ref_state.v.values, file_state.v.values)
+
+    def test_forcing_snapshot_read_once_per_run(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from bardina_strip import runio
+        cfg = _decay_config(t_end=0.002)
+        grid = cfg.grid()
+        x1, x2 = grid.mesh()
+        path = tmp_path / "g.bstr"
+        runio.write_snapshot(path, Field(grid, np.sin(x1) * (1 - x2 ** 2) ** 2),
+                             0.0, cfg.alpha, cfg.nu)
+        reads = []
+        read_snapshot = runio.read_snapshot
+
+        def counting(p):
+            reads.append(p)
+            return read_snapshot(p)
+
+        monkeypatch.setattr(runio, "read_snapshot", counting)
+        run(replace(cfg, forcing=ForcingSpec(kind="file", path=str(path))))
+        assert reads == [str(path)]
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         from dataclasses import replace

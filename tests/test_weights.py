@@ -127,7 +127,7 @@ class TestWeightedNorms:
         f = Field(medium_grid, rng.standard_normal(medium_grid.shape))
         norms = weighted_sobolev_norms(f, WeightSpec(epsilon=0.1, rho=5.0,
                                                      gamma=0.0))
-        ops = OperatorSet(medium_grid, dealias=False)
+        ops = OperatorSet(medium_grid)
         assert norms["psi_f"] == pytest.approx(l2_norm(f), rel=1e-13)
         assert norms["psi_lap_f"] == pytest.approx(l2_norm(ops.laplacian(f)),
                                                    rel=1e-13)
