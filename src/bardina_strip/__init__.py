@@ -6,18 +6,17 @@ derivative certification, and diagnostics mirroring the model's energy,
 weighted-energy and compactness estimates.
 """
 
-from .strip_grid import (StripDomain, Grid, Field, ModalField, make_grid,
-                         to_modal, to_physical, inner_product, l2_norm)
+from .strip_grid import (StripDomain, Grid, Field, make_grid, inner_product,
+                         l2_norm)
 from .operators import OperatorSet
 from .horizontal_filter import FilterSpec, apply_Ah, invert_Ah
 from .weights import (WeightSpec, WeightField, g_profile, phi_limit, varphi,
-                      make_weight_field, weighted_sobolev_norms,
-                      certify_lemma_wfuncs, certify_phi_control)
-from .solver import (SolverConfig, SolverState, ForcingSpec,
-                     InitialConditionSpec, BlowUpError, ImexStepper,
-                     run, nse_run)
+                      make_weight_field, certify_lemma_wfuncs,
+                      certify_phi_control)
+from .solver import (SolverConfig, SolverState, FieldSpec, BlowUpError,
+                     ImexStepper, run)
 from .diagnostics import (DiagnosticsRecord, DiagnosticsSeries, energy_budget,
-                          weighted_energy_budget, translation_modulus,
+                          weighted_energy_budget, StreamingTranslationModulus,
                           galerkin_refinement_study, poincare_check,
                           lambda1_estimate)
 

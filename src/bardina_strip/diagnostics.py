@@ -4,8 +4,10 @@ Per-record scalars: the energy ``E = |grad v|^2 + alpha^2 |d1 grad v|^2``
 and dissipation ``D = nu (|lap v|^2 + alpha^2 |d1 lap v|^2)``, their
 weighted counterparts, the anisotropic space norms, discrete budget
 residuals and the advective CFL number.  Post-processing turns a recorded
-trajectory into budget reports, a time-translation compactness modulus, a
-grid-refinement Cauchy table and weighted Poincare audits.
+series into budget reports; a streaming accumulator builds the
+time-translation compactness modulus while a run records; stored
+trajectories give a grid-refinement Cauchy table; and random clamped fields
+feed weighted Poincare audits.
 
 Testing the evolution equation against ``v`` gives the exact balance
 ``dE/dt + 2 D = -2 (g, v)``, so the budget residual is formed with the
@@ -23,7 +25,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .operators import OperatorSet
-from .strip_grid import Field, Grid, inner_product, l2_norm, quadrature
+from .strip_grid import Field, Grid, l2_norm, quadrature
 from .weights import WeightField, WeightSpec, make_weight_field
 
 __all__ = [
@@ -39,7 +41,6 @@ __all__ = [
     "weighted_energy_budget",
     "FieldTrajectory",
     "TranslationModulus",
-    "translation_modulus",
     "StreamingTranslationModulus",
     "RefinementStudy",
     "galerkin_refinement_study",
@@ -48,7 +49,6 @@ __all__ = [
     "PoincareReport",
     "poincare_check",
     "random_clamped_field",
-    "weak_residual",
 ]
 
 CSV_COLUMNS = (
@@ -285,22 +285,9 @@ class FieldTrajectory:
         return len(self.times)
 
 
-_NORM_CHANNELS = {"l2": 1, "h1h": 2, "h2h": 5}
-
-
-def norm_channels(v: Field, ops: OperatorSet, psi_sqrt_quad: np.ndarray,
-                  norm: str = "h2h") -> np.ndarray:
-    """Stacked integrand channels whose squared sum is the space norm squared.
-
-    ``l2``: the field; ``h1h`` adds ``d1 f``; ``h2h`` adds the gradient and
-    ``d1`` of the gradient: the leading channels of :meth:`OperatorSet.ladder`.
-    Each channel is premultiplied by ``psi * sqrt(dx * quad_weights)`` so
-    that a Euclidean inner product of two channel stacks equals the weighted
-    quadrature pairing.
-    """
-    if norm not in _NORM_CHANNELS:
-        raise ValueError(f"norm must be one of {sorted(_NORM_CHANNELS)}, got {norm!r}")
-    return ops.ladder(v.values)[:_NORM_CHANNELS[norm]] * psi_sqrt_quad
+# the leading ladder channels f, d1 f, d2 f, d1 d1 f, d1 d2 f: their squared
+# sum is the H^{2,h} norm squared
+_H2H_CHANNELS = 5
 
 
 def _psi_sqrt_quad(grid: Grid, weight: WeightField | None) -> np.ndarray:
@@ -334,67 +321,39 @@ class StreamingTranslationModulus:
     """Accumulates ``M(k)^2 = sum_n dt |v(t_n + k) - v(t_n)|^2`` on the fly.
 
     Records must arrive at a fixed cadence; ``k_lags`` are lags in record
-    units.  Channel stacks are cached so each pair costs one dot product.
+    units and the norm is the (weighted) ``H^{2,h}`` norm, the one ``norm``
+    accepts.  Each record's channels, premultiplied by ``psi * sqrt(dx *
+    quad_weights)``, are cached, so each pair costs one dot product.
     """
 
     def __init__(self, grid: Grid, ops: OperatorSet, k_lags: list[int],
                  dt_record: float, norm: str = "h2h",
-                 weight: WeightField | None = None, tau: float = 0.0):
+                 weight: WeightField | None = None):
+        if norm != "h2h":
+            raise ValueError(f"norm must be 'h2h', got {norm!r}")
         if any(l <= 0 for l in k_lags):
             raise ValueError("lags must be positive")
         self.k_lags = sorted(k_lags)
         self.dt_record = dt_record
-        self.norm = norm
-        self.tau = tau
         self.ops = ops
         self._psi_q = _psi_sqrt_quad(grid, weight)
-        self._buffer: deque[tuple[float, np.ndarray]] = deque(
-            maxlen=self.k_lags[-1] + 1)
+        self._buffer: deque[np.ndarray] = deque(maxlen=self.k_lags[-1] + 1)
         self._sums = {lag: 0.0 for lag in self.k_lags}
 
     def add(self, t: float, v: Field):
-        feats = norm_channels(v, self.ops, self._psi_q, self.norm)
-        self._buffer.append((t, feats))
+        """Add the record of ``v``; ``t`` is unused, records keep a fixed cadence."""
+        feats = self.ops.ladder(v.values)[:_H2H_CHANNELS] * self._psi_q
+        self._buffer.append(feats)
         n = len(self._buffer)
         for lag in self.k_lags:
             if n > lag:
-                t0, f0 = self._buffer[n - 1 - lag]
-                if t0 >= self.tau - 1e-12:
-                    diff = feats - f0
-                    self._sums[lag] += self.dt_record * float(np.vdot(diff, diff).real)
+                diff = feats - self._buffer[n - 1 - lag]
+                self._sums[lag] += self.dt_record * float(np.vdot(diff, diff).real)
 
     def result(self) -> TranslationModulus:
         k = np.array([lag * self.dt_record for lag in self.k_lags])
         m = np.array([math.sqrt(self._sums[lag]) for lag in self.k_lags])
         return TranslationModulus(k_values=k, modulus=m)
-
-
-def translation_modulus(traj: FieldTrajectory, k_list, norm: str = "h2h",
-                        spec: WeightSpec | None = None,
-                        tau: float = 0.0) -> TranslationModulus:
-    """Post-hoc modulus of a stored trajectory; ``k_list`` in time units.
-
-    Every ``k`` must be a multiple of the record spacing and smaller than
-    the trajectory span.
-    """
-    dt_rec = traj.dt_record
-    span = traj.times[-1] - traj.times[0]
-    lags = []
-    for k in k_list:
-        lag = round(k / dt_rec)
-        if abs(lag * dt_rec - k) > 1e-9 * max(k, dt_rec):
-            raise ValueError(f"k = {k} is not a multiple of the record spacing {dt_rec}")
-        if k >= span:
-            raise ValueError(f"k = {k} exceeds the trajectory span {span}")
-        lags.append(lag)
-    grid = traj.fields[0].grid
-    ops = OperatorSet(grid)
-    weight = make_weight_field(grid, spec) if spec is not None else None
-    acc = StreamingTranslationModulus(grid, ops, lags, dt_rec, norm=norm,
-                                      weight=weight, tau=tau)
-    for t, f in zip(traj.times, traj.fields):
-        acc.add(t, f)
-    return acc.result()
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +393,7 @@ def trajectory_h2h_distance(a: FieldTrajectory, b: FieldTrajectory,
     for t, fa, fb in zip(a.times, a.fields, b.fields):
         if t < tau - 1e-12:
             continue
-        diff = Field(grid, fa.values - fb.values)
-        ch = norm_channels(diff, ops, psi_q, "h2h")
+        ch = ops.ladder(fa.values - fb.values)[:_H2H_CHANNELS] * psi_q
         total += dt_rec * float(np.vdot(ch, ch).real)
     return math.sqrt(total)
 
@@ -544,38 +502,3 @@ def poincare_check(sample_count: int, spec: WeightSpec, grid: Grid,
         bound_zero_order=2.0 / lam.value,
         bound_first_order=2.0 / math.sqrt(lam.value),
         samples=sample_count)
-
-
-# ---------------------------------------------------------------------------
-# Weak-form residual
-# ---------------------------------------------------------------------------
-
-def weak_residual(v_prev: Field, v_next: Field, dt: float, h: Field,
-                  nu: float, alpha: float, g: Field,
-                  ops: OperatorSet) -> tuple[float, float]:
-    """Defect of the weak-form pairing over one step against a test field.
-
-    Time derivative by backward difference, viscous terms at the new state,
-    advective term at the old one (matching the first-order splitting).
-    Returns ``(residual, scale)`` where ``scale`` sums the magnitudes of the
-    individual pairings.
-    """
-    a2 = alpha ** 2
-    grid = v_prev.grid
-    qw = grid.dx * grid.quad_weights
-    ladder_h = ops.ladder(h.values)
-    # pairings of the ladders of v_t and of v_next with the one of h
-    _, d1t, d2t, d1d1t, d1d2t, _, _ = quadrature(
-        ops.ladder((v_next.values - v_prev.values) / dt) * ladder_h, qw).tolist()
-    *_, lap, d1lap = quadrature(ops.ladder(v_next.values) * ladder_h, qw).tolist()
-    terms = [
-        d1t + d2t,
-        a2 * (d1d1t + d1d2t),
-        nu * lap,
-        nu * a2 * d1lap,
-        -inner_product(ops.bilinear_B_conservative(v_prev, v_prev), h),
-        inner_product(g, h),
-    ]
-    residual = sum(terms)
-    scale = sum(abs(x) for x in terms)
-    return residual, max(scale, 1e-300)

@@ -8,7 +8,8 @@ forcing that makes it an exact solution of the filtered model,
 is derived symbolically once per parameter set and evaluated at the grid
 nodes.  With ``alpha = 0`` the same expression is the residual of the
 unfiltered stream-function equation.  Time-dependent forcing is allowed
-here (and only here).
+here (and only here).  The solution alone, as an initial condition, is
+lambdified once per ``(name, lx, m)`` and needs no derivation.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sympy as sym
 
 from .strip_grid import Field, Grid
 
-__all__ = ["ManufacturedReference", "get_reference"]
+__all__ = ["ManufacturedReference", "get_reference", "solution_field"]
 
 _X1, _X2, _T = sym.symbols("x1 x2 t", real=True)
 
@@ -49,18 +50,33 @@ def _catalog(lx: float, m: float) -> dict[str, sym.Expr]:
     }
 
 
+@functools.lru_cache(maxsize=16)
+def _solution(name: str, lx: float, m: float):
+    """Closed form ``v*`` of ``name`` and its lambdified evaluator."""
+    catalog = _catalog(lx, m)
+    if name not in catalog:
+        raise ValueError(f"unknown reference {name!r}; "
+                         f"available: {sorted(catalog)}")
+    v = catalog[name]
+    return v, sym.lambdify((_X1, _X2, _T), v, modules="numpy")
+
+
+def _sample(fn, grid: Grid, t: float) -> np.ndarray:
+    x1, x2 = grid.mesh()
+    return np.broadcast_to(fn(x1, x2, t), grid.shape).astype(float)
+
+
+def solution_field(name: str, grid: Grid, t: float) -> Field:
+    """``v*`` of ``name`` at time ``t``, without deriving any forcing."""
+    _, fn = _solution(name, grid.domain.lx, grid.domain.m)
+    return Field(grid, _sample(fn, grid, t), clamped=True)
+
+
 class ManufacturedReference:
     """Lambdified reference solution and forcing for fixed parameters."""
 
     def __init__(self, name: str, lx: float, m: float, nu: float, alpha: float):
-        catalog = _catalog(lx, m)
-        if name not in catalog:
-            raise ValueError(f"unknown reference {name!r}; "
-                             f"available: {sorted(catalog)}")
-        self.name = name
-        self.nu = nu
-        self.alpha = alpha
-        v = catalog[name]
+        v, self._v = _solution(name, lx, m)
 
         def lap(expr):
             return sym.diff(expr, _X1, 2) + sym.diff(expr, _X2, 2)
@@ -72,21 +88,16 @@ class ManufacturedReference:
         advection = (sym.diff(v, _X2) * sym.diff(lap_v, _X1)
                      - sym.diff(v, _X1) * sym.diff(lap_v, _X2))
         g = a_h(lap(sym.diff(v, _T))) + advection - nu * a_h(lap(lap_v))
-        self._v = sym.lambdify((_X1, _X2, _T), v, modules="numpy")
         self._g = sym.lambdify((_X1, _X2, _T), sym.expand(g), modules="numpy")
 
     def solution_field(self, grid: Grid, t: float) -> Field:
-        x1, x2 = grid.mesh()
-        vals = np.broadcast_to(self._v(x1, x2, t), grid.shape).astype(float)
-        return Field(grid, vals.copy(), clamped=True)
+        return Field(grid, _sample(self._v, grid, t), clamped=True)
 
     def forcing_field(self, grid: Grid, t: float) -> Field:
-        x1, x2 = grid.mesh()
-        vals = np.broadcast_to(self._g(x1, x2, t), grid.shape).astype(float)
-        return Field(grid, vals.copy())
+        return Field(grid, _sample(self._g, grid, t))
 
 
 @functools.lru_cache(maxsize=16)
-def get_reference(name: str, lx: float, m: float, nu: float = 0.01,
-                  alpha: float = 0.5) -> ManufacturedReference:
+def get_reference(name: str, lx: float, m: float, nu: float,
+                  alpha: float) -> ManufacturedReference:
     return ManufacturedReference(name, lx, m, nu, alpha)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import CSV_COLUMNS, DiagnosticsSeries
-from .solver import ForcingSpec, InitialConditionSpec, SolverConfig
+from .solver import FieldSpec, SolverConfig
 from .strip_grid import Field
 from .weights import WeightSpec
 
@@ -151,15 +151,22 @@ def parse_config_text(text: str, allow_gamma_override: bool = False) -> RunSetti
         except ValueError as exc:
             raise ValueError(f"line {lineno}: key {key!r}: {exc}") from None
 
-    def take(prefix: str, cls):
+    def take(prefix: str) -> FieldSpec:
         kw = {}
         for name in ("kind", "amplitude", "k1", "k2", "reference", "path"):
             if f"{prefix}.{name}" in pairs:
                 kw[name] = pairs.pop(f"{prefix}.{name}")
-        return cls(**kw) if kw else cls()
+        try:
+            spec = FieldSpec(**kw)
+        except ValueError as exc:  # its message starts with the attribute
+            raise ValueError(f"{prefix}.{exc}") from None
+        if spec.kind == "file" and Path(spec.path).is_dir():
+            raise ValueError(f"{prefix}.path {spec.path!r} is a directory, "
+                             "not a snapshot file")
+        return spec
 
-    forcing = take("forcing", ForcingSpec)
-    ic = take("ic", InitialConditionSpec)
+    forcing = take("forcing")
+    ic = take("ic")
     weight = WeightSpec(
         epsilon=pairs.pop("epsilon", 0.1),
         rho=pairs.pop("rho", 10.0),

@@ -27,8 +27,9 @@ sparse LU.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,15 +44,13 @@ from .weights import WeightSpec, make_weight_field
 __all__ = [
     "SCHEMES",
     "CFL_LIMIT",
-    "ForcingSpec",
-    "InitialConditionSpec",
+    "FieldSpec",
     "SolverConfig",
     "SolverState",
     "BlowUpError",
     "CflWarning",
     "ImexStepper",
     "run",
-    "nse_run",
     "build_field",
 ]
 
@@ -72,12 +71,15 @@ class CflWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class ForcingSpec:
-    """Tagged analytic forcing family.
+class FieldSpec:
+    """Tagged field family, for the forcing (``forcing.*``) or the initial
+    condition (``ic.*``).
 
-    ``zero``; ``trig_clamped`` with amplitude/k1/k2; ``mms`` evaluating the
-    manufactured-solution residual of ``reference`` (the one case where the
-    forcing may depend on time); ``file`` reading a snapshot.
+    ``zero``; ``trig_clamped`` with amplitude/k1/k2; ``mms``, the
+    manufactured solution ``reference`` (as a forcing, its residual: the one
+    forcing that depends on time); ``file`` reading a snapshot.  Messages
+    start with the attribute at fault, so a config reader can prefix the
+    key's section.
     """
 
     kind: str = "zero"
@@ -88,30 +90,16 @@ class ForcingSpec:
     path: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("zero", "trig_clamped", "mms", "file"):
-            raise ValueError(f"unknown forcing kind {self.kind!r}")
+        kinds = ("zero", "trig_clamped", "mms", "file")
+        if self.kind not in kinds:
+            raise ValueError(f"kind must be one of {kinds}, got {self.kind!r}")
         if self.kind == "mms" and not self.reference:
-            raise ValueError("mms forcing needs a reference solution id")
+            raise ValueError("reference must name a solution when kind = mms")
         if self.kind == "file" and not self.path:
-            raise ValueError("file forcing needs a path")
+            raise ValueError("path must name a snapshot when kind = file")
 
 
-@dataclass(frozen=True)
-class InitialConditionSpec:
-    kind: str = "zero"
-    amplitude: float = 0.0
-    k1: int = 1
-    k2: int = 0
-    reference: str = ""
-    path: str = ""
-
-    def __post_init__(self):
-        if self.kind not in ("zero", "trig_clamped", "mms", "file"):
-            raise ValueError(f"unknown ic kind {self.kind!r}")
-        if self.kind == "mms" and not self.reference:
-            raise ValueError("mms ic needs a reference solution id")
-        if self.kind == "file" and not self.path:
-            raise ValueError("file ic needs a path")
+InitialConditionSpec = FieldSpec  # the name perfbench/workloads.py imports
 
 
 @dataclass(frozen=True)
@@ -133,8 +121,8 @@ class SolverConfig:
     dt: float = 1e-3
     t_end: float = 1.0
     scheme: str = "imex_euler"
-    forcing: ForcingSpec = ForcingSpec()
-    ic: InitialConditionSpec = InitialConditionSpec()
+    forcing: FieldSpec = FieldSpec()
+    ic: FieldSpec = FieldSpec()
     record_every: int = 1
     weight: WeightSpec = WeightSpec(epsilon=0.1, rho=10.0, gamma=2.0 / 3.0)
     nonlinear: bool = True
@@ -152,13 +140,22 @@ class SolverConfig:
             raise ValueError(f"t_end must be >= 0, got {self.t_end}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        n = round(self.t_end / self.dt) if self.t_end > 0 else 0
-        if abs(n * self.dt - self.t_end) > 1e-9 * max(self.dt, self.t_end):
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError(f"t_end / dt = {self.t_end:g} / {self.dt:g} overflows "
+                             "the step count")
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * max(self.dt, self.t_end):
             raise ValueError("t_end must be an integer multiple of dt")
+        # alpha^2 and the Helmholtz multiplier 1 + (alpha kappa)^2 at the
+        # Nyquist wavenumber pi nx / lx must both be finite
+        domain = StripDomain(self.lx, self.m)  # rejects lx <= 0 before the division
+        scale = self.alpha * max(1.0, np.pi * self.nx / domain.lx)
+        if not math.isfinite(1.0 + scale * scale):
+            raise ValueError(f"alpha = {self.alpha:g} overflows the Helmholtz "
+                             "multiplier 1 + (alpha kappa_max)^2")
 
     @property
     def n_steps(self) -> int:
-        return round(self.t_end / self.dt) if self.t_end > 0 else 0
+        return round(self.t_end / self.dt)
 
     def grid(self) -> Grid:
         return make_grid(StripDomain(self.lx, self.m), self.nx, self.ny)
@@ -181,9 +178,8 @@ def clamped_profile(z: np.ndarray, k2: int = 0) -> np.ndarray:
     return (1.0 - z ** 2) ** 2 * np.cos(0.5 * np.pi * k2 * z)
 
 
-def build_field(spec: ForcingSpec | InitialConditionSpec, grid: Grid,
-                t: float = 0.0) -> Field:
-    """Materialize a tagged analytic family on the grid."""
+def build_field(spec: FieldSpec, grid: Grid) -> Field:
+    """Materialize a tagged family on the grid; ``mms`` gives ``v*`` at t = 0."""
     if spec.kind == "zero":
         return Field(grid, np.zeros(grid.shape), clamped=True)
     if spec.kind == "trig_clamped":
@@ -194,19 +190,14 @@ def build_field(spec: ForcingSpec | InitialConditionSpec, grid: Grid,
                 * clamped_profile(z, spec.k2))
         return Field(grid, vals, clamped=True)
     if spec.kind == "mms":
-        from .mms import get_reference
-        ref = get_reference(spec.reference, grid.domain.lx, grid.domain.m)
-        if isinstance(spec, InitialConditionSpec):
-            return ref.solution_field(grid, t)
-        raise ValueError("mms forcing is evaluated by the stepper, not build_field")
-    if spec.kind == "file":
-        from .runio import read_snapshot
-        data = read_snapshot(spec.path)
-        if (data.nx, data.ny) != grid.shape:
-            raise ValueError(
-                f"snapshot grid {(data.nx, data.ny)} does not match run grid {grid.shape}")
-        return Field(grid, data.values, clamped=True)
-    raise ValueError(f"unknown spec kind {spec.kind!r}")
+        from .mms import solution_field
+        return solution_field(spec.reference, grid, 0.0)
+    from .runio import read_snapshot
+    data = read_snapshot(spec.path)
+    if (data.nx, data.ny) != grid.shape:
+        raise ValueError(
+            f"snapshot grid {(data.nx, data.ny)} does not match run grid {grid.shape}")
+    return Field(grid, data.values, clamped=True)
 
 
 class ImexStepper:
@@ -373,8 +364,3 @@ def run(config: SolverConfig, on_record=None):
             if on_record is not None:
                 on_record(state, rec)
     return state, series
-
-
-def nse_run(config: SolverConfig, on_record=None):
-    """The unfiltered equation: the identical code path with ``alpha = 0``."""
-    return run(replace(config, alpha=0.0), on_record=on_record)

@@ -1,13 +1,13 @@
-"""Strip geometry, discretization and transforms.
+"""Strip geometry, discretization and quadrature.
 
 The domain is a channel of half-width ``M`` that is periodic in the
 horizontal direction: ``x1 in [0, Lx)`` with ``x1``-periodicity standing in
 for the unbounded axis, and ``x2 in [-M, M]`` between two flat walls.
 
 Fields are stored as real ``(nx, ny)`` arrays (``x1`` index first).  The
-horizontal direction is handled spectrally via a real FFT, so a field has a
-second, equivalent representation as ``(nx // 2 + 1, ny)`` complex Fourier
-coefficient columns with the unnormalized numpy convention.
+horizontal direction is handled spectrally: modal code works on
+``np.fft.rfft(values, axis=0)``, the ``(nx // 2 + 1, ny)`` complex Fourier
+coefficient columns in the unnormalized numpy convention.
 """
 
 from __future__ import annotations
@@ -20,10 +20,7 @@ __all__ = [
     "StripDomain",
     "Grid",
     "Field",
-    "ModalField",
     "make_grid",
-    "to_modal",
-    "to_physical",
     "inner_product",
     "l2_norm",
     "quadrature",
@@ -104,7 +101,8 @@ def make_grid(domain: StripDomain, nx: int, ny: int) -> Grid:
 class Field:
     """Real scalar sample on the grid nodes (stream function, vorticity, forcing).
 
-    ``clamped=True`` marks a field expected to vanish on both walls.
+    ``clamped=True`` marks a field expected to vanish on both walls; it is
+    carried along, never checked.
     """
 
     grid: Grid
@@ -121,40 +119,6 @@ class Field:
 
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy(), clamped=self.clamped)
-
-    def wall_values(self) -> np.ndarray:
-        return np.concatenate([self.values[:, 0], self.values[:, -1]])
-
-
-@dataclass(eq=False)
-class ModalField:
-    """Fourier-in-``x1`` coefficient columns over the ``x2`` nodes.
-
-    Only the nonnegative wavenumbers are stored (numpy ``rfft`` layout,
-    unnormalized); the ``k = 0`` column of a real field is real.
-    """
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        expected = (self.grid.n_modes, self.grid.ny)
-        if self.coeffs.shape != expected:
-            raise ValueError(
-                f"modal shape {self.coeffs.shape} does not match grid {expected}")
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("modal field contains non-finite entries")
-
-
-def to_modal(f: Field) -> ModalField:
-    """Real FFT along ``x1`` for every ``x2`` row (unnormalized convention)."""
-    return ModalField(f.grid, np.fft.rfft(f.values, axis=0))
-
-
-def to_physical(m: ModalField) -> Field:
-    """Inverse of :func:`to_modal`; discards the rounding-level imaginary residue."""
-    return Field(m.grid, np.fft.irfft(m.coeffs, n=m.grid.nx, axis=0))
 
 
 def _check_same_grid(f, h):

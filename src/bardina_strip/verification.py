@@ -17,8 +17,8 @@ from .diagnostics import (StreamingTranslationModulus, energy_budget,
                           poincare_check, random_clamped_field)
 from .operators import OperatorSet, trilinear_relative
 from .runio import RunSettings
-from .solver import (ForcingSpec, ImexStepper, InitialConditionSpec,
-                     SolverConfig, SolverState, build_field, run)
+from .solver import (FieldSpec, ImexStepper, SolverConfig, SolverState,
+                     build_field, run)
 from .strip_grid import Field, Grid, StripDomain, l2_norm, make_grid, quadrature
 from .weights import (WeightSpec, certify_lemma_wfuncs, certify_phi_control,
                       lemma_beta_set, make_weight_field)
@@ -166,8 +166,8 @@ def _mms_config(scheme: str, nx: int, ny: int, dt: float, t_end: float,
                 nu: float, alpha: float, reference: str) -> SolverConfig:
     return SolverConfig(
         nx=nx, ny=ny, dt=dt, t_end=t_end, nu=nu, alpha=alpha, scheme=scheme,
-        forcing=ForcingSpec(kind="mms", reference=reference),
-        ic=InitialConditionSpec(kind="mms", reference=reference),
+        forcing=FieldSpec(kind="mms", reference=reference),
+        ic=FieldSpec(kind="mms", reference=reference),
         record_every=10 ** 9)
 
 
@@ -224,8 +224,7 @@ def decay_config(nx: int = 128, ny: int = 129, dt: float = 1e-3,
         nx=nx, ny=ny, dt=dt, t_end=t_end, nu=nu, alpha=alpha,
         scheme="imex_euler", record_every=record_every,
         weight=weight or WeightSpec(epsilon=0.1, rho=10.0, gamma=2.0 / 3.0),
-        ic=InitialConditionSpec(kind="trig_clamped", amplitude=amplitude,
-                                k1=1, k2=0))
+        ic=FieldSpec(kind="trig_clamped", amplitude=amplitude, k1=1, k2=0))
 
 
 def alpha_sweep_study(alphas=(0.4, 0.2, 0.1, 0.05), nx: int = 64, ny: int = 65,
@@ -233,8 +232,8 @@ def alpha_sweep_study(alphas=(0.4, 0.2, 0.1, 0.05), nx: int = 64, ny: int = 65,
     """Distance at final time between filtered runs and the unfiltered one."""
     cfg = SolverConfig(
         nx=nx, ny=ny, dt=dt, t_end=t_end, nu=nu,
-        ic=InitialConditionSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0),
-        forcing=ForcingSpec(kind="trig_clamped", amplitude=0.5, k1=2, k2=1))
+        ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0),
+        forcing=FieldSpec(kind="trig_clamped", amplitude=0.5, k1=2, k2=1))
     diffs, slope = compare_nse(RunSettings(solver=cfg), alphas)
     return list(alphas), diffs, slope
 
@@ -259,8 +258,7 @@ def continuous_dependence_study(deltas=(1e-3, 1e-4), nx: int = 64, ny: int = 65,
                                 seed: int = 11):
     """Separation-to-perturbation ratios in the H1 norm at the final time."""
     cfg = SolverConfig(nx=nx, ny=ny, dt=dt, t_end=t_end, nu=nu, alpha=alpha,
-                       ic=InitialConditionSpec(kind="trig_clamped",
-                                               amplitude=1.0, k1=1, k2=0))
+                       ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0))
     grid = cfg.grid()
     ops = OperatorSet(grid)
     qw = grid.dx * grid.quad_weights
@@ -277,7 +275,7 @@ def continuous_dependence_study(deltas=(1e-3, 1e-4), nx: int = 64, ny: int = 65,
 
     ratios = []
     for delta in deltas:
-        stepper_cfg = replace(cfg, ic=InitialConditionSpec(kind="zero"))
+        stepper_cfg = replace(cfg, ic=FieldSpec(kind="zero"))
         stepper = ImexStepper(stepper_cfg)
         values = base_ic.values + delta * direction
         v0 = Field(grid, values, clamped=True)

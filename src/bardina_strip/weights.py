@@ -11,7 +11,8 @@ Two weight families share one scale parameter ``epsilon`` and exponent
   ``r <= rho``.
 
 ``psi = varphi^(1/2)`` multiplies the integrands of the weighted Sobolev
-norms.  The certification routines measure, by high-order finite differences
+norms, which the diagnostics collector records as its weighted columns.
+The certification routines measure, by high-order finite differences
 on an oversampled lattice, the empirical constants in the pointwise controls
 
     |d^beta psi^2| <= C eps^|beta| psi      (strong form)
@@ -29,8 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import OperatorSet
-from .strip_grid import Field, Grid, quadrature
+from .strip_grid import Grid
 
 __all__ = [
     "GAMMA_THRESHOLD",
@@ -40,7 +40,6 @@ __all__ = [
     "phi_limit",
     "varphi",
     "make_weight_field",
-    "weighted_sobolev_norms",
     "lemma_beta_set",
     "certify_lemma_wfuncs",
     "certify_phi_control",
@@ -155,26 +154,6 @@ def make_weight_field(grid: Grid, spec: WeightSpec) -> WeightField:
     x1, x2 = grid.mesh()
     phi = np.broadcast_to(varphi(x1, x2, spec), grid.shape).copy()
     return WeightField(grid=grid, spec=spec, phi=phi, psi=np.sqrt(phi))
-
-
-def weighted_sobolev_norms(f: Field, spec: WeightSpec) -> dict[str, float]:
-    """Quadrature norms ``|psi D f|`` for the anisotropic space ladder.
-
-    Returns the six primitives keyed ``psi_f, psi_d1f, psi_grad_f,
-    psi_d1_grad_f, psi_lap_f, psi_d1_lap_f``; composite space norms are
-    square-sums of these.
-    """
-    sq = OperatorSet(f.grid).ladder(f.values)
-    qw_phi = f.grid.dx * f.grid.quad_weights * make_weight_field(f.grid, spec).phi
-    f_sq, d1f, d2f, d1d1f, d1d2f, lap, d1lap = quadrature(sq * sq, qw_phi).tolist()
-    return {
-        "psi_f": math.sqrt(f_sq),
-        "psi_d1f": math.sqrt(d1f),
-        "psi_grad_f": math.sqrt(d1f + d2f),
-        "psi_d1_grad_f": math.sqrt(d1d1f + d1d2f),
-        "psi_lap_f": math.sqrt(lap),
-        "psi_d1_lap_f": math.sqrt(d1lap),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from bardina_strip.diagnostics import (StreamingTranslationModulus,
                                        poincare_check, weighted_energy_budget)
 from bardina_strip.horizontal_filter import FilterSpec, apply_Ah, invert_Ah
 from bardina_strip.operators import OperatorSet
-from bardina_strip.solver import InitialConditionSpec, SolverConfig, run
+from bardina_strip.solver import FieldSpec, SolverConfig, run
 from bardina_strip.strip_grid import (Field, StripDomain, inner_product,
                                       l2_norm, make_grid)
 from bardina_strip.verification import (FIRST_ORDER_WINDOW,
@@ -220,8 +220,7 @@ def test_criterion_10_refinement_cauchy():
         return SolverConfig(
             nx=nx, ny=ny, dt=1e-3, t_end=1.0, nu=0.01, alpha=0.5,
             record_every=20,
-            ic=InitialConditionSpec(kind="trig_clamped", amplitude=1.0,
-                                    k1=1, k2=0))
+            ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0))
 
     study = galerkin_refinement_study(
         make_config, [(64, 65), (128, 129), (256, 257)], record_every=20,

@@ -79,6 +79,26 @@ class TestRun:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
 
+    def test_overflowing_step_count_is_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, ("t_end = 1e300\ndt = 1e-300\n"
+                                f"output.dir = {tmp_path / 'o'}\n"))
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "t_end" in err and "dt" in err
+
+    @pytest.mark.parametrize("prefix", ["ic", "forcing"])
+    def test_directory_as_snapshot_is_config_error(self, tmp_path, capsys, prefix):
+        cfg = _write(tmp_path, (f"{prefix}.kind = file\n{prefix}.path = {tmp_path}\n"
+                                f"output.dir = {tmp_path / 'o'}\n"))
+        assert main(["run", cfg]) == 2
+        assert f"{prefix}.path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["1e160", "1e200"])
+    def test_overflowing_alpha_is_config_error(self, tmp_path, capsys, alpha):
+        cfg = _write(tmp_path, f"alpha = {alpha}\noutput.dir = {tmp_path / 'o'}\n")
+        assert main(["run", cfg]) == 2
+        assert "alpha" in capsys.readouterr().err
+
     def test_blow_up_exit_code(self, tmp_path, capsys):
         import warnings
 

@@ -9,11 +9,9 @@ from bardina_strip.diagnostics import (FieldTrajectory,
                                        lambda1_estimate, poincare_check,
                                        prolong, random_clamped_field,
                                        trajectory_h2h_distance,
-                                       translation_modulus,
                                        weighted_energy_budget)
 from bardina_strip.operators import OperatorSet
-from bardina_strip.solver import (ForcingSpec, InitialConditionSpec,
-                                  SolverConfig, run)
+from bardina_strip.solver import FieldSpec, SolverConfig, run
 from bardina_strip.strip_grid import Field, StripDomain, make_grid
 from bardina_strip.weights import WeightSpec, make_weight_field
 
@@ -21,8 +19,7 @@ from bardina_strip.weights import WeightSpec, make_weight_field
 def _run_decay(nx=32, ny=33, t_end=0.3, record_every=2, **over):
     kw = dict(nx=nx, ny=ny, dt=1e-3, t_end=t_end, nu=0.01, alpha=0.5,
               record_every=record_every,
-              ic=InitialConditionSpec(kind="trig_clamped", amplitude=1.0,
-                                      k1=1, k2=0))
+              ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0))
     kw.update(over)
     cfg = SolverConfig(**kw)
     traj = FieldTrajectory()
@@ -90,8 +87,8 @@ class TestEnergyBudget:
     def test_forced_steady_state_balances(self):
         cfg = SolverConfig(nx=32, ny=33, dt=5e-3, t_end=10.0, nu=0.1, alpha=0.4,
                            record_every=200,
-                           forcing=ForcingSpec(kind="trig_clamped",
-                                               amplitude=1.0, k1=1, k2=0))
+                           forcing=FieldSpec(kind="trig_clamped",
+                                             amplitude=1.0, k1=1, k2=0))
         _, series = run(cfg)
         last = series.records[-1]
         prev = series.records[-2]
@@ -102,11 +99,11 @@ class TestEnergyBudget:
     def test_budget_columns_nan_only_under_time_dependent_forcing(self):
         common = dict(nx=16, ny=17, dt=1e-3, t_end=5e-3, nu=0.05, alpha=0.4)
         _, mms = run(SolverConfig(
-            forcing=ForcingSpec(kind="mms", reference="two_mode"),
-            ic=InitialConditionSpec(kind="mms", reference="two_mode"), **common))
+            forcing=FieldSpec(kind="mms", reference="two_mode"),
+            ic=FieldSpec(kind="mms", reference="two_mode"), **common))
         _, trig = run(SolverConfig(
-            forcing=ForcingSpec(kind="trig_clamped", amplitude=1.0),
-            ic=InitialConditionSpec(kind="trig_clamped", amplitude=1.0), **common))
+            forcing=FieldSpec(kind="trig_clamped", amplitude=1.0),
+            ic=FieldSpec(kind="trig_clamped", amplitude=1.0), **common))
         for name in ("budget_residual", "weighted_budget_residual", "forcing_power"):
             assert np.all(np.isnan(mms.column(name)))
             assert np.all(np.isfinite(trig.column(name)))
@@ -145,6 +142,15 @@ class TestWeightedBudget:
         assert rep.sup_energy >= rep.energy_w[-1]
 
 
+def _modulus(traj, lags, weight=None):
+    grid = traj.fields[0].grid
+    acc = StreamingTranslationModulus(grid, OperatorSet(grid), lags,
+                                      dt_record=traj.dt_record, weight=weight)
+    for t, f in zip(traj.times, traj.fields):
+        acc.add(t, f)
+    return acc.result()
+
+
 class TestTranslationModulus:
 
     def test_constant_trajectory_gives_zero(self, medium_grid):
@@ -152,44 +158,18 @@ class TestTranslationModulus:
         vals = np.outer(np.sin(medium_grid.x1), (1 - medium_grid.x2 ** 2) ** 2)
         for i in range(9):
             traj.append(0.1 * i, Field(medium_grid, vals))
-        mod = translation_modulus(traj, [0.1, 0.2, 0.4])
+        mod = _modulus(traj, [1, 2, 4])
         assert np.all(mod.modulus == 0.0)
 
     def test_decaying_run_slope_and_envelope(self):
-        cfg, _, _, traj = _run_decay(t_end=0.5)
-        ks = [2 * cfg.dt * 2 ** j for j in range(6)]
-        mod = translation_modulus(traj, ks, norm="h2h",
-                                  spec=WeightSpec(epsilon=0.1, rho=10.0,
-                                                  gamma=2 / 3))
+        _, _, _, traj = _run_decay(t_end=0.5)
+        grid = traj.fields[0].grid
+        weight = make_weight_field(grid, WeightSpec(epsilon=0.1, rho=10.0,
+                                                    gamma=2 / 3))
+        mod = _modulus(traj, [2 ** j for j in range(6)], weight=weight)
         assert mod.slope >= 0.5
         assert mod.envelope_dominates()
         assert np.all(np.diff(mod.modulus) > 0)
-
-    def test_streaming_matches_posthoc(self):
-        cfg, _, _, traj = _run_decay(t_end=0.2)
-        grid = traj.fields[0].grid
-        ops = OperatorSet(grid)
-        weight = make_weight_field(grid, cfg.weight)
-        lags = [1, 2, 4]
-        acc = StreamingTranslationModulus(grid, ops, lags,
-                                          dt_record=traj.dt_record,
-                                          norm="h2h", weight=weight)
-        for t, f in zip(traj.times, traj.fields):
-            acc.add(t, f)
-        streamed = acc.result()
-        posthoc = translation_modulus(traj, [l * traj.dt_record for l in lags],
-                                      norm="h2h", spec=cfg.weight)
-        assert np.allclose(streamed.modulus, posthoc.modulus, rtol=1e-12)
-
-    def test_rejects_misaligned_k(self):
-        _, _, _, traj = _run_decay(t_end=0.1)
-        with pytest.raises(ValueError, match="multiple"):
-            translation_modulus(traj, [0.003])
-
-    def test_rejects_k_beyond_span(self):
-        _, _, _, traj = _run_decay(t_end=0.1)
-        with pytest.raises(ValueError, match="span"):
-            translation_modulus(traj, [0.2])
 
 
 class TestProlongation:
@@ -230,8 +210,7 @@ class TestRefinementStudy:
             return SolverConfig(
                 nx=nx, ny=ny, dt=1e-3, t_end=0.2, nu=0.02, alpha=0.3,
                 record_every=20, nonlinear=False,
-                ic=InitialConditionSpec(kind="trig_clamped", amplitude=1.0,
-                                        k1=1, k2=0))
+                ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0))
         study = galerkin_refinement_study(
             make_config, [(16, 17), (32, 33), (64, 65)], record_every=20)
         assert study.monotone
@@ -245,8 +224,7 @@ class TestRefinementStudy:
             return SolverConfig(
                 nx=nx, ny=ny, dt=2e-3, t_end=0.3, nu=0.01, alpha=0.5,
                 record_every=25,
-                ic=InitialConditionSpec(kind="trig_clamped", amplitude=1.0,
-                                        k1=1, k2=0))
+                ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0))
         study = galerkin_refinement_study(
             make_config, [(16, 17), (32, 33), (64, 65)], record_every=25,
             tau=0.05)

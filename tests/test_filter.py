@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from bardina_strip.horizontal_filter import (FilterSpec, apply_Ah,
                                              helmholtz_multiplier, invert_Ah)
 from bardina_strip.strip_grid import (Field, StripDomain, inner_product,
-                                      l2_norm, make_grid, to_modal)
+                                      l2_norm, make_grid)
 
 _GRID = make_grid(StripDomain(2.0 * np.pi, 1.0), 16, 17)
 
@@ -86,8 +86,8 @@ class TestRoundTripAndAdjointness:
     def test_modal_magnitudes_monotone(self):
         f = _random_field(7)
         spec = FilterSpec(alpha=0.6)
-        before = np.abs(to_modal(f).coeffs)
-        after = np.abs(to_modal(invert_Ah(f, spec)).coeffs)
+        before = np.abs(np.fft.rfft(f.values, axis=0))
+        after = np.abs(np.fft.rfft(invert_Ah(f, spec).values, axis=0))
         assert np.all(after <= before * (1 + 1e-12))
 
 

@@ -71,14 +71,13 @@ class TestD1:
         assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
 
     def test_commutes_with_transforms(self, rng):
-        from bardina_strip.strip_grid import to_modal
         grid = _grid(16, 17)
         ops = OperatorSet(grid)
         f = Field(grid, rng.standard_normal(grid.shape))
-        via_field = to_modal(ops.d1(f)).coeffs
+        via_field = np.fft.rfft(ops.d1(f).values, axis=0)
         factor = 1j * grid.wavenumbers.copy()
         factor[-1] = 0.0
-        via_modal = factor[:, None] * to_modal(f).coeffs
+        via_modal = factor[:, None] * np.fft.rfft(f.values, axis=0)
         assert np.abs(via_field - via_modal).max() <= 1e-10
 
 

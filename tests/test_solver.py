@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from bardina_strip import mms
 from bardina_strip.horizontal_filter import FilterSpec, apply_Ah
 from bardina_strip.mms import get_reference
 from bardina_strip.operators import OperatorSet, d2_matrix, d2_values
-from bardina_strip.solver import (BlowUpError, CflWarning, ForcingSpec,
-                                  ImexStepper, InitialConditionSpec,
-                                  SolverConfig, build_field, nse_run, run)
-from bardina_strip.strip_grid import Field, l2_norm
+from bardina_strip.runio import parse_config_text
+from bardina_strip.solver import (BlowUpError, CflWarning, FieldSpec,
+                                  ImexStepper, SolverConfig, build_field, run)
+from bardina_strip.strip_grid import Field, inner_product, l2_norm, quadrature
 from bardina_strip.verification import fit_order
 
 # forcing of the steady reference at nu = 0.05, alpha = 0.3, tabulated by
@@ -37,8 +38,7 @@ STEADY_FORCING_TABLE = [
 
 def _decay_config(**over):
     kw = dict(nx=32, ny=33, dt=1e-3, t_end=0.05, nu=0.01, alpha=0.5,
-              ic=InitialConditionSpec(kind="trig_clamped", amplitude=1.0,
-                                      k1=1, k2=0))
+              ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0))
     kw.update(over)
     return SolverConfig(**kw)
 
@@ -62,14 +62,20 @@ class TestConfigValidation:
             SolverConfig(dt=3e-3, t_end=0.01)
 
     def test_rejects_bad_forcing_kind(self):
-        with pytest.raises(ValueError, match="forcing"):
-            ForcingSpec(kind="vortex")
+        with pytest.raises(ValueError, match="kind"):
+            FieldSpec(kind="vortex")
+        # the config reader names the section of the key at fault
+        with pytest.raises(ValueError, match=r"forcing\.kind"):
+            parse_config_text("forcing.kind = vortex\n")
+        with pytest.raises(ValueError, match=r"ic\.kind"):
+            parse_config_text("ic.kind = vortex\n")
 
     def test_mms_specs_need_reference(self):
         with pytest.raises(ValueError, match="reference"):
-            ForcingSpec(kind="mms")
-        with pytest.raises(ValueError, match="reference"):
-            InitialConditionSpec(kind="mms")
+            FieldSpec(kind="mms")
+        for prefix in ("forcing", "ic"):
+            with pytest.raises(ValueError, match=rf"{prefix}\.reference"):
+                parse_config_text(f"{prefix}.kind = mms\n")
 
 
 class TestFixedPointAndBoundaries:
@@ -159,8 +165,8 @@ class TestExplicitTerm:
     @pytest.mark.parametrize("scheme", ["imex_euler", "imex_cnab2"])
     def test_is_the_shared_advective_operator(self, scheme):
         cfg = _decay_config(scheme=scheme,
-                            forcing=ForcingSpec(kind="trig_clamped",
-                                                amplitude=0.5, k1=2, k2=1))
+                            forcing=FieldSpec(kind="trig_clamped",
+                                              amplitude=0.5, k1=2, k2=1))
         stepper = ImexStepper(cfg)
         state = stepper.initial_state()
         for _ in range(3):
@@ -180,8 +186,7 @@ class TestLinearizedPropagator:
     def _oracle_error(scheme, dt, t_end=0.2, nx=16, ny=33, nu=0.05, alpha=0.3):
         cfg = SolverConfig(nx=nx, ny=ny, dt=dt, t_end=t_end, nu=nu, alpha=alpha,
                            scheme=scheme, nonlinear=False,
-                           ic=InitialConditionSpec(kind="trig_clamped",
-                                                   amplitude=1.0, k1=1))
+                           ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1))
         state, _ = run(cfg)
         grid = cfg.grid()
         dy = grid.dy
@@ -223,8 +228,8 @@ class TestDeterminismAndBlowUp:
 
     def test_blow_up_detected(self):
         cfg = SolverConfig(nx=32, ny=33, dt=0.2, t_end=4.0, nu=1e-4, alpha=0.0,
-                           ic=InitialConditionSpec(kind="trig_clamped",
-                                                   amplitude=200.0, k1=3, k2=2))
+                           ic=FieldSpec(kind="trig_clamped",
+                                        amplitude=200.0, k1=3, k2=2))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CflWarning)
             with pytest.raises(BlowUpError, match="blow-up"):
@@ -232,8 +237,8 @@ class TestDeterminismAndBlowUp:
 
     def test_cfl_warning(self):
         cfg = SolverConfig(nx=32, ny=33, dt=0.2, t_end=0.2, nu=0.5, alpha=0.0,
-                           ic=InitialConditionSpec(kind="trig_clamped",
-                                                   amplitude=10.0, k1=2, k2=1))
+                           ic=FieldSpec(kind="trig_clamped",
+                                        amplitude=10.0, k1=2, k2=1))
         with pytest.warns(CflWarning):
             run(cfg)
 
@@ -307,9 +312,8 @@ class TestMmsConvergence:
         for ny in (17, 33, 65):
             cfg = SolverConfig(nx=16, ny=ny, dt=2e-4, t_end=0.1, nu=0.05,
                                alpha=0.4, scheme="imex_cnab2",
-                               forcing=ForcingSpec(kind="mms", reference="two_mode"),
-                               ic=InitialConditionSpec(kind="mms",
-                                                       reference="two_mode"))
+                               forcing=FieldSpec(kind="mms", reference="two_mode"),
+                               ic=FieldSpec(kind="mms", reference="two_mode"))
             state, _ = run(cfg)
             ref = get_reference("two_mode", cfg.lx, cfg.m, nu=cfg.nu,
                                 alpha=cfg.alpha)
@@ -318,6 +322,22 @@ class TestMmsConvergence:
                                       state.v.values - exact.values)))
             hs.append(2.0 / (ny - 1))
         assert fit_order(hs, errs) == pytest.approx(2.0, abs=0.3)
+
+    def test_mms_run_derives_the_forcing_once(self, monkeypatch):
+        # the initial condition is v* alone and needs no forcing derivation
+        built = []
+        init = mms.ManufacturedReference.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(mms.ManufacturedReference, "__init__", counting)
+        mms.get_reference.cache_clear()
+        run(SolverConfig(nx=16, ny=17, dt=1e-3, t_end=2e-3, nu=0.05, alpha=0.4,
+                         forcing=FieldSpec(kind="mms", reference="two_mode"),
+                         ic=FieldSpec(kind="mms", reference="two_mode")))
+        assert len(built) == 1
 
 
 class TestFileFields:
@@ -331,8 +351,7 @@ class TestFileFields:
         path = tmp_path / "ic.bstr"
         write_snapshot(path, Field(grid, vals), 0.0, cfg.alpha, cfg.nu)
         from dataclasses import replace
-        file_cfg = replace(cfg, ic=InitialConditionSpec(kind="file",
-                                                        path=str(path)))
+        file_cfg = replace(cfg, ic=FieldSpec(kind="file", path=str(path)))
         state, _ = run(replace(file_cfg, t_end=0.0))
         assert np.array_equal(state.v.values, vals)
 
@@ -341,15 +360,15 @@ class TestFileFields:
 
         from bardina_strip.runio import write_snapshot
         cfg = _decay_config(t_end=0.02,
-                            forcing=ForcingSpec(kind="trig_clamped",
-                                                amplitude=0.7, k1=1, k2=0))
+                            forcing=FieldSpec(kind="trig_clamped",
+                                              amplitude=0.7, k1=1, k2=0))
         grid = cfg.grid()
         g = build_field(cfg.forcing, grid)
         path = tmp_path / "g.bstr"
         write_snapshot(path, g, 0.0, cfg.alpha, cfg.nu)
         ref_state, _ = run(cfg)
-        file_state, _ = run(replace(cfg, forcing=ForcingSpec(kind="file",
-                                                             path=str(path))))
+        file_state, _ = run(replace(cfg, forcing=FieldSpec(kind="file",
+                                                           path=str(path))))
         assert np.array_equal(ref_state.v.values, file_state.v.values)
 
     def test_forcing_snapshot_read_once_per_run(self, tmp_path, monkeypatch):
@@ -370,7 +389,7 @@ class TestFileFields:
             return read_snapshot(p)
 
         monkeypatch.setattr(runio, "read_snapshot", counting)
-        run(replace(cfg, forcing=ForcingSpec(kind="file", path=str(path))))
+        run(replace(cfg, forcing=FieldSpec(kind="file", path=str(path))))
         assert reads == [str(path)]
 
     def test_dimension_mismatch_rejected(self, tmp_path):
@@ -382,25 +401,17 @@ class TestFileFields:
         path = tmp_path / "wrong.bstr"
         write_snapshot(path, Field(grid, np.zeros(grid.shape)), 0.0, 0.5, 0.01)
         cfg = replace(_decay_config(t_end=0.01),
-                      ic=InitialConditionSpec(kind="file", path=str(path)))
+                      ic=FieldSpec(kind="file", path=str(path)))
         with pytest.raises(ValueError, match="does not match"):
             run(cfg)
 
 
 class TestUnfilteredPath:
 
-    def test_nse_run_equals_alpha_zero(self):
-        cfg = _decay_config(alpha=0.35)
-        s_nse, _ = nse_run(cfg)
-        s_zero, _ = run(_decay_config(alpha=0.0))
-        assert np.array_equal(s_nse.v.values, s_zero.v.values)
-
     def test_small_filter_scales_shrink_the_gap(self):
         base = dict(nx=32, ny=33, dt=2e-3, t_end=0.3, nu=0.02,
-                    ic=InitialConditionSpec(kind="trig_clamped", amplitude=1.0,
-                                            k1=1, k2=0),
-                    forcing=ForcingSpec(kind="trig_clamped", amplitude=0.5,
-                                        k1=2, k2=1))
+                    ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0),
+                    forcing=FieldSpec(kind="trig_clamped", amplitude=0.5, k1=2, k2=1))
         ref, _ = run(SolverConfig(alpha=0.0, **base))
         gaps = []
         for alpha in (0.4, 0.2, 0.1):
@@ -410,10 +421,40 @@ class TestUnfilteredPath:
         assert gaps[0] > gaps[1] > gaps[2]
 
 
+def weak_residual(v_prev: Field, v_next: Field, dt: float, h: Field,
+                  nu: float, alpha: float, g: Field,
+                  ops: OperatorSet) -> tuple[float, float]:
+    """Defect of the weak-form pairing over one step against a test field.
+
+    Time derivative by backward difference, viscous terms at the new state,
+    advective term at the old one (matching the first-order splitting).
+    Returns ``(residual, scale)`` where ``scale`` sums the magnitudes of the
+    individual pairings.
+    """
+    a2 = alpha ** 2
+    grid = v_prev.grid
+    qw = grid.dx * grid.quad_weights
+    ladder_h = ops.ladder(h.values)
+    # pairings of the ladders of v_t and of v_next with the one of h
+    _, d1t, d2t, d1d1t, d1d2t, _, _ = quadrature(
+        ops.ladder((v_next.values - v_prev.values) / dt) * ladder_h, qw).tolist()
+    *_, lap, d1lap = quadrature(ops.ladder(v_next.values) * ladder_h, qw).tolist()
+    terms = [
+        d1t + d2t,
+        a2 * (d1d1t + d1d2t),
+        nu * lap,
+        nu * a2 * d1lap,
+        -inner_product(ops.bilinear_B_conservative(v_prev, v_prev), h),
+        inner_product(g, h),
+    ]
+    residual = sum(terms)
+    scale = sum(abs(x) for x in terms)
+    return residual, max(scale, 1e-300)
+
+
 class TestWeakFormResidual:
 
     def test_residual_small_and_bounded(self):
-        from bardina_strip.diagnostics import weak_residual
         rels = []
         for ny, dt in ((33, 1e-3), (65, 1e-3), (129, 1e-3)):
             cfg = _decay_config(ny=ny, dt=dt, nu=0.02, alpha=0.3)

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bardina_strip.strip_grid import (Field, ModalField, StripDomain,
-                                      inner_product, l2_norm, make_grid,
-                                      to_modal, to_physical)
+from bardina_strip.strip_grid import (Field, StripDomain, inner_product,
+                                      l2_norm, make_grid)
 
 _HYPO_GRID = make_grid(StripDomain(2.0 * np.pi, 1.0), 16, 17)
 
@@ -49,26 +48,21 @@ class TestTransforms:
         f = Field(small_grid, np.cos(2 * np.pi * small_grid.x1[:, None]
                                      / small_grid.domain.lx)
                   * np.ones(small_grid.ny)[None, :])
-        m = to_modal(f)
-        assert m.coeffs[1] == pytest.approx(small_grid.nx / 2, rel=1e-12)
-        others = np.delete(m.coeffs, 1, axis=0)
+        coeffs = np.fft.rfft(f.values, axis=0)
+        assert coeffs[1] == pytest.approx(small_grid.nx / 2, rel=1e-12)
+        others = np.delete(coeffs, 1, axis=0)
         assert np.abs(others).max() < 1e-12 * small_grid.nx
 
     def test_constant_is_mean_mode(self, small_grid):
         f = Field(small_grid, np.full(small_grid.shape, 0.7))
-        m = to_modal(f)
-        assert np.allclose(m.coeffs[0].real, 0.7 * small_grid.nx)
-        assert np.abs(m.coeffs[1:]).max() < 1e-12 * small_grid.nx
+        coeffs = np.fft.rfft(f.values, axis=0)
+        assert np.allclose(coeffs[0].real, 0.7 * small_grid.nx)
+        assert np.abs(coeffs[1:]).max() < 1e-12 * small_grid.nx
 
     def test_round_trip(self, small_grid, rng):
         f = Field(small_grid, rng.standard_normal(small_grid.shape))
-        back = to_physical(to_modal(f))
-        assert np.abs(back.values - f.values).max() <= 1e-12 * np.abs(f.values).max()
-
-    def test_zero_modal_gives_zero_field(self, small_grid):
-        m = ModalField(small_grid, np.zeros((small_grid.n_modes, small_grid.ny),
-                                            complex))
-        assert np.all(to_physical(m).values == 0.0)
+        back = np.fft.irfft(np.fft.rfft(f.values, axis=0), n=small_grid.nx, axis=0)
+        assert np.abs(back - f.values).max() <= 1e-12 * np.abs(f.values).max()
 
     def test_parseval(self, small_grid, rng):
         vals = rng.standard_normal(small_grid.shape)
@@ -87,7 +81,7 @@ class TestTransforms:
         coeffs = rng.standard_normal((nm, ny)) + 1j * rng.standard_normal((nm, ny))
         coeffs[0] = coeffs[0].real
         coeffs[-1] = coeffs[-1].real  # Nyquist column of an even grid
-        f = to_physical(ModalField(small_grid, coeffs))
+        f = np.fft.irfft(coeffs, n=nx, axis=0)
         # dense inverse-DFT oracle from the full conjugate-symmetric spectrum
         full = np.zeros((nx, ny), complex)
         full[:nm] = coeffs
@@ -95,11 +89,7 @@ class TestTransforms:
         nodes = np.exp(2j * np.pi * np.outer(np.arange(nx), np.arange(nx)) / nx)
         dense = (nodes @ full) / nx
         assert np.abs(dense.imag).max() <= 1e-13 * np.abs(dense.real).max()
-        assert np.abs(f.values - dense.real).max() <= 1e-12 * np.abs(f.values).max()
-
-    def test_modal_shape_validated(self, small_grid):
-        with pytest.raises(ValueError, match="shape"):
-            ModalField(small_grid, np.zeros((3, 3), complex))
+        assert np.abs(f - dense.real).max() <= 1e-12 * np.abs(f).max()
 
 
 class TestInnerProduct:
@@ -177,4 +167,4 @@ class TestFieldValidation:
     def test_clamped_flag_reflects_walls(self, small_grid):
         x1, x2 = small_grid.mesh()
         f = Field(small_grid, np.sin(x1) * (1 - x2 ** 2) ** 2, clamped=True)
-        assert np.all(f.wall_values() == 0.0)
+        assert np.all(f.values[:, [0, -1]] == 0.0)

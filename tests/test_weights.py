@@ -3,13 +3,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bardina_strip.strip_grid import Field, StripDomain, make_grid
+from bardina_strip.diagnostics import DiagnosticsCollector
+from bardina_strip.operators import OperatorSet
+from bardina_strip.strip_grid import Field, StripDomain, l2_norm, make_grid
 from bardina_strip.weights import (WeightSpec, certify_lemma_wfuncs,
                                    certify_phi_control, g_profile,
                                    lemma_beta_set, make_weight_field,
-                                   phi_limit, varphi, weighted_sobolev_norms)
+                                   phi_limit, varphi)
 
 GAMMA = 2.0 / 3.0
+
+
+def _record(f, spec):
+    """One collector record of ``f``; its weighted columns are the weighted norms.
+
+    With ``nu = alpha = 1``: ``E_w = |psi grad f|^2 + |psi d1 grad f|^2``,
+    ``D_w = |psi lap f|^2 + |psi d1 lap f|^2`` and ``norm_h2h_gamma^2 =
+    |psi f|^2 + E_w``.
+    """
+    grid = f.grid
+    collector = DiagnosticsCollector(grid=grid, ops=OperatorSet(grid), nu=1.0,
+                                     alpha=1.0, weight=make_weight_field(grid, spec),
+                                     g=None)
+    return collector.record(0.0, f, cfl=0.0)
 
 
 class TestSpecValidation:
@@ -117,20 +133,22 @@ class TestWeightedNorms:
 
     def test_zero_field(self, medium_grid):
         z = Field(medium_grid, np.zeros(medium_grid.shape))
-        norms = weighted_sobolev_norms(z, WeightSpec(epsilon=0.1, rho=5.0,
-                                                     gamma=GAMMA))
-        assert all(v == 0.0 for v in norms.values())
+        rec = _record(z, WeightSpec(epsilon=0.1, rho=5.0, gamma=GAMMA))
+        weighted = (rec.energy_w, rec.dissipation_w, rec.norm_h2h_gamma,
+                    rec.norm_h3h_gamma)
+        assert all(v == 0.0 for v in weighted)
 
     def test_degenerate_gamma_matches_unweighted(self, medium_grid, rng):
-        from bardina_strip.operators import OperatorSet
-        from bardina_strip.strip_grid import l2_norm
         f = Field(medium_grid, rng.standard_normal(medium_grid.shape))
-        norms = weighted_sobolev_norms(f, WeightSpec(epsilon=0.1, rho=5.0,
-                                                     gamma=0.0))
+        rec = _record(f, WeightSpec(epsilon=0.1, rho=5.0, gamma=0.0))
         ops = OperatorSet(medium_grid)
-        assert norms["psi_f"] == pytest.approx(l2_norm(f), rel=1e-13)
-        assert norms["psi_lap_f"] == pytest.approx(l2_norm(ops.laplacian(f)),
-                                                   rel=1e-13)
+        lap = ops.laplacian(f)
+        assert rec.energy_w == pytest.approx(rec.energy, rel=1e-13)
+        assert rec.dissipation_w == pytest.approx(rec.dissipation, rel=1e-13)
+        assert rec.norm_h2h_gamma ** 2 == pytest.approx(
+            l2_norm(f) ** 2 + rec.energy, rel=1e-13)
+        assert rec.dissipation_w == pytest.approx(
+            l2_norm(lap) ** 2 + l2_norm(ops.d1(lap)) ** 2, rel=1e-13)
 
     def test_against_fine_grid_quadrature(self):
         spec = WeightSpec(epsilon=1.0, gamma=GAMMA)  # limit weight, strong variation
@@ -139,7 +157,8 @@ class TestWeightedNorms:
             grid = make_grid(StripDomain(2.0 * np.pi, 1.0), 16, ny)
             x1, x2 = grid.mesh()
             f = Field(grid, np.sin(x1) * (1 - x2 ** 2) ** 2, clamped=True)
-            return weighted_sobolev_norms(f, spec)["psi_f"] ** 2
+            rec = _record(f, spec)
+            return rec.norm_h2h_gamma ** 2 - rec.energy_w  # |psi f|^2
 
         coarse, fine, finest = compute(17), compute(33), compute(257)
         assert abs(coarse - finest) > abs(fine - finest)
