@@ -11,21 +11,23 @@ feed weighted Poincare audits.
 
 Testing the evolution equation against ``v`` gives the exact balance
 ``dE/dt + 2 D = -2 (g, v)``, so the budget residual is formed with the
-forcing power ``P = -(g, v)``; the inequality form replaces the power by
-the bound ``|g|^2 / (nu lambda1^2)``.
+forcing power ``P = -(g, v)``, ``g`` taken at the record time whatever its
+kind; the inequality form replaces the power by the bound
+``|g|^2 / (nu lambda1^2)``, which needs a time-independent forcing.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .operators import OperatorSet
-from .strip_grid import Field, Grid, l2_norm, quadrature
+from .strip_grid import Field, Grid, quadrature
 from .weights import WeightField, WeightSpec, make_weight_field
 
 __all__ = [
@@ -124,19 +126,17 @@ class DiagnosticsCollector:
     """Computes one :class:`DiagnosticsRecord` per call, with budget memory.
 
     Every quantity comes from one :meth:`OperatorSet.ladder` of the state
-    and two stacked quadratures.  The forcing power ``-(g, v)`` needs the
-    forcing at the record time; ``g = None`` marks a time-dependent forcing
-    (``mms``), for which ``forcing_power``, ``g_norm`` and both budget
-    residual columns are NaN rather than a value that means something else.
+    and two stacked quadratures.  ``g(t)`` returns the forcing's values at
+    a time; the forcing power ``-(g, v)`` reads it at the record time, so
+    ``forcing_power`` and both budget residuals hold for every forcing kind.
     """
 
     def __init__(self, grid: Grid, ops: OperatorSet, nu: float, alpha: float,
-                 weight: WeightField, g: Field | None):
+                 weight: WeightField, g: Callable[[float], np.ndarray]):
         self.ops = ops
         self.nu = nu
         self.alpha = alpha
         self.g = g
-        self.g_norm = l2_norm(g) if g is not None else math.nan
         self.lambda1 = lambda1_estimate(grid).value
         self._qw = grid.dx * grid.quad_weights
         self._qw_phi = self._qw * weight.phi
@@ -157,13 +157,10 @@ class DiagnosticsCollector:
         dissipation_w = self.nu * (lap_w + a2 * d1lap_w)
         h2h_w_sq = f_w + (d1f_w + d2f_w) + (d1d1f_w + d1d2f_w)
 
-        if self.g is None:
-            power = power_w = residual = residual_w = math.nan
-        else:
-            gv = self.g.values * v.values
-            power = -float(quadrature(gv, self._qw))
-            power_w = -float(quadrature(gv, self._qw_phi))
-            residual = residual_w = 0.0
+        gv = self.g(t) * v.values
+        power = -float(quadrature(gv, self._qw))
+        power_w = -float(quadrature(gv, self._qw_phi))
+        residual = residual_w = 0.0
         if self._prev is not None:
             t0, e0, ew0 = self._prev
             dtr = t - t0
@@ -216,16 +213,13 @@ def energy_budget(series: DiagnosticsSeries) -> BudgetReport:
     t = series.column("t")
     e = series.column("energy")
     d = series.column("dissipation")
-    p = series.column("forcing_power")
     nu = series.meta["nu"]
     lam = series.meta["lambda1"]
     g_norm = series.meta["g_norm"]
     bound = g_norm ** 2 / (nu * lam ** 2)
-    dts = np.diff(t)
-    dedt = np.diff(e) / dts
-    residuals = dedt + 2.0 * d[1:] - 2.0 * p[1:]
+    dedt = np.diff(e) / np.diff(t)
     excess = np.maximum(dedt + d[1:] - bound, 0.0)
-    return BudgetReport(times=t[1:], residuals=residuals,
+    return BudgetReport(times=t[1:], residuals=series.column("budget_residual")[1:],
                         excess_over_bound=excess, bound=bound,
                         energy_increases=np.maximum(np.diff(e), 0.0))
 

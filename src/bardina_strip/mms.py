@@ -5,11 +5,11 @@ forcing that makes it an exact solution of the filtered model,
 
     g = (1 - alpha^2 d1^2) lap v*_t + B(v*, v*) - nu (1 - alpha^2 d1^2) lap^2 v*,
 
-is derived symbolically once per parameter set and evaluated at the grid
-nodes.  With ``alpha = 0`` the same expression is the residual of the
-unfiltered stream-function equation.  Time-dependent forcing is allowed
-here (and only here).  The solution alone, as an initial condition, is
-lambdified once per ``(name, lx, m)`` and needs no derivation.
+is derived symbolically once per parameter set and kept as separable terms
+``sum_j c_j(t) S_j``, so a grid samples each ``S_j`` once.  With ``alpha = 0``
+it is the residual of the unfiltered stream-function equation.  Only this
+forcing depends on time.  The solution alone, as an initial condition or a
+reference, is lambdified once per ``(name, lx, m)`` and needs no derivation.
 """
 
 from __future__ import annotations
@@ -61,22 +61,19 @@ def _solution(name: str, lx: float, m: float):
     return v, sym.lambdify((_X1, _X2, _T), v, modules="numpy")
 
 
-def _sample(fn, grid: Grid, t: float) -> np.ndarray:
-    x1, x2 = grid.mesh()
-    return np.broadcast_to(fn(x1, x2, t), grid.shape).astype(float)
-
-
 def solution_field(name: str, grid: Grid, t: float) -> Field:
     """``v*`` of ``name`` at time ``t``, without deriving any forcing."""
     _, fn = _solution(name, grid.domain.lx, grid.domain.m)
-    return Field(grid, _sample(fn, grid, t), clamped=True)
+    x1, x2 = grid.mesh()
+    return Field(grid, np.broadcast_to(fn(x1, x2, t), grid.shape).astype(float), clamped=True)
 
 
 class ManufacturedReference:
-    """Lambdified reference solution and forcing for fixed parameters."""
+    """The forcing of ``v*`` for fixed parameters: the expanded residual's
+    terms, grouped by their factor of ``t``, give ``g = sum_j c_j(t) S_j``."""
 
     def __init__(self, name: str, lx: float, m: float, nu: float, alpha: float):
-        v, self._v = _solution(name, lx, m)
+        v, _ = _solution(name, lx, m)
 
         def lap(expr):
             return sym.diff(expr, _X1, 2) + sym.diff(expr, _X2, 2)
@@ -88,13 +85,21 @@ class ManufacturedReference:
         advection = (sym.diff(v, _X2) * sym.diff(lap_v, _X1)
                      - sym.diff(v, _X1) * sym.diff(lap_v, _X2))
         g = a_h(lap(sym.diff(v, _T))) + advection - nu * a_h(lap(lap_v))
-        self._g = sym.lambdify((_X1, _X2, _T), sym.expand(g), modules="numpy")
+        groups: dict[sym.Expr, sym.Expr] = {}
+        for term in sym.Add.make_args(sym.expand(g)):
+            space, time = term.as_independent(_T)
+            groups[time] = groups.get(time, 0) + space
+        times = sorted(groups, key=sym.default_sort_key)  # a fixed summation order
+        self._space = sym.lambdify((_X1, _X2), [groups[c] for c in times],
+                                   modules="numpy")
+        self._time = sym.lambdify(_T, times, modules="math")
 
-    def solution_field(self, grid: Grid, t: float) -> Field:
-        return Field(grid, _sample(self._v, grid, t), clamped=True)
-
-    def forcing_field(self, grid: Grid, t: float) -> Field:
-        return Field(grid, _sample(self._g, grid, t))
+    def sample(self, grid: Grid):
+        """``(S, c)``: the ``S_j`` stacked at the grid nodes and ``t -> (c_j)``."""
+        x1, x2 = grid.mesh()
+        fields = np.stack([np.broadcast_to(s, grid.shape)
+                           for s in self._space(x1, x2)]).astype(float)
+        return fields, lambda t: np.array(self._time(t), dtype=float)
 
 
 @functools.lru_cache(maxsize=16)

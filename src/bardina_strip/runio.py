@@ -160,9 +160,9 @@ def parse_config_text(text: str, allow_gamma_override: bool = False) -> RunSetti
             spec = FieldSpec(**kw)
         except ValueError as exc:  # its message starts with the attribute
             raise ValueError(f"{prefix}.{exc}") from None
-        if spec.kind == "file" and Path(spec.path).is_dir():
-            raise ValueError(f"{prefix}.path {spec.path!r} is a directory, "
-                             "not a snapshot file")
+        if spec.kind == "file" and not Path(spec.path).is_file():
+            what = "is a directory" if Path(spec.path).is_dir() else "does not exist"
+            raise ValueError(f"{prefix}.path {spec.path!r} {what}; expected a snapshot file")
         return spec
 
     forcing = take("forcing")

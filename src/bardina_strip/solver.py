@@ -22,13 +22,16 @@ the ``k = 0`` column well-posed, and the combined implicit matrix with the
 four clamped boundary rows is banded (bandwidth five) and nonsingular for
 ``nu dt > 0``.  The operator is assembled in sparse form for all modes at
 once, as one block-diagonal matrix, and factorized once per run as a single
-sparse LU.
+sparse LU.  Every forcing is one separable :class:`Forcing`
+``g(t) = sum_j c_j(t) S_j``: the ``S_j`` are transformed once per run, and
+``g_hat(t)`` is their weighted sum; the diagnostics read the same ``g(t)``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +41,7 @@ import scipy.sparse.linalg as spla
 from . import diagnostics as diag
 from .horizontal_filter import FilterSpec, helmholtz_multiplier
 from .operators import OperatorSet, d2_matrix, d2_wall_rows
-from .strip_grid import Field, Grid, StripDomain, make_grid
+from .strip_grid import Field, Grid, StripDomain, l2_norm, make_grid
 from .weights import WeightSpec, make_weight_field
 
 __all__ = [
@@ -52,6 +55,8 @@ __all__ = [
     "ImexStepper",
     "run",
     "build_field",
+    "Forcing",
+    "build_forcing",
 ]
 
 SCHEMES = ("imex_euler", "imex_cnab2")
@@ -200,6 +205,32 @@ def build_field(spec: FieldSpec, grid: Grid) -> Field:
     return Field(grid, data.values, clamped=True)
 
 
+@dataclass(frozen=True, eq=False)
+class Forcing:
+    """Separable forcing ``g(t) = sum_j c_j(t) S_j``: ``fields`` stacks the ``S_j``
+    (at the grid nodes, or their ``x1`` coefficients), ``coefficients(t)`` gives
+    the ``c_j``.  Every kind but ``mms`` is one field with ``c = 1``, which
+    :meth:`at` returns bit for bit.
+    """
+
+    fields: np.ndarray
+    coefficients: Callable[[float], np.ndarray]
+
+    def at(self, t: float) -> np.ndarray:
+        c = self.coefficients(t)
+        return sum((cj * s for cj, s in zip(c[1:], self.fields[1:])), c[0] * self.fields[0])
+
+
+def build_forcing(config: SolverConfig, grid: Grid) -> Forcing:
+    """The run's forcing; ``mms`` is the residual of ``v*`` at ``nu``, ``alpha``."""
+    spec = config.forcing
+    if spec.kind != "mms":
+        return Forcing(build_field(spec, grid).values[None], lambda t: np.ones(1))
+    from .mms import get_reference
+    return Forcing(*get_reference(spec.reference, config.lx, config.m, nu=config.nu,
+                                  alpha=config.alpha).sample(grid))
+
+
 class ImexStepper:
     """Holds the per-run factorizations and advances states by one ``dt``."""
 
@@ -217,16 +248,8 @@ class ImexStepper:
         # satisfies the clamped rows to discretization accuracy, and the
         # Crank-Nicolson half of the operator must not see that defect.
         self._lu_start = self._lu if self.theta == 1.0 else self._build_implicit(1.0)
-        self.g: Field | None = None  # the time-independent forcing; None under mms
-        self._mms_ref = None
-        if config.forcing.kind == "mms":
-            from .mms import get_reference
-            self._mms_ref = get_reference(config.forcing.reference,
-                                          config.lx, config.m, nu=config.nu,
-                                          alpha=config.alpha)
-        else:
-            self.g = build_field(config.forcing, self.grid)
-            self._g_static = np.fft.rfft(self.g.values, axis=0)
+        self.forcing = g = build_forcing(config, self.grid)
+        self._forcing_hat = Forcing(np.fft.rfft(g.fields, axis=1), g.coefficients)
         self._warned_cfl = False
 
     # -- setup ----------------------------------------------------------------
@@ -268,12 +291,6 @@ class ImexStepper:
 
     # -- per-step pieces --------------------------------------------------------
 
-    def _forcing_modal(self, t: float) -> np.ndarray:
-        if self._mms_ref is not None:
-            g = self._mms_ref.forcing_field(self.grid, t)
-            return np.fft.rfft(g.values, axis=0)
-        return self._g_static
-
     def _explicit_and_cfl(self, state: SolverState) -> tuple[np.ndarray, float]:
         """``(g_hat - B_hat) / (1 + alpha^2 kappa^2)`` plus the CFL number.
 
@@ -282,7 +299,7 @@ class ImexStepper:
         truncated field is the one actually advecting.
         """
         cfg = self.config
-        out = self._forcing_modal(state.t).copy()
+        out = self._forcing_hat.at(state.t)
         cfl = 0.0
         if cfg.nonlinear:
             b_hat, d1v, d2v = self.ops.advection_modal(state.v_hat, state.v_hat)
@@ -342,14 +359,16 @@ def run(config: SolverConfig, on_record=None):
     stepper = ImexStepper(config)
     grid = stepper.grid
     weight = make_weight_field(grid, config.weight)
-    # under mms, the one time-dependent forcing, stepper.g is None: NaN budgets
     collector = diag.DiagnosticsCollector(
         grid=grid, ops=stepper.ops, nu=config.nu, alpha=config.alpha,
-        weight=weight, g=stepper.g)
+        weight=weight, g=stepper.forcing.at)
+    # the closed bound |g|^2 / (nu lambda1^2) needs g constant in time, as all but mms are
+    g_norm = (math.nan if config.forcing.kind == "mms"
+              else l2_norm(Field(grid, stepper.forcing.at(0.0))))
     series = diag.DiagnosticsSeries.for_run(
         nu=config.nu, alpha=config.alpha, dt=config.dt,
         record_every=config.record_every,
-        g_norm=collector.g_norm, lambda1=collector.lambda1)
+        g_norm=g_norm, lambda1=collector.lambda1)
 
     state = stepper.initial_state()
     rec = collector.record(state.t, state.v, cfl=0.0)

@@ -176,14 +176,12 @@ def mms_spatial_study(scheme: str = "imex_cnab2", ny_values=(33, 65, 129),
                       nu: float = 0.05, alpha: float = 0.4,
                       reference: str = "two_mode"):
     """Final-time error against the closed-form solution under ``x2`` refinement."""
-    from .mms import get_reference  # sympy is imported only when a study needs it
+    from .mms import solution_field  # sympy is imported only when a study needs it
 
     errors = []
     for ny in ny_values:
-        cfg = _mms_config(scheme, nx, ny, dt, t_end, nu, alpha, reference)
-        state, _ = run(cfg)
-        ref = get_reference(reference, cfg.lx, cfg.m, nu=nu, alpha=alpha)
-        exact = ref.solution_field(state.v.grid, state.t)
+        state, _ = run(_mms_config(scheme, nx, ny, dt, t_end, nu, alpha, reference))
+        exact = solution_field(reference, state.v.grid, state.t)
         errors.append(l2_norm(Field(state.v.grid, state.v.values - exact.values)))
     h = [1.0 / (ny - 1) for ny in ny_values]
     return errors, fit_order(h, errors)

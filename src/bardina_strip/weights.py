@@ -222,45 +222,19 @@ class CertificationReport:
     """Empirical constants per multi-index for one weight spec.
 
     ``c_strong[beta]`` is ``max |d^beta psi^2| / (eps^|beta| psi)`` over the
-    sampled lattice, ``c_weak[beta]`` the same against ``psi^2``.  Junction
-    notes record how many lattice points were excluded because a finite
-    difference stencil straddled a profile junction, where the pointwise
-    (almost-everywhere) derivative is not what the stencil measures.
+    sampled lattice, ``c_weak[beta]`` the same against ``psi^2``.  Lattice
+    points where a finite difference stencil straddles a profile junction
+    are left out: there the pointwise (almost-everywhere) derivative is not
+    what the stencil measures.
     """
 
     spec: WeightSpec
     c_strong: dict[tuple[int, int], float]
     c_weak: dict[tuple[int, int], float]
-    lattice_shape: tuple[int, int]
-    x1_extent: float
-    excluded_points: int = 0
-    note: str = ""
 
     @property
     def aggregate_strong(self) -> float:
         return max(self.c_strong.values())
-
-    @property
-    def aggregate_weak(self) -> float:
-        return max(self.c_weak.values())
-
-    def as_table(self) -> str:
-        lines = [
-            f"weight spec: epsilon={self.spec.epsilon} rho={self.spec.rho} "
-            f"gamma={self.spec.gamma}",
-            f"lattice {self.lattice_shape[0]}x{self.lattice_shape[1]} over "
-            f"x1 in [0, {self.x1_extent:.3g}] ({self.excluded_points} junction "
-            "points excluded)",
-            f"{'beta':>8} {'C_strong':>12} {'C_weak':>12}",
-        ]
-        for beta in sorted(self.c_strong):
-            lines.append(f"{str(beta):>8} {self.c_strong[beta]:>12.4g} "
-                         f"{self.c_weak[beta]:>12.4g}")
-        lines.append(f"{'max':>8} {self.aggregate_strong:>12.4g} "
-                     f"{self.aggregate_weak:>12.4g}")
-        if self.note:
-            lines.append(self.note)
-        return "\n".join(lines)
 
 
 def _certify(spec: WeightSpec, betas, x1_extent: float, x2_halfwidth: float,
@@ -279,7 +253,6 @@ def _certify(spec: WeightSpec, betas, x1_extent: float, x2_halfwidth: float,
     psi = np.broadcast_to(psi, (n1, n2))
 
     keep = np.ones((n1, n2), dtype=bool)
-    excluded = 0
     if exclude_junctions and not spec.is_limit:
         s = _radical_sq(x1_t, x2_t, spec.epsilon)
         r = np.sqrt(s)
@@ -288,7 +261,6 @@ def _certify(spec: WeightSpec, betas, x1_extent: float, x2_halfwidth: float,
         margin = 5.0 * (h1 * dr1 + h2 * dr2) + 1e-12
         for junction in (spec.rho, spec.rho + 1.0):
             keep &= np.abs(r - junction) > margin
-        excluded = int(keep.size - keep.sum())
 
     c_strong: dict[tuple[int, int], float] = {}
     c_weak: dict[tuple[int, int], float] = {}
@@ -300,9 +272,7 @@ def _certify(spec: WeightSpec, betas, x1_extent: float, x2_halfwidth: float,
         ratio_weak = deriv / (scale * psi ** 2)
         c_strong[beta] = float(ratio_strong[keep].max())
         c_weak[beta] = float(ratio_weak[keep].max())
-    return CertificationReport(
-        spec=spec, c_strong=c_strong, c_weak=c_weak,
-        lattice_shape=(n1, n2), x1_extent=x1_extent, excluded_points=excluded)
+    return CertificationReport(spec=spec, c_strong=c_strong, c_weak=c_weak)
 
 
 def _auto_extent(spec: WeightSpec) -> float:
@@ -357,7 +327,5 @@ def certify_phi_control(spec: WeightSpec, betas=None,
         betas = lemma_beta_set()
     limit = WeightSpec(epsilon=spec.epsilon, rho=math.inf, gamma=spec.gamma,
                        allow_gamma_override=spec.allow_gamma_override)
-    report = _certify(limit, betas, x1_extent, x2_halfwidth, n1, n2,
-                      exclude_junctions=False)
-    report.note = "limit weight; second-order constants stay bounded for gamma <= 4/3"
-    return report
+    return _certify(limit, betas, x1_extent, x2_halfwidth, n1, n2,
+                    exclude_junctions=False)

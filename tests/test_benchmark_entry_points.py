@@ -2,7 +2,8 @@
 
 ``perfbench/workloads.py`` and ``perfbench/worker.py`` are imported as they
 are, so renaming or deleting a package name they use fails here as well as
-in the benchmark.
+in the benchmark.  The CLI workloads run through ``main`` and their outputs
+go through the benchmark's own checks.
 """
 
 import importlib
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from bardina_strip.cli import main
 from bardina_strip.runio import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,3 +40,12 @@ def test_tiny_workload_inputs_run_and_pass_their_checks(bench, tmp_path, name):
         return
     _timing, state, series, modulus = worker.one_rep(wl, inputs["cfg"])
     assert workloads.check_inprocess(wl, state, series, modulus) == []
+
+
+@pytest.mark.parametrize("name", ["cli_mms", "cli_decay"])
+def test_tiny_cli_workloads_run_and_pass_their_checks(bench, tmp_path, name):
+    workloads, _worker = bench
+    wl = workloads.get_workload(name, tiny=True)
+    inputs = workloads.generate(wl, 3, tmp_path, ROOT)
+    assert main(["run", str(inputs["cfg"])]) == 0
+    assert workloads.check_cli_outputs(wl, inputs["cfg_out"], wl.steps) == []

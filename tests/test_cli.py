@@ -93,6 +93,15 @@ class TestRun:
         assert main(["run", cfg]) == 2
         assert f"{prefix}.path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prefix", ["ic", "forcing"])
+    def test_missing_snapshot_is_config_error(self, tmp_path, capsys, prefix):
+        absent = tmp_path / "absent.bstr"
+        cfg = _write(tmp_path, (f"{prefix}.kind = file\n{prefix}.path = {absent}\n"
+                                f"output.dir = {tmp_path / 'o'}\n"))
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"{prefix}.path" in err and "does not exist" in err
+
     @pytest.mark.parametrize("alpha", ["1e160", "1e200"])
     def test_overflowing_alpha_is_config_error(self, tmp_path, capsys, alpha):
         cfg = _write(tmp_path, f"alpha = {alpha}\noutput.dir = {tmp_path / 'o'}\n")

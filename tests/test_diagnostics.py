@@ -11,7 +11,7 @@ from bardina_strip.diagnostics import (FieldTrajectory,
                                        trajectory_h2h_distance,
                                        weighted_energy_budget)
 from bardina_strip.operators import OperatorSet
-from bardina_strip.solver import FieldSpec, SolverConfig, run
+from bardina_strip.solver import FieldSpec, SolverConfig, build_field, run
 from bardina_strip.strip_grid import Field, StripDomain, make_grid
 from bardina_strip.weights import WeightSpec, make_weight_field
 
@@ -96,18 +96,34 @@ class TestEnergyBudget:
         assert 2 * last.dissipation == pytest.approx(2 * last.forcing_power,
                                                      rel=5e-2)
 
-    def test_budget_columns_nan_only_under_time_dependent_forcing(self):
+    def test_budget_columns_finite_for_every_forcing_kind(self, tmp_path):
+        from bardina_strip.runio import write_snapshot
         common = dict(nx=16, ny=17, dt=1e-3, t_end=5e-3, nu=0.05, alpha=0.4)
-        _, mms = run(SolverConfig(
-            forcing=FieldSpec(kind="mms", reference="two_mode"),
-            ic=FieldSpec(kind="mms", reference="two_mode"), **common))
-        _, trig = run(SolverConfig(
-            forcing=FieldSpec(kind="trig_clamped", amplitude=1.0),
-            ic=FieldSpec(kind="trig_clamped", amplitude=1.0), **common))
-        for name in ("budget_residual", "weighted_budget_residual", "forcing_power"):
-            assert np.all(np.isnan(mms.column(name)))
-            assert np.all(np.isfinite(trig.column(name)))
-        assert np.all(np.isfinite(mms.column("energy")))
+        trig = FieldSpec(kind="trig_clamped", amplitude=1.0)
+        path = tmp_path / "g.bstr"
+        write_snapshot(path, build_field(trig, SolverConfig(**common).grid()),
+                       0.0, 0.4, 0.05)
+        forcings = [FieldSpec(), trig, FieldSpec(kind="file", path=str(path)),
+                    FieldSpec(kind="mms", reference="two_mode")]
+        for forcing in forcings:
+            ic = forcing if forcing.kind == "mms" else trig
+            _, series = run(SolverConfig(forcing=forcing, ic=ic, **common))
+            for name in ("budget_residual", "weighted_budget_residual",
+                         "forcing_power"):
+                assert np.all(np.isfinite(series.column(name))), (forcing.kind, name)
+
+    def test_mms_budget_residual_at_discretization_level(self):
+        # the forcing is read at each record time, so the exact balance
+        # dE/dt + 2 D = 2 P closes up to the time discretization
+        mms = FieldSpec(kind="mms", reference="two_mode")
+        _, series = run(SolverConfig(nx=64, ny=65, dt=1e-3, t_end=0.15, nu=0.05,
+                                     alpha=0.4, scheme="imex_cnab2",
+                                     forcing=mms, ic=mms))
+        t, e = series.column("t"), series.column("energy")
+        scale = (np.abs(np.diff(e) / np.diff(t)).max()
+                 + 2.0 * series.column("dissipation").max())
+        settled = np.abs(series.column("budget_residual")[2:]).max()
+        assert settled <= 0.02 * scale
 
     def test_excess_measured_against_closed_bound(self):
         _, _, series, _ = _run_decay(record_every=1)

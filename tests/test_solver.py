@@ -3,14 +3,15 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import sympy as sym
 
 from bardina_strip import mms
 from bardina_strip.horizontal_filter import FilterSpec, apply_Ah
-from bardina_strip.mms import get_reference
 from bardina_strip.operators import OperatorSet, d2_matrix, d2_values
 from bardina_strip.runio import parse_config_text
 from bardina_strip.solver import (BlowUpError, CflWarning, FieldSpec,
-                                  ImexStepper, SolverConfig, build_field, run)
+                                  ImexStepper, SolverConfig, build_field,
+                                  build_forcing, run)
 from bardina_strip.strip_grid import Field, inner_product, l2_norm, quadrature
 from bardina_strip.verification import fit_order
 
@@ -41,6 +42,30 @@ def _decay_config(**over):
               ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0))
     kw.update(over)
     return SolverConfig(**kw)
+
+
+def _mms_forcing(name, grid, nu=0.05, alpha=0.3):
+    """The separable forcing of reference ``name`` on ``grid``, as a run builds it."""
+    cfg = SolverConfig(nx=grid.nx, ny=grid.ny, nu=nu, alpha=alpha,
+                       forcing=FieldSpec(kind="mms", reference=name))
+    return build_forcing(cfg, grid)
+
+
+def _lambdified_forcing(name, nu, alpha):
+    """The residual of ``v*`` lambdified as one expanded expression, unsplit."""
+    x1, x2, t = sym.symbols("x1 x2 t", real=True)
+    v = mms._solution(name, 2 * np.pi, 1.0)[0]
+
+    def lap(e):
+        return sym.diff(e, x1, 2) + sym.diff(e, x2, 2)
+
+    def a_h(e):
+        return e - alpha ** 2 * sym.diff(e, x1, 2)
+
+    lap_v = lap(v)
+    g = (a_h(lap(sym.diff(v, t))) + sym.diff(v, x2) * sym.diff(lap_v, x1)
+         - sym.diff(v, x1) * sym.diff(lap_v, x2) - nu * a_h(lap(lap_v)))
+    return sym.lambdify((x1, x2, t), sym.expand(g), modules="numpy")
 
 
 class TestConfigValidation:
@@ -172,7 +197,7 @@ class TestExplicitTerm:
         for _ in range(3):
             state = stepper.step(state)
         explicit, _cfl = stepper._explicit_and_cfl(state)
-        g_hat = np.fft.rfft(stepper.g.values, axis=0)
+        g_hat = np.fft.rfft(stepper.forcing.at(state.t), axis=0)
         b_hat = stepper.ops.advection_modal(state.v_hat, state.v_hat)[0]
         assert np.abs(b_hat).max() > 0.0
         assert np.array_equal(explicit, (g_hat - b_hat) / stepper.mult[:, None])
@@ -246,26 +271,37 @@ class TestDeterminismAndBlowUp:
 class TestManufacturedForcing:
 
     def test_zero_reference_gives_zero_forcing(self):
-        ref = get_reference("zero_field", 2 * np.pi, 1.0, nu=0.05, alpha=0.3)
         grid = _decay_config().grid()
-        assert np.all(ref.forcing_field(grid, 1.7).values == 0.0)
-        assert np.all(ref.solution_field(grid, 0.0).values == 0.0)
+        assert np.all(_mms_forcing("zero_field", grid).at(1.7) == 0.0)
+        assert np.all(mms.solution_field("zero_field", grid, 0.0).values == 0.0)
 
     def test_steady_forcing_matches_table(self):
-        ref = get_reference("steady_mode", 2 * np.pi, 1.0, nu=0.05, alpha=0.3)
         grid = _decay_config(nx=32, ny=17).grid()
-        g = ref.forcing_field(grid, 0.0)
+        g = _mms_forcing("steady_mode", grid).at(0.0)
         for x1v, x2v, expected in STEADY_FORCING_TABLE:
             i = int(round(x1v / grid.dx))
             j = int(round((x2v + grid.domain.m) / grid.dy))
-            assert g.values[i, j] == pytest.approx(expected, abs=1e-10)
+            assert g[i, j] == pytest.approx(expected, abs=1e-10)
 
     def test_steady_forcing_time_independent(self):
-        ref = get_reference("steady_mode", 2 * np.pi, 1.0, nu=0.05, alpha=0.3)
-        grid = _decay_config().grid()
-        a = ref.forcing_field(grid, 0.0).values
-        b = ref.forcing_field(grid, 3.2).values
+        forcing = _mms_forcing("steady_mode", _decay_config().grid())
+        a = forcing.at(0.0)
+        b = forcing.at(3.2)
         assert np.array_equal(a, b)
+
+    def test_separable_forcing_matches_the_full_expression(self):
+        # two_mode's 83 expanded terms fall into 8 time factors
+        nu, alpha = 0.05, 0.4
+        full = _lambdified_forcing("two_mode", nu, alpha)
+        for nx, ny in ((16, 17), (32, 33), (64, 65)):
+            grid = _decay_config(nx=nx, ny=ny).grid()
+            forcing = _mms_forcing("two_mode", grid, nu=nu, alpha=alpha)
+            assert len(forcing.fields) == 8
+            x1, x2 = grid.mesh()
+            for t in (0.0, 0.37, 1.2):
+                want = np.broadcast_to(full(x1, x2, t), grid.shape)
+                err = np.abs(forcing.at(t) - want).max()
+                assert err <= 1e-13 * np.abs(want).max()
 
     def test_forcing_consistent_with_discrete_operators(self):
         # the residual of the discrete operators applied to the closed-form
@@ -276,33 +312,32 @@ class TestManufacturedForcing:
             cfg = _decay_config(nx=32, ny=ny)
             grid = cfg.grid()
             ops = OperatorSet(grid)
-            ref = get_reference("steady_mode", 2 * np.pi, 1.0, nu=nu, alpha=alpha)
-            v = ref.solution_field(grid, 0.0)
-            g = ref.forcing_field(grid, 0.0)
+            v = mms.solution_field("steady_mode", grid, 0.0)
+            g = _mms_forcing("steady_mode", grid, nu=nu, alpha=alpha).at(0.0)
             advect = ops.bilinear_B(v, v)
             visc = apply_Ah(ops.biharmonic(v), FilterSpec(alpha))
-            resid = advect.values - nu * visc.values - g.values
+            resid = advect.values - nu * visc.values - g
             # wall rows of the iterated laplacian are closure-dominated and
             # excluded by the solver; the rate lives on a fixed interior band
             band = np.abs(grid.x2) <= 0.8 * grid.domain.m
-            rels.append(np.abs(resid[:, band]).max() / np.abs(g.values).max())
+            rels.append(np.abs(resid[:, band]).max() / np.abs(g).max())
             hs.append(grid.dy)
         assert rels[-1] < 5e-3
         assert fit_order(hs, rels) == pytest.approx(2.0, abs=0.2)
 
     def test_alpha_zero_reference_drops_filter_term(self):
         grid = _decay_config().grid()
-        with_f = get_reference("steady_mode", 2 * np.pi, 1.0, nu=0.05, alpha=0.3)
-        without = get_reference("steady_mode", 2 * np.pi, 1.0, nu=0.05, alpha=0.0)
+        with_f = _mms_forcing("steady_mode", grid, nu=0.05, alpha=0.3)
+        without = _mms_forcing("steady_mode", grid, nu=0.05, alpha=0.0)
         ops = OperatorSet(grid)
-        v = without.solution_field(grid, 0.0)
+        v = mms.solution_field("steady_mode", grid, 0.0)
         advect = ops.bilinear_B(v, v)
         plain = advect.values - 0.05 * ops.biharmonic(v).values
-        got = without.forcing_field(grid, 0.0).values
+        got = without.at(0.0)
         band = np.abs(grid.x2) <= 0.8 * grid.domain.m
         interior = np.abs((got - plain)[:, band]).max() / np.abs(got).max()
         assert interior < 1e-2
-        assert not np.allclose(with_f.forcing_field(grid, 0.0).values, got)
+        assert not np.allclose(with_f.at(0.0), got)
 
 
 class TestMmsConvergence:
@@ -315,9 +350,7 @@ class TestMmsConvergence:
                                forcing=FieldSpec(kind="mms", reference="two_mode"),
                                ic=FieldSpec(kind="mms", reference="two_mode"))
             state, _ = run(cfg)
-            ref = get_reference("two_mode", cfg.lx, cfg.m, nu=cfg.nu,
-                                alpha=cfg.alpha)
-            exact = ref.solution_field(state.v.grid, state.t)
+            exact = mms.solution_field("two_mode", state.v.grid, state.t)
             errs.append(l2_norm(Field(state.v.grid,
                                       state.v.values - exact.values)))
             hs.append(2.0 / (ny - 1))

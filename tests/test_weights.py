@@ -24,7 +24,7 @@ def _record(f, spec):
     grid = f.grid
     collector = DiagnosticsCollector(grid=grid, ops=OperatorSet(grid), nu=1.0,
                                      alpha=1.0, weight=make_weight_field(grid, spec),
-                                     g=None)
+                                     g=lambda t: np.zeros(grid.shape))
     return collector.record(0.0, f, cfl=0.0)
 
 
@@ -259,9 +259,3 @@ class TestLimitWeightControl:
         small = certify_phi_control(spec, betas=[(3, 0)], x1_extent=100.0)
         large = certify_phi_control(spec, betas=[(3, 0)], x1_extent=400.0, n1=8193)
         assert large.c_strong[(3, 0)] <= 1.1 * small.c_strong[(3, 0)]
-
-    def test_report_table_renders(self):
-        spec = WeightSpec(epsilon=0.1, rho=5.0, gamma=GAMMA)
-        rep = certify_lemma_wfuncs(spec, betas=[(1, 0), (0, 1)])
-        table = rep.as_table()
-        assert "C_strong" in table and "(1, 0)" in table
