@@ -125,10 +125,13 @@ def lambda1_estimate(grid: Grid) -> Lambda1Estimate:
 class DiagnosticsCollector:
     """Computes one :class:`DiagnosticsRecord` per call, with budget memory.
 
-    Every quantity comes from one :meth:`OperatorSet.ladder` of the state
-    and two stacked quadratures.  ``g(t)`` returns the forcing's values at
-    a time; the forcing power ``-(g, v)`` reads it at the record time, so
-    ``forcing_power`` and both budget residuals hold for every forcing kind.
+    Every quantity comes from the state's :meth:`OperatorSet.field_ladder`
+    and two quadratures per channel.  The ladder of a solver state is shared
+    with other consumers, such as the streaming modulus, so each channel is
+    squared into a one-field buffer the collector owns.  ``g(t)`` returns
+    the forcing's values at a time; the forcing power ``-(g, v)`` reads it
+    at the record time, so ``forcing_power`` and both budget residuals hold
+    for every forcing kind.
     """
 
     def __init__(self, grid: Grid, ops: OperatorSet, nu: float, alpha: float,
@@ -141,15 +144,19 @@ class DiagnosticsCollector:
         self._qw = grid.dx * grid.quad_weights
         self._qw_phi = self._qw * weight.phi
         self._prev: tuple[float, float, float] | None = None
+        self._sq = np.empty(grid.shape)
 
     @np.errstate(over="ignore", invalid="ignore")
     def record(self, t: float, v: Field, cfl: float) -> DiagnosticsRecord:
         a2 = self.alpha ** 2
-        sq = self.ops.ladder(v.values)
-        sq *= sq
-        f, d1f, d2f, d1d1f, d1d2f, lap, d1lap = quadrature(sq, self._qw).tolist()
-        (f_w, d1f_w, d2f_w, d1d1f_w, d1d2f_w, lap_w,
-         d1lap_w) = quadrature(sq, self._qw_phi).tolist()
+        sq = self._sq
+        plain, weighted = [], []
+        for channel in self.ops.field_ladder(v):
+            np.multiply(channel, channel, out=sq)
+            plain.append(float(quadrature(sq, self._qw)))
+            weighted.append(float(quadrature(sq, self._qw_phi)))
+        f, d1f, d2f, d1d1f, d1d2f, lap, d1lap = plain
+        f_w, d1f_w, d2f_w, d1d1f_w, d1d2f_w, lap_w, d1lap_w = weighted
 
         energy = (d1f + d2f) + a2 * (d1d1f + d1d2f)
         dissipation = self.nu * (lap + a2 * d1lap)
@@ -317,7 +324,10 @@ class StreamingTranslationModulus:
     Records must arrive at a fixed cadence; ``k_lags`` are lags in record
     units and the norm is the (weighted) ``H^{2,h}`` norm, the one ``norm``
     accepts.  Each record's channels, premultiplied by ``psi * sqrt(dx *
-    quad_weights)``, are cached, so each pair costs one dot product.
+    quad_weights)``, are kept for the largest lag, so each pair costs one
+    subtraction into a reused buffer and one dot product.  The channels are
+    read from :meth:`OperatorSet.field_ladder`, so a solver state that the
+    collector has recorded costs no second ladder.
     """
 
     def __init__(self, grid: Grid, ops: OperatorSet, k_lags: list[int],
@@ -332,16 +342,23 @@ class StreamingTranslationModulus:
         self.ops = ops
         self._psi_q = _psi_sqrt_quad(grid, weight)
         self._buffer: deque[np.ndarray] = deque(maxlen=self.k_lags[-1] + 1)
+        self._work = np.empty((_H2H_CHANNELS,) + grid.shape)
         self._sums = {lag: 0.0 for lag in self.k_lags}
 
     def add(self, t: float, v: Field):
         """Add the record of ``v``; ``t`` is unused, records keep a fixed cadence."""
-        feats = self.ops.ladder(v.values)[:_H2H_CHANNELS] * self._psi_q
+        channels = self.ops.field_ladder(v)[:_H2H_CHANNELS]
+        if len(self._buffer) == self._buffer.maxlen:
+            # no lag reaches the oldest record any more: reuse its array
+            feats = np.multiply(channels, self._psi_q, out=self._buffer.popleft())
+        else:
+            feats = channels * self._psi_q
         self._buffer.append(feats)
         n = len(self._buffer)
+        diff = self._work
         for lag in self.k_lags:
             if n > lag:
-                diff = feats - self._buffer[n - 1 - lag]
+                np.subtract(feats, self._buffer[n - 1 - lag], out=diff)
                 self._sums[lag] += self.dt_record * float(np.vdot(diff, diff).real)
 
     def result(self) -> TranslationModulus:

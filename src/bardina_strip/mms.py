@@ -70,7 +70,9 @@ def solution_field(name: str, grid: Grid, t: float) -> Field:
 
 class ManufacturedReference:
     """The forcing of ``v*`` for fixed parameters: the expanded residual's
-    terms, grouped by their factor of ``t``, give ``g = sum_j c_j(t) S_j``."""
+    terms, grouped by their factor of ``t``, give ``g = sum_j c_j(t) S_j``.
+    ``time_independent`` says that no ``c_j`` depends on ``t`` (``steady_mode``
+    and ``zero_field``)."""
 
     def __init__(self, name: str, lx: float, m: float, nu: float, alpha: float):
         v, _ = _solution(name, lx, m)
@@ -90,6 +92,7 @@ class ManufacturedReference:
             space, time = term.as_independent(_T)
             groups[time] = groups.get(time, 0) + space
         times = sorted(groups, key=sym.default_sort_key)  # a fixed summation order
+        self.time_independent = not any(c.has(_T) for c in times)
         self._space = sym.lambdify((_X1, _X2), [groups[c] for c in times],
                                    modules="numpy")
         self._time = sym.lambdify(_T, times, modules="math")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .strip_grid import Field, Grid, inner_product, l2_norm
+from .strip_grid import Field, Grid, _check_same_grid, inner_product, l2_norm
 
 __all__ = ["OperatorSet", "d2_matrix", "d2_wall_rows", "trilinear_relative"]
 
@@ -103,6 +103,25 @@ class OperatorSet:
         out[4] = d2_values(out[1], dy)
         return out
 
+    def field_ladder(self, f: Field) -> np.ndarray:
+        """:meth:`ladder` of ``f.values``, computed once per frozen field.
+
+        A frozen field (every solver state is one) keeps its ladder, read-only,
+        in ``f.cache``, so every consumer of a recorded state shares one
+        stack; any ``OperatorSet`` on the same grid computes the same bits.
+        A writable field gets a fresh stack on every call.
+        """
+        _check_same_grid(f, self)
+        frozen = not f.values.flags.writeable
+        hit = f.cache.get("ladder")
+        if frozen and hit is not None and hit[0] is f.values:
+            return hit[1]
+        stack = self.ladder(f.values)
+        if frozen:
+            stack.flags.writeable = False
+            f.cache["ladder"] = (f.values, stack)
+        return stack
+
     def laplacian_modal(self, coeffs: np.ndarray) -> np.ndarray:
         return d2sq_values(coeffs, self.grid.dy) - self._k2[:, None] * coeffs
 
@@ -136,22 +155,41 @@ class OperatorSet:
         t2 = self.product(self.d1(v).values, self.d2(lap_u).values)
         return Field(self.grid, t1 - t2)
 
-    def advection_modal(self, u_hat: np.ndarray,
-                        v_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def advection_modal(self, u_hat: np.ndarray, v_hat: np.ndarray,
+                        lap_u_hat: np.ndarray | None = None,
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Dealiased divergence form ``d1(d2(v) lap u) - d2(d1(v) lap u)``, the
         advective term the solver integrates, from and to ``x1`` coefficients;
         also the values of ``d1 v`` and ``d2 v`` of the truncated ``v``.
-        Passing the same array twice truncates it once."""
-        nx, dy = self.grid.nx, self.grid.dy
-        ut = self.dealias_modal(u_hat)
-        vt = ut if v_hat is u_hat else self.dealias_modal(v_hat)
-        ik = self._ik[:, None]
-        d1v = np.fft.irfft(ik * vt, n=nx, axis=0)
-        d2v = d2_values(np.fft.irfft(vt, n=nx, axis=0), dy)
-        lap = np.fft.irfft(self.laplacian_modal(ut), n=nx, axis=0)
-        b_hat = ik * np.fft.rfft(d2v * lap, axis=0)
-        b_hat -= d2_values(np.fft.rfft(d1v * lap, axis=0), dy)
-        return self.dealias_modal(b_hat), d1v, d2v
+
+        ``lap_u_hat`` is the :meth:`laplacian_modal` of ``u_hat``, if the caller
+        has it.  The Laplacian acts mode by mode, so truncating it is bitwise
+        the Laplacian of the truncated ``u``.  The three factors come back
+        through one batched inverse transform and the two products go out
+        through one batched forward transform.
+        """
+        nx, ny, dy = self.grid.nx, self.grid.ny, self.grid.dy
+        drop = ~self._dealias_mask
+        modal = np.empty((3,) + v_hat.shape, dtype=np.complex128)
+        modal[1] = v_hat
+        modal[1, drop] = 0.0
+        np.multiply(self._ik[:, None], modal[1], out=modal[0])
+        modal[2] = self.laplacian_modal(u_hat) if lap_u_hat is None else lap_u_hat
+        modal[2, drop] = 0.0
+        d1v, v, lap = np.fft.irfft(modal, n=nx, axis=1)
+        # each batch is freed once transformed: held together to the end,
+        # they set the step's peak memory on large grids
+        del modal
+        d2v = d2_values(v, dy)
+        products = np.empty((2, nx, ny))
+        np.multiply(d2v, lap, out=products[0])
+        np.multiply(d1v, lap, out=products[1])
+        d2v_lap, d1v_lap = np.fft.rfft(products, axis=1)
+        del products
+        b_hat = self._ik[:, None] * d2v_lap
+        b_hat -= d2_values(d1v_lap, dy)
+        b_hat[drop] = 0.0
+        return b_hat, d1v, d2v
 
     def bilinear_B_conservative(self, u: Field, v: Field) -> Field:
         """Values of :meth:`advection_modal`.

@@ -25,6 +25,17 @@ once, as one block-diagonal matrix, and factorized once per run as a single
 sparse LU.  Every forcing is one separable :class:`Forcing`
 ``g(t) = sum_j c_j(t) S_j``: the ``S_j`` are transformed once per run, and
 ``g_hat(t)`` is their weighted sum; the diagnostics read the same ``g(t)``.
+
+One step computes the modal Laplacian of ``v^n`` once: it is the mass
+operator's right-hand side and, truncated, the advected factor of ``B_hat``.
+``B_hat`` costs one batched inverse and one batched forward transform, and
+the new values one more inverse transform.  Every state's field is frozen
+(read-only), so the diagnostics collector and a streaming modulus that see
+the same recorded state share one derivative ladder
+(``OperatorSet.field_ladder``); :func:`run` drops it once the record's
+callback returns.  A non-finite state raises
+:class:`BlowUpError` with its step; a run longer than ``MAX_STEPS`` steps is
+a configuration error.
 """
 
 from __future__ import annotations
@@ -47,6 +58,7 @@ from .weights import WeightSpec, make_weight_field
 __all__ = [
     "SCHEMES",
     "CFL_LIMIT",
+    "MAX_STEPS",
     "FieldSpec",
     "SolverConfig",
     "SolverState",
@@ -61,14 +73,28 @@ __all__ = [
 
 SCHEMES = ("imex_euler", "imex_cnab2")
 CFL_LIMIT = 0.5  # advective CFL number above which a CflWarning is issued
+MAX_STEPS = 10 ** 9  # a longer run cannot end on this single-process solver
 
 
 class BlowUpError(RuntimeError):
-    """Non-finite state detected; ``time`` is the last good solution time."""
+    """Non-finite state detected at step ``step``.
 
-    def __init__(self, time: float):
-        super().__init__(f"blow-up detected: non-finite state after t = {time:.6g}")
+    ``time`` is the last good solution time.  :func:`run` adds the last
+    finite recorded energy, ``energy`` at ``energy_time``; both stay NaN for
+    a bare :meth:`ImexStepper.step`.
+    """
+
+    def __init__(self, time: float, step: int):
+        super().__init__(time, step)
         self.time = time
+        self.step = step
+        self.energy = self.energy_time = math.nan
+
+    def __str__(self) -> str:
+        msg = f"blow-up detected at step {self.step}: non-finite state after t = {self.time:.6g}"
+        if not math.isnan(self.energy):
+            msg += f"; last finite energy E = {self.energy:.9g} at t = {self.energy_time:.6g}"
+        return msg
 
 
 class CflWarning(UserWarning):
@@ -114,7 +140,8 @@ class SolverConfig:
     The weight spec only parameterizes the weighted diagnostics columns.
     ``nonlinear=False`` freezes the quadratic term (used by the linearized
     verification against dense propagators).  The forcing is
-    time-independent except under ``mms``.
+    time-independent except under an ``mms`` reference whose residual
+    depends on time (:attr:`Forcing.time_independent`).
     """
 
     lx: float = 2.0 * np.pi
@@ -148,6 +175,9 @@ class SolverConfig:
         if not math.isfinite(self.t_end / self.dt):
             raise ValueError(f"t_end / dt = {self.t_end:g} / {self.dt:g} overflows "
                              "the step count")
+        if self.n_steps > MAX_STEPS:
+            raise ValueError(f"t_end / dt = {self.t_end:g} / {self.dt:g} is "
+                             f"{self.n_steps:.3g} steps, more than {MAX_STEPS:.0e}")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * max(self.dt, self.t_end):
             raise ValueError("t_end must be an integer multiple of dt")
         # alpha^2 and the Helmholtz multiplier 1 + (alpha kappa)^2 at the
@@ -210,11 +240,13 @@ class Forcing:
     """Separable forcing ``g(t) = sum_j c_j(t) S_j``: ``fields`` stacks the ``S_j``
     (at the grid nodes, or their ``x1`` coefficients), ``coefficients(t)`` gives
     the ``c_j``.  Every kind but ``mms`` is one field with ``c = 1``, which
-    :meth:`at` returns bit for bit.
+    :meth:`at` returns bit for bit.  ``time_independent`` says that no ``c_j``
+    depends on ``t``.
     """
 
     fields: np.ndarray
     coefficients: Callable[[float], np.ndarray]
+    time_independent: bool
 
     def at(self, t: float) -> np.ndarray:
         c = self.coefficients(t)
@@ -225,10 +257,11 @@ def build_forcing(config: SolverConfig, grid: Grid) -> Forcing:
     """The run's forcing; ``mms`` is the residual of ``v*`` at ``nu``, ``alpha``."""
     spec = config.forcing
     if spec.kind != "mms":
-        return Forcing(build_field(spec, grid).values[None], lambda t: np.ones(1))
+        return Forcing(build_field(spec, grid).values[None], lambda t: np.ones(1), True)
     from .mms import get_reference
-    return Forcing(*get_reference(spec.reference, config.lx, config.m, nu=config.nu,
-                                  alpha=config.alpha).sample(grid))
+    ref = get_reference(spec.reference, config.lx, config.m, nu=config.nu,
+                        alpha=config.alpha)
+    return Forcing(*ref.sample(grid), ref.time_independent)
 
 
 class ImexStepper:
@@ -241,7 +274,7 @@ class ImexStepper:
         self.filter_spec = FilterSpec(config.alpha)
         self.mult = helmholtz_multiplier(self.grid, self.filter_spec)
         ny = self.grid.ny
-        self.bc_rows = (0, 1, ny - 2, ny - 1)
+        self.bc_rows = [0, 1, ny - 2, ny - 1]
         self.theta = 1.0 if config.scheme == "imex_euler" else 0.5
         self._lu = self._build_implicit(self.theta)
         # CNAB2 starts with one IMEX-Euler step: an initial state only
@@ -249,7 +282,8 @@ class ImexStepper:
         # Crank-Nicolson half of the operator must not see that defect.
         self._lu_start = self._lu if self.theta == 1.0 else self._build_implicit(1.0)
         self.forcing = g = build_forcing(config, self.grid)
-        self._forcing_hat = Forcing(np.fft.rfft(g.fields, axis=1), g.coefficients)
+        self._forcing_hat = Forcing(np.fft.rfft(g.fields, axis=1), g.coefficients,
+                                    g.time_independent)
         self._warned_cfl = False
 
     # -- setup ----------------------------------------------------------------
@@ -270,7 +304,7 @@ class ImexStepper:
         mat = lap - theta * cfg.nu * cfg.dt * (lap @ lap)
         del lap  # the temporaries go before SuperLU allocates its factors
         keep = np.ones(ny)
-        keep[list(self.bc_rows)] = 0.0
+        keep[self.bc_rows] = 0.0
         clamped = np.zeros((ny, ny))
         clamped[[0, -1], [0, -1]] = 1.0
         clamped[[1, -2]] = d2_wall_rows(ny, dy)
@@ -285,65 +319,68 @@ class ImexStepper:
                 f"check nu, dt > 0 (nu={cfg.nu}, dt={cfg.dt})") from exc
 
     def initial_state(self) -> SolverState:
-        v0 = build_field(self.config.ic, self.grid)
+        v0 = build_field(self.config.ic, self.grid).freeze()
         v_hat = np.fft.rfft(v0.values, axis=0)
         return SolverState(t=0.0, step_index=0, v=v0, v_hat=v_hat)
 
     # -- per-step pieces --------------------------------------------------------
 
-    def _explicit_and_cfl(self, state: SolverState) -> tuple[np.ndarray, float]:
+    def _explicit_and_cfl(self, state: SolverState, lap_hat: np.ndarray | None = None,
+                          ) -> tuple[np.ndarray, float]:
         """``(g_hat - B_hat) / (1 + alpha^2 kappa^2)`` plus the CFL number.
 
-        ``B_hat`` is :meth:`OperatorSet.advection_modal` of the modal state;
-        the truncated velocity it returns feeds the CFL estimate, since the
-        truncated field is the one actually advecting.
+        ``B_hat`` is :meth:`OperatorSet.advection_modal` of the modal state,
+        given its Laplacian ``lap_hat`` if the step has it; the truncated
+        velocity it returns feeds the CFL estimate, since the truncated field
+        is the one actually advecting.
         """
         cfg = self.config
         out = self._forcing_hat.at(state.t)
         cfl = 0.0
         if cfg.nonlinear:
-            b_hat, d1v, d2v = self.ops.advection_modal(state.v_hat, state.v_hat)
+            b_hat, d1v, d2v = self.ops.advection_modal(state.v_hat, state.v_hat, lap_hat)
             out -= b_hat
-            vmax = float(np.sqrt(d1v ** 2 + d2v ** 2).max())
-            cfl = cfg.dt * vmax / min(self.grid.dx, self.grid.dy)
-        return out / self.mult[:, None], cfl
+            speed2 = np.multiply(d1v, d1v, out=d1v)
+            speed2 += d2v * d2v
+            cfl = cfg.dt * math.sqrt(float(speed2.max())) / min(self.grid.dx, self.grid.dy)
+        out /= self.mult[:, None]
+        return out, cfl
 
     def step(self, state: SolverState) -> SolverState:
         cfg = self.config
+        step_index = state.step_index + 1
         with np.errstate(over="ignore", invalid="ignore"):
-            explicit, cfl = self._explicit_and_cfl(state)
+            # the mass operator (D2 - kappa^2) is the modal Laplacian, which
+            # the advective term reads too
+            rhs = self.ops.laplacian_modal(state.v_hat)
+            explicit, cfl = self._explicit_and_cfl(state, rhs)
             if cfl > CFL_LIMIT and not self._warned_cfl:
                 warnings.warn(
-                    f"advective CFL {cfl:.3g} exceeds {CFL_LIMIT} at "
-                    f"t = {state.t:.6g}; the implicit part is stable but the "
-                    "explicit term may not be", CflWarning, stacklevel=2)
+                    f"advective CFL {cfl:.3g} exceeds {CFL_LIMIT} at step "
+                    f"{step_index} (t = {state.t:.6g}); the implicit part is stable "
+                    "but the explicit term may not be", CflWarning, stacklevel=2)
                 self._warned_cfl = True
-            # the mass operator (D2 - kappa^2) is the modal Laplacian
-            rhs = self.ops.laplacian_modal(state.v_hat)
             starting = cfg.scheme == "imex_cnab2" and state.prev_explicit is None
             if cfg.scheme == "imex_euler" or starting:
                 lu = self._lu_start if starting else self._lu
                 rhs += cfg.dt * explicit
             else:
                 lu = self._lu
-                rhs += 0.5 * cfg.nu * cfg.dt * self.ops.laplacian_modal(
-                    self.ops.laplacian_modal(state.v_hat))
+                rhs += 0.5 * cfg.nu * cfg.dt * self.ops.laplacian_modal(rhs)
                 rhs += cfg.dt * (1.5 * explicit - 0.5 * state.prev_explicit)
-            rhs[:, list(self.bc_rows)] = 0.0
+            rhs[:, self.bc_rows] = 0.0
 
-            flat = rhs.ravel()
-            sol = lu.solve(np.column_stack([flat.real, flat.imag]))
+            sol = lu.solve(rhs.view(np.float64).reshape(-1, 2))
             v_hat = (sol[:, 0] + 1j * sol[:, 1]).reshape(rhs.shape)
             if not np.all(np.isfinite(v_hat)):
-                raise BlowUpError(state.t)
+                raise BlowUpError(state.t, step_index)
             values = np.fft.irfft(v_hat, n=self.grid.nx, axis=0)
         if not np.all(np.isfinite(values)):
-            raise BlowUpError(state.t)
-        v = Field(self.grid, values, clamped=True)
+            raise BlowUpError(state.t, step_index)
         return SolverState(
-            t=(state.step_index + 1) * cfg.dt,
-            step_index=state.step_index + 1,
-            v=v, v_hat=v_hat,
+            t=step_index * cfg.dt,
+            step_index=step_index,
+            v=Field(self.grid, values, clamped=True).freeze(), v_hat=v_hat,
             prev_explicit=explicit if cfg.scheme == "imex_cnab2" else None,
             cfl=cfl)
 
@@ -362,24 +399,34 @@ def run(config: SolverConfig, on_record=None):
     collector = diag.DiagnosticsCollector(
         grid=grid, ops=stepper.ops, nu=config.nu, alpha=config.alpha,
         weight=weight, g=stepper.forcing.at)
-    # the closed bound |g|^2 / (nu lambda1^2) needs g constant in time, as all but mms are
-    g_norm = (math.nan if config.forcing.kind == "mms"
-              else l2_norm(Field(grid, stepper.forcing.at(0.0))))
+    # the closed bound |g|^2 / (nu lambda1^2) needs g constant in time
+    g_norm = (l2_norm(Field(grid, stepper.forcing.at(0.0)))
+              if stepper.forcing.time_independent else math.nan)
     series = diag.DiagnosticsSeries.for_run(
         nu=config.nu, alpha=config.alpha, dt=config.dt,
         record_every=config.record_every,
         g_norm=g_norm, lambda1=collector.lambda1)
 
+    def record(state: SolverState):
+        rec = collector.record(state.t, state.v, cfl=state.cfl)
+        series.append(rec)
+        if on_record is not None:
+            on_record(state, rec)
+        # the state's ladder has served every consumer of this record; the
+        # steps that follow need its memory
+        state.v.cache.clear()
+
     state = stepper.initial_state()
-    rec = collector.record(state.t, state.v, cfl=0.0)
-    series.append(rec)
-    if on_record is not None:
-        on_record(state, rec)
+    record(state)
     for n in range(1, config.n_steps + 1):
-        state = stepper.step(state)
+        try:
+            state = stepper.step(state)
+        except BlowUpError as exc:
+            last = next((r for r in reversed(series.records) if math.isfinite(r.energy)),
+                        None)
+            if last is not None:
+                exc.energy, exc.energy_time = last.energy, last.t
+            raise
         if n % config.record_every == 0 or n == config.n_steps:
-            rec = collector.record(state.t, state.v, cfl=state.cfl)
-            series.append(rec)
-            if on_record is not None:
-                on_record(state, rec)
+            record(state)
     return state, series

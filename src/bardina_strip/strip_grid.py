@@ -102,12 +102,15 @@ class Field:
     """Real scalar sample on the grid nodes (stream function, vorticity, forcing).
 
     ``clamped=True`` marks a field expected to vanish on both walls; it is
-    carried along, never checked.
+    carried along, never checked.  :meth:`freeze` makes ``values`` read-only,
+    as the solver's states are; only such a field keeps derived data in
+    ``cache`` (``OperatorSet.field_ladder``), so nothing cached can go stale.
     """
 
     grid: Grid
     values: np.ndarray
     clamped: bool = False
+    cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -117,7 +120,13 @@ class Field:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite entries")
 
+    def freeze(self) -> "Field":
+        """Make ``values`` read-only in place; returns the field."""
+        self.values.flags.writeable = False
+        return self
+
     def copy(self) -> "Field":
+        """A writable copy, without the cache."""
         return Field(self.grid, self.values.copy(), clamped=self.clamped)
 
 

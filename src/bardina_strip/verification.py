@@ -18,7 +18,7 @@ from .diagnostics import (StreamingTranslationModulus, energy_budget,
 from .operators import OperatorSet, trilinear_relative
 from .runio import RunSettings
 from .solver import (FieldSpec, ImexStepper, SolverConfig, SolverState,
-                     build_field, run)
+                     build_field, build_forcing, run)
 from .strip_grid import Field, Grid, StripDomain, l2_norm, make_grid, quadrature
 from .weights import (WeightSpec, certify_lemma_wfuncs, certify_phi_control,
                       lemma_beta_set, make_weight_field)
@@ -361,7 +361,7 @@ def _suite_poincare(settings: RunSettings) -> SuiteReport:
 
 def _suite_budget(settings: RunSettings) -> SuiteReport:
     cfg = settings.solver
-    if cfg.forcing.kind == "mms":
+    if not build_forcing(cfg, cfg.grid()).time_independent:
         raise ValueError("the budget suite's closed dissipation bound needs a "
                          "time-independent forcing; forcing.kind = mms changes in time")
     rep = SuiteReport("budget")

@@ -86,6 +86,13 @@ class TestRun:
         err = capsys.readouterr().err
         assert "t_end" in err and "dt" in err
 
+    def test_step_count_above_max_steps_is_config_error(self, tmp_path, capsys):
+        # 1e15 steps: the run would print nothing and never end
+        cfg = _write(tmp_path, ("t_end = 1e12\ndt = 1e-3\n"
+                                f"output.dir = {tmp_path / 'o'}\n"))
+        assert main(["run", cfg]) == 2
+        assert "t_end / dt" in capsys.readouterr().err
+
     @pytest.mark.parametrize("prefix", ["ic", "forcing"])
     def test_directory_as_snapshot_is_config_error(self, tmp_path, capsys, prefix):
         cfg = _write(tmp_path, (f"{prefix}.kind = file\n{prefix}.path = {tmp_path}\n"
@@ -121,6 +128,21 @@ class TestRun:
             assert main(["run", cfg]) == 3
         assert "blow-up" in capsys.readouterr().err
 
+    def test_blow_up_prints_step_and_last_finite_energy(self, tmp_path, capsys):
+        import warnings
+
+        from bardina_strip.solver import CflWarning
+        cfg = _write(tmp_path, (
+            "nx = 32\nny = 33\nalpha = 0.0\nnu = 1e-4\ndt = 0.2\nt_end = 4.0\n"
+            "ic.kind = trig_clamped\nic.amplitude = 200.0\nic.k1 = 3\nic.k2 = 2\n"
+            f"output.dir = {tmp_path / 'b'}\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CflWarning)
+            assert main(["run", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "blow-up detected at step " in err
+        assert "last finite energy E = " in err
+
 
 class TestVerify:
 
@@ -146,6 +168,25 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "time-independent" in err
         assert "forcing.kind = mms" in err
+
+    def test_budget_suite_rejects_pulsing_reference(self, tmp_path, capsys):
+        cfg = _write(tmp_path, (
+            "nx = 16\nny = 17\ndt = 1e-3\nt_end = 0.002\nnu = 0.05\nalpha = 0.4\n"
+            "forcing.kind = mms\nforcing.reference = pulsing_mode\n"
+            "ic.kind = mms\nic.reference = pulsing_mode\n"))
+        assert main(["verify", cfg, "--suite", "budget"]) == 2
+        assert "time-independent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reference", ["steady_mode", "zero_field"])
+    def test_budget_suite_runs_for_time_independent_mms(self, tmp_path, capsys,
+                                                         reference):
+        cfg = _write(tmp_path, (
+            "nx = 16\nny = 17\ndt = 1e-3\nt_end = 0.02\nnu = 0.05\nalpha = 0.4\n"
+            f"forcing.kind = mms\nforcing.reference = {reference}\n"
+            f"ic.kind = mms\nic.reference = {reference}\n"))
+        assert main(["verify", cfg, "--suite", "budget"]) == 0
+        out = capsys.readouterr().out
+        assert "suite budget" in out and "ALL CHECKS PASSED" in out
 
     def test_unknown_suite_rejected_by_parser(self, tmp_path):
         cfg = _write(tmp_path, "nx = 16\n")

@@ -188,6 +188,54 @@ class TestTranslationModulus:
         assert np.all(np.diff(mod.modulus) > 0)
 
 
+class TestSharedLadder:
+    """A recorded state's ladder serves the collector and the modulus."""
+
+    @staticmethod
+    def _observed_run(observe):
+        cfg = SolverConfig(nx=32, ny=33, dt=1e-3, t_end=0.04, nu=0.01, alpha=0.5,
+                           ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0))
+        grid = cfg.grid()
+        weight = make_weight_field(grid, cfg.weight)
+
+        def modulus():
+            return StreamingTranslationModulus(grid, OperatorSet(grid), [1, 2, 4, 8],
+                                               dt_record=2 * cfg.dt, weight=weight)
+
+        accs = (modulus(), modulus())
+
+        def observer(state, _rec):
+            if state.step_index % 2 == 0:
+                observe(state, *accs)
+
+        _, series = run(cfg, on_record=observer)
+        return series, accs
+
+    def test_one_ladder_per_record(self, monkeypatch):
+        calls = []
+        ladder = OperatorSet.ladder
+        monkeypatch.setattr(OperatorSet, "ladder",
+                            lambda self, values: calls.append(1) or ladder(self, values))
+        series, _ = self._observed_run(lambda state, acc, _: acc.add(state.t, state.v))
+        assert len(calls) == len(series) == 41
+
+    def test_state_values_are_read_only(self):
+        def observe(state, *_):
+            with pytest.raises(ValueError, match="read-only"):
+                state.v.values[0, 0] = 1.0
+        self._observed_run(observe)
+
+    def test_shared_modulus_equals_fresh_ladder(self):
+        def observe(state, shared, fresh):
+            shared.add(state.t, state.v)
+            fresh.add(state.t, Field(state.v.grid, state.v.values.copy()))
+
+        _, (shared, fresh) = self._observed_run(observe)
+        got = [x.hex() for x in shared.result().modulus.tolist()]
+        assert got == [x.hex() for x in fresh.result().modulus.tolist()]
+        assert all(x > 0 for x in shared.result().modulus)
+
+
 class TestProlongation:
 
     def test_exact_on_resolved_smooth_data(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bardina_strip.operators import OperatorSet, d2_matrix
+from bardina_strip.operators import OperatorSet, d2_matrix, d2_values
 from bardina_strip.strip_grid import (Field, StripDomain, inner_product,
                                       l2_norm, make_grid)
 from bardina_strip.verification import fit_order, identity_test_fields
@@ -175,6 +175,37 @@ class TestLadder:
             err = np.abs(channel - want.values).max()
             assert err <= 1e-13 * np.abs(want.values).max()
 
+    def test_frozen_field_computes_its_ladder_once(self, rng, monkeypatch):
+        grid = make_grid(StripDomain(5.0, 1.3), 24, 21)
+        calls = []
+        ladder = OperatorSet.ladder
+        monkeypatch.setattr(OperatorSet, "ladder",
+                            lambda self, values: calls.append(1) or ladder(self, values))
+        f = Field(grid, rng.standard_normal(grid.shape)).freeze()
+        first = OperatorSet(grid).field_ladder(f)
+        # another operator set on an equal grid reads the same stack
+        again = OperatorSet(make_grid(StripDomain(5.0, 1.3), 24, 21)).field_ladder(f)
+        assert again is first and len(calls) == 1
+        assert np.array_equal(first, ladder(OperatorSet(grid), f.values.copy()))
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0, 0] = 1.0
+
+    def test_writable_field_ladder_is_recomputed(self, rng):
+        grid = make_grid(StripDomain(5.0, 1.3), 24, 21)
+        ops = OperatorSet(grid)
+        f = Field(grid, rng.standard_normal(grid.shape))
+        before = ops.field_ladder(f).copy()
+        f.values *= 2.0
+        after = ops.field_ladder(f)
+        assert not f.cache
+        assert np.array_equal(after, ops.ladder(f.values))
+        assert not np.array_equal(after, before)
+
+    def test_field_on_another_grid_rejected(self, rng):
+        f = Field(_grid(), rng.standard_normal((32, 33))).freeze()
+        with pytest.raises(ValueError, match="different grids"):
+            OperatorSet(make_grid(StripDomain(5.0, 1.0), 32, 33)).field_ladder(f)
+
 
 class TestBilinearForm:
 
@@ -214,6 +245,37 @@ class TestBilinearForm:
             diffs.append(np.abs(d).max() / np.abs(ops.bilinear_B(u, v).values).max())
             hs.append(grid.dy)
         assert fit_order(hs, diffs) >= 1.8
+
+
+def _advection_per_transform(ops, u_hat, v_hat):
+    """The advective term with one transform per factor and per product."""
+    grid = ops.grid
+    nx, dy = grid.nx, grid.dy
+    ik = 1j * grid.wavenumbers.astype(np.complex128)
+    ik[-1] = 0.0
+    ik = ik[:, None]
+    ut, vt = ops.dealias_modal(u_hat), ops.dealias_modal(v_hat)
+    d1v = np.fft.irfft(ik * vt, n=nx, axis=0)
+    d2v = d2_values(np.fft.irfft(vt, n=nx, axis=0), dy)
+    lap = np.fft.irfft(ops.laplacian_modal(ut), n=nx, axis=0)
+    b_hat = ik * np.fft.rfft(d2v * lap, axis=0)
+    b_hat -= d2_values(np.fft.rfft(d1v * lap, axis=0), dy)
+    return ops.dealias_modal(b_hat), d1v, d2v
+
+
+class TestBatchedAdvection:
+
+    def test_bitwise_equal_to_per_transform_composition(self, rng):
+        grid = make_grid(StripDomain(5.0, 1.3), 24, 21)
+        ops = OperatorSet(grid)
+        u_hat, v_hat = (np.fft.rfft(rng.standard_normal(grid.shape), axis=0)
+                        for _ in range(2))
+        for u, v, lap_u in ((u_hat, v_hat, None), (u_hat, u_hat, None),
+                            (u_hat, u_hat, ops.laplacian_modal(u_hat))):
+            want = _advection_per_transform(ops, u, v)
+            got = ops.advection_modal(u, v, lap_u)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
 
 class TestTrilinearIdentities:

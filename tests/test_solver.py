@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -9,9 +10,9 @@ from bardina_strip import mms
 from bardina_strip.horizontal_filter import FilterSpec, apply_Ah
 from bardina_strip.operators import OperatorSet, d2_matrix, d2_values
 from bardina_strip.runio import parse_config_text
-from bardina_strip.solver import (BlowUpError, CflWarning, FieldSpec,
-                                  ImexStepper, SolverConfig, build_field,
-                                  build_forcing, run)
+from bardina_strip.solver import (MAX_STEPS, BlowUpError, CflWarning,
+                                  FieldSpec, ImexStepper, SolverConfig,
+                                  build_field, build_forcing, run)
 from bardina_strip.strip_grid import Field, inner_product, l2_norm, quadrature
 from bardina_strip.verification import fit_order
 
@@ -81,6 +82,11 @@ class TestConfigValidation:
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError, match="scheme"):
             SolverConfig(scheme="rk4")
+
+    def test_rejects_step_count_above_max_steps(self):
+        assert SolverConfig(dt=1e-3, t_end=1e6).n_steps == MAX_STEPS
+        with pytest.raises(ValueError, match=r"t_end / dt"):
+            SolverConfig(dt=1e-3, t_end=1e6 + 1e-3)
 
     def test_rejects_incommensurate_horizon(self):
         with pytest.raises(ValueError, match="multiple"):
@@ -260,11 +266,44 @@ class TestDeterminismAndBlowUp:
             with pytest.raises(BlowUpError, match="blow-up"):
                 run(cfg)
 
+    def test_blow_up_names_step_and_last_finite_energy(self):
+        cfg = SolverConfig(nx=32, ny=33, dt=0.2, t_end=4.0, nu=1e-4, alpha=0.0,
+                           record_every=2,
+                           ic=FieldSpec(kind="trig_clamped",
+                                        amplitude=200.0, k1=3, k2=2))
+        records = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CflWarning)
+            with pytest.raises(BlowUpError) as info:
+                run(cfg, on_record=lambda s, rec: records.append(rec))
+        exc = info.value
+        assert 1 <= exc.step <= cfg.n_steps
+        assert exc.time == pytest.approx((exc.step - 1) * cfg.dt)
+        last = records[-1]
+        assert math.isfinite(last.energy)
+        assert (exc.energy, exc.energy_time) == (last.energy, last.t)
+        assert f"at step {exc.step}:" in str(exc)
+        assert f"last finite energy E = {last.energy:.9g}" in str(exc)
+
+    def test_bare_step_blow_up_names_the_step(self):
+        stepper = ImexStepper(_decay_config())
+        state = stepper.initial_state()
+        state.v_hat = np.full_like(state.v_hat, np.nan)
+        with pytest.raises(BlowUpError, match="at step 1: non-finite state after t = 0$"):
+            stepper.step(state)
+
     def test_cfl_warning(self):
         cfg = SolverConfig(nx=32, ny=33, dt=0.2, t_end=0.2, nu=0.5, alpha=0.0,
                            ic=FieldSpec(kind="trig_clamped",
                                         amplitude=10.0, k1=2, k2=1))
         with pytest.warns(CflWarning):
+            run(cfg)
+
+    def test_cfl_warning_names_step_and_time(self):
+        cfg = SolverConfig(nx=32, ny=33, dt=0.2, t_end=0.2, nu=0.5, alpha=0.0,
+                           ic=FieldSpec(kind="trig_clamped",
+                                        amplitude=10.0, k1=2, k2=1))
+        with pytest.warns(CflWarning, match=r"exceeds 0\.5 at step 1 \(t = 0\)"):
             run(cfg)
 
 
@@ -282,6 +321,19 @@ class TestManufacturedForcing:
             i = int(round(x1v / grid.dx))
             j = int(round((x2v + grid.domain.m) / grid.dy))
             assert g[i, j] == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("name, steady", [
+        ("steady_mode", True), ("zero_field", True),
+        ("two_mode", False), ("pulsing_mode", False)])
+    def test_g_norm_finite_for_time_independent_references(self, name, steady):
+        mms_spec = FieldSpec(kind="mms", reference=name)
+        cfg = _decay_config(nx=16, ny=17, t_end=0.002, nu=0.05, alpha=0.4,
+                            forcing=mms_spec, ic=mms_spec)
+        assert build_forcing(cfg, cfg.grid()).time_independent is steady
+        g_norm = run(cfg)[1].meta["g_norm"]
+        assert math.isfinite(g_norm) is steady
+        if name == "steady_mode":
+            assert g_norm > 0
 
     def test_steady_forcing_time_independent(self):
         forcing = _mms_forcing("steady_mode", _decay_config().grid())
