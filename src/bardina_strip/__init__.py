@@ -1,15 +1,15 @@
 """Horizontally filtered simplified Bardina model on a periodic strip.
 
 Stream-function solver (per-mode IMEX with a banded implicit biharmonic),
-the anisotropic Helmholtz filter, polynomial Sobolev weights with numerical
-derivative certification, and diagnostics mirroring the model's energy,
-weighted-energy and compactness estimates.
+the operators (derivatives, the anisotropic Helmholtz filter and the
+advective form) on ``x1`` Fourier coefficients, polynomial Sobolev weights
+with numerical derivative certification, and diagnostics mirroring the
+model's energy, weighted-energy and compactness estimates.
 """
 
 from .strip_grid import (StripDomain, Grid, Field, make_grid, inner_product,
                          l2_norm)
 from .operators import OperatorSet
-from .horizontal_filter import FilterSpec, apply_Ah, invert_Ah
 from .weights import (WeightSpec, WeightField, g_profile, phi_limit, varphi,
                       make_weight_field, certify_lemma_wfuncs,
                       certify_phi_control)

@@ -1,8 +1,10 @@
-"""Discrete differential operators and the vorticity-advection bilinear form.
+"""Discrete differential operators, the Helmholtz filter and the
+vorticity-advection bilinear form, all acting on ``x1`` Fourier coefficients.
 
 Horizontal derivatives are spectral (exact on resolved modes, Nyquist mode
 zeroed for odd derivatives); vertical derivatives use centered second-order
-stencils with one-sided second-order closures on the wall rows.  Quadratic
+stencils with one-sided second-order closures on the wall rows.  The filter
+``I - alpha^2 d1^2`` is the per-mode symbol ``1 + (alpha kappa)^2``.  Quadratic
 products are dealiased in ``x1`` with the 2/3 rule: both factors and the
 product are truncated to wavenumber indices ``k < nx / 3``.
 """
@@ -67,16 +69,26 @@ class OperatorSet:
 
     # -- linear operators ---------------------------------------------------
 
-    def _spectral(self, values: np.ndarray, modal_op) -> np.ndarray:
-        """Values of ``modal_op`` applied to the ``x1`` coefficients of ``values``."""
-        return np.fft.irfft(modal_op(np.fft.rfft(values, axis=0)), n=self.grid.nx, axis=0)
+    def helmholtz(self, alpha: float) -> np.ndarray:
+        """Per-mode symbol ``1 + (alpha kappa_k)^2`` of ``I - alpha^2 d1^2``;
+        the stepper divides its explicit terms by it."""
+        return 1.0 + (alpha * self.grid.wavenumbers) ** 2
 
-    def d1(self, f: Field) -> Field:
-        return Field(self.grid, self._spectral(f.values, lambda c: self._ik[:, None] * c),
+    def _scale_modes(self, f: Field, scale: np.ndarray) -> Field:
+        _check_same_grid(f, self)
+        coeffs = np.fft.rfft(f.values, axis=0)
+        coeffs *= scale[:, None]
+        return Field(self.grid, np.fft.irfft(coeffs, n=self.grid.nx, axis=0),
                      clamped=f.clamped)
 
-    def d2(self, f: Field) -> Field:
-        return Field(self.grid, d2_values(f.values, self.grid.dy))
+    def apply_Ah(self, f: Field, alpha: float) -> Field:
+        """``(I - alpha^2 d1^2) f``: each mode times :meth:`helmholtz`."""
+        return self._scale_modes(f, self.helmholtz(alpha))
+
+    def invert_Ah(self, f: Field, alpha: float) -> Field:
+        """The horizontal filter: each mode divided by :meth:`helmholtz`, which
+        is never below one, so smoothing in ``x1`` with no boundary condition."""
+        return self._scale_modes(f, 1.0 / self.helmholtz(alpha))
 
     def ladder(self, values: np.ndarray) -> np.ndarray:
         """The derivative set of the anisotropic norms, stacked ``(7, nx, ny)``.
@@ -95,10 +107,16 @@ class OperatorSet:
         np.multiply(ik, c, out=modal[0])
         np.multiply(ik ** 2, c, out=modal[1])
         modal[2] = self.laplacian_modal(c)
+        del c
         np.multiply(ik, modal[2], out=modal[3])
+        # each stage is freed once used, so the result is allocated next to
+        # the inverse transform's output alone
+        spectral = np.fft.irfft(modal, n=nx, axis=1)
+        del modal
         out = np.empty((7, nx, self.grid.ny))
         out[0] = values
-        out[[1, 3, 5, 6]] = np.fft.irfft(modal, n=nx, axis=1)
+        out[[1, 3, 5, 6]] = spectral
+        del spectral
         out[2] = d2_values(values, dy)
         out[4] = d2_values(out[1], dy)
         return out
@@ -125,14 +143,6 @@ class OperatorSet:
     def laplacian_modal(self, coeffs: np.ndarray) -> np.ndarray:
         return d2sq_values(coeffs, self.grid.dy) - self._k2[:, None] * coeffs
 
-    def laplacian(self, f: Field) -> Field:
-        return Field(self.grid, self._spectral(f.values, self.laplacian_modal))
-
-    def biharmonic(self, f: Field) -> Field:
-        """Laplacian applied twice; interior rows match the solver's matrix."""
-        return Field(self.grid, self._spectral(
-            f.values, lambda c: self.laplacian_modal(self.laplacian_modal(c))))
-
     # -- dealiased products ---------------------------------------------------
 
     def dealias_modal(self, coeffs: np.ndarray) -> np.ndarray:
@@ -140,20 +150,18 @@ class OperatorSet:
         out[~self._dealias_mask, :] = 0.0
         return out
 
-    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Dealiased pointwise product of two value arrays."""
-        at = self._spectral(a, self.dealias_modal)
-        bt = self._spectral(b, self.dealias_modal)
-        return self._spectral(at * bt, self.dealias_modal)
-
     # -- bilinear form --------------------------------------------------------
 
     def bilinear_B(self, u: Field, v: Field) -> Field:
-        """Pointwise form ``d2(v) d1(lap u) - d1(v) d2(lap u)``."""
-        lap_u = self.laplacian(u)
-        t1 = self.product(self.d2(v).values, self.d1(lap_u).values)
-        t2 = self.product(self.d1(v).values, self.d2(lap_u).values)
-        return Field(self.grid, t1 - t2)
+        """Pointwise form ``d2(v) d1(lap u) - d1(v) d2(lap u)``, from the
+        :meth:`ladder` of the 2/3-truncated factors, the product truncated."""
+        nx = self.grid.nx
+
+        def trunc(values):
+            return np.fft.irfft(self.dealias_modal(np.fft.rfft(values, axis=0)), n=nx, axis=0)
+
+        lu, lv = self.ladder(trunc(u.values)), self.ladder(trunc(v.values))
+        return Field(self.grid, trunc(lv[2] * lu[6] - lv[1] * d2_values(lu[5], self.grid.dy)))
 
     def advection_modal(self, u_hat: np.ndarray, v_hat: np.ndarray,
                         lap_u_hat: np.ndarray | None = None,

@@ -167,12 +167,6 @@ def parse_config_text(text: str, allow_gamma_override: bool = False) -> RunSetti
 
     forcing = take("forcing")
     ic = take("ic")
-    weight = WeightSpec(
-        epsilon=pairs.pop("epsilon", 0.1),
-        rho=pairs.pop("rho", 10.0),
-        gamma=pairs.pop("gamma", 2.0 / 3.0),
-        allow_gamma_override=allow_gamma_override,
-    )
     output_dir = pairs.pop("output.dir", "out")
     seed = pairs.pop("seed", 0)
     solver_kw = {}
@@ -181,7 +175,14 @@ def parse_config_text(text: str, allow_gamma_override: bool = False) -> RunSetti
             solver_kw[name] = pairs.pop(name)
     if "output.every" in pairs:
         solver_kw["record_every"] = pairs.pop("output.every")
-    solver = SolverConfig(forcing=forcing, ic=ic, weight=weight, **solver_kw)
+    try:
+        weight = WeightSpec(epsilon=pairs.pop("epsilon", 0.1), rho=pairs.pop("rho", 10.0),
+                            gamma=pairs.pop("gamma", 2.0 / 3.0),
+                            allow_gamma_override=allow_gamma_override)
+        solver = SolverConfig(forcing=forcing, ic=ic, weight=weight, **solver_kw)
+    except ValueError as exc:  # name the config key and the --override-gamma flag
+        raise ValueError(str(exc).replace("record_every", "output.every").replace(
+            "set allow_gamma_override=True", "pass --override-gamma")) from None
     if pairs:
         raise ValueError(f"unconsumed keys {sorted(pairs)}")
     return RunSettings(solver=solver, output_dir=str(output_dir), seed=int(seed))

@@ -6,9 +6,9 @@ The evolution solved here, written for the stream function ``v``, is
 
 with clamped walls (``v = d2 v = 0``) and ``x1``-periodicity; ``alpha = 0``
 recovers the unfiltered stream-function vorticity equation.  Per Fourier
-mode ``k`` the Helmholtz factor is the scalar ``1 + alpha^2 kappa_k^2``, so
-dividing the explicit terms by it turns each mode into an independent 1D
-fourth-order boundary value problem in ``x2``:
+mode ``k`` the Helmholtz factor is the scalar ``1 + alpha^2 kappa_k^2``
+(``OperatorSet.helmholtz``), so dividing the explicit terms by it turns each
+mode into an independent 1D fourth-order boundary value problem in ``x2``:
 
     (D2 - k^2) (v^{n+1} - v^n) / dt = nu (D2 - k^2)^2 v^{n+1}
         + (g_hat - B_hat(v^n)) / (1 + alpha^2 kappa_k^2)
@@ -50,7 +50,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import diagnostics as diag
-from .horizontal_filter import FilterSpec, helmholtz_multiplier
 from .operators import OperatorSet, d2_matrix, d2_wall_rows
 from .strip_grid import Field, Grid, StripDomain, l2_norm, make_grid
 from .weights import WeightSpec, make_weight_field
@@ -171,7 +170,7 @@ class SolverConfig:
         if not (np.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be >= 0, got {self.t_end}")
         if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
         if not math.isfinite(self.t_end / self.dt):
             raise ValueError(f"t_end / dt = {self.t_end:g} / {self.dt:g} overflows "
                              "the step count")
@@ -271,8 +270,7 @@ class ImexStepper:
         self.config = config
         self.grid = config.grid()
         self.ops = OperatorSet(self.grid)
-        self.filter_spec = FilterSpec(config.alpha)
-        self.mult = helmholtz_multiplier(self.grid, self.filter_spec)
+        self.mult = self.ops.helmholtz(config.alpha)
         ny = self.grid.ny
         self.bc_rows = [0, 1, ny - 2, ny - 1]
         self.theta = 1.0 if config.scheme == "imex_euler" else 0.5

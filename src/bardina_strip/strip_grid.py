@@ -136,22 +136,15 @@ def _check_same_grid(f, h):
         raise ValueError("fields live on different grids")
 
 
-def inner_product(f: Field, h: Field, w: Field | None = None) -> float:
-    """L2 pairing: rectangle rule in ``x1``, trapezoid in ``x2``.
-
-    ``w``, if given, is a positive weight field on the same grid (the square
-    of the Sobolev weight), multiplied pointwise into the integrand.
-    """
+def inner_product(f: Field, h: Field) -> float:
+    """L2 pairing: rectangle rule in ``x1``, trapezoid in ``x2``; weighted
+    integrals go through :func:`quadrature`."""
     _check_same_grid(f, h)
-    integrand = f.values * h.values
-    if w is not None:
-        _check_same_grid(f, w)
-        integrand = integrand * w.values
-    return float(f.grid.dx * (integrand @ f.grid.quad_weights).sum())
+    return float(f.grid.dx * ((f.values * h.values) @ f.grid.quad_weights).sum())
 
 
-def l2_norm(f: Field, w: Field | None = None) -> float:
-    return float(np.sqrt(max(inner_product(f, f, w), 0.0)))
+def l2_norm(f: Field) -> float:
+    return float(np.sqrt(max(inner_product(f, f), 0.0)))
 
 
 def quadrature(integrand: np.ndarray, weights: np.ndarray) -> np.ndarray:

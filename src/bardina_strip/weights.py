@@ -238,7 +238,7 @@ class CertificationReport:
 
 
 def _certify(spec: WeightSpec, betas, x1_extent: float, x2_halfwidth: float,
-             n1: int, n2: int, exclude_junctions: bool) -> CertificationReport:
+             n1: int, n2: int) -> CertificationReport:
     betas = _validate_betas(betas)
     h1 = x1_extent / (n1 - 1)
     h2 = 2.0 * x2_halfwidth / (n2 - 1)
@@ -253,7 +253,7 @@ def _certify(spec: WeightSpec, betas, x1_extent: float, x2_halfwidth: float,
     psi = np.broadcast_to(psi, (n1, n2))
 
     keep = np.ones((n1, n2), dtype=bool)
-    if exclude_junctions and not spec.is_limit:
+    if not spec.is_limit:  # skip stencils straddling the profile junctions
         s = _radical_sq(x1_t, x2_t, spec.epsilon)
         r = np.sqrt(s)
         dr1 = 1.5 * spec.epsilon * (spec.epsilon * np.abs(x1_t)) ** 2 / r
@@ -307,8 +307,7 @@ def certify_lemma_wfuncs(spec: WeightSpec, betas=None,
     extent = _auto_extent(spec)
     if n1 is None:
         n1 = _auto_n1(spec, extent)
-    return _certify(spec, betas, extent, x2_halfwidth, n1, n2,
-                    exclude_junctions=True)
+    return _certify(spec, betas, extent, x2_halfwidth, n1, n2)
 
 
 def certify_phi_control(spec: WeightSpec, betas=None,
@@ -327,5 +326,4 @@ def certify_phi_control(spec: WeightSpec, betas=None,
         betas = lemma_beta_set()
     limit = WeightSpec(epsilon=spec.epsilon, rho=math.inf, gamma=spec.gamma,
                        allow_gamma_override=spec.allow_gamma_override)
-    return _certify(limit, betas, x1_extent, x2_halfwidth, n1, n2,
-                    exclude_junctions=False)
+    return _certify(limit, betas, x1_extent, x2_halfwidth, n1, n2)

@@ -71,6 +71,18 @@ class TestRun:
         assert main(["run", cfg]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_zero_output_cadence_names_the_key(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "output.every = 0\n")
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "output.every must be >= 1" in err and "record_every" not in err
+
+    def test_gamma_above_threshold_names_the_flag(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "gamma = 0.9\n")
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "--override-gamma" in err and "allow_gamma_override" not in err
+
     def test_bad_value_is_config_error(self, tmp_path, capsys):
         cfg = _write(tmp_path, "nx = abc\n")
         assert main(["run", cfg]) == 2

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bardina_strip.horizontal_filter import (FilterSpec, apply_Ah,
-                                             helmholtz_multiplier, invert_Ah)
+from bardina_strip.operators import OperatorSet, d2_values
+from bardina_strip.solver import SolverConfig
 from bardina_strip.strip_grid import (Field, StripDomain, inner_product,
                                       l2_norm, make_grid)
 
 _GRID = make_grid(StripDomain(2.0 * np.pi, 1.0), 16, 17)
+_OPS = OperatorSet(_GRID)
+apply_Ah, invert_Ah = _OPS.apply_Ah, _OPS.invert_Ah
 
 
 def _random_field(seed):
@@ -20,10 +22,10 @@ class TestSpec:
 
     def test_rejects_negative_alpha(self):
         with pytest.raises(ValueError):
-            FilterSpec(alpha=-0.1)
+            SolverConfig(alpha=-0.1)
 
     def test_multiplier_never_below_one(self):
-        mult = helmholtz_multiplier(_GRID, FilterSpec(alpha=0.7))
+        mult = _OPS.helmholtz(0.7)
         assert np.all(mult >= 1.0)
         assert mult[0] == 1.0
 
@@ -33,25 +35,25 @@ class TestEigenfunctions:
     def test_unit_wavenumber_doubles(self):
         x1, x2 = _GRID.mesh()
         f = Field(_GRID, np.cos(x1) * (1 + 0.5 * x2))
-        out = apply_Ah(f, FilterSpec(alpha=1.0))
+        out = apply_Ah(f, 1.0)
         assert np.abs(out.values - 2.0 * f.values).max() <= 1e-12
 
     def test_unit_wavenumber_halves_under_inverse(self):
         x1, x2 = _GRID.mesh()
         f = Field(_GRID, np.cos(x1) * np.ones_like(x2))
-        out = invert_Ah(f, FilterSpec(alpha=1.0))
+        out = invert_Ah(f, 1.0)
         assert np.abs(out.values - 0.5 * f.values).max() <= 1e-12
 
     def test_alpha_zero_is_identity(self):
         f = _random_field(0)
-        spec = FilterSpec(alpha=0.0)
-        assert np.abs(apply_Ah(f, spec).values - f.values).max() <= 1e-13
-        assert np.abs(invert_Ah(f, spec).values - f.values).max() <= 1e-13
+        alpha = 0.0
+        assert np.abs(apply_Ah(f, alpha).values - f.values).max() <= 1e-13
+        assert np.abs(invert_Ah(f, alpha).values - f.values).max() <= 1e-13
 
     def test_mean_mode_untouched(self):
         _x1, x2 = _GRID.mesh()
         f = Field(_GRID, (x2 ** 3 - x2) * np.ones(_GRID.nx)[:, None])
-        out = invert_Ah(f, FilterSpec(alpha=2.5))
+        out = invert_Ah(f, 2.5)
         assert np.abs(out.values - f.values).max() <= 1e-13
 
 
@@ -61,8 +63,7 @@ class TestRoundTripAndAdjointness:
     @given(seed=st.integers(0, 2 ** 31 - 1), alpha=st.floats(0.0, 5.0))
     def test_round_trip(self, seed, alpha):
         f = _random_field(seed)
-        spec = FilterSpec(alpha=alpha)
-        back = invert_Ah(apply_Ah(f, spec), spec)
+        back = invert_Ah(apply_Ah(f, alpha), alpha)
         assert np.abs(back.values - f.values).max() <= 1e-12 * max(
             1.0, np.abs(f.values).max())
 
@@ -72,36 +73,34 @@ class TestRoundTripAndAdjointness:
         gen = np.random.default_rng(seed)
         f = Field(_GRID, gen.standard_normal(_GRID.shape))
         h = Field(_GRID, gen.standard_normal(_GRID.shape))
-        spec = FilterSpec(alpha=0.8)
-        lhs = inner_product(invert_Ah(f, spec), h)
-        rhs = inner_product(f, invert_Ah(h, spec))
+        alpha = 0.8
+        lhs = inner_product(invert_Ah(f, alpha), h)
+        rhs = inner_product(f, invert_Ah(h, alpha))
         assert abs(lhs - rhs) <= 1e-12 * (l2_norm(f) * l2_norm(h) + 1e-30)
 
     def test_smoothing_never_amplifies(self):
-        spec = FilterSpec(alpha=1.3)
+        alpha = 1.3
         for seed in range(100):
             f = _random_field(seed)
-            assert l2_norm(invert_Ah(f, spec)) <= l2_norm(f) * (1 + 1e-13)
+            assert l2_norm(invert_Ah(f, alpha)) <= l2_norm(f) * (1 + 1e-13)
 
     def test_modal_magnitudes_monotone(self):
         f = _random_field(7)
-        spec = FilterSpec(alpha=0.6)
+        alpha = 0.6
         before = np.abs(np.fft.rfft(f.values, axis=0))
-        after = np.abs(np.fft.rfft(invert_Ah(f, spec).values, axis=0))
+        after = np.abs(np.fft.rfft(invert_Ah(f, alpha).values, axis=0))
         assert np.all(after <= before * (1 + 1e-12))
 
 
 class TestCommutation:
 
     def test_commutes_with_d1_and_d2(self):
-        from bardina_strip.operators import OperatorSet
-        ops = OperatorSet(_GRID)
         f = _random_field(3)
-        spec = FilterSpec(alpha=0.9)
+        alpha = 0.9
         scale = np.abs(f.values).max()
-        a = ops.d1(invert_Ah(f, spec)).values
-        b = invert_Ah(ops.d1(f), spec).values
+        a = _OPS.ladder(invert_Ah(f, alpha).values)[1]
+        b = invert_Ah(Field(_GRID, _OPS.ladder(f.values)[1]), alpha).values
         assert np.abs(a - b).max() <= 1e-12 * scale
-        a = ops.d2(invert_Ah(f, spec)).values
-        b = invert_Ah(ops.d2(f), spec).values
+        a = d2_values(invert_Ah(f, alpha).values, _GRID.dy)
+        b = invert_Ah(Field(_GRID, d2_values(f.values, _GRID.dy)), alpha).values
         assert np.abs(a - b).max() <= 1e-11 * scale / _GRID.dy

@@ -33,6 +33,12 @@ def _grid(nx=32, ny=33):
     return make_grid(StripDomain(2.0 * np.pi, 1.0), nx, ny)
 
 
+def _biharmonic(ops, f):
+    """Laplacian applied twice; interior rows match the solver's matrix."""
+    lap = ops.laplacian_modal
+    return np.fft.irfft(lap(lap(np.fft.rfft(f.values, axis=0))), n=ops.grid.nx, axis=0)
+
+
 def _table_fields(grid):
     x1, x2 = grid.mesh()
     u = Field(grid, np.sin(x1) * np.sin(np.pi * x2 / 2))
@@ -49,12 +55,12 @@ class TestD1:
         x1, x2 = grid.mesh()
         f = Field(grid, np.sin(kap * x1) * np.ones_like(x2))
         expected = kap * np.cos(kap * x1) * np.ones_like(x2)
-        assert np.abs(ops.d1(f).values - expected).max() <= 1e-12 * kap
+        assert np.abs(ops.ladder(f.values)[1] - expected).max() <= 1e-12 * kap
 
     def test_constant_maps_to_zero(self):
         grid = _grid()
         f = Field(grid, np.full(grid.shape, 3.7))
-        assert np.abs(OperatorSet(grid).d1(f).values).max() <= 1e-13
+        assert np.abs(OperatorSet(grid).ladder(f.values)[1]).max() <= 1e-13
 
     def test_matches_dense_dft_derivative(self, rng):
         grid = _grid(16, 17)
@@ -67,14 +73,14 @@ class TestD1:
         full = np.fft.fft(vals, axis=0)
         k = np.fft.fftfreq(grid.nx, d=1.0 / grid.nx) * 2 * np.pi / grid.domain.lx
         dense = np.real(np.fft.ifft(1j * k[:, None] * full, axis=0))
-        got = ops.d1(Field(grid, vals)).values
+        got = ops.ladder(vals)[1]
         assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
 
     def test_commutes_with_transforms(self, rng):
         grid = _grid(16, 17)
         ops = OperatorSet(grid)
         f = Field(grid, rng.standard_normal(grid.shape))
-        via_field = np.fft.rfft(ops.d1(f).values, axis=0)
+        via_field = np.fft.rfft(ops.ladder(f.values)[1], axis=0)
         factor = 1j * grid.wavenumbers.copy()
         factor[-1] = 0.0
         via_modal = factor[:, None] * np.fft.rfft(f.values, axis=0)
@@ -87,13 +93,13 @@ class TestD2:
         grid = _grid()
         x1, x2 = grid.mesh()
         f = Field(grid, x2 ** 2 * np.ones_like(x1))
-        got = OperatorSet(grid).d2(f).values
+        got = d2_values(f.values, grid.dy)
         assert np.abs(got - 2 * x2).max() <= 1e-12
 
     def test_constant_maps_to_zero(self):
         grid = _grid()
         f = Field(grid, np.full(grid.shape, -1.5))
-        assert np.abs(OperatorSet(grid).d2(f).values).max() <= 1e-12
+        assert np.abs(d2_values(f.values, grid.dy)).max() <= 1e-12
 
     def test_second_order_convergence(self):
         errs, hs = [], []
@@ -103,7 +109,7 @@ class TestD2:
             m = grid.domain.m
             f = Field(grid, np.sin(np.pi * x2 / (2 * m)) * np.ones_like(x1))
             exact = (np.pi / (2 * m)) * np.cos(np.pi * x2 / (2 * m)) * np.ones_like(x1)
-            errs.append(np.abs(OperatorSet(grid).d2(f).values - exact).max())
+            errs.append(np.abs(d2_values(f.values, grid.dy) - exact).max())
             hs.append(grid.dy)
         assert fit_order(hs, errs) == pytest.approx(2.0, abs=0.1)
 
@@ -123,8 +129,8 @@ class TestLaplacianBiharmonic:
         grid = _grid()
         ops = OperatorSet(grid)
         z = Field(grid, np.zeros(grid.shape))
-        assert np.all(ops.laplacian(z).values == 0.0)
-        assert np.all(ops.biharmonic(z).values == 0.0)
+        assert np.all(ops.ladder(z.values)[5] == 0.0)
+        assert np.all(_biharmonic(ops, z) == 0.0)
 
     def test_laplacian_eigenvalue(self):
         errs, hs = [], []
@@ -132,7 +138,7 @@ class TestLaplacianBiharmonic:
             grid = _grid(8, ny)
             ops = OperatorSet(grid)
             f, lam = self._eigenfield(grid)
-            err_field = np.abs(ops.laplacian(f).values + lam * f.values) / lam
+            err_field = np.abs(ops.ladder(f.values)[5] + lam * f.values) / lam
             assert err_field.max() < 0.02
             # wall closures are one-sided with their own constant; the
             # convergence rate is read off the interior rows
@@ -146,7 +152,7 @@ class TestLaplacianBiharmonic:
             grid = _grid(8, ny)
             ops = OperatorSet(grid)
             f, lam = self._eigenfield(grid)
-            got = ops.biharmonic(f).values[:, 2:-2]
+            got = _biharmonic(ops, f)[:, 2:-2]
             err = np.abs(got - lam ** 2 * f.values[:, 2:-2]).max() / lam ** 2
             errs.append(err)
             hs.append(grid.dy)
@@ -163,17 +169,24 @@ class TestLaplacianBiharmonic:
 
 class TestLadder:
 
-    def test_channels_match_field_operators(self, rng):
-        grid = make_grid(StripDomain(5.0, 1.3), 32, 33)
+    def test_channels_match_closed_form(self):
+        # sin(k x1 + phi) q(x2) with q quadratic: the spectral x1 derivatives
+        # and the second-order x2 stencils (wall closures included) are exact
+        grid = make_grid(StripDomain(5.0, 1.3), 24, 21)
         ops = OperatorSet(grid)
-        f = Field(grid, rng.standard_normal(grid.shape))
-        d1f, d2f, lap = ops.d1(f), ops.d2(f), ops.laplacian(f)
-        expected = [f, d1f, d2f, ops.d1(d1f), ops.d1(d2f), lap, ops.d1(lap)]
-        got = ops.ladder(f.values)
+        x1, x2 = grid.mesh()
+        kap, phi = 3 * 2 * np.pi / grid.domain.lx, 0.4
+        s, c = np.sin(kap * x1 + phi), np.cos(kap * x1 + phi)
+        q, dq, ddq = 0.7 + 0.3 * x2 - 1.1 * x2 ** 2, 0.3 - 2.2 * x2, -2.2
+        lap = -kap ** 2 * s * q + s * ddq
+        expected = [s * q, kap * c * q, s * dq, -kap ** 2 * s * q, kap * c * dq,
+                    lap, kap * c * (ddq - kap ** 2 * q)]
+        got = ops.ladder(s * q)
         assert got.shape == (7,) + grid.shape
         for channel, want in zip(got, expected):
-            err = np.abs(channel - want.values).max()
-            assert err <= 1e-13 * np.abs(want.values).max()
+            want = np.broadcast_to(want, grid.shape)
+            err = np.abs(channel - want).max()
+            assert err <= 1e-13 * np.abs(want).max()
 
     def test_frozen_field_computes_its_ladder_once(self, rng, monkeypatch):
         grid = make_grid(StripDomain(5.0, 1.3), 24, 21)
@@ -333,24 +346,31 @@ class TestDealiasing:
         return np.fft.irfft(c, n=grid.nx, axis=0)
 
     def test_matches_padded_transform_oracle(self, rng):
+        # band-limited factors: the products formed on the 48-point grid are
+        # exact, so truncating them is what the 2/3 rule must give
         grid = _grid(24, 17)
         ops = OperatorSet(grid)
+        nx, dy = grid.nx, grid.dy
         kmax = 7  # inside the retained band (k < 8)
-        a = self._band_limited(grid, kmax, rng)
-        b = self._band_limited(grid, kmax, rng)
-        got = ops.product(a, b)
+        u_hat, v_hat = (np.fft.rfft(self._band_limited(grid, kmax, rng), axis=0)
+                        for _ in range(2))
+        got = ops.advection_modal(u_hat, v_hat)[0]
 
-        def pad(arr, nx2):
-            c = np.fft.rfft(arr, axis=0) * (nx2 / arr.shape[0])
-            cp = np.zeros((nx2 // 2 + 1, arr.shape[1]), complex)
-            cp[:c.shape[0]] = c
+        def pad(c, nx2=48):
+            cp = np.zeros((nx2 // 2 + 1, c.shape[1]), complex)
+            cp[:c.shape[0]] = c * (nx2 / nx)
             return np.fft.irfft(cp, n=nx2, axis=0)
 
-        exact = pad(a, 48) * pad(b, 48)
-        cp = np.fft.rfft(exact, axis=0) / 2.0
-        cback = cp[:grid.n_modes].copy()
-        cback[~(np.arange(grid.n_modes) < grid.nx / 3.0)] = 0.0
-        oracle = np.fft.irfft(cback, n=grid.nx, axis=0)
+        def back(values):
+            c = np.fft.rfft(values, axis=0)[:grid.n_modes] / 2.0
+            c[~(np.arange(grid.n_modes) < nx / 3.0)] = 0.0
+            return c
+
+        ik = 1j * grid.wavenumbers[:, None]
+        lap = pad(ops.laplacian_modal(u_hat))
+        d2v_lap = back(d2_values(pad(v_hat), dy) * lap)
+        d1v_lap = back(pad(ik * v_hat) * lap)
+        oracle = ik * d2v_lap - d2_values(d1v_lap, dy)
         assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_truncation_is_projection(self, rng):
