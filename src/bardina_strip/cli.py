@@ -70,7 +70,7 @@ def _cmd_compare_nse(args) -> int:
     alphas = [float(x) for x in args.alphas.split(",") if x.strip()]
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha list must be strictly descending")
-    diffs, slope = compare_nse(settings, alphas)
+    diffs, slope = compare_nse(settings.solver, alphas)
     print("alpha    |v_alpha(T) - v_0(T)|")
     for a, d in zip(alphas, diffs):
         print(f"{a:<8g} {d:.9e}")

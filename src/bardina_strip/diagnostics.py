@@ -53,10 +53,15 @@ __all__ = [
     "random_clamped_field",
 ]
 
-CSV_COLUMNS = (
-    "t", "E", "D", "E_w", "D_w", "norm_l2", "norm_h1h", "norm_h2h_gamma",
-    "norm_h3h_gamma", "budget_residual", "weighted_budget_residual", "cfl",
+# the time-series schema: (CSV column, DiagnosticsRecord attribute) in file order
+_CSV_SCHEMA = (
+    ("t", "t"), ("E", "energy"), ("D", "dissipation"), ("E_w", "energy_w"),
+    ("D_w", "dissipation_w"), ("norm_l2", "norm_l2"), ("norm_h1h", "norm_h1h"),
+    ("norm_h2h_gamma", "norm_h2h_gamma"), ("norm_h3h_gamma", "norm_h3h_gamma"),
+    ("budget_residual", "budget_residual"),
+    ("weighted_budget_residual", "weighted_budget_residual"), ("cfl", "cfl"),
 )
+CSV_COLUMNS = tuple(column for column, _ in _CSV_SCHEMA)
 
 
 @dataclass
@@ -76,20 +81,13 @@ class DiagnosticsRecord:
     forcing_power: float = 0.0
 
     def csv_values(self) -> tuple[float, ...]:
-        return (self.t, self.energy, self.dissipation, self.energy_w,
-                self.dissipation_w, self.norm_l2, self.norm_h1h,
-                self.norm_h2h_gamma, self.norm_h3h_gamma,
-                self.budget_residual, self.weighted_budget_residual, self.cfl)
+        return tuple(getattr(self, attr) for _, attr in _CSV_SCHEMA)
 
 
 @dataclass
 class DiagnosticsSeries:
     records: list[DiagnosticsRecord] = dc_field(default_factory=list)
     meta: dict = dc_field(default_factory=dict)
-
-    @classmethod
-    def for_run(cls, **meta) -> "DiagnosticsSeries":
-        return cls(records=[], meta=meta)
 
     def append(self, rec: DiagnosticsRecord):
         self.records.append(rec)
@@ -419,7 +417,7 @@ class RefinementStudy:
         return all(b < a for a, b in zip(self.deltas, self.deltas[1:]))
 
 
-def galerkin_refinement_study(make_config, resolutions, record_every: int,
+def galerkin_refinement_study(make_config, resolutions,
                               tau: float = 0.0) -> RefinementStudy:
     """Run nested resolutions and measure consecutive trajectory distances.
 
@@ -457,19 +455,19 @@ def galerkin_refinement_study(make_config, resolutions, record_every: int,
 # Poincare audit
 # ---------------------------------------------------------------------------
 
-def random_clamped_field(grid: Grid, rng: np.random.Generator,
-                         max_k: int = 3, amplitude: float = 1.0) -> Field:
-    """Random trig combination under a wall-flattening envelope."""
+def random_clamped_field(grid: Grid, rng: np.random.Generator) -> Field:
+    """Random trig combination, ``x1`` modes 0 to 3 times ``1, z, z^2``, under
+    a wall-flattening envelope."""
     x1, x2 = grid.mesh()
     z = x2 / grid.domain.m
     envelope = (1.0 - z ** 2) ** 2
     vals = np.zeros(grid.shape)
-    for k in range(max_k + 1):
+    for k in range(4):
         phase = 2.0 * np.pi * k * x1 / grid.domain.lx
         for j in range(3):
             a, b = rng.standard_normal(2)
             vals += (a * np.sin(phase) + b * np.cos(phase)) * z ** j * envelope
-    return Field(grid, amplitude * vals, clamped=True)
+    return Field(grid, vals, clamped=True)
 
 
 @dataclass

@@ -323,12 +323,12 @@ class ImexStepper:
 
     # -- per-step pieces --------------------------------------------------------
 
-    def _explicit_and_cfl(self, state: SolverState, lap_hat: np.ndarray | None = None,
-                          ) -> tuple[np.ndarray, float]:
+    def _explicit_and_cfl(self, state: SolverState,
+                          lap_hat: np.ndarray) -> tuple[np.ndarray, float]:
         """``(g_hat - B_hat) / (1 + alpha^2 kappa^2)`` plus the CFL number.
 
         ``B_hat`` is :meth:`OperatorSet.advection_modal` of the modal state,
-        given its Laplacian ``lap_hat`` if the step has it; the truncated
+        given its modal Laplacian ``lap_hat``; the truncated
         velocity it returns feeds the CFL estimate, since the truncated field
         is the one actually advecting.
         """
@@ -400,10 +400,10 @@ def run(config: SolverConfig, on_record=None):
     # the closed bound |g|^2 / (nu lambda1^2) needs g constant in time
     g_norm = (l2_norm(Field(grid, stepper.forcing.at(0.0)))
               if stepper.forcing.time_independent else math.nan)
-    series = diag.DiagnosticsSeries.for_run(
+    series = diag.DiagnosticsSeries(meta=dict(
         nu=config.nu, alpha=config.alpha, dt=config.dt,
         record_every=config.record_every,
-        g_norm=g_norm, lambda1=collector.lambda1)
+        g_norm=g_norm, lambda1=collector.lambda1))
 
     def record(state: SolverState):
         rec = collector.record(state.t, state.v, cfl=state.cfl)

@@ -4,6 +4,11 @@ Each suite runs named checks (measured value against a bound) and returns a
 report; the command-line runner prints one line per check and exits nonzero
 if any fails.  The studies here own their field constructions and frozen
 parameters so the test suite and the CLI measure exactly the same things.
+Each suite reads only part of the config: ``operators`` and ``alpha_sweep``
+``nx`` and ``ny``; ``weights`` ``epsilon`` and ``gamma``; ``poincare`` the
+grid, ``rho``, ``gamma``, ``seed`` and ``epsilon`` (capped at 0.05); ``mms``
+only ``scheme``; ``budget`` and ``compactness`` the whole solver config,
+though ``compactness`` records every second step whatever its cadence.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .diagnostics import (StreamingTranslationModulus, energy_budget,
 from .operators import OperatorSet, trilinear_relative
 from .runio import RunSettings
 from .solver import (FieldSpec, ImexStepper, SolverConfig, SolverState,
-                     build_field, build_forcing, run)
+                     build_forcing, run)
 from .strip_grid import Field, Grid, StripDomain, l2_norm, make_grid, quadrature
 from .weights import (WeightSpec, certify_lemma_wfuncs, certify_phi_control,
                       lemma_beta_set, make_weight_field)
@@ -131,9 +136,8 @@ class OperatorIdentityStudy:
         return fit_order(h, self.r2_pointwise)
 
 
-def operator_identity_study(nx: int = 128, ny: int = 129,
-                            doublings: int = 2) -> OperatorIdentityStudy:
-    """Skew-symmetry defects under ``x2`` refinement.
+def operator_identity_study(nx: int = 128, ny: int = 129) -> OperatorIdentityStudy:
+    """Skew-symmetry defects under two ``x2`` doublings.
 
     The pointwise form carries the measurable second-order defect; the
     conservative form telescopes exactly (wall-vanishing tangential
@@ -141,7 +145,7 @@ def operator_identity_study(nx: int = 128, ny: int = 129,
     reported once at the base resolution and should sit at rounding level.
     """
     domain = StripDomain(2.0 * np.pi, 1.0)
-    ny_values = [(ny - 1) * 2 ** j + 1 for j in range(doublings + 1)]
+    ny_values = [(ny - 1) * 2 ** j + 1 for j in range(3)]
     r1s, r2s = [], []
     cons = (0.0, 0.0)
     for j, ny_j in enumerate(ny_values):
@@ -162,48 +166,56 @@ def operator_identity_study(nx: int = 128, ny: int = 129,
 # Manufactured-solution convergence studies
 # ---------------------------------------------------------------------------
 
-def _mms_config(scheme: str, nx: int, ny: int, dt: float, t_end: float,
-                nu: float, alpha: float, reference: str) -> SolverConfig:
-    return SolverConfig(
-        nx=nx, ny=ny, dt=dt, t_end=t_end, nu=nu, alpha=alpha, scheme=scheme,
-        forcing=FieldSpec(kind="mms", reference=reference),
-        ic=FieldSpec(kind="mms", reference=reference),
-        record_every=10 ** 9)
+def _final_state(stepper: ImexStepper, state: SolverState | None = None) -> SolverState:
+    """Step ``state`` (the config's initial state by default) to ``t_end``.
+
+    Nothing is recorded: the studies read only the final state, which is
+    bitwise the one :func:`run` returns at any record cadence.
+    """
+    if state is None:
+        state = stepper.initial_state()
+    for _ in range(stepper.config.n_steps):
+        state = stepper.step(state)
+    return state
 
 
-def mms_spatial_study(scheme: str = "imex_cnab2", ny_values=(33, 65, 129),
-                      nx: int = 32, dt: float = 2e-4, t_end: float = 0.25,
-                      nu: float = 0.05, alpha: float = 0.4,
-                      reference: str = "two_mode"):
-    """Final-time error against the closed-form solution under ``x2`` refinement."""
+def _mms_config(scheme: str, nx: int, ny: int, dt: float, t_end: float) -> SolverConfig:
+    """The manufactured problem both MMS studies solve: ``two_mode`` at
+    ``nu = 0.05``, ``alpha = 0.4``."""
+    spec = FieldSpec(kind="mms", reference="two_mode")
+    return SolverConfig(nx=nx, ny=ny, dt=dt, t_end=t_end, nu=0.05, alpha=0.4,
+                        scheme=scheme, forcing=spec, ic=spec)
+
+
+def mms_spatial_study():
+    """Final-time ``imex_cnab2`` error against the closed-form solution under
+    ``x2`` refinement, ``ny`` = 33, 65, 129 at ``nx = 32``."""
     from .mms import solution_field  # sympy is imported only when a study needs it
 
+    ny_values = (33, 65, 129)
     errors = []
     for ny in ny_values:
-        state, _ = run(_mms_config(scheme, nx, ny, dt, t_end, nu, alpha, reference))
-        exact = solution_field(reference, state.v.grid, state.t)
+        cfg = _mms_config("imex_cnab2", 32, ny, 2e-4, 0.25)
+        state = _final_state(ImexStepper(cfg))
+        exact = solution_field(cfg.ic.reference, state.v.grid, state.t)
         errors.append(l2_norm(Field(state.v.grid, state.v.values - exact.values)))
     h = [1.0 / (ny - 1) for ny in ny_values]
     return errors, fit_order(h, errors)
 
 
-def mms_temporal_study(scheme: str, dts=(8e-3, 4e-3, 2e-3), nx: int = 16,
-                       ny: int = 33, t_end: float = 0.48, nu: float = 0.05,
-                       alpha: float = 0.4, reference: str = "two_mode",
-                       dt_reference: float = 2.5e-4):
+def mms_temporal_study(scheme: str):
     """Error against a small-step reference on the same grid.
 
     Measuring against the same-grid reference isolates the time-integration
     error from the fixed spatial discretization floor, which would otherwise
     contaminate the fitted order.
     """
-    ref_cfg = _mms_config("imex_cnab2", nx, ny, dt_reference, t_end, nu, alpha,
-                          reference)
-    ref_state, _ = run(ref_cfg)
+    ref_cfg = _mms_config("imex_cnab2", 16, 33, 2.5e-4, 0.48)
+    ref_state = _final_state(ImexStepper(ref_cfg))
+    dts = (8e-3, 4e-3, 2e-3)
     errors = []
     for dt in dts:
-        cfg = _mms_config(scheme, nx, ny, dt, t_end, nu, alpha, reference)
-        state, _ = run(cfg)
+        state = _final_state(ImexStepper(_mms_config(scheme, 16, 33, dt, 0.48)))
         errors.append(l2_norm(Field(state.v.grid,
                                     state.v.values - ref_state.v.values)))
     return errors, fit_order(dts, errors)
@@ -214,35 +226,33 @@ def mms_temporal_study(scheme: str, dts=(8e-3, 4e-3, 2e-3), nx: int = 16,
 # ---------------------------------------------------------------------------
 
 def decay_config(nx: int = 128, ny: int = 129, dt: float = 1e-3,
-                 t_end: float = 5.0, nu: float = 0.01, alpha: float = 0.5,
-                 amplitude: float = 1.0, record_every: int = 1,
-                 weight: WeightSpec | None = None) -> SolverConfig:
-    """Unforced clamped-trig run used by the decay and compactness checks."""
+                 t_end: float = 5.0, record_every: int = 1) -> SolverConfig:
+    """Unforced clamped-trig run used by the decay and compactness checks,
+    at ``nu = 0.01``, ``alpha = 0.5`` with the default weight."""
     return SolverConfig(
-        nx=nx, ny=ny, dt=dt, t_end=t_end, nu=nu, alpha=alpha,
+        nx=nx, ny=ny, dt=dt, t_end=t_end, nu=0.01, alpha=0.5,
         scheme="imex_euler", record_every=record_every,
-        weight=weight or WeightSpec(epsilon=0.1, rho=10.0, gamma=2.0 / 3.0),
-        ic=FieldSpec(kind="trig_clamped", amplitude=amplitude, k1=1, k2=0))
+        ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0))
 
 
 def alpha_sweep_study(alphas=(0.4, 0.2, 0.1, 0.05), nx: int = 64, ny: int = 65,
-                      dt: float = 2e-3, t_end: float = 1.0, nu: float = 0.02):
-    """Distance at final time between filtered runs and the unfiltered one."""
+                      t_end: float = 1.0):
+    """Distance at final time between filtered runs and the unfiltered one,
+    at ``dt = 2e-3``, ``nu = 0.02``."""
     cfg = SolverConfig(
-        nx=nx, ny=ny, dt=dt, t_end=t_end, nu=nu,
+        nx=nx, ny=ny, dt=2e-3, t_end=t_end, nu=0.02,
         ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0),
         forcing=FieldSpec(kind="trig_clamped", amplitude=0.5, k1=2, k2=1))
-    diffs, slope = compare_nse(RunSettings(solver=cfg), alphas)
+    diffs, slope = compare_nse(cfg, alphas)
     return list(alphas), diffs, slope
 
 
-def compare_nse(settings: RunSettings, alphas):
+def compare_nse(cfg: SolverConfig, alphas):
     """Per-alpha distances from the ``alpha = 0`` run of the same config."""
-    cfg = settings.solver
-    state0, _ = run(replace(cfg, alpha=0.0))
+    state0 = _final_state(ImexStepper(replace(cfg, alpha=0.0)))
     diffs = []
     for a in alphas:
-        state, _ = run(replace(cfg, alpha=float(a)))
+        state = _final_state(ImexStepper(replace(cfg, alpha=float(a))))
         diffs.append(l2_norm(Field(state.v.grid,
                                    state.v.values - state0.v.values)))
     positive = [a for a in alphas if a > 0]
@@ -250,55 +260,45 @@ def compare_nse(settings: RunSettings, alphas):
     return diffs, slope
 
 
-def continuous_dependence_study(deltas=(1e-3, 1e-4), nx: int = 64, ny: int = 65,
-                                dt: float = 2e-3, t_end: float = 1.0,
-                                nu: float = 0.02, alpha: float = 0.3,
-                                seed: int = 11):
-    """Separation-to-perturbation ratios in the H1 norm at the final time."""
-    cfg = SolverConfig(nx=nx, ny=ny, dt=dt, t_end=t_end, nu=nu, alpha=alpha,
+def continuous_dependence_study():
+    """Separation-to-perturbation ratios in the H1 norm at the final time.
+
+    The base state and its perturbations of H1 size 1e-3 and 1e-4, along one
+    random clamped direction, advance with one stepper.
+    """
+    cfg = SolverConfig(nx=64, ny=65, dt=2e-3, t_end=1.0, nu=0.02, alpha=0.3,
                        ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0))
-    grid = cfg.grid()
-    ops = OperatorSet(grid)
+    stepper = ImexStepper(cfg)
+    grid, ops = stepper.grid, stepper.ops
     qw = grid.dx * grid.quad_weights
 
-    def h1_norm(f: Field) -> float:
-        sq = ops.ladder(f.values)[:3]
+    def h1_norm(values: np.ndarray) -> float:
+        sq = ops.ladder(values)[:3]
         return math.sqrt(quadrature(sq * sq, qw).sum())
 
-    base_state, _ = run(cfg)
-    rng = np.random.default_rng(seed)
-    pert = random_clamped_field(grid, rng)
-    direction = pert.values / h1_norm(pert)
-    base_ic = build_field(cfg.ic, grid)
+    start = stepper.initial_state()
+    base = _final_state(stepper, start)
+    pert = random_clamped_field(grid, np.random.default_rng(11))
+    direction = pert.values / h1_norm(pert.values)
 
+    deltas = [1e-3, 1e-4]
     ratios = []
     for delta in deltas:
-        stepper_cfg = replace(cfg, ic=FieldSpec(kind="zero"))
-        stepper = ImexStepper(stepper_cfg)
-        values = base_ic.values + delta * direction
-        v0 = Field(grid, values, clamped=True)
-        state = SolverState(t=0.0, step_index=0, v=v0,
+        values = start.v.values + delta * direction
+        state = SolverState(t=0.0, step_index=0, v=Field(grid, values, clamped=True),
                             v_hat=np.fft.rfft(values, axis=0))
-        for _ in range(cfg.n_steps):
-            state = stepper.step(state)
-        sep = h1_norm(Field(grid, state.v.values - base_state.v.values))
-        ratios.append(sep / delta)
-    return list(deltas), ratios
+        final = _final_state(stepper, state)
+        ratios.append(h1_norm(final.v.values - base.v.values) / delta)
+    return deltas, ratios
 
 
 def weight_rho_stability(epsilon: float = 0.1, gamma: float = 2.0 / 3.0,
-                         rhos=(1.0, 10.0, 100.0), betas=None,
-                         x2_halfwidth: float = 1.0):
+                         rhos=(1.0, 10.0, 100.0)):
     """Empirical lemma constants per multi-index across cutoff radii."""
-    betas = list(betas) if betas is not None else lemma_beta_set()
     override = gamma > 2.0 / 3.0 + 1e-12
-    reports = {}
-    for rho in rhos:
-        spec = WeightSpec(epsilon=epsilon, rho=float(rho), gamma=gamma,
-                          allow_gamma_override=override)
-        reports[float(rho)] = certify_lemma_wfuncs(spec, betas=betas,
-                                                   x2_halfwidth=x2_halfwidth)
-    return reports
+    specs = (WeightSpec(epsilon=epsilon, rho=float(rho), gamma=gamma,
+                        allow_gamma_override=override) for rho in rhos)
+    return {spec.rho: certify_lemma_wfuncs(spec) for spec in specs}
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +308,7 @@ def weight_rho_stability(epsilon: float = 0.1, gamma: float = 2.0 / 3.0,
 def _suite_operators(settings: RunSettings) -> SuiteReport:
     cfg = settings.solver
     rep = SuiteReport("operators")
-    study = operator_identity_study(nx=cfg.nx, ny=cfg.ny, doublings=2)
+    study = operator_identity_study(nx=cfg.nx, ny=cfg.ny)
     rep.add("pointwise r1 at base resolution", study.r1_pointwise[0], IDENTITY_DEFECT_BOUND)
     rep.add("pointwise r2 at base resolution", study.r2_pointwise[0], IDENTITY_DEFECT_BOUND)
     rep.add("fitted order of r1", study.order_r1, IDENTITY_ORDER_MIN, comparison=">=")
@@ -322,8 +322,8 @@ def _suite_weights(settings: RunSettings) -> SuiteReport:
     cfg = settings.solver
     spec = cfg.weight
     rep = SuiteReport("weights")
+    reports = weight_rho_stability(epsilon=spec.epsilon, gamma=spec.gamma)
     if spec.gamma <= 2.0 / 3.0 + 1e-12:
-        reports = weight_rho_stability(epsilon=spec.epsilon, gamma=spec.gamma)
         for beta in lemma_beta_set():
             ratio = reports[100.0].c_strong[beta] / reports[1.0].c_strong[beta]
             rep.add(f"strong-form rho ratio, beta={beta}", ratio, 2.0)
@@ -336,7 +336,6 @@ def _suite_weights(settings: RunSettings) -> SuiteReport:
         rep.add("limit-weight first-derivative constant",
                 limit.c_strong[(1, 0)], 3.0)
     else:
-        reports = weight_rho_stability(epsilon=spec.epsilon, gamma=spec.gamma)
         ratio = (reports[100.0].aggregate_strong / reports[1.0].aggregate_strong)
         rep.add("aggregate growth above the exponent threshold", ratio, 3.0,
                 comparison=">=", note="growth expected for gamma > 2/3")
@@ -347,8 +346,7 @@ def _suite_poincare(settings: RunSettings) -> SuiteReport:
     cfg = settings.solver
     rep = SuiteReport("poincare")
     grid = cfg.grid()
-    spec = WeightSpec(epsilon=min(cfg.weight.epsilon, 0.05), rho=cfg.weight.rho,
-                      gamma=cfg.weight.gamma)
+    spec = replace(cfg.weight, epsilon=min(cfg.weight.epsilon, 0.05))
     audit = poincare_check(100, spec, grid, seed=settings.seed)
     rep.add("lambda1 relative error vs analytic",
             audit.lambda1.relative_error, 0.01)
@@ -405,7 +403,7 @@ def _suite_compactness(settings: RunSettings) -> SuiteReport:
 def _suite_mms(settings: RunSettings) -> SuiteReport:
     cfg = settings.solver
     rep = SuiteReport("mms")
-    _errs, spatial = mms_spatial_study(scheme="imex_cnab2")
+    _errs, spatial = mms_spatial_study()
     rep.add("spatial order (imex_cnab2)", spatial, SECOND_ORDER_WINDOW[0], comparison=">=")
     rep.add("spatial order upper window", spatial, SECOND_ORDER_WINDOW[1])
     _errs, temporal = mms_temporal_study(cfg.scheme)

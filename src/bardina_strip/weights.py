@@ -166,6 +166,8 @@ _STENCILS = {
     3: (np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0, 3),
 }
 _PAD = 3  # widest stencil half-width
+_X2_HALFWIDTH = 1.0
+_N2 = 41
 
 
 def lemma_beta_set() -> list[tuple[int, int]]:
@@ -237,22 +239,21 @@ class CertificationReport:
         return max(self.c_strong.values())
 
 
-def _certify(spec: WeightSpec, betas, x1_extent: float, x2_halfwidth: float,
-             n1: int, n2: int) -> CertificationReport:
+def _certify(spec: WeightSpec, betas, x1_extent: float, n1: int) -> CertificationReport:
     betas = _validate_betas(betas)
     h1 = x1_extent / (n1 - 1)
-    h2 = 2.0 * x2_halfwidth / (n2 - 1)
+    h2 = 2.0 * _X2_HALFWIDTH / (_N2 - 1)
     x1 = -_PAD * h1 + h1 * np.arange(n1 + 2 * _PAD)
-    x2 = -x2_halfwidth - _PAD * h2 + h2 * np.arange(n2 + 2 * _PAD)
+    x2 = -_X2_HALFWIDTH - _PAD * h2 + h2 * np.arange(_N2 + 2 * _PAD)
     w = varphi(x1[:, None], x2[None, :], spec)
     w = np.broadcast_to(w, (x1.size, x2.size)).copy()
 
     x1_t = x1[_PAD:-_PAD][:, None]
     x2_t = x2[_PAD:-_PAD][None, :]
     psi = np.sqrt(varphi(x1_t, x2_t, spec))
-    psi = np.broadcast_to(psi, (n1, n2))
+    psi = np.broadcast_to(psi, (n1, _N2))
 
-    keep = np.ones((n1, n2), dtype=bool)
+    keep = np.ones((n1, _N2), dtype=bool)
     if not spec.is_limit:  # skip stencils straddling the profile junctions
         s = _radical_sq(x1_t, x2_t, spec.epsilon)
         r = np.sqrt(s)
@@ -289,9 +290,7 @@ def _auto_n1(spec: WeightSpec, x1_extent: float) -> int:
     return int(min(max(2049, math.ceil(30.0 * x1_extent / width)), 16385))
 
 
-def certify_lemma_wfuncs(spec: WeightSpec, betas=None,
-                         x2_halfwidth: float = 1.0,
-                         n1: int | None = None, n2: int = 41) -> CertificationReport:
+def certify_lemma_wfuncs(spec: WeightSpec, betas=None) -> CertificationReport:
     """Certify the derivative controls of the cutoff weight ``psi^2``.
 
     Samples ``|d^beta psi^2|`` on a lattice stretching well past the plateau
@@ -305,15 +304,11 @@ def certify_lemma_wfuncs(spec: WeightSpec, betas=None,
     if betas is None:
         betas = lemma_beta_set()
     extent = _auto_extent(spec)
-    if n1 is None:
-        n1 = _auto_n1(spec, extent)
-    return _certify(spec, betas, extent, x2_halfwidth, n1, n2)
+    return _certify(spec, betas, extent, _auto_n1(spec, extent))
 
 
-def certify_phi_control(spec: WeightSpec, betas=None,
-                        x1_extent: float = 100.0,
-                        x2_halfwidth: float = 1.0,
-                        n1: int = 4097, n2: int = 41) -> CertificationReport:
+def certify_phi_control(spec: WeightSpec, betas=None, x1_extent: float = 100.0,
+                        n1: int = 4097) -> CertificationReport:
     """Certify the derivative controls of the limit weight on ``[0, x1_extent]``.
 
     The extent is explicit so callers can probe boundedness under lattice
@@ -326,4 +321,4 @@ def certify_phi_control(spec: WeightSpec, betas=None,
         betas = lemma_beta_set()
     limit = WeightSpec(epsilon=spec.epsilon, rho=math.inf, gamma=spec.gamma,
                        allow_gamma_override=spec.allow_gamma_override)
-    return _certify(limit, betas, x1_extent, x2_halfwidth, n1, n2)
+    return _certify(limit, betas, x1_extent, n1)

@@ -166,6 +166,11 @@ class TestVerify:
         assert "ALL CHECKS PASSED" in out
         assert out.count("[PASS]") == 3
 
+    def test_poincare_suite_keeps_the_gamma_override(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "nx = 32\nny = 33\ngamma = 1.0\n")
+        assert main(["verify", cfg, "--suite", "poincare", "--override-gamma"]) == 0
+        assert "ALL CHECKS PASSED" in capsys.readouterr().out
+
     def test_gamma_override_required(self, tmp_path, capsys):
         cfg = _write(tmp_path, "gamma = 1.0\n")
         assert main(["verify", cfg, "--suite", "weights"]) == 2

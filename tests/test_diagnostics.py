@@ -266,8 +266,7 @@ class TestRefinementStudy:
         def make_config(nx, ny):
             return SolverConfig(nx=nx, ny=ny, dt=1e-2, t_end=0.1)
         with pytest.raises(ValueError, match="nested"):
-            galerkin_refinement_study(make_config, [(16, 17), (24, 25)],
-                                      record_every=5)
+            galerkin_refinement_study(make_config, [(16, 17), (24, 25)])
 
     def test_linear_problem_converges_at_second_order(self):
         def make_config(nx, ny):
@@ -276,7 +275,7 @@ class TestRefinementStudy:
                 record_every=20, nonlinear=False,
                 ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0))
         study = galerkin_refinement_study(
-            make_config, [(16, 17), (32, 33), (64, 65)], record_every=20)
+            make_config, [(16, 17), (32, 33), (64, 65)])
         assert study.monotone
         # values converge at second order but the x2-linear lift has a
         # first-order-accurate derivative, so the trajectory-space ratio
@@ -290,8 +289,7 @@ class TestRefinementStudy:
                 record_every=25,
                 ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0))
         study = galerkin_refinement_study(
-            make_config, [(16, 17), (32, 33), (64, 65)], record_every=25,
-            tau=0.05)
+            make_config, [(16, 17), (32, 33), (64, 65)], tau=0.05)
         assert study.monotone
 
 

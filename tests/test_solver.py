@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,7 +207,8 @@ class TestExplicitTerm:
         state = stepper.initial_state()
         for _ in range(3):
             state = stepper.step(state)
-        explicit, _cfl = stepper._explicit_and_cfl(state)
+        explicit, _cfl = stepper._explicit_and_cfl(
+            state, stepper.ops.laplacian_modal(state.v_hat))
         g_hat = np.fft.rfft(stepper.forcing.at(state.t), axis=0)
         b_hat = stepper.ops.advection_modal(state.v_hat, state.v_hat)[0]
         assert np.abs(b_hat).max() > 0.0
@@ -252,6 +254,24 @@ class TestLinearizedPropagator:
 
 
 class TestDeterminismAndBlowUp:
+
+    @pytest.mark.parametrize("scheme", ["imex_euler", "imex_cnab2"])
+    def test_final_state_does_not_depend_on_recording(self, scheme):
+        # the verification studies step a bare stepper to the final state
+        cfg = _decay_config(scheme=scheme,
+                            forcing=FieldSpec(kind="trig_clamped",
+                                              amplitude=0.5, k1=2, k2=1))
+        every, series = run(cfg)
+        ends, ends_series = run(replace(cfg, record_every=MAX_STEPS))
+        stepper = ImexStepper(cfg)
+        bare = stepper.initial_state()
+        for _ in range(cfg.n_steps):
+            bare = stepper.step(bare)
+        assert (len(series), len(ends_series)) == (cfg.n_steps + 1, 2)
+        for state in (ends, bare):
+            assert state.t == every.t
+            assert np.array_equal(state.v.values, every.v.values)
+            assert np.array_equal(state.v_hat, every.v_hat)
 
     def test_bitwise_reproducible(self):
         cfg = _decay_config()
@@ -482,8 +502,6 @@ class TestFileFields:
         assert reads == [str(path)]
 
     def test_dimension_mismatch_rejected(self, tmp_path):
-        from dataclasses import replace
-
         from bardina_strip.runio import write_snapshot
         small = _decay_config(nx=32, ny=17, t_end=0.01)
         grid = small.grid()

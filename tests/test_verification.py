@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from bardina_strip.runio import parse_config_text
+from bardina_strip.solver import ImexStepper
 from bardina_strip.verification import (CheckResult, SuiteReport, compare_nse,
-                                        fit_order, run_suite)
+                                        continuous_dependence_study, fit_order,
+                                        run_suite)
 
 
 class TestCheckPlumbing:
@@ -84,5 +86,22 @@ class TestSuites:
         settings = parse_config_text(
             "nx = 32\nny = 33\ndt = 2e-3\nt_end = 0.1\nnu = 0.02\n"
             "ic.kind = trig_clamped\nic.amplitude = 1.0\nic.k1 = 1\n")
-        diffs, _slope = compare_nse(settings, [0.0])
+        diffs, _slope = compare_nse(settings.solver, [0.0])
         assert diffs[0] == 0.0
+
+
+class TestStudies:
+
+    def test_continuous_dependence_shares_one_stepper(self, monkeypatch):
+        built = []
+        init = ImexStepper.__init__
+
+        def counting_init(self, config):
+            built.append(config)
+            init(self, config)
+
+        monkeypatch.setattr(ImexStepper, "__init__", counting_init)
+        deltas, ratios = continuous_dependence_study()
+        assert len(built) == 1
+        assert deltas == [1e-3, 1e-4]
+        assert all(r > 0 for r in ratios)
