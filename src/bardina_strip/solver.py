@@ -182,7 +182,11 @@ class SolverConfig:
         # alpha^2 and the Helmholtz multiplier 1 + (alpha kappa)^2 at the
         # Nyquist wavenumber pi nx / lx must both be finite
         domain = StripDomain(self.lx, self.m)  # rejects lx <= 0 before the division
-        scale = self.alpha * max(1.0, np.pi * self.nx / domain.lx)
+        try:
+            kappa_max = np.pi * self.nx / domain.lx
+        except OverflowError:  # an int beyond the float range
+            raise ValueError("nx is too large to convert to a float") from None
+        scale = self.alpha * max(1.0, kappa_max)
         if not math.isfinite(1.0 + scale * scale):
             raise ValueError(f"alpha = {self.alpha:g} overflows the Helmholtz "
                              "multiplier 1 + (alpha kappa_max)^2")
@@ -212,8 +216,12 @@ def clamped_profile(z: np.ndarray, k2: int = 0) -> np.ndarray:
     return (1.0 - z ** 2) ** 2 * np.cos(0.5 * np.pi * k2 * z)
 
 
-def build_field(spec: FieldSpec, grid: Grid) -> Field:
-    """Materialize a tagged family on the grid; ``mms`` gives ``v*`` at t = 0."""
+def build_field(spec: FieldSpec, grid: Grid, config: SolverConfig | None = None) -> Field:
+    """Materialize a tagged family on the grid; ``mms`` gives ``v*`` at t = 0.
+
+    A ``file`` snapshot that starts the run ``config`` warns when its
+    header's ``alpha`` or ``nu`` differs from the run's.
+    """
     if spec.kind == "zero":
         return Field(grid, np.zeros(grid.shape), clamped=True)
     if spec.kind == "trig_clamped":
@@ -231,6 +239,10 @@ def build_field(spec: FieldSpec, grid: Grid) -> Field:
     if (data.nx, data.ny) != grid.shape:
         raise ValueError(
             f"snapshot grid {(data.nx, data.ny)} does not match run grid {grid.shape}")
+    if config is not None and (data.alpha, data.nu) != (config.alpha, config.nu):
+        warnings.warn(f"snapshot {spec.path} was written with alpha = {data.alpha}, "
+                      f"nu = {data.nu}; this run has alpha = {config.alpha}, "
+                      f"nu = {config.nu}", UserWarning, stacklevel=2)
     return Field(grid, data.values, clamped=True)
 
 
@@ -317,7 +329,7 @@ class ImexStepper:
                 f"check nu, dt > 0 (nu={cfg.nu}, dt={cfg.dt})") from exc
 
     def initial_state(self) -> SolverState:
-        v0 = build_field(self.config.ic, self.grid).freeze()
+        v0 = build_field(self.config.ic, self.grid, self.config).freeze()
         v_hat = np.fft.rfft(v0.values, axis=0)
         return SolverState(t=0.0, step_index=0, v=v0, v_hat=v_hat)
 

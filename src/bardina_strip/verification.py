@@ -13,6 +13,7 @@ though ``compactness`` records every second step whatever its cadence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field, replace
 
@@ -187,10 +188,11 @@ def _mms_config(scheme: str, nx: int, ny: int, dt: float, t_end: float) -> Solve
                         scheme=scheme, forcing=spec, ic=spec)
 
 
+@functools.cache  # frozen, so one process computes it once
 def mms_spatial_study():
     """Final-time ``imex_cnab2`` error against the closed-form solution under
-    ``x2`` refinement, ``ny`` = 33, 65, 129 at ``nx = 32``."""
-    from .mms import solution_field  # sympy is imported only when a study needs it
+    ``x2`` refinement, ``ny`` = 33, 65, 129 at ``nx = 32``: ``(errors, order)``."""
+    from .mms import solution_field  # a run that needs no mms never loads it
 
     ny_values = (33, 65, 129)
     errors = []
@@ -200,11 +202,12 @@ def mms_spatial_study():
         exact = solution_field(cfg.ic.reference, state.v.grid, state.t)
         errors.append(l2_norm(Field(state.v.grid, state.v.values - exact.values)))
     h = [1.0 / (ny - 1) for ny in ny_values]
-    return errors, fit_order(h, errors)
+    return tuple(errors), fit_order(h, errors)
 
 
+@functools.cache  # frozen but for the scheme
 def mms_temporal_study(scheme: str):
-    """Error against a small-step reference on the same grid.
+    """Error against a small-step reference on the same grid: ``(errors, order)``.
 
     Measuring against the same-grid reference isolates the time-integration
     error from the fixed spatial discretization floor, which would otherwise
@@ -218,7 +221,7 @@ def mms_temporal_study(scheme: str):
         state = _final_state(ImexStepper(_mms_config(scheme, 16, 33, dt, 0.48)))
         errors.append(l2_norm(Field(state.v.grid,
                                     state.v.values - ref_state.v.values)))
-    return errors, fit_order(dts, errors)
+    return tuple(errors), fit_order(dts, errors)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import pytest
 
 import bardina_strip
 from bardina_strip.cli import main
-from bardina_strip.runio import read_snapshot, read_timeseries
+from bardina_strip.runio import read_snapshot, read_timeseries, write_snapshot
+from bardina_strip.solver import FieldSpec, SolverConfig, build_field
 
 DECAY_CONFIG = """
 nx = 32
@@ -50,6 +52,23 @@ class TestRun:
         snap = read_snapshot(out / "final.bstr")
         assert (snap.nx, snap.ny) == (32, 33)
         assert snap.time == pytest.approx(0.05)
+
+    def test_mismatched_snapshot_header_warns_on_stderr(self, tmp_path):
+        src = str(Path(bardina_strip.__file__).resolve().parents[1])
+        grid = SolverConfig(nx=32, ny=33).grid()
+        snap = tmp_path / "ic.bstr"
+        write_snapshot(snap, build_field(FieldSpec(kind="trig_clamped", amplitude=1.0), grid),
+                       0.0, 0.5, 0.01)
+        cfg = _write(tmp_path, (
+            "nx = 32\nny = 33\nalpha = 0.25\nnu = 0.01\ndt = 1e-3\nt_end = 0.002\n"
+            f"ic.kind = file\nic.path = {snap}\noutput.dir = {tmp_path / 'o'}\n"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-m", "bardina_strip", "run", cfg],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert "UserWarning" in result.stderr
+        assert "alpha = 0.5, nu = 0.01; this run has alpha = 0.25, nu = 0.01" in result.stderr
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "out"
@@ -242,12 +261,27 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert "compare-nse" in result.stdout
 
-    def test_import_leaves_sympy_out(self):
-        # sympy is needed only by the manufactured-solution studies
-        src = str(Path(bardina_strip.__file__).resolve().parents[1])
-        code = (f"import sys; sys.path.insert(0, {src!r}); import bardina_strip.cli; "
-                "print('sympy' in sys.modules)")
+    def test_import_leaves_sympy_out(self, tmp_path):
+        # sympy is a test dependency only: no module under src/ imports it,
+        # and a manufactured-solution run never loads it
+        src = Path(bardina_strip.__file__).resolve().parents[1]
+        for path in src.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert all(n.split(".")[0] != "sympy" for n in names), path
+        cfg = _write(tmp_path, (
+            "nx = 16\nny = 17\ndt = 1e-3\nt_end = 0.002\nnu = 0.05\nalpha = 0.4\n"
+            "forcing.kind = mms\nforcing.reference = two_mode\n"
+            f"ic.kind = mms\nic.reference = two_mode\noutput.dir = {tmp_path / 'out'}\n"))
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+                f"from bardina_strip.cli import main; rc = main(['run', {cfg!r}]); "
+                "print(rc, 'sympy' in sys.modules)")
         result = subprocess.run([sys.executable, "-c", code],
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        assert result.stdout.splitlines()[-1] == "0 False"

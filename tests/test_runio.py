@@ -2,16 +2,29 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bardina_strip.diagnostics import DiagnosticsRecord, DiagnosticsSeries
-from bardina_strip.runio import (parse_config_text, read_snapshot,
-                                 read_timeseries, write_snapshot,
+from bardina_strip.runio import (KNOWN_KEYS, RunSettings, parse_config_text,
+                                 read_snapshot, read_timeseries, write_snapshot,
                                  write_timeseries)
 from bardina_strip.strip_grid import Field, StripDomain, make_grid
 
 _GRID = make_grid(StripDomain(2.0 * np.pi, 1.0), 16, 17)
+
+_HUGE_INT = "1" + "0" * 400  # an int beyond the float range
+_EXTREME_NUMBERS = st.one_of(
+    st.sampled_from(["0", "-0", "-1", "1e308", "-1e308", "5e-324", "inf", "-inf",
+                     "nan", "1e400", _HUGE_INT, "-" + _HUGE_INT]),
+    st.integers().map(str), st.floats().map(repr))
+_CONFIG_VALUES = st.one_of(
+    _EXTREME_NUMBERS, st.text(max_size=5),
+    st.sampled_from(["zero", "trig_clamped", "mms", "file", "two_mode", "imex_cnab2"]))
+_CONFIG_TEXTS = st.one_of(
+    st.text(),
+    st.dictionaries(st.sampled_from(sorted(KNOWN_KEYS)), _CONFIG_VALUES, max_size=8)
+    .map(lambda pairs: "\n".join(f"{k} = {v}" for k, v in pairs.items())))
 
 GOOD_CONFIG = """
 # sample configuration
@@ -177,6 +190,20 @@ class TestConfigParsing:
             parse_config_text("gamma = 1.0\n")
         settings_ = parse_config_text("gamma = 1.0\n", allow_gamma_override=True)
         assert settings_.solver.weight.gamma == 1.0
+
+    @settings(max_examples=300, deadline=200)
+    @given(text=_CONFIG_TEXTS, override=st.booleans())
+    @example(text=f"nx = {_HUGE_INT}", override=False)
+    def test_any_text_parses_or_raises_value_error(self, text, override):
+        try:
+            settings_ = parse_config_text(text, allow_gamma_override=override)
+        except ValueError:
+            return
+        assert isinstance(settings_, RunSettings)
+
+    def test_huge_grid_size_is_a_config_error(self):
+        with pytest.raises(ValueError, match="nx is too large"):
+            parse_config_text(f"nx = {_HUGE_INT}\n")
 
     def test_comments_and_blanks_ignored(self):
         settings_ = parse_config_text("\n# comment only\n  \nnx = 16 # trailing\n")

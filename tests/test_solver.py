@@ -47,8 +47,8 @@ def _decay_config(**over):
 
 def _mms_forcing(name, grid, nu=0.05, alpha=0.3):
     """The separable forcing of reference ``name`` on ``grid``, as a run builds it."""
-    cfg = SolverConfig(nx=grid.nx, ny=grid.ny, nu=nu, alpha=alpha,
-                       forcing=FieldSpec(kind="mms", reference=name))
+    cfg = SolverConfig(lx=grid.domain.lx, m=grid.domain.m, nx=grid.nx, ny=grid.ny,
+                       nu=nu, alpha=alpha, forcing=FieldSpec(kind="mms", reference=name))
     return build_forcing(cfg, grid)
 
 
@@ -58,21 +58,40 @@ def _biharmonic(ops, v):
     return np.fft.irfft(lap(lap(np.fft.rfft(v.values, axis=0))), n=ops.grid.nx, axis=0)
 
 
-def _lambdified_forcing(name, nu, alpha):
-    """The residual of ``v*`` lambdified as one expanded expression, unsplit."""
-    x1, x2, t = sym.symbols("x1 x2 t", real=True)
-    v = mms._solution(name, 2 * np.pi, 1.0)[0]
+_X1, _X2, _T = sym.symbols("x1 x2 t", real=True)
+
+
+def _sympy_catalog(lx, m):
+    """The reference catalog written out in sympy, an oracle independent of
+    the term algebra in ``mms``."""
+    k = 2 * sym.pi / lx
+    env = (1 - (_X2 / m) ** 2) ** 2
+    odd = (_X2 / m) * env
+    pulse = (1 + sym.Rational(1, 2) * sym.cos(sym.Rational(13, 10) * _T)) * sym.sin(k * _X1) * env
+    return {
+        "pulsing_mode": pulse,
+        "two_mode": pulse + sym.Rational(2, 5) * sym.sin(sym.Rational(7, 10) * _T
+                                                         + sym.Rational(3, 10))
+        * sym.cos(k * _X1) * odd,
+        "steady_mode": sym.sin(k * _X1) * env + sym.Rational(1, 3) * odd,
+        "zero_field": sym.Integer(0) * _X1,
+    }
+
+
+def _lambdified_forcing(name, nu, alpha, lx, m):
+    """The residual of the sympy ``v*`` lambdified as one expanded expression."""
+    v = _sympy_catalog(lx, m)[name]
 
     def lap(e):
-        return sym.diff(e, x1, 2) + sym.diff(e, x2, 2)
+        return sym.diff(e, _X1, 2) + sym.diff(e, _X2, 2)
 
     def a_h(e):
-        return e - alpha ** 2 * sym.diff(e, x1, 2)
+        return e - alpha ** 2 * sym.diff(e, _X1, 2)
 
     lap_v = lap(v)
-    g = (a_h(lap(sym.diff(v, t))) + sym.diff(v, x2) * sym.diff(lap_v, x1)
-         - sym.diff(v, x1) * sym.diff(lap_v, x2) - nu * a_h(lap(lap_v)))
-    return sym.lambdify((x1, x2, t), sym.expand(g), modules="numpy")
+    g = (a_h(lap(sym.diff(v, _T))) + sym.diff(v, _X2) * sym.diff(lap_v, _X1)
+         - sym.diff(v, _X1) * sym.diff(lap_v, _X2) - nu * a_h(lap(lap_v)))
+    return sym.lambdify((_X1, _X2, _T), sym.expand(g), modules="numpy")
 
 
 class TestConfigValidation:
@@ -365,19 +384,32 @@ class TestManufacturedForcing:
         b = forcing.at(3.2)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("name", ["pulsing_mode", "two_mode", "steady_mode",
+                                      "zero_field"])
+    def test_solution_matches_the_sympy_catalog(self, name):
+        for lx, m in ((2 * np.pi, 1.0), (5.0, 1.3)):
+            grid = _decay_config(lx=lx, m=m).grid()
+            exact = sym.lambdify((_X1, _X2, _T), _sympy_catalog(lx, m)[name], modules="numpy")
+            x1, x2 = grid.mesh()
+            for t in (0.0, 0.37):
+                want = np.broadcast_to(exact(x1, x2, t), grid.shape)
+                got = mms.solution_field(name, grid, t).values
+                assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+
     def test_separable_forcing_matches_the_full_expression(self):
         # two_mode's 83 expanded terms fall into 8 time factors
         nu, alpha = 0.05, 0.4
-        full = _lambdified_forcing("two_mode", nu, alpha)
-        for nx, ny in ((16, 17), (32, 33), (64, 65)):
-            grid = _decay_config(nx=nx, ny=ny).grid()
-            forcing = _mms_forcing("two_mode", grid, nu=nu, alpha=alpha)
-            assert len(forcing.fields) == 8
-            x1, x2 = grid.mesh()
-            for t in (0.0, 0.37, 1.2):
-                want = np.broadcast_to(full(x1, x2, t), grid.shape)
-                err = np.abs(forcing.at(t) - want).max()
-                assert err <= 1e-13 * np.abs(want).max()
+        for lx, m in ((2 * np.pi, 1.0), (5.0, 1.3)):
+            full = _lambdified_forcing("two_mode", nu, alpha, lx, m)
+            for nx, ny in ((16, 17), (32, 33), (64, 65)):
+                grid = _decay_config(nx=nx, ny=ny, lx=lx, m=m).grid()
+                forcing = _mms_forcing("two_mode", grid, nu=nu, alpha=alpha)
+                assert len(forcing.fields) == 8
+                x1, x2 = grid.mesh()
+                for t in (0.0, 0.37, 1.2):
+                    want = np.broadcast_to(full(x1, x2, t), grid.shape)
+                    err = np.abs(forcing.at(t) - want).max()
+                    assert err <= 1e-13 * np.abs(want).max()
 
     def test_forcing_consistent_with_discrete_operators(self):
         # the residual of the discrete operators applied to the closed-form
@@ -511,6 +543,20 @@ class TestFileFields:
                       ic=FieldSpec(kind="file", path=str(path)))
         with pytest.raises(ValueError, match="does not match"):
             run(cfg)
+
+    def test_snapshot_header_mismatch_warns(self, tmp_path):
+        from bardina_strip.runio import write_snapshot
+        cfg = _decay_config(t_end=0.0)  # alpha = 0.5, nu = 0.01
+        grid = cfg.grid()
+        matching, other = tmp_path / "same.bstr", tmp_path / "other.bstr"
+        write_snapshot(matching, Field(grid, np.zeros(grid.shape)), 0.3, 0.5, 0.01)
+        write_snapshot(other, Field(grid, np.zeros(grid.shape)), 0.0, 0.4, 0.02)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the header's time is not compared
+            run(replace(cfg, ic=FieldSpec(kind="file", path=str(matching))))
+        with pytest.warns(UserWarning, match=r"alpha = 0\.4, nu = 0\.02; this run "
+                                             r"has alpha = 0\.5, nu = 0\.01"):
+            run(replace(cfg, ic=FieldSpec(kind="file", path=str(other))))
 
 
 class TestUnfilteredPath:
