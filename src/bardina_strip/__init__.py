@@ -17,7 +17,7 @@ from .solver import (SolverConfig, SolverState, FieldSpec, BlowUpError,
                      ImexStepper, run)
 from .diagnostics import (DiagnosticsRecord, DiagnosticsSeries, energy_budget,
                           weighted_energy_budget, StreamingTranslationModulus,
-                          galerkin_refinement_study, poincare_check,
-                          lambda1_estimate)
+                          poincare_check, lambda1_estimate)
+from .verification import galerkin_refinement_study
 
 __version__ = "0.1.0"

@@ -5,9 +5,9 @@ and dissipation ``D = nu (|lap v|^2 + alpha^2 |d1 lap v|^2)``, their
 weighted counterparts, the anisotropic space norms, discrete budget
 residuals and the advective CFL number.  Post-processing turns a recorded
 series into budget reports; a streaming accumulator builds the
-time-translation compactness modulus while a run records; stored
-trajectories give a grid-refinement Cauchy table; and random clamped fields
-feed weighted Poincare audits.
+time-translation compactness modulus from states as they arrive;
+:func:`prolong` lifts a field onto a nested finer grid; and random clamped
+fields feed weighted Poincare audits.
 
 Testing the evolution equation against ``v`` gives the exact balance
 ``dE/dt + 2 D = -2 (g, v)``, so the budget residual is formed with the
@@ -41,13 +41,9 @@ __all__ = [
     "energy_budget",
     "WeightedBudgetReport",
     "weighted_energy_budget",
-    "FieldTrajectory",
     "TranslationModulus",
     "StreamingTranslationModulus",
-    "RefinementStudy",
-    "galerkin_refinement_study",
     "prolong",
-    "trajectory_h2h_distance",
     "PoincareReport",
     "poincare_check",
     "random_clamped_field",
@@ -260,29 +256,8 @@ def weighted_energy_budget(series: DiagnosticsSeries) -> WeightedBudgetReport:
 
 
 # ---------------------------------------------------------------------------
-# Field trajectories, norms and the translation modulus
+# The translation modulus
 # ---------------------------------------------------------------------------
-
-@dataclass(eq=False)
-class FieldTrajectory:
-    """Uniformly spaced field records ``(times[i], fields[i])``."""
-
-    times: list[float] = dc_field(default_factory=list)
-    fields: list[Field] = dc_field(default_factory=list)
-
-    def append(self, t: float, f: Field):
-        self.times.append(t)
-        self.fields.append(f.copy())
-
-    @property
-    def dt_record(self) -> float:
-        if len(self.times) < 2:
-            raise ValueError("trajectory needs at least two records")
-        return self.times[1] - self.times[0]
-
-    def __len__(self) -> int:
-        return len(self.times)
-
 
 # the leading ladder channels f, d1 f, d2 f, d1 d1 f, d1 d2 f: their squared
 # sum is the H^{2,h} norm squared
@@ -366,7 +341,7 @@ class StreamingTranslationModulus:
 
 
 # ---------------------------------------------------------------------------
-# Refinement Cauchy study
+# Prolongation onto a nested grid
 # ---------------------------------------------------------------------------
 
 def prolong(f: Field, fine: Grid) -> Field:
@@ -387,68 +362,6 @@ def prolong(f: Field, fine: Grid) -> Field:
     out[:, ::2] = vals_x
     out[:, 1::2] = 0.5 * (vals_x[:, :-1] + vals_x[:, 1:])
     return Field(fine, out, clamped=f.clamped)
-
-
-def trajectory_h2h_distance(a: FieldTrajectory, b: FieldTrajectory,
-                            tau: float = 0.0) -> float:
-    """``L^2(tau, T; H^{2,h})`` distance of two same-grid trajectories."""
-    if len(a) != len(b):
-        raise ValueError("trajectories have different lengths")
-    grid = a.fields[0].grid
-    ops = OperatorSet(grid)
-    psi_q = _psi_sqrt_quad(grid, None)
-    dt_rec = a.dt_record
-    total = 0.0
-    for t, fa, fb in zip(a.times, a.fields, b.fields):
-        if t < tau - 1e-12:
-            continue
-        ch = ops.ladder(fa.values - fb.values)[:_H2H_CHANNELS] * psi_q
-        total += dt_rec * float(np.vdot(ch, ch).real)
-    return math.sqrt(total)
-
-
-@dataclass
-class RefinementStudy:
-    resolutions: list[tuple[int, int]]
-    deltas: list[float]
-
-    @property
-    def monotone(self) -> bool:
-        return all(b < a for a, b in zip(self.deltas, self.deltas[1:]))
-
-
-def galerkin_refinement_study(make_config, resolutions,
-                              tau: float = 0.0) -> RefinementStudy:
-    """Run nested resolutions and measure consecutive trajectory distances.
-
-    ``make_config(nx, ny)`` must return a solver config; consecutive
-    resolutions must nest (``2 nx``, ``2 ny - 1``).  The coarse trajectory
-    is prolonged onto the finer grid before the distance is taken.
-    """
-    from .solver import run  # local import to avoid a cycle
-
-    resolutions = list(resolutions)
-    if len(resolutions) < 2:
-        raise ValueError("need at least two resolutions")
-    for (nxa, nya), (nxb, nyb) in zip(resolutions, resolutions[1:]):
-        if nxb != 2 * nxa or nyb != 2 * nya - 1:
-            raise ValueError(f"resolutions not nested: {(nxa, nya)} -> {(nxb, nyb)}")
-
-    trajectories = []
-    for nx, ny in resolutions:
-        traj = FieldTrajectory()
-        run(make_config(nx, ny),
-            on_record=lambda state, rec, _tr=traj: _tr.append(state.t, state.v))
-        trajectories.append(traj)
-
-    deltas = []
-    for coarse_traj, fine_traj in zip(trajectories, trajectories[1:]):
-        fine_grid = fine_traj.fields[0].grid
-        lifted = FieldTrajectory()
-        for t, f in zip(coarse_traj.times, coarse_traj.fields):
-            lifted.append(t, prolong(f, fine_grid))
-        deltas.append(trajectory_h2h_distance(lifted, fine_traj, tau=tau))
-    return RefinementStudy(resolutions=resolutions, deltas=deltas)
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,11 @@ the new values one more inverse transform.  Every state's field is frozen
 the same recorded state share one derivative ladder
 (``OperatorSet.field_ladder``); :func:`run` drops it once the record's
 callback returns.  A non-finite state raises
-:class:`BlowUpError` with its step; a run longer than ``MAX_STEPS`` steps is
-a configuration error.
+:class:`BlowUpError` with its step; a run longer than ``MAX_STEPS`` steps,
+or on a grid of more than ``MAX_NODES`` nodes, is a configuration error.
+
+The one stepping loop is :meth:`ImexStepper.states`: :func:`run` records
+the states it yields, and the verification studies read them directly.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ __all__ = [
     "SCHEMES",
     "CFL_LIMIT",
     "MAX_STEPS",
+    "MAX_NODES",
     "FieldSpec",
     "SolverConfig",
     "SolverState",
@@ -73,6 +77,7 @@ __all__ = [
 SCHEMES = ("imex_euler", "imex_cnab2")
 CFL_LIMIT = 0.5  # advective CFL number above which a CflWarning is issued
 MAX_STEPS = 10 ** 9  # a longer run cannot end on this single-process solver
+MAX_NODES = 2 ** 27  # one field on a larger grid takes more than 1 GiB
 
 
 class BlowUpError(RuntimeError):
@@ -179,13 +184,18 @@ class SolverConfig:
                              f"{self.n_steps:.3g} steps, more than {MAX_STEPS:.0e}")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * max(self.dt, self.t_end):
             raise ValueError("t_end must be an integer multiple of dt")
+        for key in ("nx", "ny"):
+            try:
+                float(getattr(self, key))
+            except OverflowError:  # an int beyond the float range
+                raise ValueError(f"{key} is too large to convert to a float") from None
+        if self.nx * self.ny > MAX_NODES:
+            raise ValueError(f"nx * ny = {self.nx} * {self.ny} grid nodes is more "
+                             f"than {MAX_NODES}")
         # alpha^2 and the Helmholtz multiplier 1 + (alpha kappa)^2 at the
         # Nyquist wavenumber pi nx / lx must both be finite
         domain = StripDomain(self.lx, self.m)  # rejects lx <= 0 before the division
-        try:
-            kappa_max = np.pi * self.nx / domain.lx
-        except OverflowError:  # an int beyond the float range
-            raise ValueError("nx is too large to convert to a float") from None
+        kappa_max = np.pi * self.nx / domain.lx
         scale = self.alpha * max(1.0, kappa_max)
         if not math.isfinite(1.0 + scale * scale):
             raise ValueError(f"alpha = {self.alpha:g} overflows the Helmholtz "
@@ -276,7 +286,8 @@ def build_forcing(config: SolverConfig, grid: Grid) -> Forcing:
 
 
 class ImexStepper:
-    """Holds the per-run factorizations and advances states by one ``dt``."""
+    """Holds the per-run factorizations and advances states by one ``dt``;
+    :meth:`states` is the loop that steps to ``t_end``."""
 
     def __init__(self, config: SolverConfig):
         self.config = config
@@ -394,14 +405,30 @@ class ImexStepper:
             prev_explicit=explicit if cfg.scheme == "imex_cnab2" else None,
             cfl=cfl)
 
+    def states(self, every: int, state: SolverState | None = None):
+        """Step ``state`` (the initial state by default) ``n_steps`` times.
+
+        Yields the starting state, every ``every``-th state after it and the
+        last one; ``every = MAX_STEPS`` yields only the two ends.
+        """
+        if state is None:
+            state = self.initial_state()
+        n_steps = self.config.n_steps
+        yield state
+        for n in range(1, n_steps + 1):
+            state = self.step(state)
+            if n % every == 0 or n == n_steps:
+                yield state
+
 
 def run(config: SolverConfig, on_record=None):
     """Integrate to ``t_end``; returns ``(final_state, DiagnosticsSeries)``.
 
-    Diagnostics are appended at the record cadence (step 0 and the final
-    step always included).  ``on_record(state, record)`` is invoked at each
-    record point, e.g. to capture fields for trajectory post-processing.
-    Runs are deterministic: identical configs produce identical outputs.
+    Diagnostics are appended for each state :meth:`ImexStepper.states`
+    yields at the record cadence (step 0 and the final step always
+    included).  ``on_record(state, record)`` is invoked at each record
+    point, e.g. to feed a streaming modulus.  Runs are deterministic:
+    identical configs produce identical outputs.
     """
     stepper = ImexStepper(config)
     grid = stepper.grid
@@ -417,26 +444,18 @@ def run(config: SolverConfig, on_record=None):
         record_every=config.record_every,
         g_norm=g_norm, lambda1=collector.lambda1))
 
-    def record(state: SolverState):
-        rec = collector.record(state.t, state.v, cfl=state.cfl)
-        series.append(rec)
-        if on_record is not None:
-            on_record(state, rec)
-        # the state's ladder has served every consumer of this record; the
-        # steps that follow need its memory
-        state.v.cache.clear()
-
-    state = stepper.initial_state()
-    record(state)
-    for n in range(1, config.n_steps + 1):
-        try:
-            state = stepper.step(state)
-        except BlowUpError as exc:
-            last = next((r for r in reversed(series.records) if math.isfinite(r.energy)),
-                        None)
-            if last is not None:
-                exc.energy, exc.energy_time = last.energy, last.t
-            raise
-        if n % config.record_every == 0 or n == config.n_steps:
-            record(state)
+    try:
+        for state in stepper.states(config.record_every):
+            rec = collector.record(state.t, state.v, cfl=state.cfl)
+            series.append(rec)
+            if on_record is not None:
+                on_record(state, rec)
+            # the state's ladder has served every consumer of this record;
+            # the steps that follow need its memory
+            state.v.cache.clear()
+    except BlowUpError as exc:
+        last = next((r for r in reversed(series.records) if math.isfinite(r.energy)), None)
+        if last is not None:
+            exc.energy, exc.energy_time = last.energy, last.t
+        raise
     return state, series

@@ -125,10 +125,6 @@ class Field:
         self.values.flags.writeable = False
         return self
 
-    def copy(self) -> "Field":
-        """A writable copy, without the cache."""
-        return Field(self.grid, self.values.copy(), clamped=self.clamped)
-
 
 def _check_same_grid(f, h):
     ga, gb = f.grid, h.grid

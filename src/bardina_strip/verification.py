@@ -8,7 +8,11 @@ Each suite reads only part of the config: ``operators`` and ``alpha_sweep``
 ``nx`` and ``ny``; ``weights`` ``epsilon`` and ``gamma``; ``poincare`` the
 grid, ``rho``, ``gamma``, ``seed`` and ``epsilon`` (capped at 0.05); ``mms``
 only ``scheme``; ``budget`` and ``compactness`` the whole solver config,
-though ``compactness`` records every second step whatever its cadence.
+though ``compactness`` observes every second state whatever its cadence and
+records none.
+
+Every study steps through :meth:`ImexStepper.states`; the refinement study
+steps its nested resolutions side by side and keeps no field past its record.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .diagnostics import (StreamingTranslationModulus, energy_budget,
-                          poincare_check, random_clamped_field)
+                          poincare_check, prolong, random_clamped_field)
 from .operators import OperatorSet, trilinear_relative
 from .runio import RunSettings
-from .solver import (FieldSpec, ImexStepper, SolverConfig, SolverState,
-                     build_forcing, run)
+from .solver import (MAX_STEPS, FieldSpec, ImexStepper, SolverConfig,
+                     SolverState, build_forcing, run)
 from .strip_grid import Field, Grid, StripDomain, l2_norm, make_grid, quadrature
 from .weights import (WeightSpec, certify_lemma_wfuncs, certify_phi_control,
                       lemma_beta_set, make_weight_field)
@@ -33,7 +37,7 @@ __all__ = [
     "CheckResult", "SuiteReport", "SUITE_NAMES", "run_suite",
     "identity_test_fields", "operator_identity_study", "fit_order",
     "mms_spatial_study", "mms_temporal_study", "decay_config",
-    "alpha_sweep_study",
+    "alpha_sweep_study", "RefinementStudy", "galerkin_refinement_study",
     "continuous_dependence_study", "weight_rho_stability", "compare_nse",
 ]
 
@@ -168,16 +172,11 @@ def operator_identity_study(nx: int = 128, ny: int = 129) -> OperatorIdentityStu
 # ---------------------------------------------------------------------------
 
 def _final_state(stepper: ImexStepper, state: SolverState | None = None) -> SolverState:
-    """Step ``state`` (the config's initial state by default) to ``t_end``.
-
-    Nothing is recorded: the studies read only the final state, which is
-    bitwise the one :func:`run` returns at any record cadence.
-    """
-    if state is None:
-        state = stepper.initial_state()
-    for _ in range(stepper.config.n_steps):
-        state = stepper.step(state)
-    return state
+    """The state at ``t_end`` from ``state`` (the config's initial state by
+    default): the last one :meth:`ImexStepper.states` yields, bitwise the
+    one :func:`run` returns at any record cadence."""
+    *_, final = stepper.states(MAX_STEPS, state)
+    return final
 
 
 def _mms_config(scheme: str, nx: int, ny: int, dt: float, t_end: float) -> SolverConfig:
@@ -261,6 +260,51 @@ def compare_nse(cfg: SolverConfig, alphas):
     positive = [a for a in alphas if a > 0]
     slope = fit_order(positive, diffs[:len(positive)]) if len(positive) >= 2 else float("nan")
     return diffs, slope
+
+
+@dataclass
+class RefinementStudy:
+    resolutions: list[tuple[int, int]]
+    deltas: list[float]
+
+    @property
+    def monotone(self) -> bool:
+        return all(b < a for a, b in zip(self.deltas, self.deltas[1:]))
+
+
+def galerkin_refinement_study(make_config, resolutions,
+                              tau: float = 0.0) -> RefinementStudy:
+    """``L^2(tau, T; H^{2,h})`` distances between consecutive resolutions.
+
+    ``make_config(nx, ny)`` must return a solver config; consecutive
+    resolutions must nest (``2 nx``, ``2 ny - 1``) and record equally often.
+    The resolutions step side by side; at each record the coarse state is
+    prolonged onto the finer grid and the pair's squared distance, over the
+    record interval, is added to the pair's sum.
+    """
+    resolutions = list(resolutions)
+    if len(resolutions) < 2:
+        raise ValueError("need at least two resolutions")
+    for (nxa, nya), (nxb, nyb) in zip(resolutions, resolutions[1:]):
+        if nxb != 2 * nxa or nyb != 2 * nya - 1:
+            raise ValueError(f"resolutions not nested: {(nxa, nya)} -> {(nxb, nyb)}")
+    steppers = [ImexStepper(make_config(nx, ny)) for nx, ny in resolutions]
+    # a record's time is its step index times dt, and the first is at 0
+    dt_rec = [min(s.config.record_every, s.config.n_steps) * s.config.dt
+              for s in steppers]
+    sums = [0.0] * (len(steppers) - 1)
+    for states in zip(*(s.states(s.config.record_every) for s in steppers), strict=True):
+        for j, (coarse, fine) in enumerate(zip(states, states[1:])):
+            if coarse.t < tau - 1e-12:
+                continue
+            grid = fine.v.grid
+            diff = prolong(coarse.v, grid).values - fine.v.values
+            # f, d1 f, d2 f, d1 d1 f, d1 d2 f: the H^{2,h} channels
+            ch = (steppers[j + 1].ops.ladder(diff)[:5]
+                  * np.sqrt(grid.dx * grid.quad_weights)[None, :])
+            sums[j] += dt_rec[j] * float(np.vdot(ch, ch).real)
+    return RefinementStudy(resolutions=resolutions,
+                           deltas=[math.sqrt(total) for total in sums])
 
 
 def continuous_dependence_study():
@@ -388,14 +432,12 @@ def _suite_budget(settings: RunSettings) -> SuiteReport:
 def _suite_compactness(settings: RunSettings) -> SuiteReport:
     cfg = settings.solver
     rep = SuiteReport("compactness")
-    record_cfg = replace(cfg, record_every=2)
-    lags = [2 ** j for j in range(6)]
-    stepper_grid = record_cfg.grid()
-    ops = OperatorSet(stepper_grid)
-    weight = make_weight_field(stepper_grid, cfg.weight)
+    stepper = ImexStepper(cfg)
     acc = StreamingTranslationModulus(
-        stepper_grid, ops, lags, dt_record=2 * cfg.dt, norm="h2h", weight=weight)
-    run(record_cfg, on_record=lambda s, r: acc.add(s.t, s.v))
+        stepper.grid, stepper.ops, [2 ** j for j in range(6)], dt_record=2 * cfg.dt,
+        norm="h2h", weight=make_weight_field(stepper.grid, cfg.weight))
+    for state in stepper.states(2):
+        acc.add(state.t, state.v)
     mod = acc.result()
     rep.add("translation modulus log-log slope", mod.slope, 0.5, comparison=">=")
     rep.add("sqrt-envelope dominates", float(mod.envelope_dominates()), 1.0,

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from bardina_strip.diagnostics import (StreamingTranslationModulus,
-                                       energy_budget, galerkin_refinement_study,
-                                       poincare_check, weighted_energy_budget)
+                                       energy_budget, poincare_check,
+                                       weighted_energy_budget)
 from bardina_strip.operators import OperatorSet
 from bardina_strip.solver import FieldSpec, SolverConfig, run
 from bardina_strip.strip_grid import (Field, StripDomain, inner_product,
@@ -24,7 +24,9 @@ from bardina_strip.verification import (FIRST_ORDER_WINDOW,
                                         SECOND_ORDER_WINDOW,
                                         TELESCOPING_BOUND, alpha_sweep_study,
                                         continuous_dependence_study,
-                                        decay_config, mms_spatial_study,
+                                        decay_config,
+                                        galerkin_refinement_study,
+                                        mms_spatial_study,
                                         mms_temporal_study,
                                         operator_identity_study,
                                         weight_rho_stability)

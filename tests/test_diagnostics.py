@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from bardina_strip.diagnostics import (FieldTrajectory,
+from bardina_strip.diagnostics import (DiagnosticsCollector,
                                        StreamingTranslationModulus,
-                                       energy_budget, galerkin_refinement_study,
-                                       lambda1_estimate, poincare_check,
-                                       prolong, random_clamped_field,
-                                       trajectory_h2h_distance,
+                                       energy_budget, lambda1_estimate,
+                                       poincare_check, prolong,
+                                       random_clamped_field,
                                        weighted_energy_budget)
 from bardina_strip.operators import OperatorSet
+from bardina_strip.runio import parse_config_text
 from bardina_strip.solver import FieldSpec, SolverConfig, build_field, run
 from bardina_strip.strip_grid import Field, StripDomain, make_grid
+from bardina_strip.verification import galerkin_refinement_study, run_suite
 from bardina_strip.weights import WeightSpec, make_weight_field
 
 
@@ -22,8 +23,8 @@ def _run_decay(nx=32, ny=33, t_end=0.3, record_every=2, **over):
               ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0))
     kw.update(over)
     cfg = SolverConfig(**kw)
-    traj = FieldTrajectory()
-    state, series = run(cfg, on_record=lambda s, r: traj.append(s.t, s.v))
+    traj = []  # (t, field) per record; a state's field is read-only
+    state, series = run(cfg, on_record=lambda s, r: traj.append((s.t, s.v)))
     return cfg, state, series, traj
 
 
@@ -159,10 +160,11 @@ class TestWeightedBudget:
 
 
 def _modulus(traj, lags, weight=None):
-    grid = traj.fields[0].grid
+    grid = traj[0][1].grid
     acc = StreamingTranslationModulus(grid, OperatorSet(grid), lags,
-                                      dt_record=traj.dt_record, weight=weight)
-    for t, f in zip(traj.times, traj.fields):
+                                      dt_record=traj[1][0] - traj[0][0],
+                                      weight=weight)
+    for t, f in traj:
         acc.add(t, f)
     return acc.result()
 
@@ -170,16 +172,14 @@ def _modulus(traj, lags, weight=None):
 class TestTranslationModulus:
 
     def test_constant_trajectory_gives_zero(self, medium_grid):
-        traj = FieldTrajectory()
         vals = np.outer(np.sin(medium_grid.x1), (1 - medium_grid.x2 ** 2) ** 2)
-        for i in range(9):
-            traj.append(0.1 * i, Field(medium_grid, vals))
+        traj = [(0.1 * i, Field(medium_grid, vals)) for i in range(9)]
         mod = _modulus(traj, [1, 2, 4])
         assert np.all(mod.modulus == 0.0)
 
     def test_decaying_run_slope_and_envelope(self):
         _, _, _, traj = _run_decay(t_end=0.5)
-        grid = traj.fields[0].grid
+        grid = traj[0][1].grid
         weight = make_weight_field(grid, WeightSpec(epsilon=0.1, rho=10.0,
                                                     gamma=2 / 3))
         mod = _modulus(traj, [2 ** j for j in range(6)], weight=weight)
@@ -258,15 +258,18 @@ class TestProlongation:
 
 class TestRefinementStudy:
 
-    def test_same_trajectory_distance_is_zero(self):
-        _, _, _, traj = _run_decay(t_end=0.1)
-        assert trajectory_h2h_distance(traj, traj) == 0.0
-
     def test_rejects_non_nested_resolutions(self):
         def make_config(nx, ny):
             return SolverConfig(nx=nx, ny=ny, dt=1e-2, t_end=0.1)
         with pytest.raises(ValueError, match="nested"):
             galerkin_refinement_study(make_config, [(16, 17), (24, 25)])
+
+    def test_rejects_resolutions_with_different_record_counts(self):
+        def make_config(nx, ny):
+            return SolverConfig(nx=nx, ny=ny, dt=1e-2, t_end=0.1,
+                                record_every=1 if nx == 16 else 5)
+        with pytest.raises(ValueError, match="shorter|longer"):
+            galerkin_refinement_study(make_config, [(16, 17), (32, 33)])
 
     def test_linear_problem_converges_at_second_order(self):
         def make_config(nx, ny):
@@ -291,6 +294,33 @@ class TestRefinementStudy:
         study = galerkin_refinement_study(
             make_config, [(16, 17), (32, 33), (64, 65)], tau=0.05)
         assert study.monotone
+
+
+class TestStudiesRecordNothing:
+    """The studies that read only solver states compute no diagnostics record."""
+
+    @pytest.fixture
+    def records(self, monkeypatch):
+        calls = []
+        record = DiagnosticsCollector.record
+        monkeypatch.setattr(DiagnosticsCollector, "record",
+                            lambda self, *a, **kw: calls.append(1) or record(self, *a, **kw))
+        return calls
+
+    def test_compactness_suite(self, records):
+        settings = parse_config_text(
+            "nx = 16\nny = 17\ndt = 1e-3\nt_end = 0.04\nnu = 0.01\n"
+            "ic.kind = trig_clamped\nic.amplitude = 1.0\n")
+        run_suite("compactness", settings)
+        assert records == []
+
+    def test_refinement_study(self, records):
+        def make_config(nx, ny):
+            return SolverConfig(nx=nx, ny=ny, dt=1e-2, t_end=0.1, record_every=2,
+                                ic=FieldSpec(kind="trig_clamped", amplitude=1.0))
+        study = galerkin_refinement_study(make_config, [(16, 17), (32, 33)])
+        assert records == []
+        assert study.deltas[0] > 0
 
 
 class TestPoincare:

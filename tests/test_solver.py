@@ -10,9 +10,9 @@ import sympy as sym
 from bardina_strip import mms
 from bardina_strip.operators import OperatorSet, d2_matrix, d2_values
 from bardina_strip.runio import parse_config_text
-from bardina_strip.solver import (MAX_STEPS, BlowUpError, CflWarning,
-                                  FieldSpec, ImexStepper, SolverConfig,
-                                  build_field, build_forcing, run)
+from bardina_strip.solver import (MAX_NODES, MAX_STEPS, BlowUpError,
+                                  CflWarning, FieldSpec, ImexStepper,
+                                  SolverConfig, build_field, build_forcing, run)
 from bardina_strip.strip_grid import Field, inner_product, l2_norm, quadrature
 from bardina_strip.verification import fit_order
 
@@ -112,6 +112,19 @@ class TestConfigValidation:
         assert SolverConfig(dt=1e-3, t_end=1e6).n_steps == MAX_STEPS
         with pytest.raises(ValueError, match=r"t_end / dt"):
             SolverConfig(dt=1e-3, t_end=1e6 + 1e-3)
+
+    def test_rejects_grid_beyond_float_range_or_max_nodes(self):
+        # both fail before any grid is built, naming the key at fault
+        with pytest.raises(ValueError, match="^ny is too large"):
+            SolverConfig(ny=10 ** 400)
+        assert SolverConfig(nx=2 ** 13, ny=2 ** 14).nx * 2 ** 14 == MAX_NODES
+        for nx, ny in ((32, 100000000001), (100000000002, 33), (2 ** 13, 2 ** 14 + 1)):
+            with pytest.raises(ValueError, match=r"^nx \* ny = "):
+                SolverConfig(nx=nx, ny=ny)
+        with pytest.raises(ValueError, match=r"nx \* ny"):
+            parse_config_text("nx = 100000000002\n")
+        with pytest.raises(ValueError, match="ny is too large"):
+            parse_config_text("ny = 1" + "0" * 400 + "\n")
 
     def test_rejects_incommensurate_horizon(self):
         with pytest.raises(ValueError, match="multiple"):
@@ -277,9 +290,11 @@ class TestDeterminismAndBlowUp:
     @pytest.mark.parametrize("scheme", ["imex_euler", "imex_cnab2"])
     def test_final_state_does_not_depend_on_recording(self, scheme):
         # the verification studies step a bare stepper to the final state
+        # or iterate its states; run records exactly the states they see
         cfg = _decay_config(scheme=scheme,
                             forcing=FieldSpec(kind="trig_clamped",
                                               amplitude=0.5, k1=2, k2=1))
+        assert cfg.n_steps % 3 != 0
         every, series = run(cfg)
         ends, ends_series = run(replace(cfg, record_every=MAX_STEPS))
         stepper = ImexStepper(cfg)
@@ -291,6 +306,17 @@ class TestDeterminismAndBlowUp:
             assert state.t == every.t
             assert np.array_equal(state.v.values, every.v.values)
             assert np.array_equal(state.v_hat, every.v_hat)
+        for record_every in (1, 3, MAX_STEPS):
+            recorded = []
+            run(replace(cfg, record_every=record_every),
+                on_record=lambda state, _rec: recorded.append(state))
+            yielded = list(ImexStepper(cfg).states(record_every))
+            assert len(yielded) == len(recorded) >= 2
+            for a, b in zip(yielded, recorded):
+                assert (a.t, a.step_index) == (b.t, b.step_index)
+                assert np.array_equal(a.v.values, b.v.values)
+                assert np.array_equal(a.v_hat, b.v_hat)
+            assert yielded[-1].step_index == cfg.n_steps
 
     def test_bitwise_reproducible(self):
         cfg = _decay_config()
