@@ -62,7 +62,11 @@ def _add(terms: dict, key: tuple, p: Polynomial):
 def _solution(name: str, m: float) -> dict:
     if name not in _CATALOG:
         raise ValueError(f"unknown reference {name!r}; available: {sorted(_CATALOG)}")
-    env = Polynomial([1.0, 0.0, -1.0 / m ** 2]) ** 2
+    try:
+        inv_m2 = 1.0 / m ** 2
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"m = {m:g} is out of range for the reference {name!r}") from None
+    env = Polynomial([1.0, 0.0, -inv_m2]) ** 2
     profiles = {"env": env, "odd": Polynomial([0.0, 1.0 / m]) * env}
     terms = {}
     for c, time, trig, n, profile in _CATALOG[name]:

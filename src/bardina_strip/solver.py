@@ -19,11 +19,13 @@ explicit.  ``B_hat`` is ``OperatorSet.advection_modal``: the conservative
 form whose skew-symmetry the operator suite checks, always dealiased by the
 2/3 rule.  Solving for the update of the mass operator ``(D2 - k^2)`` keeps
 the ``k = 0`` column well-posed, and the combined implicit matrix with the
-four clamped boundary rows is banded (bandwidth five) and nonsingular for
-``nu dt > 0``.  The operator is assembled in sparse form for all modes at
-once, as one block-diagonal matrix, and factorized once per run as a single
-sparse LU.  Every forcing is one separable :class:`Forcing`
-``g(t) = sum_j c_j(t) S_j``: the ``S_j`` are transformed once per run, and
+four clamped boundary rows is pentadiagonal and nonsingular for
+``nu dt > 0``.  For all modes at once it is one block-diagonal matrix,
+written from the five-point stencil straight into compressed-column arrays
+and factorized once per run as a single sparse LU in natural order; a
+parameter set whose operator overflows or is singular is a configuration
+error that names ``lx``, ``m``, ``nu`` and ``dt``.  Every forcing is one
+separable :class:`Forcing` ``g(t) = sum_j c_j(t) S_j``: the ``S_j`` are transformed once per run, and
 ``g_hat(t)`` is their weighted sum; the diagnostics read the same ``g(t)``.
 
 One step computes the modal Laplacian of ``v^n`` once: it is the mass
@@ -105,6 +107,15 @@ class CflWarning(UserWarning):
     pass
 
 
+def _check_float_range(obj, keys):
+    """Reject an int attribute beyond the float range, naming it first."""
+    for key in keys:
+        try:
+            float(getattr(obj, key))
+        except OverflowError:
+            raise ValueError(f"{key} is too large to convert to a float") from None
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Tagged field family, for the forcing (``forcing.*``) or the initial
@@ -132,6 +143,7 @@ class FieldSpec:
             raise ValueError("reference must name a solution when kind = mms")
         if self.kind == "file" and not self.path:
             raise ValueError("path must name a snapshot when kind = file")
+        _check_float_range(self, ("k1", "k2"))
 
 
 InitialConditionSpec = FieldSpec  # the name perfbench/workloads.py imports
@@ -184,11 +196,7 @@ class SolverConfig:
                              f"{self.n_steps:.3g} steps, more than {MAX_STEPS:.0e}")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * max(self.dt, self.t_end):
             raise ValueError("t_end must be an integer multiple of dt")
-        for key in ("nx", "ny"):
-            try:
-                float(getattr(self, key))
-            except OverflowError:  # an int beyond the float range
-                raise ValueError(f"{key} is too large to convert to a float") from None
+        _check_float_range(self, ("nx", "ny"))
         if self.nx * self.ny > MAX_NODES:
             raise ValueError(f"nx * ny = {self.nx} * {self.ny} grid nodes is more "
                              f"than {MAX_NODES}")
@@ -312,32 +320,49 @@ class ImexStepper:
     def _build_implicit(self, theta: float):
         """Factorize ``L - theta nu dt L^2`` for all modes at once.
 
-        ``L = D2 - kappa^2`` is assembled in sparse form as one block-diagonal
-        matrix, one five-banded ``x2`` block per mode; in every block the four
-        clamped rows are replaced by ``v = 0`` and the wall rows of the ``x2``
-        first-derivative stencil.
+        ``L = D2 - kappa^2`` acts on one ``x2`` column per mode, so the
+        operator is block diagonal with one pentadiagonal block per mode.
+        Rows 2..ny-3 of a block hold the five-point stencil, each ``L^2``
+        entry summed in the order a sparse ``L @ L`` sums it; the four
+        clamped rows hold ``v = 0`` and the wall rows of the ``x2``
+        first-derivative stencil.  The nonzeros are written straight into
+        CSC arrays and factorized as one sparse LU in natural column order,
+        since a fill-reducing ordering has nothing to gain on a band.
         """
-        cfg = self.config
-        ny, dy, n_modes = self.grid.ny, self.grid.dy, self.grid.n_modes
-        modes = sp.identity(n_modes, format="csr")
-        lap = (sp.kron(modes, sp.csr_matrix(d2_matrix(ny, dy)), format="csr")
-               - sp.diags(np.repeat(self.grid.wavenumbers ** 2, ny), format="csr"))
-        mat = lap - theta * cfg.nu * cfg.dt * (lap @ lap)
-        del lap  # the temporaries go before SuperLU allocates its factors
-        keep = np.ones(ny)
-        keep[self.bc_rows] = 0.0
-        clamped = np.zeros((ny, ny))
-        clamped[[0, -1], [0, -1]] = 1.0
-        clamped[[1, -2]] = d2_wall_rows(ny, dy)
-        big = (sp.diags(np.tile(keep, n_modes), format="csr") @ mat
-               + sp.kron(modes, sp.csr_matrix(clamped), format="csr")).tocsc()
-        del mat
+        cfg, grid = self.config, self.grid
+        ny, n_modes = grid.ny, grid.n_modes
+        c = theta * cfg.nu * cfg.dt
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # the stencils do not depend on ny: five nodes hold an interior row
+            d2, wall = d2_matrix(5, grid.dy), d2_wall_rows(5, grid.dy)
+            a = d2[2, 1]                            # off-diagonal of L
+            b = d2[2, 2] - grid.wavenumbers ** 2    # diagonal of L, per mode
+            far = np.full(n_modes, -(c * (a * a)))
+            near = a - c * (a * b + b * a)
+            centre = b - c * ((a * a + b * b) + a * a)
+        # slot (j, s) of a block holds its column j at row j + s - 2
+        rows = np.arange(ny, dtype=np.int32)[:, None] + np.arange(-2, 3, dtype=np.int32)
+        nonzero = (rows >= 2) & (rows <= ny - 3)
+        values = np.where(nonzero, np.stack([far, near, centre, near, far], 1)[:, None], 0.0)
+        for i, j0, coefs in ((0, 0, [1.0]), (1, 0, wall[0, :3]),
+                             (ny - 2, ny - 3, wall[1, 2:]), (ny - 1, ny - 1, [1.0])):
+            j = j0 + np.arange(len(coefs))
+            values[:, j, i - j + 2] = coefs
+            nonzero[j, i - j + 2] = True
+        data = values[:, nonzero].ravel()  # block by block, column by column
+        del values  # the temporaries go before SuperLU allocates its factors
+        at = f"lx = {cfg.lx:g}, m = {cfg.m:g}, nu = {cfg.nu:g}, dt = {cfg.dt:g}"
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"the implicit operator overflows at {at}")
+        n = n_modes * ny
+        indices = (np.arange(0, n, ny, dtype=np.int32)[:, None] + rows[nonzero]).ravel()
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.tile(nonzero.sum(axis=1, dtype=np.int32), n_modes), out=indptr[1:])
         try:
-            return spla.splu(big)
-        except RuntimeError as exc:  # singular factorization
-            raise ValueError(
-                "implicit operator factorization failed; "
-                f"check nu, dt > 0 (nu={cfg.nu}, dt={cfg.dt})") from exc
+            return spla.splu(sp.csc_array((data, indices, indptr), shape=(n, n)),
+                             permc_spec="NATURAL")
+        except RuntimeError as exc:  # exactly singular
+            raise ValueError(f"the implicit operator is singular at {at}") from exc
 
     def initial_state(self) -> SolverState:
         v0 = build_field(self.config.ic, self.grid, self.config).freeze()

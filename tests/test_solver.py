@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import sympy as sym
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bardina_strip import mms
 from bardina_strip.operators import OperatorSet, d2_matrix, d2_values
@@ -94,6 +96,15 @@ def _lambdified_forcing(name, nu, alpha, lx, m):
     return sym.lambdify((_X1, _X2, _T), sym.expand(g), modules="numpy")
 
 
+# positive floats from the smallest subnormal to the largest finite one
+_EXTREME_POSITIVE = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.sampled_from([5e-324, 1e-300, 1e-160, 1e-80, 1e80, 1e155, 1e300, 1.7976931348623157e308]),
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308))
+_WAVENUMBERS = st.integers(-4, 4) | st.integers(-10 ** 400, 10 ** 400)
+_KINDS = st.sampled_from(["zero", "trig_clamped", "mms"])
+
+
 class TestConfigValidation:
 
     def test_rejects_nonpositive_viscosity(self):
@@ -138,6 +149,52 @@ class TestConfigValidation:
             parse_config_text("forcing.kind = vortex\n")
         with pytest.raises(ValueError, match=r"ic\.kind"):
             parse_config_text("ic.kind = vortex\n")
+
+    def test_rejects_wavenumbers_beyond_float_range(self):
+        for prefix in ("forcing", "ic"):
+            for key in ("k1", "k2"):
+                with pytest.raises(ValueError, match=rf"^{prefix}\.{key} is too large"):
+                    parse_config_text(f"{prefix}.{key} = 1" + "0" * 400 + "\n")
+
+    def test_overflowing_operator_names_the_parameters(self):
+        # lx and m both enter the operator; neither nu nor dt is at fault
+        for text, at in (("lx = 1e-80\nalpha = 0\n", "lx = 1e-80, m = 1,"),
+                         ("m = 1e-100\n", "lx = 6.28319, m = 1e-100,")):
+            cfg = parse_config_text("nx = 16\nny = 17\n" + text).solver
+            with pytest.raises(ValueError, match=rf"overflows at {at} nu = 0\.01, dt = 0\.001$"):
+                ImexStepper(cfg)
+
+    def test_mms_envelope_beyond_float_range_is_a_config_error(self):
+        cfg = parse_config_text("nx = 16\nny = 17\nm = 1e155\nforcing.kind = mms\n"
+                                "forcing.reference = two_mode\n").solver
+        with pytest.raises(ValueError, match=r"^m = 1e\+155 is out of range"):
+            ImexStepper(cfg)
+
+    @settings(max_examples=50, deadline=None)
+    @given(nx=st.integers(4, 16).map(lambda h: 2 * h), ny=st.integers(9, 33),
+           lx=_EXTREME_POSITIVE, m=_EXTREME_POSITIVE, nu=_EXTREME_POSITIVE,
+           dt=_EXTREME_POSITIVE, alpha=st.just(0.0) | _EXTREME_POSITIVE,
+           scheme=st.sampled_from(["imex_euler", "imex_cnab2"]),
+           forcing=_KINDS, ic=_KINDS, k1=_WAVENUMBERS, k2=_WAVENUMBERS)
+    @example(nx=16, ny=17, lx=1.0, m=1.0, nu=1.0, dt=1.0, alpha=0.0, scheme="imex_euler",
+             forcing="trig_clamped", ic="zero", k1=1, k2=10 ** 400)
+    def test_any_parsed_config_builds_or_raises_value_error(
+            self, nx, ny, lx, m, nu, dt, alpha, scheme, forcing, ic, k1, k2):
+        # the forcing and the initial condition see the wavenumbers swapped
+        text = (f"nx = {nx}\nny = {ny}\nlx = {lx}\nm = {m}\nnu = {nu}\n"
+                f"dt = {dt}\nt_end = {dt}\nalpha = {alpha}\nscheme = {scheme}\n"
+                f"forcing.kind = {forcing}\nforcing.reference = two_mode\n"
+                f"forcing.amplitude = 1\nforcing.k1 = {k1}\nforcing.k2 = {k2}\n"
+                f"ic.kind = {ic}\nic.reference = steady_mode\n"
+                f"ic.amplitude = 1\nic.k1 = {k2}\nic.k2 = {k1}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                stepper = ImexStepper(parse_config_text(text).solver)
+                state = stepper.initial_state()
+            except ValueError:
+                return
+        assert state.v.values.shape == (nx, ny)
 
     def test_mms_specs_need_reference(self):
         with pytest.raises(ValueError, match="reference"):
@@ -209,23 +266,30 @@ class TestImplicitAssembly:
         handed = []
         splu = spla.splu
 
-        def capture(mat):
-            handed.append(mat)
-            return splu(mat)
+        def capture(mat, **kw):
+            lu = splu(mat, **kw)
+            handed.append((mat, lu))
+            return lu
 
         monkeypatch.setattr(spla, "splu", capture)
         cfg = SolverConfig(nx=nx, ny=ny, lx=lx, m=m, nu=0.03, dt=2e-3,
                            scheme=scheme)
         ImexStepper(cfg)
         grid = cfg.grid()
+        rhs = np.random.default_rng(7).standard_normal(grid.n_modes * ny)
         assert len(handed) == len(thetas)
-        for mat, theta in zip(handed, thetas):
+        for (mat, lu), theta in zip(handed, thetas):
             expected = sla.block_diag(*(
                 self._dense_block(grid, kap, theta, cfg.nu, cfg.dt)
                 for kap in grid.wavenumbers))
             assert mat.format == "csc"
             assert np.array_equal(mat.toarray(), expected)
             assert np.diff(mat.tocsr().indptr).max() <= 5
+            # the factors solve the oracle's system, whatever the ordering,
+            # and their fill stays inside each block's band
+            exact = np.linalg.solve(expected, rhs)
+            assert np.abs(lu.solve(rhs) - exact).max() <= 1e-12 * np.abs(exact).max()
+            assert lu.L.nnz + lu.U.nnz <= 8 * mat.shape[0]
 
 
 class TestExplicitTerm:
