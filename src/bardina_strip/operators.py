@@ -18,12 +18,16 @@ from .strip_grid import Field, Grid, _check_same_grid, inner_product, l2_norm
 __all__ = ["OperatorSet", "d2_matrix", "d2_wall_rows", "trilinear_relative"]
 
 
-def d2_values(values: np.ndarray, dy: float) -> np.ndarray:
-    """First ``x2`` derivative along axis 1, one-sided at the walls."""
+def d2_values(values: np.ndarray, dy: float, axis: int = 1) -> np.ndarray:
+    """First ``x2`` derivative along ``axis``, one-sided at the walls.
+
+    Every element gets the same arithmetic whichever axis holds ``x2``.
+    """
     out = np.empty_like(values)
-    out[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * dy)
-    out[:, 0] = (-3.0 * values[:, 0] + 4.0 * values[:, 1] - values[:, 2]) / (2.0 * dy)
-    out[:, -1] = (3.0 * values[:, -1] - 4.0 * values[:, -2] + values[:, -3]) / (2.0 * dy)
+    v, o = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    o[1:-1] = (v[2:] - v[:-2]) / (2.0 * dy)
+    o[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dy)
+    o[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dy)
     return out
 
 
@@ -64,8 +68,9 @@ class OperatorSet:
         self._ik = 1j * grid.wavenumbers.astype(np.complex128)  # d1 per mode
         if grid.nx % 2 == 0:
             self._ik[-1] = 0.0  # odd derivatives zero the Nyquist mode
-        self._k2 = grid.wavenumbers ** 2
-        self._dealias_mask = np.arange(grid.n_modes) < grid.nx / 3.0
+        with np.errstate(over="ignore"):  # the implicit set-up names an overflow
+            self._k2 = grid.wavenumbers ** 2
+        self._kept = (grid.nx + 2) // 3  # the 2/3 rule keeps the modes k < nx / 3
 
     # -- linear operators ---------------------------------------------------
 
@@ -147,7 +152,7 @@ class OperatorSet:
 
     def dealias_modal(self, coeffs: np.ndarray) -> np.ndarray:
         out = coeffs.copy()
-        out[~self._dealias_mask, :] = 0.0
+        out[self._kept:] = 0.0
         return out
 
     # -- bilinear form --------------------------------------------------------
@@ -172,32 +177,36 @@ class OperatorSet:
 
         ``lap_u_hat`` is the :meth:`laplacian_modal` of ``u_hat``, if the caller
         has it.  The Laplacian acts mode by mode, so truncating it is bitwise
-        the Laplacian of the truncated ``u``.  The three factors come back
+        the Laplacian of the truncated ``u``.  The work arrays hold the ``x1``
+        modes on their last, contiguous axis: the three kept factors come back
         through one batched inverse transform and the two products go out
-        through one batched forward transform.
+        through one batched forward transform, both along that axis, and the
+        ``x2`` stencils act along axis 0.  Every element gets the arithmetic
+        of one transform per factor along ``x1``, so the results are those
+        bits.  ``d1 v`` and ``d2 v`` are ``(nx, ny)`` transposed views.
         """
         nx, ny, dy = self.grid.nx, self.grid.ny, self.grid.dy
-        drop = ~self._dealias_mask
-        modal = np.empty((3,) + v_hat.shape, dtype=np.complex128)
-        modal[1] = v_hat
-        modal[1, drop] = 0.0
-        np.multiply(self._ik[:, None], modal[1], out=modal[0])
-        modal[2] = self.laplacian_modal(u_hat) if lap_u_hat is None else lap_u_hat
-        modal[2, drop] = 0.0
-        d1v, v, lap = np.fft.irfft(modal, n=nx, axis=1)
+        kept = self._kept
+        ik = self._ik[:kept]
+        modal = np.zeros((3, ny, self.grid.n_modes), dtype=np.complex128)
+        factors = modal[:, :, :kept]  # the modes beyond stay zero
+        factors[1] = v_hat[:kept].T
+        np.multiply(ik, factors[1], out=factors[0])
+        lap_u_hat = self.laplacian_modal(u_hat) if lap_u_hat is None else lap_u_hat
+        factors[2] = lap_u_hat[:kept].T
+        d1v, v, lap = np.fft.irfft(modal, n=nx, axis=-1)
         # each batch is freed once transformed: held together to the end,
         # they set the step's peak memory on large grids
-        del modal
-        d2v = d2_values(v, dy)
-        products = np.empty((2, nx, ny))
+        del modal, factors
+        d2v = d2_values(v, dy, axis=0)
+        products = np.empty((2, ny, nx))
         np.multiply(d2v, lap, out=products[0])
         np.multiply(d1v, lap, out=products[1])
-        d2v_lap, d1v_lap = np.fft.rfft(products, axis=1)
+        d2v_lap, d1v_lap = np.fft.rfft(products, axis=-1)[:, :, :kept]
         del products
-        b_hat = self._ik[:, None] * d2v_lap
-        b_hat -= d2_values(d1v_lap, dy)
-        b_hat[drop] = 0.0
-        return b_hat, d1v, d2v
+        b_hat = np.zeros((self.grid.n_modes, ny), dtype=np.complex128)
+        b_hat[:kept] = (ik * d2v_lap - d2_values(d1v_lap, dy, axis=0)).T
+        return b_hat, d1v.T, d2v.T
 
     def bilinear_B_conservative(self, u: Field, v: Field) -> Field:
         """Values of :meth:`advection_modal`.

@@ -7,6 +7,7 @@ Three on-disk formats:
 * Snapshot: binary, little-endian; header ``BSTR`` magic, ``u32`` format
   version, ``u64`` nx, ``u64`` ny, ``f64`` time, ``f64`` alpha, ``f64`` nu;
   payload of ``nx * ny`` float64 values, row-major with ``x1`` outermost.
+  A snapshot with an empty grid or a non-finite number is refused.
 * Time series: comma-separated text with a fixed 12-column header, numbers
   printed with 17 significant digits so a rerun is byte-comparable.
 """
@@ -72,12 +73,18 @@ def read_snapshot(path) -> SnapshotData:
         raise ValueError(f"snapshot {path} has wrong magic {magic!r}")
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"snapshot {path} has unsupported version {version}")
+    if nx < 1 or ny < 1:
+        raise ValueError(f"snapshot {path} has an empty grid {nx} x {ny}")
+    if not all(map(math.isfinite, (time, alpha, nu))):
+        raise ValueError(f"snapshot {path} has a non-finite time, alpha or nu")
     expected = nx * ny * 8
     payload = raw[_HEADER.size:]
     if len(payload) != expected:
         raise ValueError(
             f"snapshot {path} payload is {len(payload)} bytes, expected {expected}")
     values = np.frombuffer(payload, dtype="<f8").reshape(nx, ny).copy()
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"snapshot {path} holds non-finite values")
     return SnapshotData(nx=nx, ny=ny, time=time, alpha=alpha, nu=nu, values=values)
 
 

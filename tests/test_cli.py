@@ -146,6 +146,19 @@ class TestRun:
         assert main(["run", cfg]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    def test_overflowing_wavenumbers_print_only_the_config_error(self, tmp_path, capsys):
+        # kappa^2 overflows at lx = 1e-200: the operator check names it, and
+        # numpy prints no warning of its own first
+        import warnings
+        cfg = _write(tmp_path, ("nx = 16\nny = 17\nlx = 1e-200\nalpha = 0\n"
+                                f"output.dir = {tmp_path / 'o'}\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "error: the implicit operator overflows at lx = 1e-200, m = 1, "
+            "nu = 0.01, dt = 0.001\n")
+
     def test_blow_up_exit_code(self, tmp_path, capsys):
         import warnings
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -279,16 +281,24 @@ def _advection_per_transform(ops, u_hat, v_hat):
 class TestBatchedAdvection:
 
     def test_bitwise_equal_to_per_transform_composition(self, rng):
-        grid = make_grid(StripDomain(5.0, 1.3), 24, 21)
-        ops = OperatorSet(grid)
-        u_hat, v_hat = (np.fft.rfft(rng.standard_normal(grid.shape), axis=0)
-                        for _ in range(2))
-        for u, v, lap_u in ((u_hat, v_hat, None), (u_hat, u_hat, None),
-                            (u_hat, u_hat, ops.laplacian_modal(u_hat))):
-            want = _advection_per_transform(ops, u, v)
-            got = ops.advection_modal(u, v, lap_u)
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
+        # the 2/3 cut keeps 8, 10, 11 and 22 modes
+        for nx, ny in itertools.product((24, 30, 32, 64), (21, 33)):
+            grid = make_grid(StripDomain(5.0, 1.3), nx, ny)
+            ops = OperatorSet(grid)
+            u_hat, v_hat = (np.fft.rfft(rng.standard_normal(grid.shape), axis=0)
+                            for _ in range(2))
+            strided = np.fft.rfft(rng.standard_normal((nx, 2 * ny)), axis=0)[:, ::2]
+            assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
+            for u, v, lap_u in ((u_hat, v_hat, None), (u_hat, u_hat, None),
+                                (u_hat, u_hat, ops.laplacian_modal(u_hat)),
+                                (strided, strided, None), (u_hat, strided, None)):
+                want = _advection_per_transform(ops, u, v)
+                got = ops.advection_modal(u, v, lap_u)
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+                b_hat, d1v, d2v = got
+                assert d1v.shape == d2v.shape == grid.shape
+                assert np.all(b_hat[np.arange(grid.n_modes) >= nx / 3.0] == 0.0)
 
 
 class TestTrilinearIdentities:

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bardina_strip.diagnostics import DiagnosticsRecord, DiagnosticsSeries
-from bardina_strip.runio import (KNOWN_KEYS, RunSettings, parse_config_text,
-                                 read_snapshot, read_timeseries, write_snapshot,
-                                 write_timeseries)
+from bardina_strip.runio import (KNOWN_KEYS, SNAPSHOT_MAGIC, RunSettings,
+                                 parse_config_text, read_snapshot, read_timeseries,
+                                 write_snapshot, write_timeseries)
 from bardina_strip.strip_grid import Field, StripDomain, make_grid
 
 _GRID = make_grid(StripDomain(2.0 * np.pi, 1.0), 16, 17)
@@ -25,6 +25,28 @@ _CONFIG_TEXTS = st.one_of(
     st.text(),
     st.dictionaries(st.sampled_from(sorted(KNOWN_KEYS)), _CONFIG_VALUES, max_size=8)
     .map(lambda pairs: "\n".join(f"{k} = {v}" for k, v in pairs.items())))
+
+_HEADER_BYTES = 48  # magic, version, nx, ny, time, alpha, nu
+
+# a valid 4 x 5 snapshot; its time and values are 1.5, which one flipped
+# exponent bit makes NaN
+_VALID = (SNAPSHOT_MAGIC + np.array([1], "<u4").tobytes()
+          + np.array([4, 5], "<u8").tobytes()
+          + np.array([1.5, 0.5, 0.01], "<f8").tobytes()
+          + np.full((4, 5), 1.5, dtype="<f8").tobytes())
+
+
+def _flip(bit):
+    raw = bytearray(_VALID)
+    raw[bit // 8] ^= 1 << (bit % 8)
+    return bytes(raw)
+
+
+_DAMAGED_SNAPSHOTS = st.one_of(
+    st.binary(max_size=200),
+    st.binary(max_size=150).map(lambda b: _VALID[:8] + b),  # past magic and version
+    st.integers(0, len(_VALID) - 1).map(lambda n: _VALID[:n]),
+    st.integers(0, 8 * len(_VALID) - 1).map(_flip))
 
 GOOD_CONFIG = """
 # sample configuration
@@ -98,6 +120,32 @@ class TestSnapshots:
         raw = path.read_bytes()
         path.write_bytes(raw[:-16])
         with pytest.raises(ValueError, match="payload"):
+            read_snapshot(path)
+
+    @settings(max_examples=200, deadline=500)
+    @given(raw=_DAMAGED_SNAPSHOTS)
+    def test_damaged_bytes_raise_value_error_or_read_what_they_hold(
+            self, tmp_path_factory, raw):
+        path = tmp_path_factory.getbasetemp() / "damaged.bstr"
+        path.write_bytes(raw)
+        try:
+            data = read_snapshot(path)
+        except ValueError:
+            return
+        assert not (len(raw) < len(_VALID) and _VALID.startswith(raw))  # not truncated
+        assert data.nx >= 1 and data.ny >= 1
+        assert all(np.isfinite([data.time, data.alpha, data.nu]))
+        assert np.all(np.isfinite(data.values))
+        assert data.values.tobytes() == raw[_HEADER_BYTES:]
+
+    @pytest.mark.parametrize("raw, match", [
+        (_flip(8 * _HEADER_BYTES + 62), "non-finite values"),  # the first value
+        (_flip(8 * 24 + 62), "non-finite time"),               # the header time
+        (_VALID[:8] + bytes(40), "empty grid")])               # 0 x 0, no payload
+    def test_rejects_what_no_writer_writes(self, tmp_path, raw, match):
+        path = tmp_path / "bad.bstr"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=match):
             read_snapshot(path)
 
 
