@@ -1,16 +1,23 @@
 """Command-line runner: ``run``, ``verify`` and ``compare-nse``.
 
+Every command reads one config (``--override-gamma`` admits ``gamma > 2/3``).
+``run`` writes ``timeseries.csv`` and ``final.bstr`` and prints the energy
+budget; the closed bound's excess only for a forcing constant in time.
+
 Exit codes: 0 success (all checks passed for ``verify``), 2 configuration
-errors, 3 blow-up, 1 everything else.  Runs are single-process and
-deterministic; rerunning a config byte-reproduces its outputs.
+errors (a config path that is missing or names a directory too), 3 blow-up,
+1 everything else.  Runs are single-process and deterministic; rerunning a
+config byte-reproduces its outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
+from .diagnostics import energy_budget, weighted_energy_budget
 from .runio import load_config, write_snapshot, write_timeseries
 from .solver import BlowUpError, run
 from .verification import SUITE_NAMES, compare_nse, run_suite
@@ -23,50 +30,49 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="bardina-strip",
         description="Filtered stream-function model on a periodic strip")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("config", help="path to a key = value config file")
+    common.add_argument("--override-gamma", action="store_true",
+                        help="allow weight exponents beyond 2/3 (sharpness experiments)")
 
-    p_run = sub.add_parser("run", help="integrate a configuration to t_end")
-    p_run.add_argument("config", help="path to a key = value config file")
-    p_run.add_argument("--override-gamma", action="store_true",
-                       help="allow weight exponents beyond 2/3 (sharpness experiments)")
-
-    p_verify = sub.add_parser("verify", help="run a property suite")
-    p_verify.add_argument("config")
+    sub.add_parser("run", parents=[common], help="integrate a configuration to t_end")
+    p_verify = sub.add_parser("verify", parents=[common], help="run a property suite")
     p_verify.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p_verify.add_argument("--override-gamma", action="store_true")
-
-    p_cmp = sub.add_parser("compare-nse",
+    p_cmp = sub.add_parser("compare-nse", parents=[common],
                            help="sweep alpha toward the unfiltered equation")
-    p_cmp.add_argument("config")
     p_cmp.add_argument("--alphas", default="0.4,0.2,0.1,0.05",
                        help="comma-separated descending alpha values")
-    p_cmp.add_argument("--override-gamma", action="store_true")
     return parser
 
 
-def _cmd_run(args) -> int:
-    settings = load_config(args.config, allow_gamma_override=args.override_gamma)
+def _cmd_run(args, settings) -> int:
+    cfg = settings.solver
     out_dir = Path(settings.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    state, series = run(settings.solver)
+    state, series = run(cfg)
     write_timeseries(out_dir / "timeseries.csv", series)
-    write_snapshot(out_dir / "final.bstr", state.v, state.t,
-                   settings.solver.alpha, settings.solver.nu)
+    write_snapshot(out_dir / "final.bstr", state.v, state.t, cfg.alpha, cfg.nu)
     first, last = series.records[0], series.records[-1]
-    print(f"integrated to t = {state.t:.6g} ({settings.solver.n_steps} steps)")
+    budget, weighted = energy_budget(series), weighted_energy_budget(series)
+    print(f"integrated to t = {state.t:.6g} ({cfg.n_steps} steps)")
     print(f"energy: {first.energy:.9g} -> {last.energy:.9g}")
+    print(f"max per-record energy increase: {budget.max_energy_increase:.3e}")
+    if not math.isnan(budget.bound):  # NaN for a forcing that changes in time
+        print(f"max excess over the closed bound: {budget.max_excess:.3e}")
+    print(f"weighted energy: initial {weighted.initial_energy:.9g}, "
+          f"sup {weighted.sup_energy:.9g}")
+    print(f"integral of weighted dissipation: {weighted.dissipation_integral:.9g}")
     print(f"wrote {out_dir / 'timeseries.csv'} and {out_dir / 'final.bstr'}")
     return 0
 
 
-def _cmd_verify(args) -> int:
-    settings = load_config(args.config, allow_gamma_override=args.override_gamma)
+def _cmd_verify(args, settings) -> int:
     report = run_suite(args.suite, settings)
     print(report.format())
     return 0 if report.passed else 1
 
 
-def _cmd_compare_nse(args) -> int:
-    settings = load_config(args.config, allow_gamma_override=args.override_gamma)
+def _cmd_compare_nse(args, settings) -> int:
     alphas = [float(x) for x in args.alphas.split(",") if x.strip()]
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha list must be strictly descending")
@@ -79,19 +85,18 @@ def _cmd_compare_nse(args) -> int:
     return 0
 
 
+_COMMANDS = {"run": _cmd_run, "verify": _cmd_verify, "compare-nse": _cmd_compare_nse}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_compare_nse(args)
+        settings = load_config(args.config, allow_gamma_override=args.override_gamma)
+        return _COMMANDS[args.command](args, settings)
     except BlowUpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

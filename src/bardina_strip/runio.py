@@ -2,8 +2,9 @@
 
 Three on-disk formats:
 
-* ``RunConfig``: UTF-8 text, one ``key = value`` pair per line, ``#``
-  comments; unknown keys are a hard error.
+* Config: UTF-8 text, one ``key = value`` pair per line, ``#`` comments;
+  unknown keys are a hard error, and a key left out keeps its dataclass
+  default.
 * Snapshot: binary, little-endian; header ``BSTR`` magic, ``u32`` format
   version, ``u64`` nx, ``u64`` ny, ``f64`` time, ``f64`` alpha, ``f64`` nu;
   payload of ``nx * ny`` float64 values, row-major with ``x1`` outermost.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,6 @@ import numpy as np
 from .diagnostics import CSV_COLUMNS, DiagnosticsSeries
 from .solver import FieldSpec, SolverConfig
 from .strip_grid import Field
-from .weights import WeightSpec
 
 __all__ = [
     "SNAPSHOT_MAGIC",
@@ -96,16 +96,28 @@ def write_timeseries(path, series: DiagnosticsSeries):
 
 
 def read_timeseries(path) -> dict[str, np.ndarray]:
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = lines[0].split(",")
+    """Columns of a time series as :func:`write_timeseries` writes it; a
+    foreign header, a row that is not 12 finite numbers or a time that does
+    not increase is a ``ValueError`` that names the line."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",") if lines else []
     if tuple(header) != CSV_COLUMNS:
-        raise ValueError(f"unexpected time-series columns {header}")
-    data = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-    if data.size == 0:
-        data = data.reshape(0, len(header))
-    if np.any(np.diff(data[:, 0]) <= 0) and data.shape[0] > 1:
-        raise ValueError("time column is not strictly increasing")
-    return {name: data[:, i] for i, name in enumerate(header)}
+        raise ValueError(f"time series {path} line 1: unexpected columns {header}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            row = [float(x) for x in line.split(",")]
+            if len(row) != len(CSV_COLUMNS):
+                raise ValueError(f"{len(row)} fields, expected {len(CSV_COLUMNS)}")
+            if not all(map(math.isfinite, row)):
+                raise ValueError("non-finite value")
+            if rows and row[0] <= rows[-1][0]:
+                raise ValueError("time column is not strictly increasing")
+        except ValueError as exc:
+            raise ValueError(f"time series {path} line {lineno}: {exc}") from None
+        rows.append(row)
+    data = np.array(rows).reshape(len(rows), len(CSV_COLUMNS))
+    return {name: data[:, i] for i, name in enumerate(CSV_COLUMNS)}
 
 
 # ---------------------------------------------------------------------------
@@ -118,30 +130,46 @@ class RunSettings:
     output_dir: str = "out"
     seed: int = 0
 
-
-_FLOAT_KEYS = {"lx", "m", "alpha", "nu", "dt", "t_end", "gamma", "epsilon",
-               "forcing.amplitude", "ic.amplitude"}
-_INT_KEYS = {"nx", "ny", "output.every", "seed", "forcing.k1", "forcing.k2",
-             "ic.k1", "ic.k2"}
-_STR_KEYS = {"scheme", "forcing.kind", "forcing.reference", "forcing.path",
-             "ic.kind", "ic.reference", "ic.path", "output.dir"}
-_SPECIAL_KEYS = {"rho"}
-KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _SPECIAL_KEYS
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def _parse_value(key: str, raw: str):
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _INT_KEYS:
-        return int(raw)
-    if key == "rho":
-        return math.inf if raw.lower() in ("inf", "infinity") else float(raw)
-    return raw
+_SPEC_FIELDS = (("kind", str), ("amplitude", float), ("k1", int), ("k2", int),
+                ("reference", str), ("path", str))
+# config key -> (section, attribute, type); a key that a config leaves out
+# keeps the default of its section's dataclass
+_KEYS = {
+    "lx": ("solver", "lx", float), "m": ("solver", "m", float),
+    "nx": ("solver", "nx", int), "ny": ("solver", "ny", int),
+    "alpha": ("solver", "alpha", float), "nu": ("solver", "nu", float),
+    "dt": ("solver", "dt", float), "t_end": ("solver", "t_end", float),
+    "scheme": ("solver", "scheme", str),
+    "output.every": ("solver", "record_every", int),
+    "epsilon": ("weight", "epsilon", float), "rho": ("weight", "rho", float),
+    "gamma": ("weight", "gamma", float),
+    **{f"{section}.{name}": (section, name, kind)
+       for section in ("forcing", "ic") for name, kind in _SPEC_FIELDS},
+    "output.dir": ("settings", "output_dir", str),
+    "seed": ("settings", "seed", int),
+}
+KNOWN_KEYS = set(_KEYS)
+
+
+def _field_spec(prefix: str, kw: dict) -> FieldSpec:
+    try:
+        spec = FieldSpec(**kw)
+    except ValueError as exc:  # its message starts with the attribute
+        raise ValueError(f"{prefix}.{exc}") from None
+    if spec.kind == "file" and not Path(spec.path).is_file():
+        what = "is a directory" if Path(spec.path).is_dir() else "does not exist"
+        raise ValueError(f"{prefix}.path {spec.path!r} {what}; expected a snapshot file")
+    return spec
 
 
 def parse_config_text(text: str, allow_gamma_override: bool = False) -> RunSettings:
     """Parse ``key = value`` lines into run settings; typos are hard errors."""
-    pairs: dict[str, object] = {}
+    sections = {"solver": {}, "weight": {}, "forcing": {}, "ic": {}, "settings": {}}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -149,50 +177,30 @@ def parse_config_text(text: str, allow_gamma_override: bool = False) -> RunSetti
         if "=" not in stripped:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in KNOWN_KEYS:
+        if key not in _KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        if key in pairs:
+        section, attr, kind = _KEYS[key]
+        if attr in sections[section]:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         try:
-            pairs[key] = _parse_value(key, raw)
+            sections[section][attr] = kind(raw)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: key {key!r}: {exc}") from None
 
-    def take(prefix: str) -> FieldSpec:
-        kw = {}
-        for name in ("kind", "amplitude", "k1", "k2", "reference", "path"):
-            if f"{prefix}.{name}" in pairs:
-                kw[name] = pairs.pop(f"{prefix}.{name}")
-        try:
-            spec = FieldSpec(**kw)
-        except ValueError as exc:  # its message starts with the attribute
-            raise ValueError(f"{prefix}.{exc}") from None
-        if spec.kind == "file" and not Path(spec.path).is_file():
-            what = "is a directory" if Path(spec.path).is_dir() else "does not exist"
-            raise ValueError(f"{prefix}.path {spec.path!r} {what}; expected a snapshot file")
-        return spec
-
-    forcing = take("forcing")
-    ic = take("ic")
-    output_dir = pairs.pop("output.dir", "out")
-    seed = pairs.pop("seed", 0)
-    solver_kw = {}
-    for name in ("lx", "m", "nx", "ny", "alpha", "nu", "dt", "t_end", "scheme"):
-        if name in pairs:
-            solver_kw[name] = pairs.pop(name)
-    if "output.every" in pairs:
-        solver_kw["record_every"] = pairs.pop("output.every")
+    forcing = _field_spec("forcing", sections["forcing"])
+    ic = _field_spec("ic", sections["ic"])
     try:
-        weight = WeightSpec(epsilon=pairs.pop("epsilon", 0.1), rho=pairs.pop("rho", 10.0),
-                            gamma=pairs.pop("gamma", 2.0 / 3.0),
-                            allow_gamma_override=allow_gamma_override)
-        solver = SolverConfig(forcing=forcing, ic=ic, weight=weight, **solver_kw)
+        weight = replace(SolverConfig.weight, allow_gamma_override=allow_gamma_override,
+                         **sections["weight"])
+        solver = SolverConfig(forcing=forcing, ic=ic, weight=weight, **sections["solver"])
     except ValueError as exc:  # name the config key and the --override-gamma flag
         raise ValueError(str(exc).replace("record_every", "output.every").replace(
             "set allow_gamma_override=True", "pass --override-gamma")) from None
-    if pairs:
-        raise ValueError(f"unconsumed keys {sorted(pairs)}")
-    return RunSettings(solver=solver, output_dir=str(output_dir), seed=int(seed))
+    settings = RunSettings(solver=solver, **sections["settings"])
+    out_dir = Path(settings.output_dir)  # its first existing ancestor is checked
+    if not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
+        raise ValueError(f"output.dir {settings.output_dir!r} is or lies under a file")
+    return settings
 
 
 def load_config(path, allow_gamma_override: bool = False) -> RunSettings:

@@ -188,6 +188,49 @@ class TestRun:
         assert "last finite energy E = " in err
 
 
+    def test_run_prints_the_energy_budget(self, tmp_path, capsys):
+        cfg = _write(tmp_path, DECAY_CONFIG.format(out=tmp_path / "out"))
+        assert main(["run", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        prefixes = ["integrated to t = 0.05 (50 steps)", "energy: ",
+                    "max per-record energy increase: ", "max excess over the closed bound: ",
+                    "weighted energy: ", "integral of weighted dissipation: ",
+                    f"wrote {tmp_path}"]
+        assert len(lines) == len(prefixes)
+        assert all(line.startswith(prefix) for line, prefix in zip(lines, prefixes))
+        assert lines[2] == "max per-record energy increase: 0.000e+00"
+        assert lines[4].startswith("weighted energy: initial ")
+
+    def test_time_dependent_forcing_leaves_out_the_closed_bound(self, tmp_path, capsys):
+        cfg = _write(tmp_path, (
+            "nx = 16\nny = 17\ndt = 1e-3\nt_end = 0.002\nnu = 0.05\nalpha = 0.4\n"
+            "forcing.kind = mms\nforcing.reference = two_mode\n"
+            f"ic.kind = mms\nic.reference = two_mode\noutput.dir = {tmp_path / 'o'}\n"))
+        assert main(["run", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "max per-record energy increase" in out and "closed bound" not in out
+
+    def test_forced_run_from_rest_exits_zero(self, tmp_path, capsys):
+        # the initial weighted energy is 0, so the summary prints no ratio of it
+        cfg = _write(tmp_path, (
+            "nx = 16\nny = 17\nt_end = 0.01\nic.kind = zero\n"
+            "forcing.kind = trig_clamped\nforcing.amplitude = 1.0\n"
+            f"output.dir = {tmp_path / 'o'}\n"))
+        assert main(["run", cfg]) == 0
+        assert "weighted energy: initial 0, sup " in capsys.readouterr().out
+
+    def test_config_path_naming_a_directory_is_config_error(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_output_dir_naming_a_file_is_config_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg = _write(tmp_path, f"nx = 16\nny = 17\nt_end = 0\noutput.dir = {taken}\n")
+        assert main(["run", cfg]) == 2
+        assert "output.dir" in capsys.readouterr().err
+
+
 class TestVerify:
 
     def test_poincare_suite_passes(self, tmp_path, capsys):
@@ -236,6 +279,11 @@ class TestVerify:
         assert main(["verify", cfg, "--suite", "budget"]) == 0
         out = capsys.readouterr().out
         assert "suite budget" in out and "ALL CHECKS PASSED" in out
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "nx = 32\nny = 33\nseed = -1\n")
+        assert main(["verify", cfg, "--suite", "poincare"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_unknown_suite_rejected_by_parser(self, tmp_path):
         cfg = _write(tmp_path, "nx = 16\n")

@@ -1,0 +1,51 @@
+"""The README's command lines stay in step with the parser, the configs and
+``scripts/``.
+
+Every ``bardina-strip ...`` line in a code block parses with the CLI's own
+parser (nothing runs) and its config loads; every ``python scripts/X.py``
+line names a script that exists; the config-key table lists every key
+with its default.
+"""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from bardina_strip.cli import _build_parser
+from bardina_strip.runio import KNOWN_KEYS, load_config, parse_config_text
+
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+CODE_LINES = [line.split("#", 1)[0].strip()
+              for block in re.findall(r"^```[^\n]*\n(.*?)^```", README, re.S | re.M)
+              for line in block.splitlines()]
+CLI_LINES = [line for line in CODE_LINES if line.startswith("bardina-strip ")]
+SCRIPT_LINES = [line for line in CODE_LINES if line.startswith("python scripts/")]
+
+
+def test_readme_has_command_lines():
+    assert CLI_LINES and SCRIPT_LINES
+
+
+@pytest.mark.parametrize("line", CLI_LINES)
+def test_cli_line_parses_and_its_config_loads(line, monkeypatch):
+    args = _build_parser().parse_args(shlex.split(line)[1:])
+    monkeypatch.chdir(ROOT)
+    load_config(args.config, allow_gamma_override=args.override_gamma)
+
+
+@pytest.mark.parametrize("line", SCRIPT_LINES)
+def test_script_line_names_an_existing_script(line):
+    assert (ROOT / shlex.split(line)[1]).is_file()
+
+
+def test_key_table_lists_every_key_with_its_default():
+    table = README.split("| key | default | what it sets |", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([\w.]+)` \| (.*?) \|", table, re.M)
+    assert sorted(key for key, _ in rows) == sorted(KNOWN_KEYS)
+    defaults = parse_config_text("")
+    for key, default in rows:
+        value = default.strip("`") if default.startswith("`") else ""
+        assert parse_config_text(f"{key} = {value}") == defaults, key

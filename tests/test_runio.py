@@ -1,15 +1,20 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bardina_strip.diagnostics import DiagnosticsRecord, DiagnosticsSeries
-from bardina_strip.runio import (KNOWN_KEYS, SNAPSHOT_MAGIC, RunSettings,
+from bardina_strip.diagnostics import CSV_COLUMNS, DiagnosticsRecord, DiagnosticsSeries
+from bardina_strip.runio import (KNOWN_KEYS, SNAPSHOT_MAGIC, RunSettings, load_config,
                                  parse_config_text, read_snapshot, read_timeseries,
                                  write_snapshot, write_timeseries)
+from bardina_strip.solver import SolverConfig
 from bardina_strip.strip_grid import Field, StripDomain, make_grid
+from bardina_strip.verification import decay_config
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
 _GRID = make_grid(StripDomain(2.0 * np.pi, 1.0), 16, 17)
 
@@ -149,6 +154,25 @@ class TestSnapshots:
             read_snapshot(path)
 
 
+# a valid three-row time series, as write_timeseries writes it
+_VALID_CSV = ",".join(CSV_COLUMNS) + "\n" + "".join(
+    ",".join(f"{x:.17g}" for x in (t, *np.linspace(-1.0, 1.0, 11) * (t + 1))) + "\n"
+    for t in (0.0, 0.1, 0.2))
+_CSV_CHARS = st.sampled_from(list(",\n\r.-+e0179 ") + ["nan", "inf", "x", ""])
+
+
+def _csv_replace(pos, chars):
+    return _VALID_CSV[:pos] + chars + _VALID_CSV[pos + 1:]
+
+
+_DAMAGED_CSVS = st.one_of(
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=200),
+    st.integers(0, len(_VALID_CSV)).map(lambda n: _VALID_CSV[:n]),
+    st.builds(_csv_replace, st.integers(0, len(_VALID_CSV) - 1), _CSV_CHARS),
+    st.builds(lambda pos, text: _VALID_CSV[:pos] + text + _VALID_CSV[pos:],
+              st.integers(0, len(_VALID_CSV)), _CSV_CHARS))
+
+
 class TestTimeSeries:
 
     @staticmethod
@@ -188,6 +212,38 @@ class TestTimeSeries:
         path.write_text("t,bogus\n0,1\n")
         with pytest.raises(ValueError, match="columns"):
             read_timeseries(path)
+
+    @pytest.mark.parametrize("text, match", [
+        ("", "line 1: unexpected columns"),
+        (",".join(CSV_COLUMNS) + "\n0,1\n0.1,2\n", "line 2: 2 fields, expected 12"),
+        (_VALID_CSV + ",".join(["0.3"] * 13) + "\n", "line 5: 13 fields, expected 12"),
+        (_VALID_CSV.replace("\n0.10000000000000001,", "\nnan,"),
+         "line 3: non-finite value")],
+        ids=["empty", "short_rows", "long_row", "nan_time"])
+    def test_damaged_file_names_the_line(self, tmp_path, text, match):
+        path = tmp_path / "ts.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            read_timeseries(path)
+
+    @settings(max_examples=200, deadline=500)
+    @given(text=_DAMAGED_CSVS)
+    def test_damaged_text_raises_value_error_or_reads_what_it_holds(
+            self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "damaged.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            cols = read_timeseries(path)
+        except ValueError:
+            return
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == ",".join(CSV_COLUMNS)
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        assert list(cols) == list(CSV_COLUMNS)
+        for i, name in enumerate(CSV_COLUMNS):
+            assert np.array_equal(cols[name], rows.reshape(-1, 12)[:, i])
+            assert np.all(np.isfinite(cols[name]))
+        assert np.all(np.diff(cols["t"]) > 0)
 
 
 class TestConfigParsing:
@@ -256,3 +312,39 @@ class TestConfigParsing:
     def test_comments_and_blanks_ignored(self):
         settings_ = parse_config_text("\n# comment only\n  \nnx = 16 # trailing\n")
         assert settings_.solver.nx == 16
+
+    def test_key_set_is_the_documented_one(self):
+        assert KNOWN_KEYS == {
+            "lx", "m", "nx", "ny", "alpha", "nu", "dt", "t_end", "scheme",
+            "epsilon", "rho", "gamma", "seed", "output.dir", "output.every",
+            "forcing.kind", "forcing.amplitude", "forcing.k1", "forcing.k2",
+            "forcing.reference", "forcing.path", "ic.kind", "ic.amplitude",
+            "ic.k1", "ic.k2", "ic.reference", "ic.path"}
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        assert parse_config_text("") == RunSettings(SolverConfig())
+
+    @pytest.mark.parametrize("raw", ["inf", "Inf", "Infinity"])
+    def test_rho_reads_every_spelling_of_infinity(self, raw):
+        assert math.isinf(parse_config_text(f"rho = {raw}\n").solver.weight.rho)
+
+    def test_negative_seed_names_the_key(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            parse_config_text("seed = -1\n")
+
+    @pytest.mark.parametrize("sub", ["", "/sub"])
+    def test_output_dir_on_a_file_names_the_key(self, tmp_path, sub):
+        path = tmp_path / "taken"
+        path.write_text("")
+        with pytest.raises(ValueError, match="output.dir .* lies under a file"):
+            parse_config_text(f"output.dir = {path}{sub}\n")
+
+
+class TestShippedConfigs:
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_config_parses(self, path):
+        assert isinstance(load_config(path), RunSettings)
+
+    def test_baseline_is_the_acceptance_decay(self):
+        assert load_config(CONFIGS[0].parent / "baseline.cfg").solver == decay_config()

@@ -76,6 +76,10 @@ class TestSuites:
         settings = parse_config_text("nx = 32\nny = 33\n")
         report = run_suite("alpha_sweep", settings)
         assert report.passed, report.format()
+        # the monotonicity line notes the distance at each alpha
+        note = report.results[0].note
+        assert [part.split(":")[0] for part in note.split(", ")] == [
+            "alpha 0.4", "alpha 0.2", "alpha 0.1", "alpha 0.05"]
 
     def test_mms_suite_passes(self):
         settings = parse_config_text("nx = 16\nny = 33\nscheme = imex_cnab2\n")
