@@ -210,6 +210,7 @@ class BudgetReport:
         return float(max(self.energy_increases.max(initial=0.0), 0.0))
 
 
+@np.errstate(over="ignore")  # a sum beyond the float range is inf
 def energy_budget(series: DiagnosticsSeries) -> BudgetReport:
     t = series.column("t")
     e = series.column("energy")
@@ -244,7 +245,8 @@ class WeightedBudgetReport:
 
     @property
     def dissipation_integral(self) -> float:
-        return float(np.trapezoid(self.dissipation_w, self.times))
+        with np.errstate(over="ignore"):  # beyond the float range it is inf
+            return float(np.trapezoid(self.dissipation_w, self.times))
 
 
 def weighted_energy_budget(series: DiagnosticsSeries) -> WeightedBudgetReport:

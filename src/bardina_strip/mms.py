@@ -79,20 +79,25 @@ def _time_values(times, t: float) -> np.ndarray:
                      for time in times], dtype=float)
 
 
-def _separate(terms: dict, lx: float, grid: Grid):
+def _separate(terms: dict, lx: float, grid: Grid, what: str):
     """``(time factors, S)``: the distinct time factors, sorted for a fixed
-    summation order, and the sum of each one's terms at the grid nodes."""
+    summation order, and the sum of each one's terms at the grid nodes.
+    ``S`` beyond the float range is a ``ValueError`` that starts with ``what``."""
     times = sorted({time for time, _, _ in terms}) or [()]
     fields = np.zeros((len(times), *grid.shape))
-    for (time, trig, n), p in terms.items():
-        x1_factor = getattr(np, trig)(2.0 * np.pi / lx * n * grid.x1)
-        fields[times.index(time)] += np.outer(x1_factor, p(grid.x2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (time, trig, n), p in terms.items():
+            x1_factor = getattr(np, trig)(2.0 * np.pi / lx * n * grid.x1)
+            fields[times.index(time)] += np.outer(x1_factor, p(grid.x2))
+    if not np.all(np.isfinite(fields)):
+        raise ValueError(f"{what} overflows on the grid at lx = {lx:g}, m = {grid.domain.m:g}")
     return times, fields
 
 
 def solution_field(name: str, grid: Grid, t: float) -> Field:
     """``v*`` of ``name`` at time ``t``, without deriving any forcing."""
-    times, fields = _separate(_solution(name, grid.domain.m), grid.domain.lx, grid)
+    times, fields = _separate(_solution(name, grid.domain.m), grid.domain.lx, grid,
+                              f"the reference {name!r}")
     values = sum(c * s for c, s in zip(_time_values(times, t), fields))
     return Field(grid, values, clamped=True)
 
@@ -145,19 +150,23 @@ class ManufacturedReference:
             return out
 
         v = _solution(name, m)
-        lap_v = lap(v)
-        d2_v, d2_lap = (each(u, lambda n, p: p.deriv()) for u in (v, lap_v))
         self._terms = {}
-        for w, part in ((1.0, a_h(lap(d_t(v)))), (1.0, mul(d2_v, d1(lap_v))),
-                        (-1.0, mul(d1(v), d2_lap)), (-nu, a_h(lap(lap_v)))):
-            for key, p in part.items():
-                _add(self._terms, key, w * p)
+        # coefficients that overflow here give a non-finite forcing, which
+        # sample refuses with the parameters
+        with np.errstate(over="ignore", invalid="ignore"):
+            lap_v = lap(v)
+            d2_v, d2_lap = (each(u, lambda n, p: p.deriv()) for u in (v, lap_v))
+            for w, part in ((1.0, a_h(lap(d_t(v)))), (1.0, mul(d2_v, d1(lap_v))),
+                            (-1.0, mul(d1(v), d2_lap)), (-nu, a_h(lap(lap_v)))):
+                for key, p in part.items():
+                    _add(self._terms, key, w * p)
         self._lx = lx
+        self._what = f"the forcing of the reference {name!r} at nu = {nu:g}, alpha = {alpha:g}"
         self.time_independent = all(time == () for time, _, _ in self._terms)
 
     def sample(self, grid: Grid):
         """``(S, c)``: the ``S_j`` stacked at the grid nodes and ``t -> (c_j)``."""
-        times, fields = _separate(self._terms, self._lx, grid)
+        times, fields = _separate(self._terms, self._lx, grid, self._what)
         return fields, functools.partial(_time_values, times)
 
 

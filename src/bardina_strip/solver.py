@@ -28,17 +28,25 @@ error that names ``lx``, ``m``, ``nu`` and ``dt``.  Every forcing is one
 separable :class:`Forcing` ``g(t) = sum_j c_j(t) S_j``: the ``S_j`` are transformed once per run, and
 ``g_hat(t)`` is their weighted sum; the diagnostics read the same ``g(t)``.
 
-One step computes the modal Laplacian of ``v^n`` once: it is the mass
-operator's right-hand side and, truncated, the advected factor of ``B_hat``.
-``B_hat`` costs one batched inverse and one batched forward transform, both
-along the contiguous mode axis of its work arrays, and the new values one
-more inverse transform.  Every state's field is frozen
-(read-only), so the diagnostics collector and a streaming modulus that see
-the same recorded state share one derivative ladder
-(``OperatorSet.field_ladder``); :func:`run` drops it once the record's
-callback returns.  A non-finite state raises
+One step computes the modal Laplacian ``L v^n`` of ``v^n`` once: it is the
+mass operator's right-hand side and, truncated, the advected factor of
+``B_hat``.  ``B_hat`` costs one batched inverse and one batched forward
+transform, both along the contiguous mode axis of its work arrays.  After
+its Euler starter, CNAB2 solves for the sum ``s = v^{n+1} + v^n``: on the
+interior rows ``(L + nu dt L^2 / 2) v^n = 2 L v^n - A v^n``, where
+``A = L - nu dt L^2 / 2`` is the factorized operator, so the Crank-Nicolson
+half needs no second Laplacian.
+
+A state is modal: :class:`SolverState` holds ``v_hat``, and its values are
+one inverse transform computed on first read, so a state nobody reads costs
+no transform.  A state's values are frozen (read-only), so the
+diagnostics collector and a streaming modulus that see the same recorded
+state share one derivative ladder (``OperatorSet.field_ladder``);
+:func:`run` drops it once the record's callback returns.  A state whose
+coefficients, or values when read, are not finite raises
 :class:`BlowUpError` with its step; a run longer than ``MAX_STEPS`` steps,
-or on a grid of more than ``MAX_NODES`` nodes, is a configuration error.
+or on a grid of more than ``MAX_NODES`` nodes, is a configuration error, and
+so is one whose recorded columns or closed bound overflow.
 
 The one stepping loop is :meth:`ImexStepper.states`: :func:`run` records
 the states it yields, and the verification studies read them directly.
@@ -46,6 +54,7 @@ the states it yields, and the verification studies read them directly.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections.abc import Callable
@@ -86,9 +95,11 @@ MAX_NODES = 2 ** 27  # one field on a larger grid takes more than 1 GiB
 class BlowUpError(RuntimeError):
     """Non-finite state detected at step ``step``.
 
-    ``time`` is the last good solution time.  :func:`run` adds the last
-    finite recorded energy, ``energy`` at ``energy_time``; both stay NaN for
-    a bare :meth:`ImexStepper.step`.
+    ``time`` is the last time whose modal state is finite: the one before
+    ``step`` when the step's coefficients overflow, the state's own when
+    only its values or its recorded energies and norms do.  :func:`run`
+    adds the last finite recorded energy, ``energy`` at ``energy_time``;
+    both stay NaN for a bare :meth:`ImexStepper.step`.
     """
 
     def __init__(self, time: float, step: int):
@@ -220,14 +231,29 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class SolverState:
-    """Solution snapshot plus the cached pieces the schemes need."""
+    """Modal solution snapshot plus the pieces the schemes carry.
+
+    ``v_hat`` holds the ``x1`` Fourier coefficients of the stream function.
+    ``v``, their values as a frozen :class:`Field`, is computed on first
+    read and kept with the state; values that overflow raise
+    :class:`BlowUpError` with the state's step and time.
+    """
 
     t: float
     step_index: int
-    v: Field
     v_hat: np.ndarray
+    grid: Grid
     prev_explicit: np.ndarray | None = None  # modal explicit term at t^{n-1}
     cfl: float = 0.0
+
+    @functools.cached_property
+    def v(self) -> Field:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.fft.irfft(self.v_hat, n=self.grid.nx, axis=0)
+        try:
+            return Field(self.grid, values, clamped=True).freeze()
+        except ValueError:  # non-finite values; the shape is the grid's
+            raise BlowUpError(self.t, self.step_index) from None
 
 
 def clamped_profile(z: np.ndarray, k2: int = 0) -> np.ndarray:
@@ -306,6 +332,10 @@ class ImexStepper:
         ny = self.grid.ny
         self.bc_rows = [0, 1, ny - 2, ny - 1]
         self.theta = 1.0 if config.scheme == "imex_euler" else 0.5
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # the clamped rows' x2 first-derivative stencil, which does not
+            # depend on ny: five nodes hold it
+            self._wall = d2_wall_rows(5, self.grid.dy)
         self._lu = self._build_implicit(self.theta)
         # CNAB2 starts with one IMEX-Euler step: an initial state only
         # satisfies the clamped rows to discretization accuracy, and the
@@ -335,7 +365,7 @@ class ImexStepper:
         c = theta * cfg.nu * cfg.dt
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             # the stencils do not depend on ny: five nodes hold an interior row
-            d2, wall = d2_matrix(5, grid.dy), d2_wall_rows(5, grid.dy)
+            d2, wall = d2_matrix(5, grid.dy), self._wall
             a = d2[2, 1]                            # off-diagonal of L
             b = d2[2, 2] - grid.wavenumbers ** 2    # diagonal of L, per mode
             far = np.full(n_modes, -(c * (a * a)))
@@ -366,10 +396,21 @@ class ImexStepper:
         except RuntimeError as exc:  # exactly singular
             raise ValueError(f"the implicit operator is singular at {at}") from exc
 
-    def initial_state(self) -> SolverState:
-        v0 = build_field(self.config.ic, self.grid, self.config).freeze()
-        v_hat = np.fft.rfft(v0.values, axis=0)
-        return SolverState(t=0.0, step_index=0, v=v0, v_hat=v_hat)
+    def initial_state(self, v0: Field | None = None) -> SolverState:
+        """The state at ``t = 0`` holding ``v0``, the config's initial
+        condition by default; its values are ``v0``'s own, frozen."""
+        if v0 is None:
+            v0 = build_field(self.config.ic, self.grid, self.config)
+        state = SolverState(t=0.0, step_index=0, v_hat=np.fft.rfft(v0.values, axis=0),
+                            grid=self.grid)
+        state.v = v0.freeze()
+        return state
+
+    def _clamped_rows(self, v_hat: np.ndarray) -> np.ndarray:
+        """The implicit operator's four clamped rows applied to ``v_hat``:
+        ``v`` and ``d2 v`` at ``x2 = -M``, then ``d2 v`` and ``v`` at ``+M``."""
+        return np.stack([v_hat[:, 0], v_hat[:, :3] @ self._wall[0, :3],
+                         v_hat[:, -3:] @ self._wall[1, 2:], v_hat[:, -1]], axis=1)
 
     # -- per-step pieces --------------------------------------------------------
 
@@ -395,6 +436,7 @@ class ImexStepper:
         return out, cfl
 
     def step(self, state: SolverState) -> SolverState:
+        """Advance ``state`` by one ``dt``; the new state stays modal."""
         cfg = self.config
         step_index = state.step_index + 1
         with np.errstate(over="ignore", invalid="ignore"):
@@ -408,27 +450,29 @@ class ImexStepper:
                     f"{step_index} (t = {state.t:.6g}); the implicit part is stable "
                     "but the explicit term may not be", CflWarning, stacklevel=2)
                 self._warned_cfl = True
-            starting = cfg.scheme == "imex_cnab2" and state.prev_explicit is None
-            if cfg.scheme == "imex_euler" or starting:
-                lu = self._lu_start if starting else self._lu
-                rhs += cfg.dt * explicit
-            else:
-                lu = self._lu
-                rhs += 0.5 * cfg.nu * cfg.dt * self.ops.laplacian_modal(rhs)
+            summed = cfg.scheme == "imex_cnab2" and state.prev_explicit is not None
+            if summed:
+                # Crank-Nicolson for s = v^{n+1} + v^n (module docstring):
+                # the interior rows of A s are 2 L v^n plus the AB2 term, its
+                # clamped rows those of v^n, since v^{n+1} satisfies them
+                rhs *= 2.0
                 rhs += cfg.dt * (1.5 * explicit - 0.5 * state.prev_explicit)
-            rhs[:, self.bc_rows] = 0.0
+                rhs[:, self.bc_rows] = self._clamped_rows(state.v_hat)
+                lu = self._lu
+            else:
+                # implicit Euler, which also starts CNAB2
+                rhs += cfg.dt * explicit
+                rhs[:, self.bc_rows] = 0.0
+                lu = self._lu if cfg.scheme == "imex_euler" else self._lu_start
 
             sol = lu.solve(rhs.view(np.float64).reshape(-1, 2))
             v_hat = (sol[:, 0] + 1j * sol[:, 1]).reshape(rhs.shape)
-            if not np.all(np.isfinite(v_hat)):
-                raise BlowUpError(state.t, step_index)
-            values = np.fft.irfft(v_hat, n=self.grid.nx, axis=0)
-        if not np.all(np.isfinite(values)):
+            if summed:
+                v_hat -= state.v_hat
+        if not np.all(np.isfinite(v_hat)):
             raise BlowUpError(state.t, step_index)
         return SolverState(
-            t=step_index * cfg.dt,
-            step_index=step_index,
-            v=Field(self.grid, values, clamped=True).freeze(), v_hat=v_hat,
+            t=step_index * cfg.dt, step_index=step_index, v_hat=v_hat, grid=self.grid,
             prev_explicit=explicit if cfg.scheme == "imex_cnab2" else None,
             cfl=cfl)
 
@@ -448,6 +492,28 @@ class ImexStepper:
                 yield state
 
 
+# the config keys a recorded column scales with, besides the sizes of the
+# initial condition and the forcing; the rest scale with those alone
+_COLUMN_KEYS = {
+    "E": ("alpha",), "E_w": ("alpha",), "D": ("alpha", "nu"), "D_w": ("alpha", "nu"),
+    "budget_residual": ("alpha", "nu", "dt"),
+    "weighted_budget_residual": ("alpha", "nu", "dt"), "cfl": ("dt",),
+}
+
+
+def _scale_keys(config: SolverConfig, keys, sections=("ic", "forcing")) -> str:
+    """``keys`` and the keys that size the fields of ``sections`` (a zero
+    field has none), each with its value, for an overflow message."""
+    named = []
+    for section in sections:
+        spec = getattr(config, section)
+        key = {"trig_clamped": "amplitude", "mms": "reference", "file": "path"}.get(spec.kind)
+        if key is not None:
+            named.append(f"{section}.{key} = {getattr(spec, key)}")
+    named += [f"{key} = {getattr(config, key):g}" for key in keys]
+    return ", ".join(named)
+
+
 def run(config: SolverConfig, on_record=None):
     """Integrate to ``t_end``; returns ``(final_state, DiagnosticsSeries)``.
 
@@ -464,8 +530,17 @@ def run(config: SolverConfig, on_record=None):
         grid=grid, ops=stepper.ops, nu=config.nu, alpha=config.alpha,
         weight=weight, g=stepper.forcing.at)
     # the closed bound |g|^2 / (nu lambda1^2) needs g constant in time
-    g_norm = (l2_norm(Field(grid, stepper.forcing.at(0.0)))
-              if stepper.forcing.time_independent else math.nan)
+    g_norm = math.nan
+    if stepper.forcing.time_independent:
+        with np.errstate(over="ignore"):
+            g_norm = l2_norm(Field(grid, stepper.forcing.at(0.0)))
+    try:  # as energy_budget evaluates it; NaN for a forcing that changes in time
+        bound = g_norm ** 2 / (config.nu * collector.lambda1 ** 2)
+    except (OverflowError, ZeroDivisionError):
+        bound = math.inf
+    if bound == math.inf:
+        raise ValueError(f"the closed bound |g|^2 / (nu lambda1^2) is out of range; it "
+                         f"scales with {_scale_keys(config, ('nu', 'm'), ('forcing',))}")
     series = diag.DiagnosticsSeries(meta=dict(
         nu=config.nu, alpha=config.alpha, dt=config.dt,
         record_every=config.record_every,
@@ -474,6 +549,16 @@ def run(config: SolverConfig, on_record=None):
     try:
         for state in stepper.states(config.record_every):
             rec = collector.record(state.t, state.v, cfl=state.cfl)
+            for column, value in zip(diag.CSV_COLUMNS, rec.csv_values()):
+                if math.isfinite(value):
+                    continue
+                keys = _COLUMN_KEYS.get(column, ())
+                # a column that does not scale with dt measures the state
+                # alone: past the initial state, its overflow is a blow-up
+                if state.step_index > 0 and "dt" not in keys:
+                    raise BlowUpError(state.t, state.step_index)
+                raise ValueError(f"the recorded {column} is {value} at t = {state.t:.6g}; "
+                                 f"it scales with {_scale_keys(config, keys)}")
             series.append(rec)
             if on_record is not None:
                 on_record(state, rec)

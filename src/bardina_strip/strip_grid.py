@@ -12,6 +12,7 @@ coefficient columns in the unnormalized numpy convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +79,8 @@ def make_grid(domain: StripDomain, nx: int, ny: int) -> Grid:
 
     The lower bounds guard the biharmonic stencil (five ``x2`` points plus
     four boundary rows need at least nine nodes) and the 2/3-rule dealiasing
-    band (at least a couple of resolved modes).
+    band (at least a couple of resolved modes).  The cell area ``dx * dy``,
+    the quadrature's node weight, must be finite.
     """
     if nx % 2 != 0:
         raise ValueError(f"nx must be even, got {nx}")
@@ -88,6 +90,9 @@ def make_grid(domain: StripDomain, nx: int, ny: int) -> Grid:
         raise ValueError(f"ny must be >= 9, got {ny}")
     dx = domain.lx / nx
     dy = 2.0 * domain.m / (ny - 1)
+    if not math.isfinite(dx * dy):
+        raise ValueError(f"the cell area dx * dy overflows at lx = {domain.lx:g}, "
+                         f"m = {domain.m:g}")
     x1 = dx * np.arange(nx)
     x2 = -domain.m + dy * np.arange(ny)
     qw = np.full(ny, dy)

@@ -330,10 +330,8 @@ def continuous_dependence_study():
     deltas = [1e-3, 1e-4]
     ratios = []
     for delta in deltas:
-        values = start.v.values + delta * direction
-        state = SolverState(t=0.0, step_index=0, v=Field(grid, values, clamped=True),
-                            v_hat=np.fft.rfft(values, axis=0))
-        final = _final_state(stepper, state)
+        perturbed = Field(grid, start.v.values + delta * direction, clamped=True)
+        final = _final_state(stepper, stepper.initial_state(perturbed))
         ratios.append(h1_norm(final.v.values - base.v.values) / delta)
     return deltas, ratios
 
@@ -369,13 +367,20 @@ def _suite_weights(settings: RunSettings) -> SuiteReport:
     spec = cfg.weight
     rep = SuiteReport("weights")
     reports = weight_rho_stability(epsilon=spec.epsilon, gamma=spec.gamma)
+
+    def constants(name, value):  # the note: the constant at each radius
+        return f"{name} " + ", ".join(f"rho {rho:g}: {value(r):.4f}"
+                                      for rho, r in reports.items())
+
     if spec.gamma <= 2.0 / 3.0 + 1e-12:
         for beta in lemma_beta_set():
             ratio = reports[100.0].c_strong[beta] / reports[1.0].c_strong[beta]
-            rep.add(f"strong-form rho ratio, beta={beta}", ratio, 2.0)
+            rep.add(f"strong-form rho ratio, beta={beta}", ratio, 2.0,
+                    note=constants("C_s", lambda r: r.c_strong[beta]))
         for beta in lemma_beta_set():
             ratio = reports[100.0].c_weak[beta] / reports[1.0].c_weak[beta]
-            rep.add(f"weak-form rho ratio, beta={beta}", ratio, 2.0)
+            rep.add(f"weak-form rho ratio, beta={beta}", ratio, 2.0,
+                    note=constants("C_w", lambda r: r.c_weak[beta]))
         limit = certify_phi_control(
             WeightSpec(epsilon=spec.epsilon, gamma=spec.gamma),
             betas=[(1, 0)], x1_extent=40.0 / spec.epsilon)
@@ -384,7 +389,8 @@ def _suite_weights(settings: RunSettings) -> SuiteReport:
     else:
         ratio = (reports[100.0].aggregate_strong / reports[1.0].aggregate_strong)
         rep.add("aggregate growth above the exponent threshold", ratio, 3.0,
-                comparison=">=", note="growth expected for gamma > 2/3")
+                comparison=">=", note="growth expected for gamma > 2/3; "
+                + constants("max C_s", lambda r: r.aggregate_strong))
     return rep
 
 

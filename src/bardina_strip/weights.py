@@ -152,7 +152,13 @@ class WeightField:
 
 def make_weight_field(grid: Grid, spec: WeightSpec) -> WeightField:
     x1, x2 = grid.mesh()
-    phi = np.broadcast_to(varphi(x1, x2, spec), grid.shape).copy()
+    # a radical beyond the float range lies beyond any finite rho, where the
+    # cutoff weight is constant; only the limit weight can overflow
+    with np.errstate(over="ignore"):
+        phi = np.broadcast_to(varphi(x1, x2, spec), grid.shape).copy()
+    if not np.all(np.isfinite(phi)):
+        raise ValueError(f"the weight overflows on the grid at lx = {grid.domain.lx:g}, "
+                         f"m = {grid.domain.m:g}, epsilon = {spec.epsilon:g}")
     return WeightField(grid=grid, spec=spec, phi=phi, psi=np.sqrt(phi))
 
 

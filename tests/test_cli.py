@@ -1,15 +1,21 @@
 import ast
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bardina_strip
 from bardina_strip.cli import main
 from bardina_strip.runio import read_snapshot, read_timeseries, write_snapshot
-from bardina_strip.solver import FieldSpec, SolverConfig, build_field
+from bardina_strip.solver import CflWarning, FieldSpec, SolverConfig, build_field
 
 DECAY_CONFIG = """
 nx = 32
@@ -31,6 +37,22 @@ ny = 33
 epsilon = 0.05
 seed = 3
 """
+
+# positive config values, mostly moderate, some near the ends of the float range
+_SCALE = st.one_of(st.floats(min_value=1e-3, max_value=1e3),
+                   st.sampled_from([1e-300, 1e-150, 1e-80, 1e80, 1e150, 1e300]))
+# (kind, amplitude) of the initial condition or the forcing
+_FIELD = st.tuples(st.sampled_from(["zero", "trig_clamped", "mms"]),
+                   st.one_of(st.floats(min_value=-1e3, max_value=1e3),
+                             st.sampled_from([1e80, 1e150, 1e155, 1e160, 1e200, 1e300])))
+
+
+
+def _small_run(**over):
+    """A pinned example of the small-run property: 8x9, no fields, unit scales."""
+    return example(**{**dict(nx=8, ny=9, steps=0, scheme="imex_euler", lx=1.0, m=1.0,
+                             nu=1.0, dt=1.0, alpha=0.0, ic=("zero", 0.0),
+                             forcing=("zero", 0.0)), **over})
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -158,6 +180,69 @@ class TestRun:
         assert capsys.readouterr().err == (
             "error: the implicit operator overflows at lx = 1e-200, m = 1, "
             "nu = 0.01, dt = 0.001\n")
+
+    def test_overflowing_initial_energy_is_config_error(self, tmp_path, capsys):
+        # E = inf would reach a timeseries.csv that read_timeseries refuses
+        out = tmp_path / "o"
+        cfg = _write(tmp_path, ("nx = 16\nny = 17\nt_end = 0\nic.kind = trig_clamped\n"
+                                f"ic.amplitude = 1e200\noutput.dir = {out}\n"))
+        assert main(["run", cfg]) == 2
+        assert "ic.amplitude = 1e+200" in capsys.readouterr().err
+        assert not (out / "timeseries.csv").exists()
+
+    @pytest.mark.parametrize("amplitude", ["1e155", "1e160"])
+    def test_overflowing_closed_bound_is_config_error(self, tmp_path, capsys, amplitude):
+        # |g|^2 overflows, or |g| already: an infinite bound checks nothing
+        cfg = _write(tmp_path, ("nx = 16\nny = 17\nt_end = 0\nforcing.kind = trig_clamped\n"
+                                f"forcing.amplitude = {amplitude}\n"
+                                f"output.dir = {tmp_path / 'o'}\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the closed bound ") and err.count("\n") == 1
+        assert f"forcing.amplitude = {float(amplitude)}" in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(nx=st.sampled_from([8, 16]), ny=st.sampled_from([9, 17]),
+           steps=st.integers(0, 2), scheme=st.sampled_from(["imex_euler", "imex_cnab2"]),
+           lx=_SCALE, m=_SCALE, nu=_SCALE, dt=_SCALE, alpha=st.just(0.0) | _SCALE,
+           ic=_FIELD, forcing=_FIELD)
+    # the radical of the weight overflows: numpy warned, the cutoff is constant there
+    @_small_run(lx=1e150)
+    # the cell area dx * dy overflows
+    @_small_run(lx=1e300, m=1e80)
+    # nu lambda1^2 underflows to 0: energy_budget divided by zero
+    @_small_run(m=1e80, nu=1e-150)
+    @_small_run(m=1e80, nu=1e-150, forcing=("mms", 1.0))
+    # the manufactured forcing overflows: numpy warned, Field refused it unnamed
+    @_small_run(lx=2.3, m=0.002, nu=1e150, alpha=1e80, forcing=("mms", 1.0))
+    # the integral of the weighted dissipation overflows: numpy warned
+    @_small_run(steps=1, dt=1e80, alpha=1e150, ic=("trig_clamped", 1.0))
+    def test_any_small_run_exits_0_or_2_with_finite_columns(
+            self, nx, ny, steps, scheme, lx, m, nu, dt, alpha, ic, forcing):
+        # a run that steps may also blow up (exit 3); none writes a column
+        # that read_timeseries refuses
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "o"
+            text = (f"nx = {nx}\nny = {ny}\nlx = {lx!r}\nm = {m!r}\nnu = {nu!r}\n"
+                    f"dt = {dt!r}\nt_end = {steps * dt!r}\nalpha = {alpha!r}\n"
+                    f"scheme = {scheme}\noutput.dir = {out}\n")
+            for section, (kind, amplitude) in (("ic", ic), ("forcing", forcing)):
+                text += (f"{section}.kind = {kind}\n{section}.amplitude = {amplitude!r}\n"
+                         f"{section}.reference = two_mode\n")
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text(text)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err, \
+                    warnings.catch_warnings():
+                warnings.simplefilter("ignore", CflWarning)
+                code = main(["run", str(cfg)])
+            assert code in ((0, 2) if steps == 0 else (0, 2, 3)), err.getvalue()
+            if code == 0:
+                assert len(read_timeseries(out / "timeseries.csv")["t"]) == steps + 1
+            else:
+                assert not (out / "timeseries.csv").exists()
 
     def test_blow_up_exit_code(self, tmp_path, capsys):
         import warnings

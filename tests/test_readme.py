@@ -1,10 +1,8 @@
-"""The README's command lines stay in step with the parser, the configs and
-``scripts/``.
+"""The README's command lines stay in step with the parser and the configs.
 
 Every ``bardina-strip ...`` line in a code block parses with the CLI's own
-parser (nothing runs) and its config loads; every ``python scripts/X.py``
-line names a script that exists; the config-key table lists every key
-with its default.
+parser (nothing runs) and its config loads; the config-key table lists
+every key with its default.
 """
 
 import re
@@ -22,11 +20,10 @@ CODE_LINES = [line.split("#", 1)[0].strip()
               for block in re.findall(r"^```[^\n]*\n(.*?)^```", README, re.S | re.M)
               for line in block.splitlines()]
 CLI_LINES = [line for line in CODE_LINES if line.startswith("bardina-strip ")]
-SCRIPT_LINES = [line for line in CODE_LINES if line.startswith("python scripts/")]
 
 
 def test_readme_has_command_lines():
-    assert CLI_LINES and SCRIPT_LINES
+    assert CLI_LINES
 
 
 @pytest.mark.parametrize("line", CLI_LINES)
@@ -34,11 +31,6 @@ def test_cli_line_parses_and_its_config_loads(line, monkeypatch):
     args = _build_parser().parse_args(shlex.split(line)[1:])
     monkeypatch.chdir(ROOT)
     load_config(args.config, allow_gamma_override=args.override_gamma)
-
-
-@pytest.mark.parametrize("line", SCRIPT_LINES)
-def test_script_line_names_an_existing_script(line):
-    assert (ROOT / shlex.split(line)[1]).is_file()
 
 
 def test_key_table_lists_every_key_with_its_default():

@@ -292,6 +292,51 @@ class TestImplicitAssembly:
             assert lu.L.nnz + lu.U.nnz <= 8 * mat.shape[0]
 
 
+    @staticmethod
+    def _cnab2_stepper(nx, ny, lx, m):
+        return ImexStepper(SolverConfig(
+            nx=nx, ny=ny, lx=lx, m=m, nu=0.03, dt=2e-3, t_end=1e-2, scheme="imex_cnab2",
+            ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=1),
+            forcing=FieldSpec(kind="trig_clamped", amplitude=0.5, k1=2, k2=1)))
+
+    @pytest.mark.parametrize("nx,ny,lx,m", [(16, 17, 2 * np.pi, 1.0),
+                                            (12, 21, 5.0, 1.3)])
+    def test_cnab2_step_matches_the_two_laplacian_oracle(self, nx, ny, lx, m):
+        # A v^{n+1} = (L + nu dt L^2 / 2) v^n + dt (3/2 E^n - 1/2 E^{n-1}),
+        # clamped rows zero, solved densely mode by mode
+        stepper = self._cnab2_stepper(nx, ny, lx, m)
+        cfg, grid = stepper.config, stepper.grid
+        state = stepper.step(stepper.initial_state())  # the Euler starter
+        # the first step starts off the clamped rows, which it restores
+        noise = np.random.default_rng(5).standard_normal(grid.shape)
+        state = replace(state, v_hat=state.v_hat + 0.01 * np.fft.rfft(noise, axis=0))
+        for _ in range(3):
+            explicit, _cfl = stepper._explicit_and_cfl(
+                state, stepper.ops.laplacian_modal(state.v_hat))
+            forcing_term = cfg.dt * (1.5 * explicit - 0.5 * state.prev_explicit)
+            exact = np.empty_like(state.v_hat)
+            for k, kap in enumerate(grid.wavenumbers):
+                lap1d = d2_matrix(ny, grid.dy) - kap ** 2 * np.eye(ny)
+                rhs = ((lap1d + 0.5 * cfg.nu * cfg.dt * (lap1d @ lap1d)) @ state.v_hat[k]
+                       + forcing_term[k])
+                rhs[[0, 1, -2, -1]] = 0.0
+                exact[k] = np.linalg.solve(
+                    self._dense_block(grid, kap, 0.5, cfg.nu, cfg.dt), rhs)
+            state = stepper.step(state)
+            assert np.abs(state.v_hat - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    def test_clamped_rows_vanish_after_every_cnab2_step(self):
+        stepper = self._cnab2_stepper(16, 17, 2 * np.pi, 1.0)
+        dy = stepper.grid.dy
+        for state in stepper.states(1):
+            v = state.v_hat
+            rows = np.stack([v[:, 0], (-3.0 * v[:, 0] + 4.0 * v[:, 1] - v[:, 2]) / (2 * dy),
+                             (v[:, -3] - 4.0 * v[:, -2] + 3.0 * v[:, -1]) / (2 * dy),
+                             v[:, -1]])
+            if state.step_index > 0:
+                assert np.abs(rows).max() <= 1e-12 * np.abs(v).max()
+
+
 class TestExplicitTerm:
 
     @pytest.mark.parametrize("scheme", ["imex_euler", "imex_cnab2"])
@@ -424,6 +469,26 @@ class TestDeterminismAndBlowUp:
         state.v_hat = np.full_like(state.v_hat, np.nan)
         with pytest.raises(BlowUpError, match="at step 1: non-finite state after t = 0$"):
             stepper.step(state)
+
+    def test_states_compute_no_values_until_read(self, monkeypatch):
+        irfft, calls = np.fft.irfft, []
+        monkeypatch.setattr(np.fft, "irfft",
+                            lambda *args, **kw: calls.append(args) or irfft(*args, **kw))
+        # with the advection frozen, only reading a state's values transforms
+        stepper = ImexStepper(_decay_config(scheme="imex_cnab2", nonlinear=False))
+        *_, final = stepper.states(MAX_STEPS)
+        assert final.step_index == stepper.config.n_steps and not calls
+        assert final.v.values.shape == stepper.grid.shape and len(calls) == 1
+        for state in ImexStepper(_decay_config(scheme="imex_cnab2")).states(1):
+            assert ("v" in vars(state)) == (state.step_index == 0)
+
+    def test_overflowing_values_raise_blow_up_with_the_step(self):
+        stepper = ImexStepper(_decay_config())
+        state = stepper.step(stepper.step(stepper.initial_state()))
+        # finite coefficients whose inverse transform overflows
+        huge = replace(state, v_hat=np.full_like(state.v_hat, 1e308))
+        with pytest.raises(BlowUpError, match="at step 2: non-finite state after t = 0.002$"):
+            huge.v
 
     def test_cfl_warning(self):
         cfg = SolverConfig(nx=32, ny=33, dt=0.2, t_end=0.2, nu=0.5, alpha=0.0,

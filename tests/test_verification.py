@@ -71,6 +71,21 @@ class TestSuites:
         settings = parse_config_text("gamma = 1.0\n", allow_gamma_override=True)
         report = run_suite("weights", settings)
         assert report.passed, report.format()
+        assert report.results[0].note.endswith(
+            "; max C_s rho 1: 12.0994, rho 10: 25.3572, rho 100: 97.3909")
+
+    def test_weights_suite_notes_the_constants_at_each_radius(self):
+        report = run_suite("weights", parse_config_text(""))
+        ratios = [r for r in report.results if "rho ratio" in r.name]
+        assert len(ratios) == 16
+        for res in ratios:
+            name, table = res.note.split(" ", 1)
+            assert name == ("C_s" if res.name.startswith("strong") else "C_w")
+            rhos, consts = zip(*(part.split(": ") for part in table.split(", ")))
+            assert rhos == ("rho 1", "rho 10", "rho 100")
+            # the notes print four decimals; every constant here is above 0.04
+            assert float(consts[2]) / float(consts[0]) == pytest.approx(res.measured,
+                                                                        rel=5e-3)
 
     def test_alpha_sweep_suite_passes(self):
         settings = parse_config_text("nx = 32\nny = 33\n")
