@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .diagnostics import energy_budget, weighted_energy_budget
 from .runio import load_config, write_snapshot, write_timeseries
-from .solver import BlowUpError, run
+from .solver import BlowUpError, _scale_keys, run
 from .verification import SUITE_NAMES, compare_nse, run_suite
 
 __all__ = ["main"]
@@ -48,12 +48,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args, settings) -> int:
     cfg = settings.solver
     out_dir = Path(settings.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     state, series = run(cfg)
-    write_timeseries(out_dir / "timeseries.csv", series)
-    write_snapshot(out_dir / "final.bstr", state.v, state.t, cfg.alpha, cfg.nu)
     first, last = series.records[0], series.records[-1]
     budget, weighted = energy_budget(series), weighted_energy_budget(series)
+    # the summaries that can leave the float range while every column is
+    # finite, each with the keys it scales with; NaN when not printed
+    for name, value, keys in (
+            ("max excess over the closed bound", budget.max_excess, ("alpha", "nu", "dt")),
+            ("integral of weighted dissipation", weighted.dissipation_integral,
+             ("alpha", "nu", "t_end"))):
+        if math.isinf(value):
+            raise ValueError(f"the {name} is {value}; it scales with "
+                             f"{_scale_keys(cfg, keys)}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_timeseries(out_dir / "timeseries.csv", series)
+    write_snapshot(out_dir / "final.bstr", state.v, state.t, cfg.alpha, cfg.nu)
     print(f"integrated to t = {state.t:.6g} ({cfg.n_steps} steps)")
     print(f"energy: {first.energy:.9g} -> {last.energy:.9g}")
     print(f"max per-record energy increase: {budget.max_energy_increase:.3e}")

@@ -21,21 +21,31 @@ form whose skew-symmetry the operator suite checks, always dealiased by the
 the ``k = 0`` column well-posed, and the combined implicit matrix with the
 four clamped boundary rows is pentadiagonal and nonsingular for
 ``nu dt > 0``.  For all modes at once it is one block-diagonal matrix,
-written from the five-point stencil straight into compressed-column arrays
-and factorized once per run as a single sparse LU in natural order; a
-parameter set whose operator overflows or is singular is a configuration
-error that names ``lx``, ``m``, ``nu`` and ``dt``.  Every forcing is one
+``L - theta nu dt L^2`` with ``theta = 1`` (Euler) or ``1/2``
+(Crank-Nicolson), written from the five-point stencil straight into
+compressed-column arrays and factorized once per run, for either scheme, as
+a single sparse LU in natural order; a parameter set whose operator
+overflows or is singular is a configuration error that names ``lx``, ``m``,
+``nu`` and ``dt``.  Every forcing is one
 separable :class:`Forcing` ``g(t) = sum_j c_j(t) S_j``: the ``S_j`` are transformed once per run, and
 ``g_hat(t)`` is their weighted sum; the diagnostics read the same ``g(t)``.
 
 One step computes the modal Laplacian ``L v^n`` of ``v^n`` once: it is the
 mass operator's right-hand side and, truncated, the advected factor of
 ``B_hat``.  ``B_hat`` costs one batched inverse and one batched forward
-transform, both along the contiguous mode axis of its work arrays.  After
-its Euler starter, CNAB2 solves for the sum ``s = v^{n+1} + v^n``: on the
-interior rows ``(L + nu dt L^2 / 2) v^n = 2 L v^n - A v^n``, where
-``A = L - nu dt L^2 / 2`` is the factorized operator, so the Crank-Nicolson
-half needs no second Laplacian.
+transform, both along the contiguous mode axis of its work arrays.
+
+CNAB2's first step is two IMEX-Euler steps of ``dt / 2`` (Rannacher's
+start), with the explicit term at ``t`` and ``t + dt / 2``: an initial state
+satisfies the clamped rows only to discretization accuracy, the
+Crank-Nicolson half must not see that defect, and implicit Euler damps it.
+Implicit Euler at ``dt / 2`` is the Crank-Nicolson operator
+``A = L - nu dt L^2 / 2`` itself, so the start needs no second
+factorization.  The first half step's explicit term starts the
+Adams-Bashforth history.  After it, CNAB2 solves for the sum
+``s = v^{n+1} + v^n``: on the interior rows
+``(L + nu dt L^2 / 2) v^n = 2 L v^n - A v^n``, so the Crank-Nicolson half
+needs no second Laplacian.
 
 A state is modal: :class:`SolverState` holds ``v_hat``, and its values are
 one inverse transform computed on first read, so a state nobody reads costs
@@ -86,7 +96,9 @@ __all__ = [
     "build_forcing",
 ]
 
-SCHEMES = ("imex_euler", "imex_cnab2")
+# each scheme and its implicit weight: it factorizes L - theta nu dt L^2
+_THETA = {"imex_euler": 1.0, "imex_cnab2": 0.5}
+SCHEMES = tuple(_THETA)
 CFL_LIMIT = 0.5  # advective CFL number above which a CflWarning is issued
 MAX_STEPS = 10 ** 9  # a longer run cannot end on this single-process solver
 MAX_NODES = 2 ** 27  # one field on a larger grid takes more than 1 GiB
@@ -321,7 +333,7 @@ def build_forcing(config: SolverConfig, grid: Grid) -> Forcing:
 
 
 class ImexStepper:
-    """Holds the per-run factorizations and advances states by one ``dt``;
+    """Holds the per-run factorization and advances states by one ``dt``;
     :meth:`states` is the loop that steps to ``t_end``."""
 
     def __init__(self, config: SolverConfig):
@@ -331,16 +343,15 @@ class ImexStepper:
         self.mult = self.ops.helmholtz(config.alpha)
         ny = self.grid.ny
         self.bc_rows = [0, 1, ny - 2, ny - 1]
-        self.theta = 1.0 if config.scheme == "imex_euler" else 0.5
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             # the clamped rows' x2 first-derivative stencil, which does not
             # depend on ny: five nodes hold it
             self._wall = d2_wall_rows(5, self.grid.dy)
-        self._lu = self._build_implicit(self.theta)
-        # CNAB2 starts with one IMEX-Euler step: an initial state only
-        # satisfies the clamped rows to discretization accuracy, and the
-        # Crank-Nicolson half of the operator must not see that defect.
-        self._lu_start = self._lu if self.theta == 1.0 else self._build_implicit(1.0)
+        # the one operator, L - theta nu dt L^2, is implicit Euler's at the
+        # step theta dt: the whole step under imex_euler, CNAB2's half steps
+        theta = _THETA[config.scheme]
+        self._euler_dt = theta * config.dt
+        self._lu = self._build_implicit(theta)
         self.forcing = g = build_forcing(config, self.grid)
         self._forcing_hat = Forcing(np.fft.rfft(g.fields, axis=1), g.coefficients,
                                     g.time_independent)
@@ -435,40 +446,58 @@ class ImexStepper:
         out /= self.mult[:, None]
         return out, cfl
 
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The factorized operator solved for the modal ``rhs``, whose real
+        and imaginary parts are two columns of one solve."""
+        sol = self._lu.solve(rhs.view(np.float64).reshape(-1, 2))
+        return (sol[:, 0] + 1j * sol[:, 1]).reshape(rhs.shape)
+
+    def _euler(self, state: SolverState) -> tuple[np.ndarray, np.ndarray, float]:
+        """One IMEX-Euler step of ``theta dt`` from ``state``: the new
+        coefficients, the explicit term at ``state.t`` and the CFL number."""
+        # the mass operator (D2 - kappa^2) is the modal Laplacian, which the
+        # advective term reads too
+        rhs = self.ops.laplacian_modal(state.v_hat)
+        explicit, cfl = self._explicit_and_cfl(state, rhs)
+        rhs += self._euler_dt * explicit
+        rhs[:, self.bc_rows] = 0.0
+        return self._solve(rhs), explicit, cfl
+
     def step(self, state: SolverState) -> SolverState:
         """Advance ``state`` by one ``dt``; the new state stays modal."""
         cfg = self.config
         step_index = state.step_index + 1
         with np.errstate(over="ignore", invalid="ignore"):
-            # the mass operator (D2 - kappa^2) is the modal Laplacian, which
-            # the advective term reads too
-            rhs = self.ops.laplacian_modal(state.v_hat)
-            explicit, cfl = self._explicit_and_cfl(state, rhs)
-            if cfl > CFL_LIMIT and not self._warned_cfl:
-                warnings.warn(
-                    f"advective CFL {cfl:.3g} exceeds {CFL_LIMIT} at step "
-                    f"{step_index} (t = {state.t:.6g}); the implicit part is stable "
-                    "but the explicit term may not be", CflWarning, stacklevel=2)
-                self._warned_cfl = True
-            summed = cfg.scheme == "imex_cnab2" and state.prev_explicit is not None
-            if summed:
+            if cfg.scheme == "imex_euler":
+                v_hat, explicit, cfl = self._euler(state)
+            elif state.prev_explicit is None:
+                # CNAB2 starts with two IMEX-Euler steps of dt / 2 on its own
+                # operator (module docstring); the first one's explicit term
+                # starts the Adams-Bashforth history
+                v_hat, explicit, cfl = self._euler(state)
+                if not np.all(np.isfinite(v_hat)):
+                    raise BlowUpError(state.t, step_index)
+                half = SolverState(t=state.t + self._euler_dt, step_index=state.step_index,
+                                   v_hat=v_hat, grid=self.grid)
+                v_hat, _, half_cfl = self._euler(half)
+                cfl = max(cfl, half_cfl)
+            else:
                 # Crank-Nicolson for s = v^{n+1} + v^n (module docstring):
                 # the interior rows of A s are 2 L v^n plus the AB2 term, its
                 # clamped rows those of v^n, since v^{n+1} satisfies them
+                rhs = self.ops.laplacian_modal(state.v_hat)
+                explicit, cfl = self._explicit_and_cfl(state, rhs)
                 rhs *= 2.0
                 rhs += cfg.dt * (1.5 * explicit - 0.5 * state.prev_explicit)
                 rhs[:, self.bc_rows] = self._clamped_rows(state.v_hat)
-                lu = self._lu
-            else:
-                # implicit Euler, which also starts CNAB2
-                rhs += cfg.dt * explicit
-                rhs[:, self.bc_rows] = 0.0
-                lu = self._lu if cfg.scheme == "imex_euler" else self._lu_start
-
-            sol = lu.solve(rhs.view(np.float64).reshape(-1, 2))
-            v_hat = (sol[:, 0] + 1j * sol[:, 1]).reshape(rhs.shape)
-            if summed:
+                v_hat = self._solve(rhs)
                 v_hat -= state.v_hat
+        if cfl > CFL_LIMIT and not self._warned_cfl:
+            warnings.warn(
+                f"advective CFL {cfl:.3g} exceeds {CFL_LIMIT} at step "
+                f"{step_index} (t = {state.t:.6g}); the implicit part is stable "
+                "but the explicit term may not be", CflWarning, stacklevel=2)
+            self._warned_cfl = True
         if not np.all(np.isfinite(v_hat)):
             raise BlowUpError(state.t, step_index)
         return SolverState(

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -53,6 +54,21 @@ def _small_run(**over):
     return example(**{**dict(nx=8, ny=9, steps=0, scheme="imex_euler", lx=1.0, m=1.0,
                              nu=1.0, dt=1.0, alpha=0.0, ic=("zero", 0.0),
                              forcing=("zero", 0.0)), **over})
+
+
+def _printed_numbers(text):
+    """Every token of ``text`` that reads as a float, the lines naming the
+    written files left out."""
+    numbers = []
+    for line in text.splitlines():
+        if line.startswith("wrote "):
+            continue
+        for token in line.replace(",", " ").replace("(", " ").split():
+            try:
+                numbers.append(float(token))
+            except ValueError:
+                pass
+    return numbers
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -203,6 +219,21 @@ class TestRun:
         assert err.startswith("error: the closed bound ") and err.count("\n") == 1
         assert f"forcing.amplitude = {float(amplitude)}" in err
 
+    def test_overflowing_summary_is_config_error(self, tmp_path, capsys):
+        # every column is finite, but the weighted dissipation integrated
+        # over t_end = 1e80 is not
+        out = tmp_path / "o"
+        cfg = _write(tmp_path, ("nx = 8\nny = 9\nlx = 1\nm = 1\nnu = 1\ndt = 1e80\n"
+                                "t_end = 1e80\nalpha = 1e150\nic.kind = trig_clamped\n"
+                                f"ic.amplitude = 1\noutput.dir = {out}\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CflWarning)
+            assert main(["run", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: the integral of weighted dissipation is inf")
+        assert "alpha = 1e+150" in captured.err and "t_end = 1e+80" in captured.err
+
     @settings(max_examples=150, deadline=None)
     @given(nx=st.sampled_from([8, 16]), ny=st.sampled_from([9, 17]),
            steps=st.integers(0, 2), scheme=st.sampled_from(["imex_euler", "imex_cnab2"]),
@@ -217,7 +248,8 @@ class TestRun:
     @_small_run(m=1e80, nu=1e-150, forcing=("mms", 1.0))
     # the manufactured forcing overflows: numpy warned, Field refused it unnamed
     @_small_run(lx=2.3, m=0.002, nu=1e150, alpha=1e80, forcing=("mms", 1.0))
-    # the integral of the weighted dissipation overflows: numpy warned
+    # the integral of the weighted dissipation overflows: numpy warned, and
+    # then it printed inf and exited 0
     @_small_run(steps=1, dt=1e80, alpha=1e150, ic=("trig_clamped", 1.0))
     def test_any_small_run_exits_0_or_2_with_finite_columns(
             self, nx, ny, steps, scheme, lx, m, nu, dt, alpha, ic, forcing):
@@ -233,7 +265,7 @@ class TestRun:
                          f"{section}.reference = two_mode\n")
             cfg = Path(tmp) / "run.cfg"
             cfg.write_text(text)
-            with contextlib.redirect_stdout(io.StringIO()), \
+            with contextlib.redirect_stdout(io.StringIO()) as printed, \
                     contextlib.redirect_stderr(io.StringIO()) as err, \
                     warnings.catch_warnings():
                 warnings.simplefilter("ignore", CflWarning)
@@ -241,6 +273,8 @@ class TestRun:
             assert code in ((0, 2) if steps == 0 else (0, 2, 3)), err.getvalue()
             if code == 0:
                 assert len(read_timeseries(out / "timeseries.csv")["t"]) == steps + 1
+                numbers = _printed_numbers(printed.getvalue())
+                assert numbers and all(map(math.isfinite, numbers)), printed.getvalue()
             else:
                 assert not (out / "timeseries.csv").exists()
 

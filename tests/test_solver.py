@@ -258,7 +258,7 @@ class TestImplicitAssembly:
     @pytest.mark.parametrize("nx,ny,lx,m", [(16, 17, 2 * np.pi, 1.0),
                                             (12, 21, 5.0, 1.3)])
     @pytest.mark.parametrize("scheme,thetas", [("imex_euler", (1.0,)),
-                                               ("imex_cnab2", (0.5, 1.0))])
+                                               ("imex_cnab2", (0.5,))])
     def test_matches_dense_per_mode_oracle(self, monkeypatch, nx, ny, lx, m,
                                            scheme, thetas):
         import scipy.sparse.linalg as spla
@@ -292,6 +292,17 @@ class TestImplicitAssembly:
             assert lu.L.nnz + lu.U.nnz <= 8 * mat.shape[0]
 
 
+    @pytest.mark.parametrize("scheme", ["imex_euler", "imex_cnab2"])
+    def test_one_factorization_per_stepper(self, monkeypatch, scheme):
+        import scipy.sparse.linalg as spla
+
+        calls = []
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda *a, **kw: calls.append(a) or splu(*a, **kw))
+        stepper = ImexStepper(_decay_config(scheme=scheme, t_end=5e-3))
+        *_, final = stepper.states(1)
+        assert final.step_index == 5 and len(calls) == 1
+
     @staticmethod
     def _cnab2_stepper(nx, ny, lx, m):
         return ImexStepper(SolverConfig(
@@ -324,6 +335,70 @@ class TestImplicitAssembly:
                     self._dense_block(grid, kap, 0.5, cfg.nu, cfg.dt), rhs)
             state = stepper.step(state)
             assert np.abs(state.v_hat - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    @staticmethod
+    def _dense_euler(grid, stepper, state, h):
+        """One IMEX-Euler step of ``h`` from ``state``, solved densely mode by
+        mode on the Crank-Nicolson block; its explicit term and CFL number."""
+        cfg = stepper.config
+        explicit, cfl = stepper._explicit_and_cfl(
+            state, stepper.ops.laplacian_modal(state.v_hat))
+        exact = np.empty_like(state.v_hat)
+        for k, kap in enumerate(grid.wavenumbers):
+            lap1d = d2_matrix(grid.ny, grid.dy) - kap ** 2 * np.eye(grid.ny)
+            rhs = lap1d @ state.v_hat[k] + h * explicit[k]
+            rhs[[0, 1, -2, -1]] = 0.0
+            exact[k] = np.linalg.solve(
+                TestImplicitAssembly._dense_block(grid, kap, 0.5, cfg.nu, cfg.dt), rhs)
+        return exact, explicit, cfl
+
+    @pytest.mark.parametrize("nx,ny,lx,m", [(16, 17, 2 * np.pi, 1.0),
+                                            (12, 21, 5.0, 1.3)])
+    def test_cnab2_start_is_two_euler_half_steps(self, nx, ny, lx, m):
+        # the starter on the Crank-Nicolson block, explicit term at t0 and
+        # t0 + dt / 2, from a state off its clamped rows
+        stepper = self._cnab2_stepper(nx, ny, lx, m)
+        cfg, grid = stepper.config, stepper.grid
+        noise = np.random.default_rng(5).standard_normal(grid.shape)
+        start = stepper.initial_state()
+        start = replace(start, t=0.25, step_index=7,
+                        v_hat=start.v_hat + 0.01 * np.fft.rfft(noise, axis=0))
+        h = cfg.dt / 2
+        half, explicit0, cfl0 = self._dense_euler(grid, stepper, start, h)
+        exact, _, cfl1 = self._dense_euler(
+            grid, stepper, replace(start, t=start.t + h, v_hat=half), h)
+        state = stepper.step(start)
+        assert np.abs(state.v_hat - exact).max() <= 1e-12 * np.abs(exact).max()
+        assert np.array_equal(state.prev_explicit, explicit0)
+        assert state.cfl == pytest.approx(max(cfl0, cfl1), rel=1e-12)
+        assert (state.t, state.step_index) == (8 * cfg.dt, 8)
+
+    @staticmethod
+    def _rigged_start(monkeypatch, scales, cfls):
+        """A CNAB2 stepper whose starter's half steps scale their explicit
+        terms by ``scales`` and report ``cfls``; the times they are read at."""
+        stepper = TestImplicitAssembly._cnab2_stepper(16, 17, 2 * np.pi, 1.0)
+        explicit_and_cfl, times = stepper._explicit_and_cfl, []
+
+        def rigged(state, lap_hat):
+            times.append(state.t)
+            explicit, _cfl = explicit_and_cfl(state, lap_hat)
+            return explicit * scales[len(times) - 1], cfls[len(times) - 1]
+
+        monkeypatch.setattr(stepper, "_explicit_and_cfl", rigged)
+        return stepper, times
+
+    @pytest.mark.parametrize("cfls", [(0.3, 0.1), (0.1, 0.3)])
+    def test_cnab2_start_cfl_is_the_larger_half_step(self, monkeypatch, cfls):
+        stepper, times = self._rigged_start(monkeypatch, (1.0, 1.0), cfls)
+        assert stepper.step(stepper.initial_state()).cfl == 0.3
+        assert times == [0.0, stepper.config.dt / 2]
+
+    @pytest.mark.parametrize("scales", [(np.inf, 1.0), (1.0, np.inf)])
+    def test_cnab2_start_blow_up_names_step_one(self, monkeypatch, scales):
+        stepper, _ = self._rigged_start(monkeypatch, scales, (0.0, 0.0))
+        with pytest.raises(BlowUpError, match="at step 1: non-finite state after t = 0$"):
+            stepper.step(stepper.initial_state())
 
     def test_clamped_rows_vanish_after_every_cnab2_step(self):
         stepper = self._cnab2_stepper(16, 17, 2 * np.pi, 1.0)
