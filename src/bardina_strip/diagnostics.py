@@ -24,7 +24,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .operators import OperatorSet
 from .strip_grid import Field, Grid, quadrature
@@ -108,12 +107,12 @@ class Lambda1Estimate:
 
 
 def lambda1_estimate(grid: Grid) -> Lambda1Estimate:
+    """The discrete ``lambda1``: the smallest eigenvalue of
+    ``tridiag(-1, 2, -1) / dy^2`` on the ``ny - 2`` interior nodes, which is
+    exactly ``(2 sin(pi / (2 (ny - 1))) / dy)^2``."""
     ny, dy, m = grid.ny, grid.dy, grid.domain.m
-    n = ny - 2
-    diag_main = np.full(n, 2.0 / dy ** 2)
-    diag_off = np.full(n - 1, -1.0 / dy ** 2)
-    lam = eigvalsh_tridiagonal(diag_main, diag_off, select="i", select_range=(0, 0))
-    return Lambda1Estimate(value=float(lam[0]), analytic=(np.pi / (2.0 * m)) ** 2)
+    value = (2.0 * math.sin(math.pi / (2 * (ny - 1))) / dy) ** 2
+    return Lambda1Estimate(value=value, analytic=(np.pi / (2.0 * m)) ** 2)
 
 
 class DiagnosticsCollector:

@@ -197,6 +197,19 @@ class TestRun:
             "error: the implicit operator overflows at lx = 1e-200, m = 1, "
             "nu = 0.01, dt = 0.001\n")
 
+    @pytest.mark.parametrize("grid", ["nx = 16\nny = 17\n", "nx = 128\nny = 129\n"],
+                             ids=["inverse", "superlu"])
+    def test_singular_operator_is_config_error(self, tmp_path, capsys, grid):
+        # one grid on each side of DENSE_INVERSE_BYTES; the x2 stencil
+        # underflows at m = 1e200
+        cfg = _write(tmp_path, grid + f"m = 1e200\noutput.dir = {tmp_path / 'o'}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "error: the implicit operator is singular at lx = 6.28319, m = 1e+200, "
+            "nu = 0.01, dt = 0.001\n")
+
     def test_overflowing_initial_energy_is_config_error(self, tmp_path, capsys):
         # E = inf would reach a timeseries.csv that read_timeseries refuses
         out = tmp_path / "o"
@@ -440,6 +453,22 @@ class TestEntryPoint:
                                 capture_output=True, text=True, env=env)
         assert result.returncode == 0
         assert "compare-nse" in result.stdout
+
+    def test_small_run_loads_no_scipy(self, tmp_path):
+        # scipy serves only the SuperLU solve of grids above
+        # DENSE_INVERSE_BYTES: the package and a 32 x 33 run load none of it
+        src = Path(bardina_strip.__file__).resolve().parents[1]
+        cfg = _write(tmp_path, DECAY_CONFIG.format(out=tmp_path / "out"))
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+                "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+                "import bardina_strip; print(scipy()); "
+                f"from bardina_strip.cli import main; rc = main(['run', {cfg!r}]); "
+                "print(rc, scipy())")
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[0] == "[]"
+        assert result.stdout.splitlines()[-1] == "0 []"
 
     def test_import_leaves_sympy_out(self, tmp_path):
         # sympy is a test dependency only: no module under src/ imports it,

@@ -36,6 +36,16 @@ class TestLambda1:
         assert est.analytic == pytest.approx((np.pi / 2) ** 2, rel=1e-14)
         assert est.relative_error < 0.01
 
+    @pytest.mark.parametrize("ny", [9, 17, 65, 129, 513])
+    def test_closed_form_matches_tridiagonal_eigensolve(self, ny):
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        grid = make_grid(StripDomain(2 * np.pi, 1.0), 8, ny)
+        n, dy = ny - 2, grid.dy
+        (oracle,) = eigvalsh_tridiagonal(np.full(n, 2.0 / dy ** 2), np.full(n - 1, -1.0 / dy ** 2),
+                                         select="i", select_range=(0, 0))
+        assert abs(lambda1_estimate(grid).value - oracle) <= 1e-13 * oracle
+
     def test_second_order_in_dy(self):
         errs = []
         for ny in (17, 33, 65):

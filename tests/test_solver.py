@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from bardina_strip import mms
 from bardina_strip.operators import OperatorSet, d2_matrix, d2_values
 from bardina_strip.runio import parse_config_text
-from bardina_strip.solver import (MAX_NODES, MAX_STEPS, BlowUpError,
-                                  CflWarning, FieldSpec, ImexStepper,
+from bardina_strip.solver import (DENSE_INVERSE_BYTES, MAX_NODES, MAX_STEPS,
+                                  BlowUpError, CflWarning, FieldSpec, ImexStepper,
                                   SolverConfig, build_field, build_forcing, run)
 from bardina_strip.strip_grid import Field, inner_product, l2_norm, quadrature
 from bardina_strip.verification import fit_order
@@ -156,13 +156,34 @@ class TestConfigValidation:
                 with pytest.raises(ValueError, match=rf"^{prefix}\.{key} is too large"):
                     parse_config_text(f"{prefix}.{key} = 1" + "0" * 400 + "\n")
 
+    # one grid on each side of DENSE_INVERSE_BYTES
+    _BOTH_SOLVES = ("nx = 16\nny = 17\n", "nx = 128\nny = 129\n")
+
     def test_overflowing_operator_names_the_parameters(self):
         # lx and m both enter the operator; neither nu nor dt is at fault
-        for text, at in (("lx = 1e-80\nalpha = 0\n", "lx = 1e-80, m = 1,"),
-                         ("m = 1e-100\n", "lx = 6.28319, m = 1e-100,")):
-            cfg = parse_config_text("nx = 16\nny = 17\n" + text).solver
-            with pytest.raises(ValueError, match=rf"overflows at {at} nu = 0\.01, dt = 0\.001$"):
-                ImexStepper(cfg)
+        for grid in self._BOTH_SOLVES:
+            for text, at in (("lx = 1e-80\nalpha = 0\n", "lx = 1e-80, m = 1,"),
+                             ("m = 1e-100\n", "lx = 6.28319, m = 1e-100,")):
+                cfg = parse_config_text(grid + text).solver
+                with pytest.raises(ValueError,
+                                   match=rf"overflows at {at} nu = 0\.01, dt = 0\.001$"):
+                    ImexStepper(cfg)
+
+    @pytest.mark.parametrize("grid", _BOTH_SOLVES, ids=["inverse", "superlu"])
+    def test_singular_operator_names_the_parameters(self, grid):
+        # at m = 1e200 the x2 stencil underflows: the k = 0 block has zero rows
+        cfg = parse_config_text(grid + "m = 1e200\n").solver
+        with pytest.raises(ValueError, match=r"^the implicit operator is singular at lx = "
+                                             r"6\.28319, m = 1e\+200, nu = 0\.01, dt = 0\.001$"):
+            ImexStepper(cfg)
+
+    def test_inverse_beyond_float_range_is_singular(self):
+        # at m = 1e155 the 32 x 33 blocks invert to entries beyond the float
+        # range: every step would be NaN, so set-up refuses the operator
+        cfg = parse_config_text("nx = 32\nny = 33\nm = 1e155\n").solver
+        with pytest.raises(ValueError, match=r"^the implicit operator is singular at "
+                                             r"lx = 6\.28319, m = 1e\+155,"):
+            ImexStepper(cfg)
 
     def test_mms_envelope_beyond_float_range_is_a_config_error(self):
         cfg = parse_config_text("nx = 16\nny = 17\nm = 1e155\nforcing.kind = mms\n"
@@ -235,8 +256,9 @@ class TestFixedPointAndBoundaries:
 
 
 class TestImplicitAssembly:
-    """The block-diagonal operator handed to SuperLU against a dense
-    per-mode oracle built here."""
+    """The per-mode blocks handed to ``np.linalg.inv`` below
+    ``DENSE_INVERSE_BYTES``, and the block-diagonal operator handed to
+    SuperLU above it, against a dense per-mode oracle built here."""
 
     @staticmethod
     def _dense_block(grid, kap, theta, nu, dt):
@@ -255,12 +277,44 @@ class TestImplicitAssembly:
         mat[-2, -3:] = np.array([1.0, -4.0, 3.0]) / (2 * dy)
         return mat
 
+    @staticmethod
+    def _inverse_bytes(grid):
+        return grid.n_modes * grid.ny ** 2 * 8
+
     @pytest.mark.parametrize("nx,ny,lx,m", [(16, 17, 2 * np.pi, 1.0),
                                             (12, 21, 5.0, 1.3)])
     @pytest.mark.parametrize("scheme,thetas", [("imex_euler", (1.0,)),
                                                ("imex_cnab2", (0.5,))])
     def test_matches_dense_per_mode_oracle(self, monkeypatch, nx, ny, lx, m,
                                            scheme, thetas):
+        # below the bound: the blocks inverted are the oracle's, and the
+        # solve through their inverses is the oracle's solve
+        handed = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: handed.append(a.copy()) or inv(a))
+        cfg = SolverConfig(nx=nx, ny=ny, lx=lx, m=m, nu=0.03, dt=2e-3,
+                           scheme=scheme)
+        stepper = ImexStepper(cfg)
+        grid = stepper.grid
+        assert self._inverse_bytes(grid) <= DENSE_INVERSE_BYTES
+        assert len(handed) == len(thetas)
+        rng = np.random.default_rng(7)
+        rhs = (rng.standard_normal((grid.n_modes, ny))
+               + 1j * rng.standard_normal((grid.n_modes, ny)))
+        for blocks, theta in zip(handed, thetas):
+            expected = np.stack([self._dense_block(grid, kap, theta, cfg.nu, cfg.dt)
+                                 for kap in grid.wavenumbers])
+            assert np.array_equal(blocks, expected)
+            exact = np.linalg.solve(expected, rhs[..., None])[..., 0]
+            assert np.abs(stepper._solve(rhs) - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("nx,ny,lx,m", [(124, 65, 2 * np.pi, 1.0),
+                                            (126, 65, 5.0, 1.3)])
+    @pytest.mark.parametrize("scheme,theta", [("imex_euler", 1.0), ("imex_cnab2", 0.5)])
+    def test_superlu_matches_dense_per_mode_oracle(self, monkeypatch, nx, ny, lx, m,
+                                                   scheme, theta):
+        # above the bound, compared block by block: the whole system would
+        # take 134 MB dense
         import scipy.sparse.linalg as spla
 
         handed = []
@@ -276,32 +330,40 @@ class TestImplicitAssembly:
                            scheme=scheme)
         ImexStepper(cfg)
         grid = cfg.grid()
+        assert self._inverse_bytes(grid) > DENSE_INVERSE_BYTES
         rhs = np.random.default_rng(7).standard_normal(grid.n_modes * ny)
-        assert len(handed) == len(thetas)
-        for (mat, lu), theta in zip(handed, thetas):
-            expected = sla.block_diag(*(
-                self._dense_block(grid, kap, theta, cfg.nu, cfg.dt)
-                for kap in grid.wavenumbers))
-            assert mat.format == "csc"
-            assert np.array_equal(mat.toarray(), expected)
-            assert np.diff(mat.tocsr().indptr).max() <= 5
-            # the factors solve the oracle's system, whatever the ordering,
-            # and their fill stays inside each block's band
-            exact = np.linalg.solve(expected, rhs)
-            assert np.abs(lu.solve(rhs) - exact).max() <= 1e-12 * np.abs(exact).max()
-            assert lu.L.nnz + lu.U.nnz <= 8 * mat.shape[0]
-
+        (mat, lu), = handed
+        assert mat.format == "csc"
+        exact, in_blocks = np.empty_like(rhs), 0
+        for k, kap in enumerate(grid.wavenumbers):
+            rows = slice(k * ny, (k + 1) * ny)
+            block = mat[rows, rows]
+            expected = self._dense_block(grid, kap, theta, cfg.nu, cfg.dt)
+            assert np.array_equal(block.toarray(), expected)
+            in_blocks += block.nnz
+            exact[rows] = np.linalg.solve(expected, rhs[rows])
+        assert mat.nnz == in_blocks  # nothing outside the diagonal blocks
+        assert np.diff(mat.tocsr().indptr).max() <= 5
+        # the factors solve the oracle's system, whatever the ordering,
+        # and their fill stays inside each block's band
+        assert np.abs(lu.solve(rhs) - exact).max() <= 1e-12 * np.abs(exact).max()
+        assert lu.L.nnz + lu.U.nnz <= 8 * mat.shape[0]
 
     @pytest.mark.parametrize("scheme", ["imex_euler", "imex_cnab2"])
     def test_one_factorization_per_stepper(self, monkeypatch, scheme):
+        # one inverse stack below the bound, one SuperLU factorization above
         import scipy.sparse.linalg as spla
 
         calls = []
-        splu = spla.splu
-        monkeypatch.setattr(spla, "splu", lambda *a, **kw: calls.append(a) or splu(*a, **kw))
-        stepper = ImexStepper(_decay_config(scheme=scheme, t_end=5e-3))
-        *_, final = stepper.states(1)
-        assert final.step_index == 5 and len(calls) == 1
+        inv, splu = np.linalg.inv, spla.splu
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append("inv") or inv(a))
+        monkeypatch.setattr(spla, "splu",
+                            lambda *a, **kw: calls.append("splu") or splu(*a, **kw))
+        for ny, solve in ((33, "inv"), (181, "splu")):
+            calls.clear()
+            stepper = ImexStepper(_decay_config(ny=ny, scheme=scheme, t_end=5e-3))
+            *_, final = stepper.states(1)
+            assert final.step_index == 5 and calls == [solve]
 
     @staticmethod
     def _cnab2_stepper(nx, ny, lx, m):
