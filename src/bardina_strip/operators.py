@@ -24,7 +24,7 @@ def d2_values(values: np.ndarray, dy: float, axis: int = 1) -> np.ndarray:
     Every element gets the same arithmetic whichever axis holds ``x2``.
     """
     out = np.empty_like(values)
-    v, o = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    v, o = values.swapaxes(axis, 0), out.swapaxes(axis, 0)
     o[1:-1] = (v[2:] - v[:-2]) / (2.0 * dy)
     o[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dy)
     o[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dy)
@@ -71,6 +71,7 @@ class OperatorSet:
         with np.errstate(over="ignore"):  # the implicit set-up names an overflow
             self._k2 = grid.wavenumbers ** 2
         self._kept = (grid.nx + 2) // 3  # the 2/3 rule keeps the modes k < nx / 3
+        self._ladder_work = None
 
     # -- linear operators ---------------------------------------------------
 
@@ -103,25 +104,28 @@ class OperatorSet:
         one, two and five.  One forward transform feeds the four spectral
         channels, which come back through one batched inverse transform;
         ``d2 f`` and ``d1 d2 f`` are the ``x2`` stencil applied to ``f`` and
-        ``d1 f``.
+        ``d1 f``.  The two intermediate stacks are work arrays kept across
+        calls: allocated per call, glibc gave their pages back and faulted
+        them in again on every record (about 400 minor faults per step at
+        128 x 129, recording every step).
         """
         nx, dy = self.grid.nx, self.grid.dy
+        if self._ladder_work is None:
+            self._ladder_work = (
+                np.empty((4, self.grid.n_modes, self.grid.ny), dtype=np.complex128),
+                np.empty((4, nx, self.grid.ny)))
+        modal, spectral = self._ladder_work
         c = np.fft.rfft(values, axis=0)
         ik = self._ik[:, None]
-        modal = np.empty((4,) + c.shape, dtype=np.complex128)
         np.multiply(ik, c, out=modal[0])
         np.multiply(ik ** 2, c, out=modal[1])
         modal[2] = self.laplacian_modal(c)
         del c
         np.multiply(ik, modal[2], out=modal[3])
-        # each stage is freed once used, so the result is allocated next to
-        # the inverse transform's output alone
-        spectral = np.fft.irfft(modal, n=nx, axis=1)
-        del modal
+        np.fft.irfft(modal, n=nx, axis=1, out=spectral)
         out = np.empty((7, nx, self.grid.ny))
         out[0] = values
         out[[1, 3, 5, 6]] = spectral
-        del spectral
         out[2] = d2_values(values, dy)
         out[4] = d2_values(out[1], dy)
         return out
@@ -188,16 +192,16 @@ class OperatorSet:
         nx, ny, dy = self.grid.nx, self.grid.ny, self.grid.dy
         kept = self._kept
         ik = self._ik[:kept]
-        modal = np.zeros((3, ny, self.grid.n_modes), dtype=np.complex128)
-        factors = modal[:, :, :kept]  # the modes beyond stay zero
+        factors = np.empty((3, ny, kept), dtype=np.complex128)
         factors[1] = v_hat[:kept].T
         np.multiply(ik, factors[1], out=factors[0])
         lap_u_hat = self.laplacian_modal(u_hat) if lap_u_hat is None else lap_u_hat
         factors[2] = lap_u_hat[:kept].T
-        d1v, v, lap = np.fft.irfft(modal, n=nx, axis=-1)
+        # the transform pads the modes beyond the kept ones with zeros
+        d1v, v, lap = np.fft.irfft(factors, n=nx, axis=-1)
         # each batch is freed once transformed: held together to the end,
         # they set the step's peak memory on large grids
-        del modal, factors
+        del factors
         d2v = d2_values(v, dy, axis=0)
         products = np.empty((2, ny, nx))
         np.multiply(d2v, lap, out=products[0])

@@ -28,13 +28,23 @@ singular is a configuration error that names ``lx``, ``m``, ``nu`` and
 ``dt``.  The size of the per-mode inverses, ``n_modes ny^2`` float64,
 chooses the solve.  Up to ``DENSE_INVERSE_BYTES`` (2 MiB; 64 x 65 needs
 1.1 MiB) every block is inverted once and a solve is one batched matrix
-product, so a small run never imports scipy.  Above it the nonzeros go
-straight into compressed-column arrays and one SuperLU factorization in
-natural order.  Measured in process on 2 vCPUs with one BLAS thread, dense
-against SuperLU, a solve takes 0.046 against 0.148 ms at 64 x 65, 0.25
-against 0.30 ms at 96 x 97 and 0.52 against 0.51 ms at 128 x 129, and
-set-up 9 against 2 ms, 30 against 3 ms and 74 against 5 ms; at 512 x 513
-the inverses would take 516 MiB.  Every forcing is one
+product.  Above it the blocks are split by their mirror symmetry: with the
+``x2 = +M`` wall-derivative row negated, a block commutes with the
+reflection ``x2 -> -x2``, so it splits into an even and an odd half of
+about ``ny / 2`` unknowns, both still pentadiagonal.  All ``2 n_modes``
+halves are factorized at once without pivoting, from both ends towards
+their middle, and a solve sweeps them all at once, one pair of rows per
+step of a Python loop (:class:`banded.MirrorBandLU`).  Against a dense
+solve refined in extended precision it errs by 1e-13 at 128 x 129 and
+5e-14 at 256 x 257, where SuperLU erred by 4e-13 and 2e-12.  No run
+imports scipy.  Measured in process on 2 vCPUs with one BLAS thread
+(medians of 200, ranges over three runs), dense against banded, a solve
+takes 0.065-0.080 against 0.25-0.26 ms at 64 x 65, 0.24-0.28 against
+0.30-0.43 ms at 96 x 97 and 0.52-1.0 against 0.41-0.75 ms at 128 x 129,
+and set-up 9-10 against 1.7-2 ms, 31-36 against 2.4-2.7 ms and 62-79
+against 3.4-3.6 ms; at 512 x 513 the inverses would take 516 MiB.  The
+dense solve is faster up to about 96 x 97, but its set-up grows like
+``ny^3`` per mode, so the bound stays at 2 MiB.  Every forcing is one
 separable :class:`Forcing` ``g(t) = sum_j c_j(t) S_j``: the ``S_j`` are transformed once per run, and
 ``g_hat(t)`` is their weighted sum; the diagnostics read the same ``g(t)``.
 
@@ -110,7 +120,7 @@ CFL_LIMIT = 0.5  # advective CFL number above which a CflWarning is issued
 MAX_STEPS = 10 ** 9  # a longer run cannot end on this single-process solver
 MAX_NODES = 2 ** 27  # one field on a larger grid takes more than 1 GiB
 # the largest per-mode inverse stack (n_modes ny^2 float64) solved densely;
-# a larger operator is factorized by SuperLU
+# a larger operator is factorized in banded form
 DENSE_INVERSE_BYTES = 2 * 2 ** 20
 
 
@@ -343,7 +353,7 @@ def build_forcing(config: SolverConfig, grid: Grid) -> Forcing:
 
 
 class ImexStepper:
-    """Holds the per-run inverses or factorization and advances states by one ``dt``;
+    """Holds the per-run inverses or banded factors and advances states by one ``dt``;
     :meth:`states` is the loop that steps to ``t_end``."""
 
     def __init__(self, config: SolverConfig):
@@ -379,10 +389,9 @@ class ImexStepper:
         clamped rows hold ``v = 0`` and the wall rows of the ``x2``
         first-derivative stencil.  Up to ``DENSE_INVERSE_BYTES`` of
         inverses, the blocks are inverted one by one and :meth:`_solve`
-        multiplies by them.  Above it, the nonzeros are written straight
-        into CSC arrays and factorized as one sparse LU in natural column
-        order, since a fill-reducing ordering has nothing to gain on a band.
-        Returns the ``(n_modes, ny, ny)`` inverses or the SuperLU object.
+        multiplies by them; above it, :class:`banded.MirrorBandLU` factorizes
+        their mirror halves.  Returns the ``(n_modes, ny, ny)`` inverses or
+        the factors.
         """
         cfg, grid = self.config, self.grid
         ny, n_modes = grid.ny, grid.n_modes
@@ -395,43 +404,33 @@ class ImexStepper:
             far = np.full(n_modes, -(c * (a * a)))
             near = a - c * (a * b + b * a)
             centre = b - c * ((a * a + b * b) + a * a)
-        # slot (j, s) of a block holds its column j at row j + s - 2
-        rows = np.arange(ny, dtype=np.int32)[:, None] + np.arange(-2, 3, dtype=np.int32)
-        nonzero = (rows >= 2) & (rows <= ny - 3)
-        values = np.where(nonzero, np.stack([far, near, centre, near, far], 1)[:, None], 0.0)
-        for i, j0, coefs in ((0, 0, [1.0]), (1, 0, wall[0, :3]),
-                             (ny - 2, ny - 3, wall[1, 2:]), (ny - 1, ny - 1, [1.0])):
-            j = j0 + np.arange(len(coefs))
-            values[:, j, i - j + 2] = coefs
-            nonzero[j, i - j + 2] = True
-        data = values[:, nonzero]  # block by block, column by column
-        del values  # the temporaries go before the inverses or the factors
+        # slot (i, s) of a block holds its row i at column i + s - 2
+        band = np.zeros((n_modes, ny, 5))
+        band[:, 2:-2] = np.stack([far, near, centre, near, far], 1)[:, None]
+        band[:, [0, -1], 2] = 1.0
+        band[:, 1, 1:4], band[:, -2, 1:4] = wall[0, :3], wall[1, 2:]
         at = f"lx = {cfg.lx:g}, m = {cfg.m:g}, nu = {cfg.nu:g}, dt = {cfg.dt:g}"
-        if not np.all(np.isfinite(data)):
+        if not np.all(np.isfinite(band)):
             raise ValueError(f"the implicit operator overflows at {at}")
-        if n_modes * ny * ny * 8 <= DENSE_INVERSE_BYTES:
-            blocks = np.zeros((n_modes, ny, ny))
-            blocks[:, rows[nonzero], np.nonzero(nonzero)[0]] = data
-            try:
-                inverse = np.linalg.inv(blocks)
-            except np.linalg.LinAlgError:  # exactly singular
-                inverse = None
-            # an inverse beyond the float range would make every step NaN
-            if inverse is None or not np.all(np.isfinite(inverse)):
+        if n_modes * ny * ny * 8 > DENSE_INVERSE_BYTES:
+            from .banded import MirrorBandLU  # only grids above the bound load it
+            lu = MirrorBandLU(band)
+            if not lu.regular:
                 raise ValueError(f"the implicit operator is singular at {at}")
-            return inverse
-        import scipy.sparse as sp  # only grids above the bound load scipy
-        import scipy.sparse.linalg as spla
-        n = n_modes * ny
-        indices = (np.arange(0, n, ny, dtype=np.int32)[:, None] + rows[nonzero]).ravel()
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.tile(nonzero.sum(axis=1, dtype=np.int32), n_modes), out=indptr[1:])
+            return lu
+        cols = np.arange(ny)[:, None] + np.arange(-2, 3)
+        inside = (cols >= 0) & (cols < ny)
+        blocks = np.zeros((n_modes, ny, ny))
+        blocks[:, np.nonzero(inside)[0], cols[inside]] = band[:, inside]
+        del band  # the temporaries go before the inverses
         try:
-            # one-column panels give the same factors faster on a band
-            return spla.splu(sp.csc_array((data.ravel(), indices, indptr), shape=(n, n)),
-                             permc_spec="NATURAL", panel_size=1)
-        except RuntimeError as exc:  # exactly singular
-            raise ValueError(f"the implicit operator is singular at {at}") from exc
+            inverse = np.linalg.inv(blocks)
+        except np.linalg.LinAlgError:  # exactly singular
+            inverse = None
+        # an inverse beyond the float range would make every step NaN
+        if inverse is None or not np.all(np.isfinite(inverse)):
+            raise ValueError(f"the implicit operator is singular at {at}")
+        return inverse
 
     def initial_state(self, v0: Field | None = None) -> SolverState:
         """The state at ``t = 0`` holding ``v0``, the config's initial
@@ -475,11 +474,10 @@ class ImexStepper:
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         """The implicit operator solved for the modal ``rhs``, whose real
         and imaginary parts are two columns of one solve."""
-        pairs = rhs.view(np.float64).reshape(*rhs.shape, 2)
         if isinstance(self._implicit, np.ndarray):  # the per-mode inverses
+            pairs = rhs.view(np.float64).reshape(*rhs.shape, 2)
             return np.matmul(self._implicit, pairs).view(np.complex128).reshape(rhs.shape)
-        sol = self._implicit.solve(pairs.reshape(-1, 2))
-        return (sol[:, 0] + 1j * sol[:, 1]).reshape(rhs.shape)
+        return self._implicit.solve(rhs)
 
     def _euler(self, state: SolverState) -> tuple[np.ndarray, np.ndarray, float]:
         """One IMEX-Euler step of ``theta dt`` from ``state``: the new

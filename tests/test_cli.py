@@ -455,20 +455,27 @@ class TestEntryPoint:
         assert "compare-nse" in result.stdout
 
     def test_small_run_loads_no_scipy(self, tmp_path):
-        # scipy serves only the SuperLU solve of grids above
-        # DENSE_INVERSE_BYTES: the package and a 32 x 33 run load none of it
+        # no solve needs scipy: the package, a run on either side of
+        # DENSE_INVERSE_BYTES and the mms suite, whose x2 refinement
+        # reaches 32 x 129, load none of it
         src = Path(bardina_strip.__file__).resolve().parents[1]
-        cfg = _write(tmp_path, DECAY_CONFIG.format(out=tmp_path / "out"))
-        code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
-                "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
-                "import bardina_strip; print(scipy()); "
-                f"from bardina_strip.cli import main; rc = main(['run', {cfg!r}]); "
-                "print(rc, scipy())")
-        result = subprocess.run([sys.executable, "-c", code],
-                                capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[0] == "[]"
-        assert result.stdout.splitlines()[-1] == "0 []"
+        banded = DECAY_CONFIG.replace("ny = 33", "ny = 181").replace("t_end = 0.05",
+                                                                     "t_end = 0.003")
+        for name, text, extra in (("small", DECAY_CONFIG, []), ("banded", banded, []),
+                                  ("mms", DECAY_CONFIG, ["--suite", "mms"])):
+            cfg = _write(tmp_path, text.format(out=tmp_path / name), f"{name}.cfg")
+            argv = ["verify" if extra else "run", cfg, *extra]
+            code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+                    "scipy = lambda: sorted(m for m in sys.modules "
+                    "if m.split('.')[0] == 'scipy'); "
+                    "import bardina_strip; print(scipy()); "
+                    f"from bardina_strip.cli import main; rc = main({argv!r}); "
+                    "print(rc, scipy())")
+            result = subprocess.run([sys.executable, "-c", code],
+                                    capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.splitlines()[0] == "[]", name
+            assert result.stdout.splitlines()[-1] == "0 []", name
 
     def test_import_leaves_sympy_out(self, tmp_path):
         # sympy is a test dependency only: no module under src/ imports it,

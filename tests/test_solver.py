@@ -9,7 +9,7 @@ import sympy as sym
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bardina_strip import mms
+from bardina_strip import banded, mms
 from bardina_strip.operators import OperatorSet, d2_matrix, d2_values
 from bardina_strip.runio import parse_config_text
 from bardina_strip.solver import (DENSE_INVERSE_BYTES, MAX_NODES, MAX_STEPS,
@@ -257,13 +257,16 @@ class TestFixedPointAndBoundaries:
 
 class TestImplicitAssembly:
     """The per-mode blocks handed to ``np.linalg.inv`` below
-    ``DENSE_INVERSE_BYTES``, and the block-diagonal operator handed to
-    SuperLU above it, against a dense per-mode oracle built here."""
+    ``DENSE_INVERSE_BYTES``, and their mirror halves handed to the banded
+    factorization above it, against a dense per-mode oracle built here."""
 
     @staticmethod
     def _dense_block(grid, kap, theta, nu, dt):
         ny, dy = grid.ny, grid.dy
-        lap1d = d2_matrix(ny, dy) - kap ** 2 * np.eye(ny)
+        # kap * kap, the correctly rounded square the solver's
+        # wavenumbers ** 2 computes: kap ** 2 of a numpy scalar calls pow,
+        # which can differ in the last bit
+        lap1d = d2_matrix(ny, dy) - (kap * kap) * np.eye(ny)
         # lap1d @ lap1d, summed over k in ascending order with every product
         # rounded on its own: a BLAS matmul may fuse multiply-adds and differ
         # from any sparse product in the last bit.
@@ -308,62 +311,142 @@ class TestImplicitAssembly:
             exact = np.linalg.solve(expected, rhs[..., None])[..., 0]
             assert np.abs(stepper._solve(rhs) - exact).max() <= 1e-12 * np.abs(exact).max()
 
+    @staticmethod
+    def _mirror_halves(block):
+        """The even and odd halves of a dense block, folded here: its top
+        ``(ny + 1) // 2`` rows with each column added to, or subtracted from,
+        its mirror image, once row ``ny - 2`` is negated."""
+        ny = len(block)
+        h = (ny + 1) // 2
+        mat = block.copy()
+        mat[-2] *= -1.0
+        # the negated block commutes with the mirror j -> ny - 1 - j
+        assert np.array_equal(mat[::-1, ::-1], mat)
+        top, mirrored = mat[:h, :h], mat[:h, ::-1][:, :h]
+        even, odd = top + mirrored, top - mirrored
+        if ny % 2:  # the centre column is its own mirror; odd modes vanish there
+            even[:, -1], odd[:, -1], odd[-1] = top[:, -1], 0.0, np.eye(h)[-1]
+        return even, odd
+
+    @staticmethod
+    def _oracle_solve(block, rhs):
+        """``block`` solved for ``rhs`` by LAPACK, refined twice against the
+        residual in extended precision: on ill-conditioned blocks partial
+        pivoting alone leaves errors near the tolerance."""
+        x = np.linalg.solve(block, rhs)
+        wide = block.astype(np.longdouble)
+        for _ in range(2):
+            x += np.linalg.solve(block, (rhs - wide @ x.astype(np.clongdouble))
+                                 .astype(np.complex128))
+        return x
+
+    def _check_banded(self, monkeypatch, cfg, theta, rhs):
+        """Capture the rows handed to the banded factorization: they are the
+        oracle's mirror halves, and the solve matches the oracle's."""
+        handed = []
+        factor = banded.lu_pentadiagonal
+        monkeypatch.setattr(banded, "lu_pentadiagonal",
+                            lambda rows: handed.append(rows.copy()) or factor(rows))
+        stepper = ImexStepper(cfg)
+        grid = stepper.grid
+        ny, n_modes, h = grid.ny, grid.n_modes, (grid.ny + 1) // 2
+        m = (h + 1) // 2
+        (rows,) = handed
+        # the first m rows of every half, then the reversed halves' first m
+        # (the last m rows, their slots reversed), half (b // n_modes) and
+        # mode (b % n_modes) along the batch axis b
+        assert rows.shape == (m, 4 * n_modes, 5)
+        rows = np.concatenate([rows[:, :2 * n_modes], rows[::-1, 2 * n_modes:, ::-1]])
+        # slot (i, s) holds column i + s - 2; identity rows pad to 2 m rows
+        cols = np.arange(2 * m)[:, None] + np.arange(-2, 3)
+        inside = (cols >= 0) & (cols < 2 * m)
+        halves = np.zeros((2 * n_modes, 2 * m, 2 * m))
+        halves[:, np.nonzero(inside)[0], cols[inside]] = rows.transpose(1, 0, 2)[:, inside]
+        assert not rows.transpose(1, 0, 2)[:, ~inside].any()
+        pad = 2 * m - h
+        assert np.array_equal(halves[:, h:, h:],
+                              np.broadcast_to(np.eye(pad), (2 * n_modes, pad, pad)))
+        assert not halves[:, h:, :h].any() and not halves[:, :h, h:].any()
+        exact = np.empty_like(rhs)
+        for k, kap in enumerate(grid.wavenumbers):
+            block = self._dense_block(grid, kap, theta, cfg.nu, cfg.dt)
+            even, odd = self._mirror_halves(block)
+            assert np.array_equal(halves[k, :h, :h], even)
+            assert np.array_equal(halves[n_modes + k, :h, :h], odd)
+            exact[k] = self._oracle_solve(block, rhs[k])
+        assert np.abs(stepper._solve(rhs) - exact).max() <= 1e-12 * np.abs(exact).max()
+
     @pytest.mark.parametrize("nx,ny,lx,m", [(124, 65, 2 * np.pi, 1.0),
-                                            (126, 65, 5.0, 1.3)])
+                                            (126, 65, 5.0, 1.3),
+                                            (124, 66, 2 * np.pi, 1.0)])
     @pytest.mark.parametrize("scheme,theta", [("imex_euler", 1.0), ("imex_cnab2", 0.5)])
-    def test_superlu_matches_dense_per_mode_oracle(self, monkeypatch, nx, ny, lx, m,
-                                                   scheme, theta):
+    def test_banded_matches_dense_per_mode_oracle(self, monkeypatch, nx, ny, lx, m,
+                                                  scheme, theta):
         # above the bound, compared block by block: the whole system would
         # take 134 MB dense
-        import scipy.sparse.linalg as spla
+        cfg = SolverConfig(nx=nx, ny=ny, lx=lx, m=m, nu=0.03, dt=2e-3, scheme=scheme)
+        assert self._inverse_bytes(cfg.grid()) > DENSE_INVERSE_BYTES
+        rng = np.random.default_rng(7)
+        shape = (cfg.grid().n_modes, ny)
+        rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        self._check_banded(monkeypatch, cfg, theta, rhs)
 
-        handed = []
-        splu = spla.splu
+    @settings(max_examples=40, deadline=None)
+    @given(nx=st.integers(4, 24).map(lambda h: 2 * h), ny=st.integers(9, 41),
+           lx=st.floats(0.5, 50.0), m=st.floats(0.25, 4.0),
+           nu_dt=st.floats(1e-8, 1e-2), scheme=st.sampled_from(["imex_euler", "imex_cnab2"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_banded_solve_matches_dense_oracle_on_any_grid(self, nx, ny, lx, m, nu_dt,
+                                                           scheme, seed):
+        # every grid takes the banded path; the right-hand side has the
+        # CNAB2 form, nonzero on the four clamped rows too
+        from bardina_strip import solver
 
-        def capture(mat, **kw):
-            lu = splu(mat, **kw)
-            handed.append((mat, lu))
-            return lu
+        cfg = SolverConfig(nx=nx, ny=ny, lx=lx, m=m, nu=nu_dt / 1e-3, dt=1e-3, scheme=scheme)
+        rng = np.random.default_rng(seed)
+        shape = (cfg.grid().n_modes, ny)
+        rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "DENSE_INVERSE_BYTES", 0)
+            self._check_banded(mp, cfg, {"imex_euler": 1.0, "imex_cnab2": 0.5}[scheme], rhs)
 
-        monkeypatch.setattr(spla, "splu", capture)
-        cfg = SolverConfig(nx=nx, ny=ny, lx=lx, m=m, nu=0.03, dt=2e-3,
-                           scheme=scheme)
-        ImexStepper(cfg)
-        grid = cfg.grid()
-        assert self._inverse_bytes(grid) > DENSE_INVERSE_BYTES
-        rhs = np.random.default_rng(7).standard_normal(grid.n_modes * ny)
-        (mat, lu), = handed
-        assert mat.format == "csc"
-        exact, in_blocks = np.empty_like(rhs), 0
-        for k, kap in enumerate(grid.wavenumbers):
-            rows = slice(k * ny, (k + 1) * ny)
-            block = mat[rows, rows]
-            expected = self._dense_block(grid, kap, theta, cfg.nu, cfg.dt)
-            assert np.array_equal(block.toarray(), expected)
-            in_blocks += block.nnz
-            exact[rows] = np.linalg.solve(expected, rhs[rows])
-        assert mat.nnz == in_blocks  # nothing outside the diagonal blocks
-        assert np.diff(mat.tocsr().indptr).max() <= 5
-        # the factors solve the oracle's system, whatever the ordering,
-        # and their fill stays inside each block's band
-        assert np.abs(lu.solve(rhs) - exact).max() <= 1e-12 * np.abs(exact).max()
-        assert lu.L.nnz + lu.U.nnz <= 8 * mat.shape[0]
+    def test_banded_solve_forgets_a_non_finite_one(self, monkeypatch):
+        # 16 x 17 pads each half with an identity row, whose value a NaN
+        # solve leaves NaN: the next solve must not read it
+        from bardina_strip import solver
+
+        monkeypatch.setattr(solver, "DENSE_INVERSE_BYTES", 0)
+        cfg = SolverConfig(nx=16, ny=17, nu=0.03, dt=2e-3)
+        rhs = np.random.default_rng(3).standard_normal((cfg.grid().n_modes, 17)) + 0j
+        expected = ImexStepper(cfg)._solve(rhs)
+        stepper = ImexStepper(cfg)
+        with np.errstate(invalid="ignore"):
+            stepper._solve(np.full_like(rhs, np.nan))
+        assert np.array_equal(stepper._solve(rhs), expected)
+
+    @pytest.mark.parametrize("pivot", [0.0, 5e-324], ids=["zero", "subnormal"])
+    def test_pentadiagonal_factors_mark_a_vanishing_pivot(self, pivot):
+        rows = np.zeros((4, 2, 5))
+        rows[:, :, 2] = 1.0
+        rows[2, 1, 2] = pivot  # the second matrix's reciprocal pivot overflows
+        lu = banded.lu_pentadiagonal(rows)
+        assert np.all(np.isfinite(lu[:, :, 0])) and not np.all(np.isfinite(lu[:, :, 1]))
 
     @pytest.mark.parametrize("scheme", ["imex_euler", "imex_cnab2"])
     def test_one_factorization_per_stepper(self, monkeypatch, scheme):
-        # one inverse stack below the bound, one SuperLU factorization above
-        import scipy.sparse.linalg as spla
-
+        # one inverse stack below the bound; above it one banded
+        # factorization, then the inverse of its 4 x 4 meeting systems
         calls = []
-        inv, splu = np.linalg.inv, spla.splu
-        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append("inv") or inv(a))
-        monkeypatch.setattr(spla, "splu",
-                            lambda *a, **kw: calls.append("splu") or splu(*a, **kw))
-        for ny, solve in ((33, "inv"), (181, "splu")):
+        inv, factor = np.linalg.inv, banded.lu_pentadiagonal
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda a: calls.append(f"inv {a.shape[-1]}") or inv(a))
+        monkeypatch.setattr(banded, "lu_pentadiagonal",
+                            lambda rows: calls.append("banded") or factor(rows))
+        for ny, solve in ((33, ["inv 33"]), (181, ["banded", "inv 4"])):
             calls.clear()
             stepper = ImexStepper(_decay_config(ny=ny, scheme=scheme, t_end=5e-3))
             *_, final = stepper.states(1)
-            assert final.step_index == 5 and calls == [solve]
+            assert final.step_index == 5 and calls == solve
 
     @staticmethod
     def _cnab2_stepper(nx, ny, lx, m):
