@@ -12,8 +12,8 @@ fields feed weighted Poincare audits.
 Testing the evolution equation against ``v`` gives the exact balance
 ``dE/dt + 2 D = -2 (g, v)``, so the budget residual is formed with the
 forcing power ``P = -(g, v)``, ``g`` taken at the record time whatever its
-kind; the inequality form replaces the power by the bound
-``|g|^2 / (nu lambda1^2)``, which needs a time-independent forcing.
+kind; the inequality form bounds ``dE/dt + D`` at each record by the
+closed bound ``|g(t_n)|^2 / (nu lambda1^2)``, with ``g`` at the same time.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "Lambda1Estimate",
     "lambda1_estimate",
     "BudgetReport",
+    "closed_bound",
     "energy_budget",
     "WeightedBudgetReport",
     "weighted_energy_budget",
@@ -74,6 +75,7 @@ class DiagnosticsRecord:
     weighted_budget_residual: float
     cfl: float
     forcing_power: float = 0.0
+    forcing_norm_sq: float = 0.0  # |g(t)|^2, which the closed bound reads
 
     def csv_values(self) -> tuple[float, ...]:
         return tuple(getattr(self, attr) for _, attr in _CSV_SCHEMA)
@@ -122,9 +124,9 @@ class DiagnosticsCollector:
     and two quadratures per channel.  The ladder of a solver state is shared
     with other consumers, such as the streaming modulus, so each channel is
     squared into a one-field buffer the collector owns.  ``g(t)`` returns
-    the forcing's values at a time; the forcing power ``-(g, v)`` reads it
-    at the record time, so ``forcing_power`` and both budget residuals hold
-    for every forcing kind.
+    the forcing's values at a time; the forcing power ``-(g, v)`` and
+    ``|g|^2`` read it at the record time, so ``forcing_power``, both budget
+    residuals and the closed bound hold for every forcing kind.
     """
 
     def __init__(self, grid: Grid, ops: OperatorSet, nu: float, alpha: float,
@@ -157,7 +159,9 @@ class DiagnosticsCollector:
         dissipation_w = self.nu * (lap_w + a2 * d1lap_w)
         h2h_w_sq = f_w + (d1f_w + d2f_w) + (d1d1f_w + d1d2f_w)
 
-        gv = self.g(t) * v.values
+        g = self.g(t)
+        g_sq = float(quadrature(np.multiply(g, g, out=sq), self._qw))
+        gv = g * v.values
         power = -float(quadrature(gv, self._qw))
         power_w = -float(quadrature(gv, self._qw_phi))
         residual = residual_w = 0.0
@@ -177,7 +181,7 @@ class DiagnosticsCollector:
             norm_h2h_gamma=math.sqrt(h2h_w_sq),
             norm_h3h_gamma=math.sqrt(h2h_w_sq + d1lap_w),
             budget_residual=residual, weighted_budget_residual=residual_w,
-            cfl=cfl, forcing_power=power)
+            cfl=cfl, forcing_power=power, forcing_norm_sq=g_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +195,8 @@ class BudgetReport:
     ``residuals[n] = (E_n - E_{n-1}) / dt + 2 D_n - 2 P_n`` should be
     nonpositive up to discretization error for the dissipative schemes;
     ``excess_over_bound`` measures violation of the closed inequality
-    ``dE/dt + D <= |g|^2 / (nu lambda1^2)``.
+    ``dE/dt + D <= |g(t_n)|^2 / (nu lambda1^2)`` at each record ``n``, and
+    ``bound`` is the largest of those bounds.
     """
 
     times: np.ndarray
@@ -209,19 +214,24 @@ class BudgetReport:
         return float(max(self.energy_increases.max(initial=0.0), 0.0))
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def closed_bound(forcing_norm_sq, nu: float, lambda1: float) -> np.ndarray:
+    """The closed bound ``|g|^2 / (nu lambda1^2)`` on ``dE/dt + D`` for
+    each ``|g|^2``; not finite where it leaves the float range."""
+    return np.asarray(forcing_norm_sq) / (np.float64(nu) * np.float64(lambda1) ** 2)
+
+
 @np.errstate(over="ignore")  # a sum beyond the float range is inf
 def energy_budget(series: DiagnosticsSeries) -> BudgetReport:
     t = series.column("t")
     e = series.column("energy")
     d = series.column("dissipation")
-    nu = series.meta["nu"]
-    lam = series.meta["lambda1"]
-    g_norm = series.meta["g_norm"]
-    bound = g_norm ** 2 / (nu * lam ** 2)
+    bounds = closed_bound(series.column("forcing_norm_sq"), series.meta["nu"],
+                          series.meta["lambda1"])
     dedt = np.diff(e) / np.diff(t)
-    excess = np.maximum(dedt + d[1:] - bound, 0.0)
+    excess = np.maximum(dedt + d[1:] - bounds[1:], 0.0)
     return BudgetReport(times=t[1:], residuals=series.column("budget_residual")[1:],
-                        excess_over_bound=excess, bound=bound,
+                        excess_over_bound=excess, bound=float(bounds.max()),
                         energy_increases=np.maximum(np.diff(e), 0.0))
 
 
@@ -232,7 +242,6 @@ class WeightedBudgetReport:
     times: np.ndarray
     energy_w: np.ndarray
     dissipation_w: np.ndarray
-    residuals_w: np.ndarray
 
     @property
     def sup_energy(self) -> float:
@@ -252,8 +261,7 @@ def weighted_energy_budget(series: DiagnosticsSeries) -> WeightedBudgetReport:
     return WeightedBudgetReport(
         times=series.column("t"),
         energy_w=series.column("energy_w"),
-        dissipation_w=series.column("dissipation_w"),
-        residuals_w=series.column("weighted_budget_residual")[1:])
+        dissipation_w=series.column("dissipation_w"))
 
 
 # ---------------------------------------------------------------------------

@@ -104,9 +104,7 @@ def solution_field(name: str, grid: Grid, t: float) -> Field:
 
 class ManufacturedReference:
     """The forcing of ``v*`` for fixed parameters: the residual's terms,
-    grouped by their time factor, give ``g = sum_j c_j(t) S_j``.
-    ``time_independent`` says that every ``c_j`` is the constant 1
-    (``steady_mode`` and ``zero_field``)."""
+    grouped by their time factor, give ``g = sum_j c_j(t) S_j``."""
 
     def __init__(self, name: str, lx: float, m: float, nu: float, alpha: float):
         k = 2.0 * np.pi / lx
@@ -162,7 +160,6 @@ class ManufacturedReference:
                     _add(self._terms, key, w * p)
         self._lx = lx
         self._what = f"the forcing of the reference {name!r} at nu = {nu:g}, alpha = {alpha:g}"
-        self.time_independent = all(time == () for time, _, _ in self._terms)
 
     def sample(self, grid: Grid):
         """``(S, c)``: the ``S_j`` stacked at the grid nodes and ``t -> (c_j)``."""

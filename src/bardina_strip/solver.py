@@ -37,15 +37,9 @@ their middle, and a solve sweeps them all at once, one pair of rows per
 step of a Python loop (:class:`banded.MirrorBandLU`).  Against a dense
 solve refined in extended precision it errs by 1e-13 at 128 x 129 and
 5e-14 at 256 x 257, where SuperLU erred by 4e-13 and 2e-12.  No run
-imports scipy.  Measured in process on 2 vCPUs with one BLAS thread
-(medians of 200, ranges over three runs), dense against banded, a solve
-takes 0.065-0.080 against 0.25-0.26 ms at 64 x 65, 0.24-0.28 against
-0.30-0.43 ms at 96 x 97 and 0.52-1.0 against 0.41-0.75 ms at 128 x 129,
-and set-up 9-10 against 1.7-2 ms, 31-36 against 2.4-2.7 ms and 62-79
-against 3.4-3.6 ms; at 512 x 513 the inverses would take 516 MiB.  The
-dense solve is faster up to about 96 x 97, but its set-up grows like
-``ny^3`` per mode, so the bound stays at 2 MiB.  Every forcing is one
-separable :class:`Forcing` ``g(t) = sum_j c_j(t) S_j``: the ``S_j`` are transformed once per run, and
+imports scipy; the timings behind the bound are at ``DENSE_INVERSE_BYTES``.
+Every forcing is one separable :class:`Forcing`
+``g(t) = sum_j c_j(t) S_j``: the ``S_j`` are transformed once per run, and
 ``g_hat(t)`` is their weighted sum; the diagnostics read the same ``g(t)``.
 
 One step computes the modal Laplacian ``L v^n`` of ``v^n`` once: it is the
@@ -92,7 +86,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .operators import OperatorSet, d2_matrix, d2_wall_rows
-from .strip_grid import Field, Grid, StripDomain, l2_norm, make_grid
+from .strip_grid import Field, Grid, StripDomain, make_grid
 from .weights import WeightSpec, make_weight_field
 
 __all__ = [
@@ -120,7 +114,14 @@ CFL_LIMIT = 0.5  # advective CFL number above which a CflWarning is issued
 MAX_STEPS = 10 ** 9  # a longer run cannot end on this single-process solver
 MAX_NODES = 2 ** 27  # one field on a larger grid takes more than 1 GiB
 # the largest per-mode inverse stack (n_modes ny^2 float64) solved densely;
-# a larger operator is factorized in banded form
+# a larger operator is factorized in banded form.  Measured in process on 2
+# vCPUs with one BLAS thread (medians of 200, ranges over three runs), dense
+# against banded, a solve takes 0.065-0.080 against 0.25-0.26 ms at 64 x 65,
+# 0.24-0.28 against 0.30-0.43 ms at 96 x 97 and 0.52-1.0 against 0.41-0.75 ms
+# at 128 x 129, and set-up 9-10 against 1.7-2 ms, 31-36 against 2.4-2.7 ms and
+# 62-79 against 3.4-3.6 ms; at 512 x 513 the inverses would take 516 MiB.  The
+# dense solve is faster up to about 96 x 97, but its set-up grows like ny^3
+# per mode, so the bound stays at 2 MiB.
 DENSE_INVERSE_BYTES = 2 * 2 ** 20
 
 
@@ -199,9 +200,9 @@ class SolverConfig:
 
     The weight spec only parameterizes the weighted diagnostics columns.
     ``nonlinear=False`` freezes the quadratic term (used by the linearized
-    verification against dense propagators).  The forcing is
-    time-independent except under an ``mms`` reference whose residual
-    depends on time (:attr:`Forcing.time_independent`).
+    verification against dense propagators).  The forcing is constant in
+    time except under an ``mms`` reference whose residual has a time
+    factor; the diagnostics read it at each record time either way.
     """
 
     lx: float = 2.0 * np.pi
@@ -328,13 +329,11 @@ class Forcing:
     """Separable forcing ``g(t) = sum_j c_j(t) S_j``: ``fields`` stacks the ``S_j``
     (at the grid nodes, or their ``x1`` coefficients), ``coefficients(t)`` gives
     the ``c_j``.  Every kind but ``mms`` is one field with ``c = 1``, which
-    :meth:`at` returns bit for bit.  ``time_independent`` says that no ``c_j``
-    depends on ``t``.
+    :meth:`at` returns bit for bit.
     """
 
     fields: np.ndarray
     coefficients: Callable[[float], np.ndarray]
-    time_independent: bool
 
     def at(self, t: float) -> np.ndarray:
         c = self.coefficients(t)
@@ -345,11 +344,11 @@ def build_forcing(config: SolverConfig, grid: Grid) -> Forcing:
     """The run's forcing; ``mms`` is the residual of ``v*`` at ``nu``, ``alpha``."""
     spec = config.forcing
     if spec.kind != "mms":
-        return Forcing(build_field(spec, grid).values[None], lambda t: np.ones(1), True)
+        return Forcing(build_field(spec, grid).values[None], lambda t: np.ones(1))
     from .mms import get_reference
     ref = get_reference(spec.reference, config.lx, config.m, nu=config.nu,
                         alpha=config.alpha)
-    return Forcing(*ref.sample(grid), ref.time_independent)
+    return Forcing(*ref.sample(grid))
 
 
 class ImexStepper:
@@ -373,8 +372,7 @@ class ImexStepper:
         self._euler_dt = theta * config.dt
         self._implicit = self._build_implicit(theta)
         self.forcing = g = build_forcing(config, self.grid)
-        self._forcing_hat = Forcing(np.fft.rfft(g.fields, axis=1), g.coefficients,
-                                    g.time_independent)
+        self._forcing_hat = Forcing(np.fft.rfft(g.fields, axis=1), g.coefficients)
         self._warned_cfl = False
 
     # -- setup ----------------------------------------------------------------
@@ -585,26 +583,19 @@ def run(config: SolverConfig, on_record=None):
     collector = diag.DiagnosticsCollector(
         grid=grid, ops=stepper.ops, nu=config.nu, alpha=config.alpha,
         weight=weight, g=stepper.forcing.at)
-    # the closed bound |g|^2 / (nu lambda1^2) needs g constant in time
-    g_norm = math.nan
-    if stepper.forcing.time_independent:
-        with np.errstate(over="ignore"):
-            g_norm = l2_norm(Field(grid, stepper.forcing.at(0.0)))
-    try:  # as energy_budget evaluates it; NaN for a forcing that changes in time
-        bound = g_norm ** 2 / (config.nu * collector.lambda1 ** 2)
-    except (OverflowError, ZeroDivisionError):
-        bound = math.inf
-    if bound == math.inf:
-        raise ValueError(f"the closed bound |g|^2 / (nu lambda1^2) is out of range; it "
-                         f"scales with {_scale_keys(config, ('nu', 'm'), ('forcing',))}")
     series = diag.DiagnosticsSeries(meta=dict(
         nu=config.nu, alpha=config.alpha, dt=config.dt,
-        record_every=config.record_every,
-        g_norm=g_norm, lambda1=collector.lambda1))
+        record_every=config.record_every, lambda1=collector.lambda1))
 
     try:
         for state in stepper.states(config.record_every):
             rec = collector.record(state.t, state.v, cfl=state.cfl)
+            # the forcing alone sets the bound, so its overflow is the config's
+            if not math.isfinite(diag.closed_bound(rec.forcing_norm_sq, config.nu,
+                                                   collector.lambda1)):
+                raise ValueError("the closed bound |g|^2 / (nu lambda1^2) is out of "
+                                 "range; it scales with "
+                                 f"{_scale_keys(config, ('nu', 'm'), ('forcing',))}")
             for column, value in zip(diag.CSV_COLUMNS, rec.csv_values()):
                 if math.isfinite(value):
                     continue

@@ -10,13 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bardina_strip import banded, mms
+from bardina_strip.diagnostics import DiagnosticsCollector, closed_bound, energy_budget
 from bardina_strip.operators import OperatorSet, d2_matrix, d2_values
 from bardina_strip.runio import parse_config_text
 from bardina_strip.solver import (DENSE_INVERSE_BYTES, MAX_NODES, MAX_STEPS,
                                   BlowUpError, CflWarning, FieldSpec, ImexStepper,
                                   SolverConfig, build_field, build_forcing, run)
 from bardina_strip.strip_grid import Field, inner_product, l2_norm, quadrature
-from bardina_strip.verification import fit_order
+from bardina_strip.verification import SECOND_ORDER_WINDOW, fit_order
+from bardina_strip.weights import make_weight_field
 
 # forcing of the steady reference at nu = 0.05, alpha = 0.3, tabulated by
 # high-precision numerical differentiation of the closed form
@@ -743,15 +745,25 @@ class TestManufacturedForcing:
     @pytest.mark.parametrize("name, steady", [
         ("steady_mode", True), ("zero_field", True),
         ("two_mode", False), ("pulsing_mode", False)])
-    def test_g_norm_finite_for_time_independent_references(self, name, steady):
+    def test_closed_bound_read_at_each_record(self, name, steady):
         mms_spec = FieldSpec(kind="mms", reference=name)
-        cfg = _decay_config(nx=16, ny=17, t_end=0.002, nu=0.05, alpha=0.4,
-                            forcing=mms_spec, ic=mms_spec)
-        assert build_forcing(cfg, cfg.grid()).time_independent is steady
-        g_norm = run(cfg)[1].meta["g_norm"]
-        assert math.isfinite(g_norm) is steady
-        if name == "steady_mode":
-            assert g_norm > 0
+        cfg = _decay_config(nx=16, ny=17, t_end=0.02, nu=0.05, alpha=0.4,
+                            record_every=4, forcing=mms_spec, ic=mms_spec)
+        stepper = ImexStepper(cfg)
+        series = run(cfg)[1]
+        t, lam = series.column("t"), series.meta["lambda1"]
+        bounds = closed_bound(series.column("forcing_norm_sq"), cfg.nu, lam)
+        g_sq = [l2_norm(Field(stepper.grid, stepper.forcing.at(tn))) ** 2 for tn in t]
+        np.testing.assert_allclose(bounds, np.array(g_sq) / (cfg.nu * lam ** 2),
+                                   rtol=1e-13, atol=0.0)
+        # a steady forcing keeps the bound that the forcing at t = 0 gives
+        at_zero = g_sq[0] / (cfg.nu * lam ** 2)
+        assert np.allclose(bounds, at_zero, rtol=1e-13, atol=0.0) is steady
+        report = energy_budget(series)
+        assert report.bound == bounds.max()
+        e, d = series.column("energy"), series.column("dissipation")
+        assert np.array_equal(report.excess_over_bound,
+                              np.maximum(np.diff(e) / np.diff(t) + d[1:] - bounds[1:], 0.0))
 
     def test_steady_forcing_time_independent(self):
         forcing = _mms_forcing("steady_mode", _decay_config().grid())
@@ -838,6 +850,34 @@ class TestMmsConvergence:
                                       state.v.values - exact.values)))
             hs.append(2.0 / (ny - 1))
         assert fit_order(hs, errs) == pytest.approx(2.0, abs=0.3)
+
+    def test_recorded_columns_converge_to_the_manufactured_truth(self):
+        # the spatial MMS study's runs, recorded; each column against the
+        # collector applied to v* at the record times on the same grid
+        columns = ("energy", "dissipation", "energy_w", "dissipation_w",
+                   "norm_h2h_gamma", "norm_h3h_gamma")
+        ny_values = (33, 65, 129)
+        errors = {name: [] for name in columns}
+        for ny in ny_values:
+            spec = FieldSpec(kind="mms", reference="two_mode")
+            cfg = SolverConfig(nx=32, ny=ny, dt=2e-4, t_end=0.25, nu=0.05, alpha=0.4,
+                               scheme="imex_cnab2", record_every=125,
+                               forcing=spec, ic=spec)
+            stepper = ImexStepper(cfg)
+            _, series = run(cfg)
+            exact = DiagnosticsCollector(
+                stepper.grid, stepper.ops, cfg.nu, cfg.alpha,
+                make_weight_field(stepper.grid, cfg.weight), stepper.forcing.at)
+            truth = [exact.record(t, mms.solution_field("two_mode", stepper.grid, t), 0.0)
+                     for t in series.column("t")]
+            assert len(truth) == 11
+            for name in columns:
+                want = np.array([getattr(rec, name) for rec in truth])
+                errors[name].append(np.abs(series.column(name) / want - 1.0).max())
+        h = [1.0 / (ny - 1) for ny in ny_values]
+        lo, hi = SECOND_ORDER_WINDOW
+        for name in columns:
+            assert lo <= fit_order(h, errors[name]) <= hi, (name, errors[name])
 
     def test_mms_run_derives_the_forcing_once(self, monkeypatch):
         # the initial condition is v* alone and needs no forcing derivation

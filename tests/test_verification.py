@@ -67,6 +67,17 @@ class TestSuites:
         report = run_suite("compactness", settings)
         assert report.passed, report.format()
 
+    def test_compactness_suite_keeps_its_cadence_at_an_odd_step_count(self):
+        # the 129th state is one step after the 128th: a lag of two steps
+        # would count it twice as far, so the modulus must leave it out
+        slopes = []
+        for t_end in ("0.128", "0.129"):
+            settings = parse_config_text(
+                f"nx = 32\nny = 33\ndt = 1e-3\nt_end = {t_end}\nnu = 0.01\n"
+                "alpha = 0.5\nic.kind = trig_clamped\nic.amplitude = 1.0\n")
+            slopes.append(run_suite("compactness", settings).results[0].measured)
+        assert slopes[1] == slopes[0]
+
     def test_weights_suite_growth_branch(self):
         settings = parse_config_text("gamma = 1.0\n", allow_gamma_override=True)
         report = run_suite("weights", settings)
