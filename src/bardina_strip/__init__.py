@@ -18,6 +18,13 @@ from .solver import (SolverConfig, SolverState, FieldSpec, BlowUpError,
 from .diagnostics import (DiagnosticsRecord, DiagnosticsSeries, energy_budget,
                           weighted_energy_budget, StreamingTranslationModulus,
                           poincare_check, lambda1_estimate)
-from .verification import galerkin_refinement_study
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # verification is loaded on first use: a run never needs it
+    if name == "galerkin_refinement_study":
+        from .verification import galerkin_refinement_study
+        return galerkin_refinement_study
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

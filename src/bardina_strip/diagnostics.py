@@ -120,9 +120,12 @@ def lambda1_estimate(grid: Grid) -> Lambda1Estimate:
 class DiagnosticsCollector:
     """Computes one :class:`DiagnosticsRecord` per call, with budget memory.
 
-    Every quantity comes from the state's :meth:`OperatorSet.field_ladder`
-    and two quadratures per channel.  The ladder of a solver state is shared
-    with other consumers, such as the streaming modulus, so each channel is
+    Every quantity comes from the state's :meth:`OperatorSet.field_ladder`,
+    built from its ``x1`` coefficients when :meth:`record` is given them,
+    and two integrals per channel: the plain one as ``(sq @ qw).sum()``, the
+    weighted one as one flat dot product with ``qw * phi``, the only weight
+    data the collector keeps.  The ladder of a solver state is shared with
+    other consumers, such as the streaming modulus, so each channel is
     squared into a one-field buffer the collector owns.  ``g(t)`` returns
     the forcing's values at a time; the forcing power ``-(g, v)`` and
     ``|g|^2`` read it at the record time, so ``forcing_power``, both budget
@@ -137,19 +140,27 @@ class DiagnosticsCollector:
         self.g = g
         self.lambda1 = lambda1_estimate(grid).value
         self._qw = grid.dx * grid.quad_weights
-        self._qw_phi = self._qw * weight.phi
+        self._qw_phi = (self._qw * weight.phi).ravel()
         self._prev: tuple[float, float, float] | None = None
         self._sq = np.empty(grid.shape)
 
+    def _integrals(self, sq: np.ndarray) -> tuple[float, float]:
+        """The plain and the weighted integral of ``sq``."""
+        return float((sq @ self._qw).sum()), float(np.dot(sq.ravel(), self._qw_phi))
+
     @np.errstate(over="ignore", invalid="ignore")
-    def record(self, t: float, v: Field, cfl: float) -> DiagnosticsRecord:
+    def record(self, t: float, v: Field, cfl: float,
+               coeffs: np.ndarray | None = None) -> DiagnosticsRecord:
+        """The record of ``v`` at ``t``; ``coeffs``, the ``x1`` coefficients
+        of ``v.values`` if the caller holds them, spare the ladder its
+        forward transform."""
         a2 = self.alpha ** 2
         sq = self._sq
         plain, weighted = [], []
-        for channel in self.ops.field_ladder(v):
-            np.multiply(channel, channel, out=sq)
-            plain.append(float(quadrature(sq, self._qw)))
-            weighted.append(float(quadrature(sq, self._qw_phi)))
+        for channel in self.ops.field_ladder(v, coeffs):
+            p, w = self._integrals(np.multiply(channel, channel, out=sq))
+            plain.append(p)
+            weighted.append(w)
         f, d1f, d2f, d1d1f, d1d2f, lap, d1lap = plain
         f_w, d1f_w, d2f_w, d1d1f_w, d1d2f_w, lap_w, d1lap_w = weighted
 
@@ -160,10 +171,9 @@ class DiagnosticsCollector:
         h2h_w_sq = f_w + (d1f_w + d2f_w) + (d1d1f_w + d1d2f_w)
 
         g = self.g(t)
-        g_sq = float(quadrature(np.multiply(g, g, out=sq), self._qw))
-        gv = g * v.values
-        power = -float(quadrature(gv, self._qw))
-        power_w = -float(quadrature(gv, self._qw_phi))
+        g_sq = float((np.multiply(g, g, out=sq) @ self._qw).sum())
+        gv, gv_w = self._integrals(np.multiply(g, v.values, out=sq))
+        power, power_w = -gv, -gv_w
         residual = residual_w = 0.0
         if self._prev is not None:
             t0, e0, ew0 = self._prev
@@ -271,6 +281,10 @@ def weighted_energy_budget(series: DiagnosticsSeries) -> WeightedBudgetReport:
 # the leading ladder channels f, d1 f, d2 f, d1 d1 f, d1 d2 f: their squared
 # sum is the H^{2,h} norm squared
 _H2H_CHANNELS = 5
+# an add may miss the previous one's t + dt_record by this much of dt_record:
+# a record time n dt is rounded by at most n dt 2^-53, below 1.2e-7 dt up to
+# the solver's MAX_STEPS, while a skipped record misses by a whole dt_record
+_CADENCE_RTOL = 1e-6
 
 
 def _psi_sqrt_quad(grid: Grid, weight: WeightField | None) -> np.ndarray:
@@ -303,10 +317,11 @@ class TranslationModulus:
 class StreamingTranslationModulus:
     """Accumulates ``M(k)^2 = sum_n dt |v(t_n + k) - v(t_n)|^2`` on the fly.
 
-    Records must arrive at a fixed cadence; ``k_lags`` are lags in record
-    units and the norm is the (weighted) ``H^{2,h}`` norm, the one ``norm``
-    accepts.  Each record's channels, premultiplied by ``psi * sqrt(dx *
-    quad_weights)``, are kept for the largest lag, so each pair costs one
+    Records must arrive at a fixed cadence, ``dt_record`` apart, and an add
+    off that cadence is refused; ``k_lags`` are lags in record units and the
+    norm is the (weighted) ``H^{2,h}`` norm, the one ``norm`` accepts.  Each
+    record's channels, premultiplied by ``psi * sqrt(dx * quad_weights)``,
+    are kept for the largest lag, so each pair costs one
     subtraction into a reused buffer and one dot product.  The channels are
     read from :meth:`OperatorSet.field_ladder`, so a solver state that the
     collector has recorded costs no second ladder.
@@ -326,9 +341,18 @@ class StreamingTranslationModulus:
         self._buffer: deque[np.ndarray] = deque(maxlen=self.k_lags[-1] + 1)
         self._work = np.empty((_H2H_CHANNELS,) + grid.shape)
         self._sums = {lag: 0.0 for lag in self.k_lags}
+        self._t_last: float | None = None
 
     def add(self, t: float, v: Field):
-        """Add the record of ``v``; ``t`` is unused, records keep a fixed cadence."""
+        """Add the record of ``v`` at ``t``, which must be the previous
+        add's ``t + dt_record`` (to ``_CADENCE_RTOL`` of ``dt_record``)."""
+        if self._t_last is not None:
+            expected = self._t_last + self.dt_record
+            if abs(t - expected) > _CADENCE_RTOL * self.dt_record:
+                raise ValueError(
+                    f"record at t = {t:.9g} is off the cadence: the previous one is at "
+                    f"t = {self._t_last:.9g}, so this one must be at {expected:.9g}")
+        self._t_last = t
         channels = self.ops.field_ladder(v)[:_H2H_CHANNELS]
         if len(self._buffer) == self._buffer.maxlen:
             # no lag reaches the oldest record any more: reuse its array

@@ -18,12 +18,14 @@ from .strip_grid import Field, Grid, _check_same_grid, inner_product, l2_norm
 __all__ = ["OperatorSet", "d2_matrix", "d2_wall_rows", "trilinear_relative"]
 
 
-def d2_values(values: np.ndarray, dy: float, axis: int = 1) -> np.ndarray:
-    """First ``x2`` derivative along ``axis``, one-sided at the walls.
+def d2_values(values: np.ndarray, dy: float, axis: int = 1,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """First ``x2`` derivative along ``axis``, one-sided at the walls, into
+    ``out`` if given.
 
     Every element gets the same arithmetic whichever axis holds ``x2``.
     """
-    out = np.empty_like(values)
+    out = np.empty_like(values) if out is None else out
     v, o = values.swapaxes(axis, 0), out.swapaxes(axis, 0)
     o[1:-1] = (v[2:] - v[:-2]) / (2.0 * dy)
     o[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dy)
@@ -71,7 +73,6 @@ class OperatorSet:
         with np.errstate(over="ignore"):  # the implicit set-up names an overflow
             self._k2 = grid.wavenumbers ** 2
         self._kept = (grid.nx + 2) // 3  # the 2/3 rule keeps the modes k < nx / 3
-        self._ladder_work = None
 
     # -- linear operators ---------------------------------------------------
 
@@ -96,61 +97,68 @@ class OperatorSet:
         is never below one, so smoothing in ``x1`` with no boundary condition."""
         return self._scale_modes(f, 1.0 / self.helmholtz(alpha))
 
-    def ladder(self, values: np.ndarray) -> np.ndarray:
+    def ladder(self, values: np.ndarray, coeffs: np.ndarray | None = None) -> np.ndarray:
         """The derivative set of the anisotropic norms, stacked ``(7, nx, ny)``.
 
         Channels in order: ``f, d1 f, d2 f, d1 d1 f, d1 d2 f, lap f,
         d1 lap f``, so the ``l2``, ``h1h`` and ``h2h`` norms use the first
-        one, two and five.  One forward transform feeds the four spectral
-        channels, which come back through one batched inverse transform;
-        ``d2 f`` and ``d1 d2 f`` are the ``x2`` stencil applied to ``f`` and
-        ``d1 f``.  The two intermediate stacks are work arrays kept across
-        calls: allocated per call, glibc gave their pages back and faulted
-        them in again on every record (about 400 minor faults per step at
-        128 x 129, recording every step).
+        one, two and five.  ``coeffs`` are the ``x1`` coefficients of
+        ``values``, ``rfft(values)`` if not given; a solver state passes its
+        ``v_hat``, whose values are ``irfft(v_hat)``, so its ladder needs no
+        forward transform.  Channel 0 is ``values`` itself.  The four
+        spectral channels are formed two at a time in a two-channel modal
+        work array, and each pair comes back through one batched inverse
+        transform written straight into the stack; ``d2 f`` and ``d1 d2 f``
+        are the ``x2`` stencil applied to ``f`` and ``d1 f``.  The work array
+        is allocated per call: at 128 x 129 with a record every step, a run
+        takes 31 minor page faults per step this way and 32 with the array
+        kept across calls, and kept it would hold 4.2 MB through every step
+        at 512 x 513.
         """
         nx, dy = self.grid.nx, self.grid.dy
-        if self._ladder_work is None:
-            self._ladder_work = (
-                np.empty((4, self.grid.n_modes, self.grid.ny), dtype=np.complex128),
-                np.empty((4, nx, self.grid.ny)))
-        modal, spectral = self._ladder_work
-        c = np.fft.rfft(values, axis=0)
+        if coeffs is None:
+            coeffs = np.fft.rfft(values, axis=0)
+        modal = np.empty((2, self.grid.n_modes, self.grid.ny), dtype=np.complex128)
         ik = self._ik[:, None]
-        np.multiply(ik, c, out=modal[0])
-        np.multiply(ik ** 2, c, out=modal[1])
-        modal[2] = self.laplacian_modal(c)
-        del c
-        np.multiply(ik, modal[2], out=modal[3])
-        np.fft.irfft(modal, n=nx, axis=1, out=spectral)
+        # the Laplacian's temporaries come and go before the stack exists
+        self.laplacian_modal(coeffs, out=modal[0])
+        np.multiply(ik, modal[0], out=modal[1])
         out = np.empty((7, nx, self.grid.ny))
+        np.fft.irfft(modal, n=nx, axis=1, out=out[5:7])
+        np.multiply(ik, coeffs, out=modal[0])
+        np.multiply(ik ** 2, coeffs, out=modal[1])
+        np.fft.irfft(modal, n=nx, axis=1, out=out[1:4:2])
         out[0] = values
-        out[[1, 3, 5, 6]] = spectral
-        out[2] = d2_values(values, dy)
-        out[4] = d2_values(out[1], dy)
+        d2_values(values, dy, out=out[2])
+        d2_values(out[1], dy, out=out[4])
         return out
 
-    def field_ladder(self, f: Field) -> np.ndarray:
-        """:meth:`ladder` of ``f.values``, computed once per frozen field.
+    def field_ladder(self, f: Field, coeffs: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`ladder` of ``f.values`` and ``coeffs``, computed once per
+        frozen field.
 
         A frozen field (every solver state is one) keeps its ladder, read-only,
         in ``f.cache``, so every consumer of a recorded state shares one
-        stack; any ``OperatorSet`` on the same grid computes the same bits.
-        A writable field gets a fresh stack on every call.
+        stack, the one its first consumer built; any ``OperatorSet`` on the
+        same grid computes the same bits.  A writable field gets a fresh
+        stack on every call.
         """
         _check_same_grid(f, self)
         frozen = not f.values.flags.writeable
         hit = f.cache.get("ladder")
         if frozen and hit is not None and hit[0] is f.values:
             return hit[1]
-        stack = self.ladder(f.values)
+        stack = self.ladder(f.values, coeffs)
         if frozen:
             stack.flags.writeable = False
             f.cache["ladder"] = (f.values, stack)
         return stack
 
-    def laplacian_modal(self, coeffs: np.ndarray) -> np.ndarray:
-        return d2sq_values(coeffs, self.grid.dy) - self._k2[:, None] * coeffs
+    def laplacian_modal(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # with no out, the x2 term's own buffer takes the result: a fresh
+        # one costs 500 more page faults per call at 512 x 513
+        lap = d2sq_values(coeffs, self.grid.dy)
+        return np.subtract(lap, self._k2[:, None] * coeffs, out=lap if out is None else out)
 
     # -- dealiased products ---------------------------------------------------
 

@@ -61,11 +61,14 @@ needs no second Laplacian.
 
 A state is modal: :class:`SolverState` holds ``v_hat``, and its values are
 one inverse transform computed on first read, so a state nobody reads costs
-no transform.  A state's values are frozen (read-only), so the
-diagnostics collector and a streaming modulus that see the same recorded
-state share one derivative ladder (``OperatorSet.field_ladder``);
-:func:`run` drops it once the record's callback returns.  A state whose
-coefficients, or values when read, are not finite raises
+no transform.  :func:`run` hands the collector the state's ``v_hat`` with
+its values, so the record builds the state's derivative ladder
+(``OperatorSet.field_ladder``) from the coefficients, with no forward
+transform.  A state's values are frozen (read-only), and the ladder is kept
+on them, so a streaming modulus that sees the same recorded state reads the
+collector's ladder; :func:`run` drops it once the record's callback
+returns, and keeps no weight field beyond the collector's ``qw * phi``.  A
+state whose coefficients, or values when read, are not finite raises
 :class:`BlowUpError` with its step; a run longer than ``MAX_STEPS`` steps,
 or on a grid of more than ``MAX_NODES`` nodes, is a configuration error, and
 so is one whose recorded columns or closed bound overflow.
@@ -329,7 +332,7 @@ class Forcing:
     """Separable forcing ``g(t) = sum_j c_j(t) S_j``: ``fields`` stacks the ``S_j``
     (at the grid nodes, or their ``x1`` coefficients), ``coefficients(t)`` gives
     the ``c_j``.  Every kind but ``mms`` is one field with ``c = 1``, which
-    :meth:`at` returns bit for bit.
+    :meth:`at` returns bit for bit; several fields are one contraction.
     """
 
     fields: np.ndarray
@@ -337,7 +340,9 @@ class Forcing:
 
     def at(self, t: float) -> np.ndarray:
         c = self.coefficients(t)
-        return sum((cj * s for cj, s in zip(c[1:], self.fields[1:])), c[0] * self.fields[0])
+        if len(self.fields) == 1:
+            return c[0] * self.fields[0]
+        return (c @ self.fields.reshape(len(self.fields), -1)).reshape(self.fields.shape[1:])
 
 
 def build_forcing(config: SolverConfig, grid: Grid) -> Forcing:
@@ -579,17 +584,17 @@ def run(config: SolverConfig, on_record=None):
     """
     stepper = ImexStepper(config)
     grid = stepper.grid
-    weight = make_weight_field(grid, config.weight)
+    # the collector keeps only qw * phi: the weight field is not held here
     collector = diag.DiagnosticsCollector(
         grid=grid, ops=stepper.ops, nu=config.nu, alpha=config.alpha,
-        weight=weight, g=stepper.forcing.at)
+        weight=make_weight_field(grid, config.weight), g=stepper.forcing.at)
     series = diag.DiagnosticsSeries(meta=dict(
         nu=config.nu, alpha=config.alpha, dt=config.dt,
         record_every=config.record_every, lambda1=collector.lambda1))
 
     try:
         for state in stepper.states(config.record_every):
-            rec = collector.record(state.t, state.v, cfl=state.cfl)
+            rec = collector.record(state.t, state.v, cfl=state.cfl, coeffs=state.v_hat)
             # the forcing alone sets the bound, so its overflow is the config's
             if not math.isfinite(diag.closed_bound(rec.forcing_norm_sq, config.nu,
                                                    collector.lambda1)):

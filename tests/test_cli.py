@@ -411,10 +411,11 @@ class TestVerify:
         assert main(["verify", cfg, "--suite", "poincare"]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
 
-    def test_unknown_suite_rejected_by_parser(self, tmp_path):
+    def test_unknown_suite_is_config_error(self, tmp_path, capsys):
         cfg = _write(tmp_path, "nx = 16\n")
-        with pytest.raises(SystemExit):
-            main(["verify", cfg, "--suite", "nonsense"])
+        assert main(["verify", cfg, "--suite", "nonsense"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown suite 'nonsense'" in err and "'poincare'" in err
 
 
 class TestCompareNse:
@@ -451,7 +452,8 @@ class TestEntryPoint:
     def test_small_run_loads_no_scipy(self, tmp_path):
         # no solve needs scipy: the package, a run on either side of
         # DENSE_INVERSE_BYTES and the mms suite, whose x2 refinement
-        # reaches 32 x 129, load none of it
+        # reaches 32 x 129, load none of it; neither the package nor a run
+        # loads the verification module
         src = Path(bardina_strip.__file__).resolve().parents[1]
         banded = DECAY_CONFIG.replace("ny = 33", "ny = 181").replace("t_end = 0.05",
                                                                      "t_end = 0.003")
@@ -462,14 +464,16 @@ class TestEntryPoint:
             code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
                     "scipy = lambda: sorted(m for m in sys.modules "
                     "if m.split('.')[0] == 'scipy'); "
-                    "import bardina_strip; print(scipy()); "
+                    "verification = lambda: 'bardina_strip.verification' in sys.modules; "
+                    "import bardina_strip; print(scipy(), verification()); "
                     f"from bardina_strip.cli import main; rc = main({argv!r}); "
-                    "print(rc, scipy())")
+                    "print(rc, scipy(), verification())")
             result = subprocess.run([sys.executable, "-c", code],
                                     capture_output=True, text=True)
             assert result.returncode == 0, result.stderr
-            assert result.stdout.splitlines()[0] == "[]", name
-            assert result.stdout.splitlines()[-1] == "0 []", name
+            assert result.stdout.splitlines()[0] == "[] False", name
+            # only verify loads the verification module
+            assert result.stdout.splitlines()[-1] == f"0 [] {bool(extra)}", name
 
     def test_import_leaves_sympy_out(self, tmp_path):
         # sympy is a test dependency only: no module under src/ imports it,

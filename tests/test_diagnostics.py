@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from bardina_strip.diagnostics import (DiagnosticsCollector,
                                        weighted_energy_budget)
 from bardina_strip.operators import OperatorSet
 from bardina_strip.runio import parse_config_text
-from bardina_strip.solver import FieldSpec, SolverConfig, build_field, run
+from bardina_strip.solver import (MAX_STEPS, FieldSpec, ImexStepper, SolverConfig,
+                                  build_field, run)
 from bardina_strip.strip_grid import Field, StripDomain, make_grid
 from bardina_strip.verification import galerkin_refinement_study, run_suite
 from bardina_strip.weights import WeightSpec, make_weight_field
@@ -187,6 +189,16 @@ class TestTranslationModulus:
         mod = _modulus(traj, [1, 2, 4])
         assert np.all(mod.modulus == 0.0)
 
+    def test_off_cadence_add_is_refused(self, medium_grid):
+        vals = np.outer(np.sin(medium_grid.x1), (1 - medium_grid.x2 ** 2) ** 2)
+        acc = StreamingTranslationModulus(medium_grid, OperatorSet(medium_grid), [1, 2],
+                                          dt_record=0.1)
+        acc.add(0.0, Field(medium_grid, vals))
+        acc.add(0.1, Field(medium_grid, vals))
+        # the record at t = 0.2 is skipped
+        with pytest.raises(ValueError, match=r"t = 0\.3 .* t = 0\.1\b"):
+            acc.add(0.3, Field(medium_grid, vals))
+
     def test_decaying_run_slope_and_envelope(self):
         _, _, _, traj = _run_decay(t_end=0.5)
         grid = traj[0][1].grid
@@ -222,12 +234,13 @@ class TestSharedLadder:
         return series, accs
 
     def test_one_ladder_per_record(self, monkeypatch):
+        # one ladder per record, built from the state's coefficients
         calls = []
         ladder = OperatorSet.ladder
-        monkeypatch.setattr(OperatorSet, "ladder",
-                            lambda self, values: calls.append(1) or ladder(self, values))
+        monkeypatch.setattr(OperatorSet, "ladder", lambda self, values, coeffs=None:
+                            calls.append(coeffs is not None) or ladder(self, values, coeffs))
         series, _ = self._observed_run(lambda state, acc, _: acc.add(state.t, state.v))
-        assert len(calls) == len(series) == 41
+        assert len(calls) == len(series) == 41 and all(calls)
 
     def test_state_values_are_read_only(self):
         def observe(state, *_):
@@ -238,12 +251,64 @@ class TestSharedLadder:
     def test_shared_modulus_equals_fresh_ladder(self):
         def observe(state, shared, fresh):
             shared.add(state.t, state.v)
-            fresh.add(state.t, Field(state.v.grid, state.v.values.copy()))
+            # a fresh operator set's ladder of the state's coefficients
+            copy = Field(state.v.grid, state.v.values.copy()).freeze()
+            OperatorSet(state.grid).field_ladder(copy, state.v_hat.copy())
+            fresh.add(state.t, copy)
 
         _, (shared, fresh) = self._observed_run(observe)
         got = [x.hex() for x in shared.result().modulus.tolist()]
         assert got == [x.hex() for x in fresh.result().modulus.tolist()]
         assert all(x > 0 for x in shared.result().modulus)
+
+
+class TestStateLadder:
+    """A solver state's ladder is built from its coefficients ``v_hat``."""
+
+    @staticmethod
+    def _state(n, steps=5):
+        cfg = SolverConfig(nx=n, ny=n + 1, dt=1e-3, t_end=steps * 1e-3, nu=0.01, alpha=0.5,
+                           ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=1))
+        stepper = ImexStepper(cfg)
+        *_, state = stepper.states(MAX_STEPS)
+        return stepper, state
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_agrees_with_the_values_ladder(self, n):
+        # the values path starts from rfft(irfft(v_hat)), which differs from
+        # v_hat by a few eps of the largest coefficient; no channel's symbol
+        # exceeds d1 lap's kmax (kmax^2 + 4 / dy^2), so that bounds the
+        # difference, relative to each channel's maximum, with a factor 10
+        stepper, state = self._state(n)
+        grid = stepper.grid
+        kmax = grid.wavenumbers[-1]
+        bound = 10 * np.finfo(float).eps * kmax * (kmax ** 2 + 4 / grid.dy ** 2)
+        modal = stepper.ops.ladder(state.v.values, state.v_hat)
+        values = OperatorSet(grid).ladder(state.v.values)
+        for a, b in zip(modal, values):
+            assert np.abs(a - b).max() <= bound * np.abs(b).max()
+
+    def test_channel_0_is_the_state_values(self):
+        stepper, state = self._state(64)
+        ladder = stepper.ops.field_ladder(state.v, state.v_hat)
+        assert np.array_equal(ladder[0], state.v.values)
+        assert np.array_equal(state.v.values, np.fft.irfft(state.v_hat, n=64, axis=0))
+
+    def test_first_record_peak_memory(self):
+        # a fresh state's first record: its values, the (7, nx, ny) stack,
+        # the two-channel modal work array and the transients of one channel
+        stepper, state = self._state(128, steps=1)
+        grid, cfg = stepper.grid, stepper.config
+        collector = DiagnosticsCollector(grid, stepper.ops, cfg.nu, cfg.alpha,
+                                         make_weight_field(grid, cfg.weight),
+                                         stepper.forcing.at)
+        tracemalloc.start()
+        try:
+            collector.record(state.t, state.v, state.cfl, coeffs=state.v_hat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * grid.nx * grid.ny * 8
 
 
 class TestProlongation:

@@ -194,8 +194,8 @@ class TestLadder:
         grid = make_grid(StripDomain(5.0, 1.3), 24, 21)
         calls = []
         ladder = OperatorSet.ladder
-        monkeypatch.setattr(OperatorSet, "ladder",
-                            lambda self, values: calls.append(1) or ladder(self, values))
+        monkeypatch.setattr(OperatorSet, "ladder", lambda self, values, coeffs=None:
+                            calls.append(1) or ladder(self, values, coeffs))
         f = Field(grid, rng.standard_normal(grid.shape)).freeze()
         first = OperatorSet(grid).field_ladder(f)
         # another operator set on an equal grid reads the same stack
@@ -215,6 +215,14 @@ class TestLadder:
         assert not f.cache
         assert np.array_equal(after, ops.ladder(f.values))
         assert not np.array_equal(after, before)
+
+    def test_values_path_is_the_ladder_of_rfft_coefficients(self, rng):
+        # a plain field's ladder is the coefficient ladder of rfft(values)
+        grid = make_grid(StripDomain(5.0, 1.3), 24, 21)
+        ops = OperatorSet(grid)
+        values = rng.standard_normal(grid.shape)
+        coeffs = np.fft.rfft(values, axis=0)
+        assert np.array_equal(ops.ladder(values), ops.ladder(values, coeffs))
 
     def test_field_on_another_grid_rejected(self, rng):
         f = Field(_grid(), rng.standard_normal((32, 33))).freeze()

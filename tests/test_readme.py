@@ -1,8 +1,8 @@
 """The README's command lines stay in step with the parser and the configs.
 
 Every ``bardina-strip ...`` line in a code block parses with the CLI's own
-parser (nothing runs) and its config loads; the config-key table lists
-every key with its default.
+parser (nothing runs), names a known suite if it has one, and its config
+loads; the config-key table lists every key with its default.
 """
 
 import re
@@ -13,6 +13,7 @@ import pytest
 
 from bardina_strip.cli import _build_parser
 from bardina_strip.runio import KNOWN_KEYS, load_config, parse_config_text
+from bardina_strip.verification import SUITE_NAMES
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -29,6 +30,8 @@ def test_readme_has_command_lines():
 @pytest.mark.parametrize("line", CLI_LINES)
 def test_cli_line_parses_and_its_config_loads(line, monkeypatch):
     args = _build_parser().parse_args(shlex.split(line)[1:])
+    # the parser takes any suite name; verify refuses an unknown one
+    assert getattr(args, "suite", SUITE_NAMES[0]) in SUITE_NAMES
     monkeypatch.chdir(ROOT)
     load_config(args.config, allow_gamma_override=args.override_gamma)
 

@@ -14,8 +14,9 @@ from bardina_strip.diagnostics import DiagnosticsCollector, closed_bound, energy
 from bardina_strip.operators import OperatorSet, d2_matrix, d2_values
 from bardina_strip.runio import parse_config_text
 from bardina_strip.solver import (DENSE_INVERSE_BYTES, MAX_NODES, MAX_STEPS,
-                                  BlowUpError, CflWarning, FieldSpec, ImexStepper,
-                                  SolverConfig, build_field, build_forcing, run)
+                                  BlowUpError, CflWarning, FieldSpec, Forcing,
+                                  ImexStepper, SolverConfig, build_field, build_forcing,
+                                  run)
 from bardina_strip.strip_grid import Field, inner_product, l2_norm, quadrature
 from bardina_strip.verification import SECOND_ORDER_WINDOW, fit_order
 from bardina_strip.weights import make_weight_field
@@ -764,6 +765,26 @@ class TestManufacturedForcing:
         e, d = series.column("energy"), series.column("dissipation")
         assert np.array_equal(report.excess_over_bound,
                               np.maximum(np.diff(e) / np.diff(t) + d[1:] - bounds[1:], 0.0))
+
+    def test_several_fields_are_one_contraction(self):
+        # the contraction sums the same terms as a sum over the fields, in
+        # another order: both err by at most J eps times the sum of |terms|
+        grid = _decay_config(nx=64, ny=65).grid()
+        g = _mms_forcing("two_mode", grid)
+        assert len(g.fields) == 8
+        for forcing in (g, Forcing(np.fft.rfft(g.fields, axis=1), g.coefficients)):
+            for t in (0.0, 0.37):
+                c = forcing.coefficients(t)
+                want = sum(cj * s for cj, s in zip(c, forcing.fields))
+                size = np.tensordot(np.abs(c), np.abs(forcing.fields), axes=1)
+                err = np.abs(forcing.at(t) - want)
+                assert np.all(err <= 2 * len(c) * np.finfo(float).eps * size)
+
+    def test_single_field_is_scaled_bit_for_bit(self, rng):
+        grid = _decay_config().grid()
+        s = rng.standard_normal((1,) + grid.shape)
+        forcing = Forcing(s, lambda t: np.array([0.3 + t]))
+        assert np.array_equal(forcing.at(0.7), np.float64(0.3 + 0.7) * s[0])
 
     def test_steady_forcing_time_independent(self):
         forcing = _mms_forcing("steady_mode", _decay_config().grid())
