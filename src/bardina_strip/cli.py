@@ -84,8 +84,9 @@ def _cmd_verify(args, settings) -> int:
 
 def _cmd_compare_nse(args, settings) -> int:
     alphas = [float(x) for x in args.alphas.split(",") if x.strip()]
-    if any(b >= a for a, b in zip(alphas, alphas[1:])):
-        raise ValueError("alpha list must be strictly descending")
+    if not alphas or any(b >= a for a, b in zip(alphas, alphas[1:])):
+        raise ValueError(f"--alphas must list alpha values in strictly descending order, "
+                         f"got {args.alphas!r}")
     from .verification import compare_nse
     diffs, slope = compare_nse(settings.solver, alphas)
     print("alpha    |v_alpha(T) - v_0(T)|")

@@ -122,11 +122,11 @@ class DiagnosticsCollector:
 
     Every quantity comes from the state's :meth:`OperatorSet.field_ladder`,
     built from its ``x1`` coefficients when :meth:`record` is given them,
-    and two integrals per channel: the plain one as ``(sq @ qw).sum()``, the
-    weighted one as one flat dot product with ``qw * phi``, the only weight
-    data the collector keeps.  The ladder of a solver state is shared with
-    other consumers, such as the streaming modulus, so each channel is
-    squared into a one-field buffer the collector owns.  ``g(t)`` returns
+    and two :func:`quadrature` calls per channel, with ``qw`` and with
+    ``qw * phi``, the only weight data the collector keeps.  The ladder of a
+    solver state is shared with other consumers, such as the streaming
+    modulus, so the channels are squared one at a time into a one-field
+    buffer the collector owns, never into a second stack.  ``g(t)`` returns
     the forcing's values at a time; the forcing power ``-(g, v)`` and
     ``|g|^2`` read it at the record time, so ``forcing_power``, both budget
     residuals and the closed bound hold for every forcing kind.
@@ -140,13 +140,9 @@ class DiagnosticsCollector:
         self.g = g
         self.lambda1 = lambda1_estimate(grid).value
         self._qw = grid.dx * grid.quad_weights
-        self._qw_phi = (self._qw * weight.phi).ravel()
+        self._qw_phi = self._qw * weight.phi
         self._prev: tuple[float, float, float] | None = None
         self._sq = np.empty(grid.shape)
-
-    def _integrals(self, sq: np.ndarray) -> tuple[float, float]:
-        """The plain and the weighted integral of ``sq``."""
-        return float((sq @ self._qw).sum()), float(np.dot(sq.ravel(), self._qw_phi))
 
     @np.errstate(over="ignore", invalid="ignore")
     def record(self, t: float, v: Field, cfl: float,
@@ -155,12 +151,12 @@ class DiagnosticsCollector:
         of ``v.values`` if the caller holds them, spare the ladder its
         forward transform."""
         a2 = self.alpha ** 2
-        sq = self._sq
+        qw, qw_phi, sq = self._qw, self._qw_phi, self._sq
         plain, weighted = [], []
         for channel in self.ops.field_ladder(v, coeffs):
-            p, w = self._integrals(np.multiply(channel, channel, out=sq))
-            plain.append(p)
-            weighted.append(w)
+            np.multiply(channel, channel, out=sq)
+            plain.append(float(quadrature(sq, qw)))
+            weighted.append(float(quadrature(sq, qw_phi)))
         f, d1f, d2f, d1d1f, d1d2f, lap, d1lap = plain
         f_w, d1f_w, d2f_w, d1d1f_w, d1d2f_w, lap_w, d1lap_w = weighted
 
@@ -171,9 +167,9 @@ class DiagnosticsCollector:
         h2h_w_sq = f_w + (d1f_w + d2f_w) + (d1d1f_w + d1d2f_w)
 
         g = self.g(t)
-        g_sq = float((np.multiply(g, g, out=sq) @ self._qw).sum())
-        gv, gv_w = self._integrals(np.multiply(g, v.values, out=sq))
-        power, power_w = -gv, -gv_w
+        g_sq = float(quadrature(np.multiply(g, g, out=sq), qw))
+        np.multiply(g, v.values, out=sq)
+        power, power_w = -float(quadrature(sq, qw)), -float(quadrature(sq, qw_phi))
         residual = residual_w = 0.0
         if self._prev is not None:
             t0, e0, ew0 = self._prev
@@ -287,11 +283,6 @@ _H2H_CHANNELS = 5
 _CADENCE_RTOL = 1e-6
 
 
-def _psi_sqrt_quad(grid: Grid, weight: WeightField | None) -> np.ndarray:
-    q = np.sqrt(grid.dx * grid.quad_weights)[None, :]
-    return q if weight is None else weight.psi * q
-
-
 @dataclass
 class TranslationModulus:
     """``M(k)`` table with its log-log slope and square-root envelope."""
@@ -319,17 +310,17 @@ class StreamingTranslationModulus:
 
     Records must arrive at a fixed cadence, ``dt_record`` apart, and an add
     off that cadence is refused; ``k_lags`` are lags in record units and the
-    norm is the (weighted) ``H^{2,h}`` norm, the one ``norm`` accepts.  Each
-    record's channels, premultiplied by ``psi * sqrt(dx * quad_weights)``,
-    are kept for the largest lag, so each pair costs one
-    subtraction into a reused buffer and one dot product.  The channels are
-    read from :meth:`OperatorSet.field_ladder`, so a solver state that the
-    collector has recorded costs no second ladder.
+    norm is the ``H^{2,h}`` norm weighted by ``weight``, the one ``norm``
+    accepts.  It is the one integral not in :func:`quadrature`: each
+    record's channels are kept for the largest lag anyway, so they are kept
+    premultiplied by ``psi * sqrt(dx * quad_weights)`` and each lag pair
+    costs one subtraction into a reused buffer and one dot product.  The
+    channels come from :meth:`OperatorSet.field_ladder`, so a solver state
+    the collector has recorded costs no second ladder.
     """
 
     def __init__(self, grid: Grid, ops: OperatorSet, k_lags: list[int],
-                 dt_record: float, norm: str = "h2h",
-                 weight: WeightField | None = None):
+                 dt_record: float, norm: str = "h2h", *, weight: WeightField):
         if norm != "h2h":
             raise ValueError(f"norm must be 'h2h', got {norm!r}")
         if any(l <= 0 for l in k_lags):
@@ -337,7 +328,7 @@ class StreamingTranslationModulus:
         self.k_lags = sorted(k_lags)
         self.dt_record = dt_record
         self.ops = ops
-        self._psi_q = _psi_sqrt_quad(grid, weight)
+        self._psi_q = weight.psi * np.sqrt(grid.dx * grid.quad_weights)
         self._buffer: deque[np.ndarray] = deque(maxlen=self.k_lags[-1] + 1)
         self._work = np.empty((_H2H_CHANNELS,) + grid.shape)
         self._sums = {lag: 0.0 for lag in self.k_lags}

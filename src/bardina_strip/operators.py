@@ -174,11 +174,12 @@ class OperatorSet:
         :meth:`ladder` of the 2/3-truncated factors, the product truncated."""
         nx = self.grid.nx
 
-        def trunc(values):
-            return np.fft.irfft(self.dealias_modal(np.fft.rfft(values, axis=0)), n=nx, axis=0)
+        def trunc(values):  # the truncated values and their x1 coefficients
+            coeffs = self.dealias_modal(np.fft.rfft(values, axis=0))
+            return np.fft.irfft(coeffs, n=nx, axis=0), coeffs
 
-        lu, lv = self.ladder(trunc(u.values)), self.ladder(trunc(v.values))
-        return Field(self.grid, trunc(lv[2] * lu[6] - lv[1] * d2_values(lu[5], self.grid.dy)))
+        lu, lv = self.ladder(*trunc(u.values)), self.ladder(*trunc(v.values))
+        return Field(self.grid, trunc(lv[2] * lu[6] - lv[1] * d2_values(lu[5], self.grid.dy))[0])
 
     def advection_modal(self, u_hat: np.ndarray, v_hat: np.ndarray,
                         lap_u_hat: np.ndarray | None = None,

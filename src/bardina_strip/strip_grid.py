@@ -138,10 +138,9 @@ def _check_same_grid(f, h):
 
 
 def inner_product(f: Field, h: Field) -> float:
-    """L2 pairing: rectangle rule in ``x1``, trapezoid in ``x2``; weighted
-    integrals go through :func:`quadrature`."""
+    """L2 pairing: the :func:`quadrature` of ``f h``."""
     _check_same_grid(f, h)
-    return float(f.grid.dx * ((f.values * h.values) @ f.grid.quad_weights).sum())
+    return float(quadrature(f.values * h.values, f.grid.dx * f.grid.quad_weights))
 
 
 def l2_norm(f: Field) -> float:
@@ -151,12 +150,15 @@ def l2_norm(f: Field) -> float:
 def quadrature(integrand: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Grid quadrature of every trailing ``(nx, ny)`` block of ``integrand``.
 
+    The package's one grid integral, but for the streaming modulus, which
+    stores its channels premultiplied by the root of its weights.
     ``weights`` are node weights: ``dx * quad_weights`` of shape ``(ny,)``,
     or that times a weight field, of shape ``(nx, ny)``.  Leading axes are
     kept, so a stack of channels gives one value per channel.  Field weights
-    are applied one block at a time, so no temporary exceeds one field.
+    take one flat dot product per block, and a contiguous ``integrand`` no copy.
     """
     if weights.ndim == 1:
         return (integrand @ weights).sum(axis=-1)
-    blocks = integrand.reshape((-1,) + weights.shape)
-    return np.array([(b * weights).sum() for b in blocks]).reshape(integrand.shape[:-2])
+    flat = weights.ravel()
+    blocks = integrand.reshape(-1, flat.size)
+    return np.array([np.dot(b, flat) for b in blocks]).reshape(integrand.shape[:-2])

@@ -9,9 +9,9 @@ Each suite reads only part of the config: ``operators`` and ``alpha_sweep``
 grid, ``rho``, ``gamma``, ``seed`` and ``epsilon`` (capped at 0.05); ``mms``
 only ``scheme``; ``budget`` and ``compactness`` the whole solver config,
 though ``compactness`` observes the states of even step index whatever the
-cadence, so the final state of an odd step count is left out, and records
-none.  ``budget`` accepts every forcing kind: the closed bound is read at
-each record time.
+cadence, so the final state of an odd step count is left out, records none
+and refuses a run too short for its largest lag.  ``budget`` accepts every
+forcing kind: the closed bound is read at each record time.
 
 Every study steps through :meth:`ImexStepper.states`; the refinement study
 steps its nested resolutions side by side and keeps no field past its record.
@@ -25,8 +25,8 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .diagnostics import (_H2H_CHANNELS, StreamingTranslationModulus, _psi_sqrt_quad,
-                          energy_budget, poincare_check, prolong, random_clamped_field)
+from .diagnostics import (_H2H_CHANNELS, StreamingTranslationModulus, energy_budget,
+                          poincare_check, prolong, random_clamped_field)
 from .operators import OperatorSet, trilinear_relative
 from .runio import RunSettings
 from .solver import (MAX_STEPS, FieldSpec, ImexStepper, SolverConfig,
@@ -300,9 +300,9 @@ def galerkin_refinement_study(make_config, resolutions,
                 continue
             grid = fine.v.grid
             diff = prolong(coarse.v, grid).values - fine.v.values
-            ch = (steppers[j + 1].ops.ladder(diff)[:_H2H_CHANNELS]
-                  * _psi_sqrt_quad(grid, None))
-            sums[j] += dt_rec[j] * float(np.vdot(ch, ch).real)
+            ch = steppers[j + 1].ops.ladder(diff)[:_H2H_CHANNELS]
+            qw = grid.dx * grid.quad_weights
+            sums[j] += dt_rec[j] * float(quadrature(ch * ch, qw).sum())
     return RefinementStudy(resolutions=resolutions,
                            deltas=[math.sqrt(total) for total in sums])
 
@@ -434,11 +434,15 @@ def _suite_budget(settings: RunSettings) -> SuiteReport:
 
 def _suite_compactness(settings: RunSettings) -> SuiteReport:
     cfg = settings.solver
+    lags = [2 ** j for j in range(6)]
+    if cfg.n_steps < 2 * lags[-1]:  # a lag of k records of 2 dt first pairs at step 2 k
+        raise ValueError(f"the compactness suite needs t_end >= {2 * lags[-1]} dt to reach its "
+                         f"largest lag; t_end = {cfg.t_end:g}, dt = {cfg.dt:g}")
     rep = SuiteReport("compactness")
     stepper = ImexStepper(cfg)
     acc = StreamingTranslationModulus(
-        stepper.grid, stepper.ops, [2 ** j for j in range(6)], dt_record=2 * cfg.dt,
-        norm="h2h", weight=make_weight_field(stepper.grid, cfg.weight))
+        stepper.grid, stepper.ops, lags, dt_record=2 * cfg.dt,
+        weight=make_weight_field(stepper.grid, cfg.weight))
     for state in stepper.states(2):
         # the final state of an odd step count is one step after the last
         # yielded one, not two: it would break the cadence

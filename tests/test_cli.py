@@ -406,6 +406,20 @@ class TestVerify:
                                                          reference):
         self._budget_suite_passes(tmp_path, capsys, reference)
 
+    @pytest.mark.parametrize("steps, code", [(62, {2}), (64, {0, 1})])
+    def test_compactness_suite_refuses_a_run_shorter_than_its_largest_lag(
+            self, tmp_path, capsys, steps, code):
+        # the largest lag is 32 records of 2 dt: 64 steps make its first pair
+        cfg = _write(tmp_path, (
+            f"nx = 16\nny = 17\ndt = 1e-3\nt_end = {steps}e-3\nnu = 0.01\n"
+            "ic.kind = trig_clamped\nic.amplitude = 1.0\n"))
+        assert main(["verify", cfg, "--suite", "compactness"]) in code
+        captured = capsys.readouterr()
+        if steps < 64:
+            assert "t_end" in captured.err and "dt" in captured.err
+        else:
+            assert "sqrt-envelope dominates" in captured.out
+
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         cfg = _write(tmp_path, "nx = 32\nny = 33\nseed = -1\n")
         assert main(["verify", cfg, "--suite", "poincare"]) == 2
@@ -430,6 +444,12 @@ class TestCompareNse:
         cfg = _write(tmp_path, DECAY_CONFIG.format(out=tmp_path / "o"))
         assert main(["compare-nse", cfg, "--alphas", "0.1,0.2"]) == 2
         assert "descending" in capsys.readouterr().err
+
+    def test_empty_alpha_list_is_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, DECAY_CONFIG.format(out=tmp_path / "o"))
+        assert main(["compare-nse", cfg, "--alphas", ","]) == 2
+        captured = capsys.readouterr()
+        assert "--alphas" in captured.err and captured.out == ""
 
     def test_sweep_reports_slope(self, tmp_path, capsys):
         cfg = _write(tmp_path, DECAY_CONFIG.format(out=tmp_path / "o"))

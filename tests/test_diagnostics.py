@@ -171,11 +171,11 @@ class TestWeightedBudget:
         assert rep.sup_energy >= rep.energy_w[-1]
 
 
-def _modulus(traj, lags, weight=None):
+def _modulus(traj, lags):
     grid = traj[0][1].grid
     acc = StreamingTranslationModulus(grid, OperatorSet(grid), lags,
                                       dt_record=traj[1][0] - traj[0][0],
-                                      weight=weight)
+                                      weight=make_weight_field(grid, SolverConfig.weight))
     for t, f in traj:
         acc.add(t, f)
     return acc.result()
@@ -191,8 +191,9 @@ class TestTranslationModulus:
 
     def test_off_cadence_add_is_refused(self, medium_grid):
         vals = np.outer(np.sin(medium_grid.x1), (1 - medium_grid.x2 ** 2) ** 2)
-        acc = StreamingTranslationModulus(medium_grid, OperatorSet(medium_grid), [1, 2],
-                                          dt_record=0.1)
+        acc = StreamingTranslationModulus(
+            medium_grid, OperatorSet(medium_grid), [1, 2], dt_record=0.1,
+            weight=make_weight_field(medium_grid, SolverConfig.weight))
         acc.add(0.0, Field(medium_grid, vals))
         acc.add(0.1, Field(medium_grid, vals))
         # the record at t = 0.2 is skipped
@@ -201,10 +202,7 @@ class TestTranslationModulus:
 
     def test_decaying_run_slope_and_envelope(self):
         _, _, _, traj = _run_decay(t_end=0.5)
-        grid = traj[0][1].grid
-        weight = make_weight_field(grid, WeightSpec(epsilon=0.1, rho=10.0,
-                                                    gamma=2 / 3))
-        mod = _modulus(traj, [2 ** j for j in range(6)], weight=weight)
+        mod = _modulus(traj, [2 ** j for j in range(6)])
         assert mod.slope >= 0.5
         assert mod.envelope_dominates()
         assert np.all(np.diff(mod.modulus) > 0)
@@ -346,6 +344,25 @@ class TestRefinementStudy:
         with pytest.raises(ValueError, match="shorter|longer"):
             galerkin_refinement_study(make_config, [(16, 17), (32, 33)])
 
+    def test_deltas_equal_the_premultiplied_dot_form(self):
+        def make_config(nx, ny):
+            return SolverConfig(nx=nx, ny=ny, dt=1e-2, t_end=0.1, record_every=2,
+                                ic=FieldSpec(kind="trig_clamped", amplitude=1.0))
+        resolutions = [(16, 17), (32, 33), (64, 65)]
+        study = galerkin_refinement_study(make_config, resolutions)
+        # the oracle: channels premultiplied by the root of the node weights,
+        # each record's squared distance one vdot
+        steppers = [ImexStepper(make_config(nx, ny)) for nx, ny in resolutions]
+        sums = [0.0, 0.0]
+        for states in zip(*(s.states(2) for s in steppers)):
+            for j, (coarse, fine) in enumerate(zip(states, states[1:])):
+                grid = fine.v.grid
+                diff = prolong(coarse.v, grid).values - fine.v.values
+                ch = (steppers[j + 1].ops.ladder(diff)[:5]
+                      * np.sqrt(grid.dx * grid.quad_weights))
+                sums[j] += 2e-2 * float(np.vdot(ch, ch).real)
+        np.testing.assert_allclose(study.deltas, np.sqrt(sums), rtol=1e-13, atol=0)
+
     def test_linear_problem_converges_at_second_order(self):
         def make_config(nx, ny):
             return SolverConfig(
@@ -384,7 +401,7 @@ class TestStudiesRecordNothing:
 
     def test_compactness_suite(self, records):
         settings = parse_config_text(
-            "nx = 16\nny = 17\ndt = 1e-3\nt_end = 0.04\nnu = 0.01\n"
+            "nx = 16\nny = 17\ndt = 1e-3\nt_end = 0.064\nnu = 0.01\n"
             "ic.kind = trig_clamped\nic.amplitude = 1.0\n")
         run_suite("compactness", settings)
         assert records == []

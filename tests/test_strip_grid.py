@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,25 @@ class TestInnerProduct:
                                   @ small_grid.quad_weights).sum()
         weights = small_grid.dx * small_grid.quad_weights * w.values
         assert quadrature(f.values ** 2, weights) == pytest.approx(direct, rel=1e-14)
+
+    def test_field_weights_on_a_ladder_stack(self, small_grid, rng):
+        # one value per channel, as the per-block products give them
+        stack = rng.standard_normal((7,) + small_grid.shape) ** 2
+        weights = small_grid.dx * small_grid.quad_weights * (1.0 + rng.random(small_grid.shape))
+        reference = np.array([(b * weights).sum() for b in stack])
+        np.testing.assert_allclose(quadrature(stack, weights), reference, rtol=1e-14, atol=0)
+
+    def test_field_weights_make_no_field_temporary(self, rng):
+        grid = make_grid(StripDomain(2.0 * np.pi, 1.0), 128, 129)
+        stack = rng.standard_normal((7,) + grid.shape)
+        weights = grid.dx * grid.quad_weights * (1.0 + rng.random(grid.shape))
+        tracemalloc.start()
+        try:
+            quadrature(stack, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.nx * grid.ny * 8
 
     def test_grid_mismatch_rejected(self, small_grid, medium_grid):
         f = Field(small_grid, np.zeros(small_grid.shape))
