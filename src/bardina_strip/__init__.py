@@ -10,7 +10,7 @@ model's energy, weighted-energy and compactness estimates.
 from .strip_grid import (StripDomain, Grid, Field, make_grid, inner_product,
                          l2_norm)
 from .operators import OperatorSet
-from .weights import (WeightSpec, WeightField, g_profile, phi_limit, varphi,
+from .weights import (WeightSpec, g_profile, phi_limit, varphi,
                       make_weight_field, certify_lemma_wfuncs,
                       certify_phi_control)
 from .solver import (SolverConfig, SolverState, FieldSpec, BlowUpError,
@@ -21,10 +21,3 @@ from .diagnostics import (DiagnosticsRecord, DiagnosticsSeries, energy_budget,
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name):
-    # verification is loaded on first use: a run never needs it
-    if name == "galerkin_refinement_study":
-        from .verification import galerkin_refinement_study
-        return galerkin_refinement_study
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .operators import OperatorSet
 from .strip_grid import Field, Grid, quadrature
-from .weights import WeightField, WeightSpec, make_weight_field
+from .weights import WeightSpec, make_weight_field
 
 __all__ = [
     "CSV_COLUMNS",
@@ -123,24 +123,25 @@ class DiagnosticsCollector:
     Every quantity comes from the state's :meth:`OperatorSet.field_ladder`,
     built from its ``x1`` coefficients when :meth:`record` is given them,
     and two :func:`quadrature` calls per channel, with ``qw`` and with
-    ``qw * phi``, the only weight data the collector keeps.  The ladder of a
-    solver state is shared with other consumers, such as the streaming
-    modulus, so the channels are squared one at a time into a one-field
-    buffer the collector owns, never into a second stack.  ``g(t)`` returns
+    ``qw * weight``, the only weight data the collector keeps (``weight`` is
+    the sampled array of :func:`make_weight_field`).  The ladder of a solver
+    state is shared with other consumers, such as the streaming modulus, so
+    the channels are squared one at a time into a one-field buffer the
+    collector owns, never into a second stack.  ``g(t)`` returns
     the forcing's values at a time; the forcing power ``-(g, v)`` and
     ``|g|^2`` read it at the record time, so ``forcing_power``, both budget
     residuals and the closed bound hold for every forcing kind.
     """
 
     def __init__(self, grid: Grid, ops: OperatorSet, nu: float, alpha: float,
-                 weight: WeightField, g: Callable[[float], np.ndarray]):
+                 weight: np.ndarray, g: Callable[[float], np.ndarray]):
         self.ops = ops
         self.nu = nu
         self.alpha = alpha
         self.g = g
         self.lambda1 = lambda1_estimate(grid).value
         self._qw = grid.dx * grid.quad_weights
-        self._qw_phi = self._qw * weight.phi
+        self._qw_phi = self._qw * weight
         self._prev: tuple[float, float, float] | None = None
         self._sq = np.empty(grid.shape)
 
@@ -310,17 +311,18 @@ class StreamingTranslationModulus:
 
     Records must arrive at a fixed cadence, ``dt_record`` apart, and an add
     off that cadence is refused; ``k_lags`` are lags in record units and the
-    norm is the ``H^{2,h}`` norm weighted by ``weight``, the one ``norm``
+    norm is the ``H^{2,h}`` norm weighted by ``weight``, the sampled weight
+    array of :func:`make_weight_field`, and ``"h2h"`` is the one ``norm``
     accepts.  It is the one integral not in :func:`quadrature`: each
     record's channels are kept for the largest lag anyway, so they are kept
-    premultiplied by ``psi * sqrt(dx * quad_weights)`` and each lag pair
+    premultiplied by ``sqrt(dx * quad_weights * weight)`` and each lag pair
     costs one subtraction into a reused buffer and one dot product.  The
     channels come from :meth:`OperatorSet.field_ladder`, so a solver state
     the collector has recorded costs no second ladder.
     """
 
     def __init__(self, grid: Grid, ops: OperatorSet, k_lags: list[int],
-                 dt_record: float, norm: str = "h2h", *, weight: WeightField):
+                 dt_record: float, norm: str = "h2h", *, weight: np.ndarray):
         if norm != "h2h":
             raise ValueError(f"norm must be 'h2h', got {norm!r}")
         if any(l <= 0 for l in k_lags):
@@ -328,12 +330,13 @@ class StreamingTranslationModulus:
         self.k_lags = sorted(k_lags)
         self.dt_record = dt_record
         self.ops = ops
-        self._psi_q = weight.psi * np.sqrt(grid.dx * grid.quad_weights)
+        self._root_w = np.sqrt(grid.dx * grid.quad_weights * weight)
         self._buffer: deque[np.ndarray] = deque(maxlen=self.k_lags[-1] + 1)
         self._work = np.empty((_H2H_CHANNELS,) + grid.shape)
         self._sums = {lag: 0.0 for lag in self.k_lags}
         self._t_last: float | None = None
 
+    @np.errstate(over="ignore", invalid="ignore")  # a sum beyond the float range is inf
     def add(self, t: float, v: Field):
         """Add the record of ``v`` at ``t``, which must be the previous
         add's ``t + dt_record`` (to ``_CADENCE_RTOL`` of ``dt_record``)."""
@@ -347,9 +350,9 @@ class StreamingTranslationModulus:
         channels = self.ops.field_ladder(v)[:_H2H_CHANNELS]
         if len(self._buffer) == self._buffer.maxlen:
             # no lag reaches the oldest record any more: reuse its array
-            feats = np.multiply(channels, self._psi_q, out=self._buffer.popleft())
+            feats = np.multiply(channels, self._root_w, out=self._buffer.popleft())
         else:
-            feats = channels * self._psi_q
+            feats = channels * self._root_w
         self._buffer.append(feats)
         n = len(self._buffer)
         diff = self._work
@@ -426,7 +429,7 @@ def poincare_check(sample_count: int, spec: WeightSpec, grid: Grid,
                    seed: int = 0) -> PoincareReport:
     """Audit both weighted Poincare inequalities over random clamped fields."""
     lam = lambda1_estimate(grid)
-    qw_phi = grid.dx * grid.quad_weights * make_weight_field(grid, spec).phi
+    qw_phi = grid.dx * grid.quad_weights * make_weight_field(grid, spec)
     ops = OperatorSet(grid)
     rng = np.random.default_rng(seed)
     worst0 = worst1 = 0.0

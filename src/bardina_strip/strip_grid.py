@@ -153,12 +153,12 @@ def quadrature(integrand: np.ndarray, weights: np.ndarray) -> np.ndarray:
     The package's one grid integral, but for the streaming modulus, which
     stores its channels premultiplied by the root of its weights.
     ``weights`` are node weights: ``dx * quad_weights`` of shape ``(ny,)``,
-    or that times a weight field, of shape ``(nx, ny)``.  Leading axes are
-    kept, so a stack of channels gives one value per channel.  Field weights
-    take one flat dot product per block, and a contiguous ``integrand`` no copy.
+    or that times the sampled weight array, of shape ``(nx, ny)``.  Leading
+    axes are kept, so a stack of channels gives one value per channel.
+    Field weights take one ``matmul`` of the flattened blocks against the
+    flattened weights: for one block that is a flat dot product, and a
+    contiguous ``integrand`` is not copied.
     """
     if weights.ndim == 1:
         return (integrand @ weights).sum(axis=-1)
-    flat = weights.ravel()
-    blocks = integrand.reshape(-1, flat.size)
-    return np.array([np.dot(b, flat) for b in blocks]).reshape(integrand.shape[:-2])
+    return integrand.reshape(*integrand.shape[:-2], -1) @ weights.ravel()

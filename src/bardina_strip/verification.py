@@ -29,8 +29,8 @@ from .diagnostics import (_H2H_CHANNELS, StreamingTranslationModulus, energy_bud
                           poincare_check, prolong, random_clamped_field)
 from .operators import OperatorSet, trilinear_relative
 from .runio import RunSettings
-from .solver import (MAX_STEPS, FieldSpec, ImexStepper, SolverConfig,
-                     SolverState, run)
+from .solver import (MAX_STEPS, BlowUpError, FieldSpec, ImexStepper, SolverConfig,
+                     SolverState, _scale_keys, run)
 from .strip_grid import Field, Grid, StripDomain, l2_norm, make_grid, quadrature
 from .weights import (WeightSpec, certify_lemma_wfuncs, certify_phi_control,
                       lemma_beta_set, make_weight_field)
@@ -251,15 +251,22 @@ def alpha_sweep_study(alphas=(0.4, 0.2, 0.1, 0.05), nx: int = 64, ny: int = 65):
 
 
 def compare_nse(cfg: SolverConfig, alphas):
-    """Per-alpha distances from the ``alpha = 0`` run of the same config."""
+    """Per-alpha distances from the ``alpha = 0`` run of the same config, and
+    their log-log slope over the pairs with ``alpha > 0`` and a positive
+    distance (NaN with fewer than two)."""
     state0 = _final_state(ImexStepper(replace(cfg, alpha=0.0)))
     diffs = []
     for a in alphas:
         state = _final_state(ImexStepper(replace(cfg, alpha=float(a))))
-        diffs.append(l2_norm(Field(state.v.grid,
-                                   state.v.values - state0.v.values)))
-    positive = [a for a in alphas if a > 0]
-    slope = fit_order(positive, diffs[:len(positive)]) if len(positive) >= 2 else float("nan")
+        with np.errstate(over="ignore"):
+            dist = l2_norm(Field(state.v.grid, state.v.values - state0.v.values))
+        if math.isinf(dist):
+            # as in run, a stepped state whose norm leaves the float range has blown up
+            raise BlowUpError(state.t, state.step_index)
+        diffs.append(dist)
+    # a run that never separates from alpha = 0 has no place on a log-log fit
+    pairs = [(a, d) for a, d in zip(alphas, diffs) if a > 0 and d > 0]
+    slope = fit_order(*zip(*pairs)) if len(pairs) >= 2 else float("nan")
     return diffs, slope
 
 
@@ -449,6 +456,9 @@ def _suite_compactness(settings: RunSettings) -> SuiteReport:
         if state.step_index % 2 == 0:
             acc.add(state.t, state.v)
     mod = acc.result()
+    if not np.all(np.isfinite(mod.modulus)):
+        raise ValueError(f"the translation modulus is out of range; it scales with "
+                         f"{_scale_keys(cfg, ('dt', 'lx', 'm'))}")
     rep.add("translation modulus log-log slope", mod.slope, 0.5, comparison=">=")
     rep.add("sqrt-envelope dominates", float(mod.envelope_dominates()), 1.0,
             comparison=">=")

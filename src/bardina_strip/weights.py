@@ -10,10 +10,13 @@ Two weight families share one scale parameter ``epsilon`` and exponent
   constant once ``r >= rho + 1`` and equals the limit weight while
   ``r <= rho``.
 
-``psi = varphi^(1/2)`` multiplies the integrands of the weighted Sobolev
-norms, which the diagnostics collector records as its weighted columns.
-The certification routines measure, by high-order finite differences
-on an oversampled lattice, the empirical constants in the pointwise controls
+:func:`make_weight_field` samples ``varphi`` at the grid nodes as one
+``(nx, ny)`` array, the only weight data a run keeps: the diagnostics
+integrate squared channels against ``dx * quad_weights`` times it.  In the
+lemma that array is ``psi^2``, with ``psi = varphi^(1/2)`` the multiplier of
+the weighted Sobolev norms; ``psi`` is a symbol of the lemma, not an array.
+The certification routines measure, by high-order finite differences on an
+oversampled lattice, the empirical constants in the pointwise controls
 
     |d^beta psi^2| <= C eps^|beta| psi      (strong form)
     |d^beta psi^2| <= C eps^|beta| psi^2    (weak form)
@@ -26,7 +29,7 @@ for sharpness experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +38,6 @@ from .strip_grid import Grid
 __all__ = [
     "GAMMA_THRESHOLD",
     "WeightSpec",
-    "WeightField",
     "g_profile",
     "phi_limit",
     "varphi",
@@ -136,21 +138,8 @@ def varphi(x1, x2, spec: WeightSpec):
     return np.where(inside, s ** spec.gamma, general)
 
 
-@dataclass(eq=False)
-class WeightField:
-    """Weight sampled at the grid nodes: ``phi`` values and ``psi = sqrt(phi)``."""
-
-    grid: Grid
-    spec: WeightSpec
-    phi: np.ndarray = field(repr=False)
-    psi: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if np.any(self.phi < 1.0 - 1e-12):
-            raise ValueError("weight must be >= 1 everywhere")
-
-
-def make_weight_field(grid: Grid, spec: WeightSpec) -> WeightField:
+def make_weight_field(grid: Grid, spec: WeightSpec) -> np.ndarray:
+    """``varphi`` at the grid nodes, a float ``(nx, ny)`` array ``>= 1``."""
     x1, x2 = grid.mesh()
     # a radical beyond the float range lies beyond any finite rho, where the
     # cutoff weight is constant; only the limit weight can overflow
@@ -159,7 +148,9 @@ def make_weight_field(grid: Grid, spec: WeightSpec) -> WeightField:
     if not np.all(np.isfinite(phi)):
         raise ValueError(f"the weight overflows on the grid at lx = {grid.domain.lx:g}, "
                          f"m = {grid.domain.m:g}, epsilon = {spec.epsilon:g}")
-    return WeightField(grid=grid, spec=spec, phi=phi, psi=np.sqrt(phi))
+    if np.any(phi < 1.0 - 1e-12):
+        raise ValueError("weight must be >= 1 everywhere")
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +158,7 @@ def make_weight_field(grid: Grid, spec: WeightSpec) -> WeightField:
 # ---------------------------------------------------------------------------
 
 _STENCILS = {
+    0: (np.array([1.0]), 0),
     1: (np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0, 2),
     2: (np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0, 2),
     3: (np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0, 3),
@@ -197,31 +189,18 @@ def _validate_betas(betas) -> list[tuple[int, int]]:
     return betas
 
 
-def _fd_axis(values: np.ndarray, order: int, h: float, axis: int) -> np.ndarray:
-    """Fourth-order central difference along one axis; trims _PAD from it."""
-    coeffs, half = _STENCILS[order]
-    n = values.shape[axis]
-    out = np.zeros_like(np.take(values, range(_PAD, n - _PAD), axis=axis))
-    for c, off in zip(coeffs, range(-half, half + 1)):
-        if c == 0.0:
-            continue
-        sl = np.take(values, range(_PAD + off, n - _PAD + off), axis=axis)
-        out += c * sl
-    return out / h ** order
-
-
-def _fd_mixed(values: np.ndarray, beta: tuple[int, int], h1: float, h2: float) -> np.ndarray:
-    """Mixed partial derivative; returns the array trimmed by _PAD per axis."""
-    b1, b2 = beta
+def _fd(values: np.ndarray, beta: tuple[int, int], steps: tuple[float, float]) -> np.ndarray:
+    """Fourth-order central difference ``d^beta`` on a lattice of spacings
+    ``steps``; trims _PAD from both ends of each axis (order 0 only trims)."""
     out = values
-    if b1 > 0:
-        out = _fd_axis(out, b1, h1, axis=0)
-    else:
-        out = out[_PAD:-_PAD, :]
-    if b2 > 0:
-        out = _fd_axis(out, b2, h2, axis=1)
-    else:
-        out = out[:, _PAD:-_PAD]
+    for axis, (order, h) in enumerate(zip(beta, steps)):
+        coeffs, half = _STENCILS[order]
+        n = out.shape[axis]
+        acc = 0.0
+        for c, off in zip(coeffs, range(-half, half + 1)):
+            if c != 0.0:
+                acc = acc + c * np.take(out, range(_PAD + off, n - _PAD + off), axis=axis)
+        out = acc / h ** order
     return out
 
 
@@ -252,15 +231,12 @@ def _certify(spec: WeightSpec, betas, x1_extent: float, n1: int) -> Certificatio
     x1 = -_PAD * h1 + h1 * np.arange(n1 + 2 * _PAD)
     x2 = -_X2_HALFWIDTH - _PAD * h2 + h2 * np.arange(_N2 + 2 * _PAD)
     w = varphi(x1[:, None], x2[None, :], spec)
-    w = np.broadcast_to(w, (x1.size, x2.size)).copy()
-
-    x1_t = x1[_PAD:-_PAD][:, None]
-    x2_t = x2[_PAD:-_PAD][None, :]
-    psi = np.sqrt(varphi(x1_t, x2_t, spec))
-    psi = np.broadcast_to(psi, (n1, _N2))
+    psi = np.sqrt(w[_PAD:-_PAD, _PAD:-_PAD])
 
     keep = np.ones((n1, _N2), dtype=bool)
     if not spec.is_limit:  # skip stencils straddling the profile junctions
+        x1_t = x1[_PAD:-_PAD][:, None]
+        x2_t = x2[_PAD:-_PAD][None, :]
         s = _radical_sq(x1_t, x2_t, spec.epsilon)
         r = np.sqrt(s)
         dr1 = 1.5 * spec.epsilon * (spec.epsilon * np.abs(x1_t)) ** 2 / r
@@ -273,7 +249,7 @@ def _certify(spec: WeightSpec, betas, x1_extent: float, n1: int) -> Certificatio
     c_weak: dict[tuple[int, int], float] = {}
     for beta in betas:
         order = sum(beta)
-        deriv = np.abs(_fd_mixed(w, beta, h1, h2))
+        deriv = np.abs(_fd(w, beta, (h1, h2)))
         scale = spec.epsilon ** order
         ratio_strong = deriv / (scale * psi)
         ratio_weak = deriv / (scale * psi ** 2)

@@ -420,6 +420,15 @@ class TestVerify:
         else:
             assert "sqrt-envelope dominates" in captured.out
 
+    def test_compactness_suite_refuses_a_modulus_out_of_range(self, tmp_path, capsys):
+        cfg = _write(tmp_path, ("nx = 8\nny = 9\nm = 1e150\nt_end = 0.064\n"
+                                "ic.kind = mms\nic.reference = two_mode\n"))
+        assert main(["verify", cfg, "--suite", "compactness"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the translation modulus is out of range")
+        assert "ic.reference = two_mode" in captured.err and "m = 1e+150" in captured.err
+
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         cfg = _write(tmp_path, "nx = 32\nny = 33\nseed = -1\n")
         assert main(["verify", cfg, "--suite", "poincare"]) == 2
@@ -456,6 +465,71 @@ class TestCompareNse:
         assert main(["compare-nse", cfg, "--alphas", "0.4,0.2"]) == 0
         out = capsys.readouterr().out
         assert "log-log slope" in out
+
+    def test_runs_that_never_separate_print_no_slope(self, tmp_path, capsys):
+        # at t_end = 0 every distance is 0, which has no logarithm
+        cfg = _write(tmp_path, ("nx = 8\nny = 9\nt_end = 0\nic.kind = trig_clamped\n"
+                                "ic.amplitude = 1.0\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["compare-nse", cfg]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count("0.000000000e+00") == 4
+        assert "slope" not in captured.out and captured.err == ""
+
+
+# the checking commands of the small-check property, each with its arguments
+_CHECKS = {"budget": ["verify", "--suite", "budget"],
+           "compactness": ["verify", "--suite", "compactness"],
+           "compare-nse": ["compare-nse"]}
+
+
+def _small_check(**over):
+    """A pinned example of the small-check property: 8x9 at the config's
+    default scales, no fields."""
+    return example(**{**dict(check="compare-nse", nx=8, ny=9, steps=0,
+                             scheme="imex_euler", lx=6.283185307179586, m=1.0,
+                             nu=0.01, dt=1e-3, alpha=0.5, ic=("zero", 0.0),
+                             forcing=("zero", 0.0)), **over})
+
+
+class TestSmallChecks:
+
+    @settings(max_examples=100, deadline=None)
+    @given(check=st.sampled_from(sorted(_CHECKS)), nx=st.sampled_from([8, 16]),
+           ny=st.sampled_from([9, 17]), steps=st.sampled_from([0, 1, 2, 3, 64]),
+           scheme=st.sampled_from(["imex_euler", "imex_cnab2"]),
+           lx=_SCALE, m=_SCALE, nu=_SCALE, dt=_SCALE, alpha=st.just(0.0) | _SCALE,
+           ic=_FIELD, forcing=_FIELD)
+    # the runs never separate from alpha = 0: numpy warned on log(0)
+    @_small_check(ic=("trig_clamped", 1.0))
+    @_small_check(steps=4)
+    # the distance to the alpha = 0 run overflows: numpy warned
+    @_small_check(steps=1, forcing=("trig_clamped", 1e160))
+    # the translation modulus overflows: its slope read nan and its envelope
+    # check passed
+    @_small_check(check="compactness", steps=64, m=1e150, ic=("mms", 1.0))
+    def test_any_small_check_exits_0_to_3_without_a_warning(
+            self, check, nx, ny, steps, scheme, lx, m, nu, dt, alpha, ic, forcing):
+        # exit 1 is a suite that measured and failed; 3 a run that stepped
+        # and blew up
+        with tempfile.TemporaryDirectory() as tmp:
+            text = (f"nx = {nx}\nny = {ny}\nlx = {lx!r}\nm = {m!r}\nnu = {nu!r}\n"
+                    f"dt = {dt!r}\nt_end = {steps * dt!r}\nalpha = {alpha!r}\n"
+                    f"scheme = {scheme}\noutput.dir = {Path(tmp) / 'o'}\n")
+            for section, (kind, amplitude) in (("ic", ic), ("forcing", forcing)):
+                text += (f"{section}.kind = {kind}\n{section}.amplitude = {amplitude!r}\n"
+                         f"{section}.reference = two_mode\n")
+            cfg = Path(tmp) / "check.cfg"
+            cfg.write_text(text)
+            command, *options = _CHECKS[check]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err, \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                warnings.simplefilter("ignore", CflWarning)
+                code = main([command, str(cfg), *options])
+            assert code in ((0, 1, 2) if steps == 0 else (0, 1, 2, 3)), err.getvalue()
 
 
 class TestEntryPoint:

@@ -148,6 +148,14 @@ class TestInnerProduct:
         weights = small_grid.dx * small_grid.quad_weights * w.values
         assert quadrature(f.values ** 2, weights) == pytest.approx(direct, rel=1e-14)
 
+    @pytest.mark.parametrize("nx", [64, 128, 512])
+    def test_field_weights_on_one_block_are_the_flat_dot(self, nx, rng):
+        grid = make_grid(StripDomain(2.0 * np.pi, 1.0), nx, nx + 1)
+        block = rng.standard_normal(grid.shape) ** 2
+        weights = grid.dx * grid.quad_weights * (1.0 + rng.random(grid.shape))
+        assert float(quadrature(block, weights)).hex() == \
+            float(np.dot(block.ravel(), weights.ravel())).hex()
+
     def test_field_weights_on_a_ladder_stack(self, small_grid, rng):
         # one value per channel, as the per-block products give them
         stack = rng.standard_normal((7,) + small_grid.shape) ** 2
