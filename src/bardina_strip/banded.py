@@ -61,7 +61,10 @@ class MirrorBandLU:
     folds the right-hand side into the halves, scaled by the reciprocal
     pivots, sweeps inwards and then outwards one pair of rows (row ``p``
     and row ``2 m - 1 - p``) at a time, for both halves, all modes and
-    both complex parts in each numpy call, and unfolds.
+    both complex parts in each numpy call, and unfolds.  The factors are
+    stored once per end, half and mode and broadcast over the work array's
+    axis of real and imaginary parts; the fold and unfold read and write the
+    contiguous modes of Fortran-ordered ``(n_modes, ny)`` arrays.
     """
 
     def __init__(self, band: np.ndarray):
@@ -86,7 +89,10 @@ class MirrorBandLU:
         rows = halves.reshape(2 * n_modes, 2 * m, 5).transpose(1, 0, 2)
         # the last m rows, eliminated upwards, are the first m of the
         # reversed half: row 2 m - 1 - r, its slots reversed
-        lu = lu_pentadiagonal(np.concatenate([rows[:m], rows[::-1, :, ::-1][:m]], axis=1))
+        rows = np.concatenate([rows[:m], rows[::-1, :, ::-1][:m]], axis=1)
+        del halves
+        lu = lu_pentadiagonal(rows)
+        del rows
         ends = (lu[:, :, :2 * n_modes], lu[:, :, 2 * n_modes:])
         # the unknowns where the ends meet, x[m - 2 .. m + 1], from the unit
         # upper rows m - 2 and m - 1 of either end
@@ -104,59 +110,64 @@ class MirrorBandLU:
             except np.linalg.LinAlgError:  # exactly singular
                 regular = False
         self.regular = bool(regular and np.all(np.isfinite(meet)))
-        # a pair of rows is (top, bottom end) x (even, odd) x modes x (real,
-        # imaginary), so each factor repeats for the real and the imaginary
-        # part; the scale holds the halving of the unfold
-        l2, l1, inv, u1, u2 = np.repeat(lu, 2, axis=-1).transpose(1, 0, 2)
+        # a pair of rows is (real, imaginary part) x (top, bottom end) x
+        # (even, odd) x modes: each factor is stored once and broadcast over
+        # the two parts; the scale holds the halving of the unfold
+        l2, l1, inv, u1, u2 = lu[:, :, None].transpose(1, 0, 2, 3)
         self._scale = 0.5 * inv
-        self._meet = np.repeat(meet.transpose(1, 2, 0), 2, axis=-1)
+        self._meet = meet.transpose(1, 2, 0)[:, :, None]
         # once a pair is final, both pairs it enters are updated at once:
         # pairs p + 1 and p + 2 going inwards, p - 2 and p - 1 outwards;
         # the two pairs that meet are final together
-        down, up = np.zeros((2, m, 2, 8 * n_modes))
+        down, up = np.zeros((2, m, 2, 1, 4 * n_modes))
         down[:-1, 0], down[:-2, 1] = l1[1:], l2[2:]
         up[2:, 0], up[1:-1, 1] = u2[:-2], u1[:-2]
         # two zero pairs pad the work array at either end
-        self._work = np.zeros((m + 4, 2, 2, n_modes), dtype=np.complex128)
-        pairs = self._work.view(np.float64).reshape(m + 4, 8 * n_modes)
+        self._work = pairs = np.zeros((m + 4, 2, 4 * n_modes))
         self._inwards = [(down[p], pairs[p + 2], pairs[p + 3:p + 5]) for p in range(m - 1)]
         self._outwards = [(up[p], pairs[p + 2], pairs[p:p + 2]) for p in range(m - 1, 0, -1)]
-        self._tmp = np.empty((2, 8 * n_modes))
-        self._tmp4 = np.empty((4, 4, 4 * n_modes))
+        self._tmp = np.empty((2, 2, 4 * n_modes))
+        self._tmp4 = np.empty((4, 4, 2, 2 * n_modes))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for the complex ``(n_modes, ny)`` ``rhs``."""
+        """Solve for the complex ``(n_modes, ny)`` ``rhs``; the solution is
+        in Fortran order, each row's modes contiguous."""
         n_modes, ny = rhs.shape
         m, t = len(self._scale), self._tmp
         h = (ny + 1) // 2
         pad = 2 * m - h
-        w = self._work[2:-2]
-        lo, hi = rhs[:, :h].T, rhs[:, ::-1][:, :h].T
+        values = self._work[2:-2]
+        w = values.reshape(m, 2, 2, 2, n_modes)
+        # row j's real and imaginary parts, each with its modes contiguous
+        parts = (np.ascontiguousarray(rhs.T).view(np.float64)
+                 .reshape(ny, n_modes, 2).transpose(0, 2, 1))
+        lo, hi = parts[:h], parts[::-1][:h]
         # the top end holds rows 0 .. m - 1, the bottom end rows 2 m - 1 .. m
-        top, bottom = w[:, 0], w[pad:, 1]
-        np.add(lo[:m], hi[:m], out=top[:, 0])
-        np.subtract(lo[:m], hi[:m], out=top[:, 1])
-        np.add(lo[:m - 1:-1], hi[:m - 1:-1], out=bottom[:, 0])
-        np.subtract(lo[:m - 1:-1], hi[:m - 1:-1], out=bottom[:, 1])
-        w[:pad, 1] = 0.0
+        top, bottom = w[:, :, 0], w[pad:, :, 1]
+        np.add(lo[:m], hi[:m], out=top[:, :, 0])
+        np.subtract(lo[:m], hi[:m], out=top[:, :, 1])
+        np.add(lo[:m - 1:-1], hi[:m - 1:-1], out=bottom[:, :, 0])
+        np.subtract(lo[:m - 1:-1], hi[:m - 1:-1], out=bottom[:, :, 1])
+        w[:pad, :, 1] = 0.0
         # row ny - 2, the mirror of row 1, enters negated
-        np.subtract(lo[1], hi[1], out=top[1, 0])
-        np.add(lo[1], hi[1], out=top[1, 1])
-        values = w.view(np.float64).reshape(m, -1)
+        np.subtract(lo[1], hi[1], out=top[1, :, 0])
+        np.add(lo[1], hi[1], out=top[1, :, 1])
         np.multiply(values, self._scale, out=values)
+        mul, sub = np.multiply, np.subtract  # small grids' sweeps are mostly call overhead
         for factors, pair, pairs in self._inwards:
-            np.multiply(factors, pair, out=t)
-            np.subtract(pairs, t, out=pairs)
+            mul(factors, pair, t)
+            sub(pairs, t, pairs)
         # the meeting rows m - 2, m - 1, m, m + 1
-        ends = values[m - 2:].reshape(2, 2, -1)
-        z = ends[[0, 1, 1, 0], [0, 0, 1, 1]]
+        ends = values[m - 2:].reshape(2, 2, 2, -1)
+        z = ends[[0, 1, 1, 0], :, [0, 0, 1, 1]]
         np.multiply(self._meet, z, out=self._tmp4)
-        ends[[0, 1, 1, 0], [0, 0, 1, 1]] = self._tmp4.sum(axis=1)
+        ends[[0, 1, 1, 0], :, [0, 0, 1, 1]] = self._tmp4.sum(axis=1)
         for factors, pair, pairs in self._outwards:
-            np.multiply(factors, pair, out=t)
-            np.subtract(pairs, t, out=pairs)
-        out = np.empty((n_modes, ny), dtype=np.complex128)
+            mul(factors, pair, t)
+            sub(pairs, t, pairs)
+        out = np.empty((ny, n_modes), dtype=np.complex128)
+        res = out.view(np.float64).reshape(ny, n_modes, 2).transpose(0, 2, 1)
         for end, rows in ((top, slice(0, m)), (bottom[::-1], slice(m, h))):
-            np.subtract(end[:, 0], end[:, 1], out=out[:, ::-1][:, rows].T)
-            np.add(end[:, 0], end[:, 1], out=out[:, rows].T)
-        return out
+            np.subtract(end[:, :, 0], end[:, :, 1], out=res[::-1][rows])
+            np.add(end[:, :, 0], end[:, :, 1], out=res[rows])
+        return out.T

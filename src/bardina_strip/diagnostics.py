@@ -126,8 +126,8 @@ class DiagnosticsCollector:
     ``qw * weight``, the only weight data the collector keeps (``weight`` is
     the sampled array of :func:`make_weight_field`).  The ladder of a solver
     state is shared with other consumers, such as the streaming modulus, so
-    the channels are squared one at a time into a one-field buffer the
-    collector owns, never into a second stack.  ``g(t)`` returns
+    the channels are squared one at a time into a one-field buffer of the
+    record, never into a second stack.  ``g(t)`` returns
     the forcing's values at a time; the forcing power ``-(g, v)`` and
     ``|g|^2`` read it at the record time, so ``forcing_power``, both budget
     residuals and the closed bound hold for every forcing kind.
@@ -143,7 +143,6 @@ class DiagnosticsCollector:
         self._qw = grid.dx * grid.quad_weights
         self._qw_phi = self._qw * weight
         self._prev: tuple[float, float, float] | None = None
-        self._sq = np.empty(grid.shape)
 
     @np.errstate(over="ignore", invalid="ignore")
     def record(self, t: float, v: Field, cfl: float,
@@ -152,9 +151,12 @@ class DiagnosticsCollector:
         of ``v.values`` if the caller holds them, spare the ladder its
         forward transform."""
         a2 = self.alpha ** 2
-        qw, qw_phi, sq = self._qw, self._qw_phi, self._sq
+        qw, qw_phi = self._qw, self._qw_phi
         plain, weighted = [], []
-        for channel in self.ops.field_ladder(v, coeffs):
+        ladder = self.ops.field_ladder(v, coeffs)
+        # allocated once the ladder is built, and not held between records
+        sq = np.empty(ladder.shape[1:])
+        for channel in ladder:
             np.multiply(channel, channel, out=sq)
             plain.append(float(quadrature(sq, qw)))
             weighted.append(float(quadrature(sq, qw_phi)))

@@ -15,7 +15,15 @@ import numpy as np
 
 from .strip_grid import Field, Grid, _check_same_grid, inner_product, l2_norm
 
-__all__ = ["OperatorSet", "d2_matrix", "d2_wall_rows", "trilinear_relative"]
+__all__ = ["ADVECTION_BLOCK_BYTES", "OperatorSet", "d2_matrix", "d2_wall_rows",
+           "trilinear_relative"]
+
+# the bytes of one (rows, nx) float64 array of an advection block, which set
+# its height (about six such arrays at once).  In process on 2 vCPUs, one BLAS
+# thread, the advection at 512 x 513 took 9.0 ms in blocks of 32 or 64 rows,
+# 10.6 ms in 128s and 15.7 ms as one block, with a tracemalloc peak of 7.4
+# fields against 2.6 in 64s; 128 x 129 is one block, 1.18 ms (0.99 in 32s).
+ADVECTION_BLOCK_BYTES = 2 ** 18
 
 
 def d2_values(values: np.ndarray, dy: float, axis: int = 1,
@@ -27,7 +35,7 @@ def d2_values(values: np.ndarray, dy: float, axis: int = 1,
     """
     out = np.empty_like(values) if out is None else out
     v, o = values.swapaxes(axis, 0), out.swapaxes(axis, 0)
-    o[1:-1] = (v[2:] - v[:-2]) / (2.0 * dy)
+    np.divide(np.subtract(v[2:], v[:-2], out=o[1:-1]), 2.0 * dy, out=o[1:-1])
     o[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dy)
     o[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dy)
     return out
@@ -118,7 +126,8 @@ class OperatorSet:
         nx, dy = self.grid.nx, self.grid.dy
         if coeffs is None:
             coeffs = np.fft.rfft(values, axis=0)
-        modal = np.empty((2, self.grid.n_modes, self.grid.ny), dtype=np.complex128)
+        # each channel in Fortran order, as a solver state's v_hat
+        modal = np.empty((2, self.grid.ny, self.grid.n_modes), np.complex128).transpose(0, 2, 1)
         ik = self._ik[:, None]
         # the Laplacian's temporaries come and go before the stack exists
         self.laplacian_modal(coeffs, out=modal[0])
@@ -182,44 +191,56 @@ class OperatorSet:
         return Field(self.grid, trunc(lv[2] * lu[6] - lv[1] * d2_values(lu[5], self.grid.dy))[0])
 
     def advection_modal(self, u_hat: np.ndarray, v_hat: np.ndarray,
-                        lap_u_hat: np.ndarray | None = None,
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                        lap_u_hat: np.ndarray | None = None) -> tuple[np.ndarray, float]:
         """Dealiased divergence form ``d1(d2(v) lap u) - d2(d1(v) lap u)``, the
-        advective term the solver integrates, from and to ``x1`` coefficients;
-        also the values of ``d1 v`` and ``d2 v`` of the truncated ``v``.
+        advective term the solver integrates, from and to ``x1`` coefficients
+        (``(n_modes, ny)`` in Fortran order), with the largest
+        ``(d1 v)^2 + (d2 v)^2`` of the truncated ``v``, which the CFL reads.
 
         ``lap_u_hat`` is the :meth:`laplacian_modal` of ``u_hat``, if the caller
         has it.  The Laplacian acts mode by mode, so truncating it is bitwise
-        the Laplacian of the truncated ``u``.  The work arrays hold the ``x1``
-        modes on their last, contiguous axis: the three kept factors come back
-        through one batched inverse transform and the two products go out
-        through one batched forward transform, both along that axis, and the
-        ``x2`` stencils act along axis 0.  Every element gets the arithmetic
-        of one transform per factor along ``x1``, so the results are those
-        bits.  ``d1 v`` and ``d2 v`` are ``(nx, ny)`` transposed views.
+        the Laplacian of the truncated ``u``.  The values are formed in blocks
+        of ``x2`` rows (``ADVECTION_BLOCK_BYTES``), so the work arrays scale
+        with a block.  A block gathers its rows and the ``x2`` stencil's halo
+        (a row each side; at a wall the one-sided stencil's three rows) into
+        zero-padded rows with the ``x1`` modes on their contiguous last axis:
+        one batched inverse transform gives the three factors, one batched
+        forward transform the two products, of which the kept modes are kept.
+        Every element gets the arithmetic of one transform per factor along
+        ``x1`` and the whole grid's stencil rows, whatever the block height.
         """
         nx, ny, dy = self.grid.nx, self.grid.ny, self.grid.dy
         kept = self._kept
         ik = self._ik[:kept]
-        factors = np.empty((3, ny, kept), dtype=np.complex128)
-        factors[1] = v_hat[:kept].T
-        np.multiply(ik, factors[1], out=factors[0])
         lap_u_hat = self.laplacian_modal(u_hat) if lap_u_hat is None else lap_u_hat
-        factors[2] = lap_u_hat[:kept].T
-        # the transform pads the modes beyond the kept ones with zeros
-        d1v, v, lap = np.fft.irfft(factors, n=nx, axis=-1)
-        # each batch is freed once transformed: held together to the end,
-        # they set the step's peak memory on large grids
-        del factors
-        d2v = d2_values(v, dy, axis=0)
-        products = np.empty((2, ny, nx))
-        np.multiply(d2v, lap, out=products[0])
-        np.multiply(d1v, lap, out=products[1])
-        d2v_lap, d1v_lap = np.fft.rfft(products, axis=-1)[:, :, :kept]
-        del products
-        b_hat = np.zeros((self.grid.n_modes, ny), dtype=np.complex128)
-        b_hat[:kept] = (ik * d2v_lap - d2_values(d1v_lap, dy, axis=0)).T
-        return b_hat, d1v.T, d2v.T
+        rows = max(1, ADVECTION_BLOCK_BYTES // (8 * nx))
+        spectra = np.empty((2, ny, kept), dtype=np.complex128)
+        speed2 = []
+        for j0 in range(0, ny, rows):
+            j1 = min(j0 + rows, ny)
+            g0, g1 = max(min(j0 - 1, ny - 3), 0), min(max(j1 + 1, 3), ny)
+            # the modes beyond the kept ones are zero
+            factors = np.zeros((3, g1 - g0, self.grid.n_modes), dtype=np.complex128)
+            factors[1, :, :kept] = v_hat[:kept, g0:g1].T
+            np.multiply(ik, factors[1, :, :kept], out=factors[0, :, :kept])
+            factors[2, :, :kept] = lap_u_hat[:kept, g0:g1].T
+            values = np.fft.irfft(factors, n=nx, axis=-1)
+            del factors
+            inner = slice(j0 - g0, j1 - g0)
+            d2v = d2_values(values[1], dy, axis=0)[inner]
+            d1v, v, lap = values[:, inner]
+            # the products overwrite v and lap, which they no longer need
+            np.multiply(d2v, lap, out=v)
+            np.multiply(d1v, lap, out=lap)
+            spectra[:, j0:j1] = np.fft.rfft(values[1:, inner], axis=-1)[:, :, :kept]
+            d1v *= d1v
+            d1v += np.multiply(d2v, d2v, out=d2v)
+            speed2.append(d1v.max())
+        d2v_lap, d1v_lap = spectra
+        b_hat = np.zeros((ny, self.grid.n_modes), dtype=np.complex128).T
+        out = d2_values(d1v_lap, dy, axis=0, out=b_hat.T[:, :kept])
+        np.subtract(np.multiply(ik, d2v_lap, out=d2v_lap), out, out=out)
+        return b_hat, float(np.max(speed2))
 
     def bilinear_B_conservative(self, u: Field, v: Field) -> Field:
         """Values of :meth:`advection_modal`.

@@ -44,8 +44,11 @@ Every forcing is one separable :class:`Forcing`
 
 One step computes the modal Laplacian ``L v^n`` of ``v^n`` once: it is the
 mass operator's right-hand side and, truncated, the advected factor of
-``B_hat``.  ``B_hat`` costs one batched inverse and one batched forward
-transform, both along the contiguous mode axis of its work arrays.
+``B_hat``.  ``B_hat`` streams over blocks of ``x2`` rows
+(``operators.ADVECTION_BLOCK_BYTES``), so a step's temporaries beyond its
+modal arrays scale with a block, not the grid.  Modal arrays (states, the
+forcing's coefficients, the step's arrays and both solves' outputs) are
+``(n_modes, ny)`` in Fortran order, each ``x2`` row's modes contiguous.
 
 CNAB2's first step is two IMEX-Euler steps of ``dt / 2`` (Rannacher's
 start), with the explicit term at ``t`` and ``t + dt / 2``: an initial state
@@ -66,9 +69,9 @@ its values, so the record builds the state's derivative ladder
 (``OperatorSet.field_ladder``) from the coefficients, with no forward
 transform.  A state's values are frozen (read-only), and the ladder is kept
 on them, so a streaming modulus that sees the same recorded state reads the
-collector's ladder; :func:`run` drops it once the record's callback
-returns, and keeps no weight field beyond the collector's ``qw * phi``.  A
-state whose coefficients, or values when read, are not finite raises
+collector's ladder; :func:`run` drops the state and its ladder once the
+record's callback returns, and keeps no weight field beyond the
+collector's ``qw * phi``.  A state whose coefficients, or values when read, are not finite raises
 :class:`BlowUpError` with its step; a run longer than ``MAX_STEPS`` steps,
 or on a grid of more than ``MAX_NODES`` nodes, is a configuration error, and
 so is one whose recorded columns or closed bound overflow.
@@ -269,10 +272,11 @@ class SolverConfig:
 class SolverState:
     """Modal solution snapshot plus the pieces the schemes carry.
 
-    ``v_hat`` holds the ``x1`` Fourier coefficients of the stream function.
-    ``v``, their values as a frozen :class:`Field`, is computed on first
-    read and kept with the state; values that overflow raise
-    :class:`BlowUpError` with the state's step and time.
+    ``v_hat`` holds the ``x1`` Fourier coefficients of the stream function,
+    ``(n_modes, ny)`` in Fortran order.  ``v``, their values as a frozen,
+    C-ordered :class:`Field`, is computed on first read and kept with the
+    state; values that overflow raise :class:`BlowUpError` with the state's
+    step and time.
     """
 
     t: float
@@ -285,7 +289,8 @@ class SolverState:
     @functools.cached_property
     def v(self) -> Field:
         with np.errstate(over="ignore", invalid="ignore"):
-            values = np.fft.irfft(self.v_hat, n=self.grid.nx, axis=0)
+            values = np.fft.irfft(self.v_hat, n=self.grid.nx, axis=0,
+                                  out=np.empty(self.grid.shape))
         try:
             return Field(self.grid, values, clamped=True).freeze()
         except ValueError:  # non-finite values; the shape is the grid's
@@ -345,6 +350,13 @@ class Forcing:
         return (c @ self.fields.reshape(len(self.fields), -1)).reshape(self.fields.shape[1:])
 
 
+def _modal(values: np.ndarray) -> np.ndarray:
+    """``rfft(values, axis=-2)``, each trailing ``(n_modes, ny)`` block in
+    Fortran order: the modal layout of the step, its modes contiguous."""
+    shape = values.shape[:-2] + (values.shape[-1], values.shape[-2] // 2 + 1)
+    return np.fft.rfft(values, axis=-2, out=np.empty(shape, np.complex128).swapaxes(-1, -2))
+
+
 def build_forcing(config: SolverConfig, grid: Grid) -> Forcing:
     """The run's forcing; ``mms`` is the residual of ``v*`` at ``nu``, ``alpha``."""
     spec = config.forcing
@@ -377,7 +389,9 @@ class ImexStepper:
         self._euler_dt = theta * config.dt
         self._implicit = self._build_implicit(theta)
         self.forcing = g = build_forcing(config, self.grid)
-        self._forcing_hat = Forcing(np.fft.rfft(g.fields, axis=1), g.coefficients)
+        # several fields keep the C order, which fixes the bits of their one sum
+        hat = _modal(g.fields) if len(g.fields) == 1 else np.fft.rfft(g.fields, axis=1)
+        self._forcing_hat = Forcing(hat, g.coefficients)
         self._warned_cfl = False
 
     # -- setup ----------------------------------------------------------------
@@ -440,16 +454,17 @@ class ImexStepper:
         condition by default; its values are ``v0``'s own, frozen."""
         if v0 is None:
             v0 = build_field(self.config.ic, self.grid, self.config)
-        state = SolverState(t=0.0, step_index=0, v_hat=np.fft.rfft(v0.values, axis=0),
-                            grid=self.grid)
+        state = SolverState(t=0.0, step_index=0, v_hat=_modal(v0.values), grid=self.grid)
         state.v = v0.freeze()
         return state
 
     def _clamped_rows(self, v_hat: np.ndarray) -> np.ndarray:
         """The implicit operator's four clamped rows applied to ``v_hat``:
         ``v`` and ``d2 v`` at ``x2 = -M``, then ``d2 v`` and ``v`` at ``+M``."""
-        return np.stack([v_hat[:, 0], v_hat[:, :3] @ self._wall[0, :3],
-                         v_hat[:, -3:] @ self._wall[1, 2:], v_hat[:, -1]], axis=1)
+        # C-ordered copies of the rows, as the products' bits depend on the layout
+        lo, hi = np.ascontiguousarray(v_hat[:, :3]), np.ascontiguousarray(v_hat[:, -3:])
+        return np.stack([v_hat[:, 0], lo @ self._wall[0, :3],
+                         hi @ self._wall[1, 2:], v_hat[:, -1]], axis=1)
 
     # -- per-step pieces --------------------------------------------------------
 
@@ -458,19 +473,17 @@ class ImexStepper:
         """``(g_hat - B_hat) / (1 + alpha^2 kappa^2)`` plus the CFL number.
 
         ``B_hat`` is :meth:`OperatorSet.advection_modal` of the modal state,
-        given its modal Laplacian ``lap_hat``; the truncated
-        velocity it returns feeds the CFL estimate, since the truncated field
-        is the one actually advecting.
+        given its modal Laplacian ``lap_hat``; the largest squared speed of
+        the truncated velocity, which it returns too, feeds the CFL estimate,
+        since the truncated field is the one actually advecting.
         """
         cfg = self.config
-        out = self._forcing_hat.at(state.t)
+        out = np.asfortranarray(self._forcing_hat.at(state.t))
         cfl = 0.0
         if cfg.nonlinear:
-            b_hat, d1v, d2v = self.ops.advection_modal(state.v_hat, state.v_hat, lap_hat)
+            b_hat, speed2 = self.ops.advection_modal(state.v_hat, state.v_hat, lap_hat)
             out -= b_hat
-            speed2 = np.multiply(d1v, d1v, out=d1v)
-            speed2 += d2v * d2v
-            cfl = cfg.dt * math.sqrt(float(speed2.max())) / min(self.grid.dx, self.grid.dy)
+            cfl = cfg.dt * math.sqrt(speed2) / min(self.grid.dx, self.grid.dy)
         out /= self.mult[:, None]
         return out, cfl
 
@@ -478,8 +491,11 @@ class ImexStepper:
         """The implicit operator solved for the modal ``rhs``, whose real
         and imaginary parts are two columns of one solve."""
         if isinstance(self._implicit, np.ndarray):  # the per-mode inverses
-            pairs = rhs.view(np.float64).reshape(*rhs.shape, 2)
-            return np.matmul(self._implicit, pairs).view(np.complex128).reshape(rhs.shape)
+            # (x2 row, mode, part) arrays, the mode the batch axis of the product
+            out = np.empty((rhs.shape[1], rhs.shape[0], 2))
+            np.matmul(self._implicit, np.ascontiguousarray(rhs.T).view(np.float64)
+                      .reshape(out.shape), out=out, axes=[(1, 2), (0, 2), (0, 2)])
+            return out.view(np.complex128)[..., 0].T
         return self._implicit.solve(rhs)
 
     def _euler(self, state: SolverState) -> tuple[np.ndarray, np.ndarray, float]:
@@ -614,12 +630,15 @@ def run(config: SolverConfig, on_record=None):
             series.append(rec)
             if on_record is not None:
                 on_record(state, rec)
-            # the state's ladder has served every consumer of this record;
-            # the steps that follow need its memory
+            # the state and its ladder have served every consumer of this
+            # record; the steps that follow need their memory
             state.v.cache.clear()
+            if state.step_index == config.n_steps:
+                final = state
+            del state
     except BlowUpError as exc:
         last = next((r for r in reversed(series.records) if math.isfinite(r.energy)), None)
         if last is not None:
             exc.energy, exc.energy_time = last.energy, last.t
         raise
-    return state, series
+    return final, series

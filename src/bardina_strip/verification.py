@@ -459,6 +459,9 @@ def _suite_compactness(settings: RunSettings) -> SuiteReport:
     if not np.all(np.isfinite(mod.modulus)):
         raise ValueError(f"the translation modulus is out of range; it scales with "
                          f"{_scale_keys(cfg, ('dt', 'lx', 'm'))}")
+    if not mod.modulus.any():
+        raise ValueError("the translation modulus is zero at every lag: the trajectory "
+                         "never moves, so it has no slope")
     rep.add("translation modulus log-log slope", mod.slope, 0.5, comparison=">=")
     rep.add("sqrt-envelope dominates", float(mod.envelope_dominates()), 1.0,
             comparison=">=")

@@ -6,12 +6,14 @@ in the benchmark.  The CLI workloads run through ``main`` and their outputs
 go through the benchmark's own checks.
 """
 
+import dataclasses
 import importlib
 import sys
 from pathlib import Path
 
 import pytest
 
+from bardina_strip import operators, solver
 from bardina_strip.cli import main
 from bardina_strip.runio import load_config
 
@@ -38,6 +40,19 @@ def test_tiny_workload_inputs_run_and_pass_their_checks(bench, tmp_path, name):
         for key in ("cfg", "cfg_setup"):
             load_config(inputs[key])
         return
+    _timing, state, series, modulus = worker.one_rep(wl, inputs["cfg"])
+    assert workloads.check_inprocess(wl, state, series, modulus) == []
+
+
+def test_fine_forced_above_the_dense_bound_passes_its_checks(bench, tmp_path, monkeypatch):
+    # the tiny fine_forced (64 x 65) takes the dense solve and one advection
+    # block; at 96 x 97 the solve is banded, and a smaller block bound gives
+    # the advection 3 blocks
+    workloads, worker = bench
+    wl = dataclasses.replace(workloads.get_workload("fine_forced"), nx=96, ny=97, steps=4)
+    assert (wl.nx // 2 + 1) * wl.ny ** 2 * 8 > solver.DENSE_INVERSE_BYTES
+    monkeypatch.setattr(operators, "ADVECTION_BLOCK_BYTES", 8 * wl.nx * 40)
+    inputs = workloads.generate(wl, 3, tmp_path, ROOT)
     _timing, state, series, modulus = worker.one_rep(wl, inputs["cfg"])
     assert workloads.check_inprocess(wl, state, series, modulus) == []
 

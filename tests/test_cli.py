@@ -429,6 +429,15 @@ class TestVerify:
         assert captured.err.startswith("error: the translation modulus is out of range")
         assert "ic.reference = two_mode" in captured.err and "m = 1e+150" in captured.err
 
+    def test_compactness_suite_refuses_a_trajectory_that_never_moves(self, tmp_path, capsys):
+        # M(k) = 0 at every lag has no log-log slope
+        cfg = _write(tmp_path, ("nx = 8\nny = 17\ndt = 1e-3\nt_end = 0.064\n"
+                                "ic.kind = zero\nforcing.kind = zero\n"))
+        assert main(["verify", cfg, "--suite", "compactness"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the translation modulus is zero at every lag")
+
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         cfg = _write(tmp_path, "nx = 32\nny = 33\nseed = -1\n")
         assert main(["verify", cfg, "--suite", "poincare"]) == 2

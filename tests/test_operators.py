@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from bardina_strip import operators
 from bardina_strip.operators import OperatorSet, d2_matrix, d2_values
 from bardina_strip.strip_grid import (Field, StripDomain, inner_product,
                                       l2_norm, make_grid)
@@ -271,7 +272,8 @@ class TestBilinearForm:
 
 
 def _advection_per_transform(ops, u_hat, v_hat):
-    """The advective term with one transform per factor and per product."""
+    """The advective term with one transform per factor and per product, and
+    the largest squared speed of the truncated ``v``."""
     grid = ops.grid
     nx, dy = grid.nx, grid.dy
     ik = 1j * grid.wavenumbers.astype(np.complex128)
@@ -283,7 +285,7 @@ def _advection_per_transform(ops, u_hat, v_hat):
     lap = np.fft.irfft(ops.laplacian_modal(ut), n=nx, axis=0)
     b_hat = ik * np.fft.rfft(d2v * lap, axis=0)
     b_hat -= d2_values(np.fft.rfft(d1v * lap, axis=0), dy)
-    return ops.dealias_modal(b_hat), d1v, d2v
+    return ops.dealias_modal(b_hat), float((d1v * d1v + d2v * d2v).max())
 
 
 class TestBatchedAdvection:
@@ -300,13 +302,28 @@ class TestBatchedAdvection:
             for u, v, lap_u in ((u_hat, v_hat, None), (u_hat, u_hat, None),
                                 (u_hat, u_hat, ops.laplacian_modal(u_hat)),
                                 (strided, strided, None), (u_hat, strided, None)):
-                want = _advection_per_transform(ops, u, v)
-                got = ops.advection_modal(u, v, lap_u)
-                for a, b in zip(got, want):
-                    assert np.array_equal(a, b)
-                b_hat, d1v, d2v = got
-                assert d1v.shape == d2v.shape == grid.shape
+                want_b, want_speed2 = _advection_per_transform(ops, u, v)
+                b_hat, speed2 = ops.advection_modal(u, v, lap_u)
+                assert np.array_equal(b_hat, want_b) and speed2 == want_speed2
+                assert b_hat.flags.f_contiguous
                 assert np.all(b_hat[np.arange(grid.n_modes) >= nx / 3.0] == 0.0)
+
+    @pytest.mark.parametrize("ny", [21, 33])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 10, 16, 19, 31])
+    def test_blocks_of_rows_equal_one_block(self, monkeypatch, rng, ny, rows):
+        # the last block has 1 row at heights 4 and 10 (ny = 21) or 4 and 16
+        # (ny = 33), and 2 rows at 19 (ny = 21) or 31 (ny = 33); a block
+        # gathers the rows of the whole grid's x2 stencils, however short
+        nx = 24
+        grid = make_grid(StripDomain(5.0, 1.3), nx, ny)
+        ops = OperatorSet(grid)
+        u_hat, v_hat = (np.fft.rfft(rng.standard_normal(grid.shape), axis=0)
+                        for _ in range(2))
+        assert operators.ADVECTION_BLOCK_BYTES >= 8 * nx * ny
+        b_hat, speed2 = ops.advection_modal(u_hat, v_hat)
+        monkeypatch.setattr(operators, "ADVECTION_BLOCK_BYTES", 8 * nx * rows)
+        blocked, blocked_speed2 = ops.advection_modal(u_hat, v_hat)
+        assert np.array_equal(blocked, b_hat) and blocked_speed2 == speed2
 
 
 class TestTrilinearIdentities:

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -726,6 +728,87 @@ class TestDeterminismAndBlowUp:
                                         amplitude=10.0, k1=2, k2=1))
         with pytest.warns(CflWarning, match=r"exceeds 0\.5 at step 1 \(t = 0\)"):
             run(cfg)
+
+
+class TestMemory:
+
+    @pytest.mark.parametrize("dense", [True, False])
+    @pytest.mark.parametrize("scheme", ["imex_euler", "imex_cnab2"])
+    def test_modal_arrays_keep_their_modes_contiguous(self, monkeypatch, dense, scheme):
+        # states and both solves are (n_modes, ny) in Fortran order; the
+        # values stay a C-ordered (nx, ny) array
+        from bardina_strip import solver
+
+        if not dense:
+            monkeypatch.setattr(solver, "DENSE_INVERSE_BYTES", 0)
+        cfg = _decay_config(scheme=scheme, t_end=3e-3,
+                            forcing=FieldSpec(kind="trig_clamped", amplitude=0.5, k1=2, k2=1))
+        stepper = ImexStepper(cfg)
+        assert isinstance(stepper._implicit, np.ndarray) == dense
+        states = list(stepper.states(1))
+        assert all(state.v_hat.flags.f_contiguous for state in states)
+        assert all(state.prev_explicit.flags.f_contiguous for state in states[1:]
+                   if scheme == "imex_cnab2")
+        assert states[-1].v.values.flags.c_contiguous
+        assert stepper._solve(states[-1].v_hat).flags.f_contiguous
+        assert stepper._solve(np.ascontiguousarray(states[-1].v_hat)).flags.f_contiguous
+
+    def test_run_drops_each_recorded_state(self, monkeypatch):
+        # with records only at the ends, the initial state is gone by the
+        # second step; run still returns the final state
+        cfg = _decay_config(scheme="imex_cnab2", t_end=5e-3, record_every=MAX_STEPS)
+        recorded, alive = [], []
+        step = ImexStepper.step
+
+        def watched(stepper, state):
+            if recorded and state.step_index >= 1:
+                alive.append(recorded[0]() is not None)
+            return step(stepper, state)
+
+        monkeypatch.setattr(ImexStepper, "step", watched)
+        final, series = run(cfg, on_record=lambda state, _rec: recorded.append(
+            weakref.ref(state)))
+        assert alive == [False] * (cfg.n_steps - 1)
+        assert final.step_index == cfg.n_steps and recorded[-1]() is final
+        assert len(series) == 2
+
+    def test_setup_and_step_peak_memory(self):
+        # tracemalloc peaks at 512 x 513, in fields of nx ny float64 (2.1 MB);
+        # a modal array is 1.004 fields.  Each bound is a count of the
+        # design's arrays, made before measuring, plus about a field:
+        # - set-up: the band (n_modes, ny, 5), 2.5, lives through the banded
+        #   set-up; the stacked mirror halves and their factors, 2.5 each,
+        #   overlap (the unstacked halves go first), and the sweep factors
+        #   (2), the scale (0.5) and the work array (1) are made while the
+        #   factors live: 8.5.  The band and the factors go, and the forcing's
+        #   values and coefficients (2) come with the transients of its field
+        #   formula (about 4) over the 3.5 kept: 9.5.  Bound 11.
+        # - one CNAB2 step after the start, above its state: the right-hand
+        #   side and the explicit term, 2, then in the advection the kept-mode
+        #   product spectra (2, ny, kept), 1.34, with one block's transforms
+        #   (under 1), then with the output, 1: 4.34.  The Adams-Bashforth
+        #   temporaries (2) and the solve's output (1) come after the
+        #   spectra go.  Bound 5.5.
+        cfg = SolverConfig(nx=512, ny=513, dt=5e-4, t_end=1e-3, nu=0.01, alpha=0.5,
+                           scheme="imex_cnab2",
+                           ic=FieldSpec(kind="trig_clamped", amplitude=0.25, k1=1, k2=0),
+                           forcing=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=2, k2=1))
+        field = cfg.nx * cfg.ny * 8
+        tracemalloc.start()
+        try:
+            stepper = ImexStepper(cfg)
+            setup = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state = stepper.step(stepper.initial_state())  # the Euler start
+        tracemalloc.start()
+        try:
+            stepper.step(state)
+            step = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert setup <= 11 * field
+        assert step <= 5.5 * field
 
 
 class TestManufacturedForcing:
