@@ -208,7 +208,6 @@ class BudgetReport:
     ``bound`` is the largest of those bounds.
     """
 
-    times: np.ndarray
     residuals: np.ndarray
     excess_over_bound: np.ndarray
     bound: float
@@ -239,7 +238,7 @@ def energy_budget(series: DiagnosticsSeries) -> BudgetReport:
                           series.meta["lambda1"])
     dedt = np.diff(e) / np.diff(t)
     excess = np.maximum(dedt + d[1:] - bounds[1:], 0.0)
-    return BudgetReport(times=t[1:], residuals=series.column("budget_residual")[1:],
+    return BudgetReport(residuals=series.column("budget_residual")[1:],
                         excess_over_bound=excess, bound=float(bounds.max()),
                         energy_increases=np.maximum(np.diff(e), 0.0))
 

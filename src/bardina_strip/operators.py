@@ -254,11 +254,6 @@ class OperatorSet:
         b_hat = self.advection_modal(u_hat, v_hat)[0]
         return Field(self.grid, np.fft.irfft(b_hat, n=self.grid.nx, axis=0))
 
-    def trilinear_identity_relative(self, u: Field, v: Field, w: Field) -> tuple[float, float]:
-        """:func:`trilinear_relative` of the conservative form."""
-        return trilinear_relative(self.bilinear_B_conservative(u, v),
-                                  self.bilinear_B_conservative(u, w), v, w)
-
 
 def trilinear_relative(b_uv: Field, b_uw: Field, v: Field, w: Field) -> tuple[float, float]:
     """Relative defects of the skew-symmetry pairings of one bilinear form.

@@ -25,6 +25,7 @@ import numpy as np
 from .diagnostics import CSV_COLUMNS, DiagnosticsSeries
 from .solver import FieldSpec, SolverConfig
 from .strip_grid import Field
+from .weights import GAMMA_THRESHOLD
 
 __all__ = [
     "SNAPSHOT_MAGIC",
@@ -161,14 +162,21 @@ def _field_spec(prefix: str, kw: dict) -> FieldSpec:
         spec = FieldSpec(**kw)
     except ValueError as exc:  # its message starts with the attribute
         raise ValueError(f"{prefix}.{exc}") from None
-    if spec.kind == "file" and not Path(spec.path).is_file():
-        what = "is a directory" if Path(spec.path).is_dir() else "does not exist"
-        raise ValueError(f"{prefix}.path {spec.path!r} {what}; expected a snapshot file")
+    if spec.kind == "file":
+        path = Path(spec.path)
+        try:
+            what = ("" if path.is_file() else
+                    "is a directory" if path.is_dir() else "does not exist")
+        except OSError as exc:  # a name the OS refuses, say one too long
+            what = f"is refused: {exc.strerror}"
+        if what:
+            raise ValueError(f"{prefix}.path {spec.path!r} {what}; expected a snapshot file")
     return spec
 
 
 def parse_config_text(text: str, allow_gamma_override: bool = False) -> RunSettings:
-    """Parse ``key = value`` lines into run settings; typos are hard errors."""
+    """Parse ``key = value`` lines into run settings; typos, a path the OS refuses
+    and ``gamma > GAMMA_THRESHOLD`` without ``allow_gamma_override`` are errors."""
     sections = {"solver": {}, "weight": {}, "forcing": {}, "ic": {}, "settings": {}}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -190,15 +198,21 @@ def parse_config_text(text: str, allow_gamma_override: bool = False) -> RunSetti
     forcing = _field_spec("forcing", sections["forcing"])
     ic = _field_spec("ic", sections["ic"])
     try:
-        weight = replace(SolverConfig.weight, allow_gamma_override=allow_gamma_override,
-                         **sections["weight"])
+        weight = replace(SolverConfig.weight, **sections["weight"])
+        if weight.gamma > GAMMA_THRESHOLD + 1e-12 and not allow_gamma_override:
+            raise ValueError(f"gamma = {weight.gamma} exceeds the 2/3 threshold; "
+                             "pass --override-gamma for sharpness experiments")
         solver = SolverConfig(forcing=forcing, ic=ic, weight=weight, **sections["solver"])
-    except ValueError as exc:  # name the config key and the --override-gamma flag
-        raise ValueError(str(exc).replace("record_every", "output.every").replace(
-            "set allow_gamma_override=True", "pass --override-gamma")) from None
+    except ValueError as exc:  # name the config key
+        raise ValueError(str(exc).replace("record_every", "output.every")) from None
     settings = RunSettings(solver=solver, **sections["settings"])
     out_dir = Path(settings.output_dir)  # its first existing ancestor is checked
-    if not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
+    try:
+        under_file = not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir()
+    except OSError as exc:  # a name the OS refuses, say one too long
+        raise ValueError(f"output.dir {settings.output_dir!r} is refused: "
+                         f"{exc.strerror}") from None
+    if under_file:
         raise ValueError(f"output.dir {settings.output_dir!r} is or lies under a file")
     return settings
 

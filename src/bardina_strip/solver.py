@@ -204,11 +204,11 @@ InitialConditionSpec = FieldSpec  # the name perfbench/workloads.py imports
 class SolverConfig:
     """Run parameters: geometry, physics, scheme and output cadence.
 
-    The weight spec only parameterizes the weighted diagnostics columns.
-    ``nonlinear=False`` freezes the quadratic term (used by the linearized
-    verification against dense propagators).  The forcing is constant in
-    time except under an ``mms`` reference whose residual has a time
-    factor; the diagnostics read it at each record time either way.
+    Every leaf field, the specs' fields included, is one ``runio`` config
+    key.  The weight spec only parameterizes the weighted diagnostics
+    columns; its ``gamma`` defaults to ``GAMMA_THRESHOLD``.  The forcing is
+    constant in time except under an ``mms`` reference whose residual has a
+    time factor; the diagnostics read it at each record time either way.
     """
 
     lx: float = 2.0 * np.pi
@@ -223,8 +223,7 @@ class SolverConfig:
     forcing: FieldSpec = FieldSpec()
     ic: FieldSpec = FieldSpec()
     record_every: int = 1
-    weight: WeightSpec = WeightSpec(epsilon=0.1, rho=10.0, gamma=2.0 / 3.0)
-    nonlinear: bool = True
+    weight: WeightSpec = WeightSpec(epsilon=0.1, rho=10.0)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -477,15 +476,11 @@ class ImexStepper:
         the truncated velocity, which it returns too, feeds the CFL estimate,
         since the truncated field is the one actually advecting.
         """
-        cfg = self.config
         out = np.asfortranarray(self._forcing_hat.at(state.t))
-        cfl = 0.0
-        if cfg.nonlinear:
-            b_hat, speed2 = self.ops.advection_modal(state.v_hat, state.v_hat, lap_hat)
-            out -= b_hat
-            cfl = cfg.dt * math.sqrt(speed2) / min(self.grid.dx, self.grid.dy)
+        b_hat, speed2 = self.ops.advection_modal(state.v_hat, state.v_hat, lap_hat)
+        out -= b_hat
         out /= self.mult[:, None]
-        return out, cfl
+        return out, self.config.dt * math.sqrt(speed2) / min(self.grid.dx, self.grid.dy)
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         """The implicit operator solved for the modal ``rhs``, whose real

@@ -32,8 +32,8 @@ from .runio import RunSettings
 from .solver import (MAX_STEPS, BlowUpError, FieldSpec, ImexStepper, SolverConfig,
                      SolverState, _scale_keys, run)
 from .strip_grid import Field, Grid, StripDomain, l2_norm, make_grid, quadrature
-from .weights import (WeightSpec, certify_lemma_wfuncs, certify_phi_control,
-                      lemma_beta_set, make_weight_field)
+from .weights import (GAMMA_THRESHOLD, WeightSpec, certify_lemma_wfuncs,
+                      certify_phi_control, lemma_beta_set, make_weight_field)
 
 __all__ = [
     "CheckResult", "SuiteReport", "SUITE_NAMES", "run_suite",
@@ -49,6 +49,15 @@ IDENTITY_ORDER_MIN = 1.8  # fitted x2 order of the pointwise-form r1, r2
 TELESCOPING_BOUND = 1e-12  # conservative-form r1, r2
 FIRST_ORDER_WINDOW = (0.7, 1.3)  # fitted MMS orders, imex_euler in time
 SECOND_ORDER_WINDOW = (1.7, 2.3)  # fitted MMS orders, space and imex_cnab2
+ENERGY_INCREASE_BOUND = 1e-8  # unforced per-record energy increase, times E(0)
+HALVING_FACTOR, HALVING_FLOOR = 0.5, 1e-16  # after dt halving: factor x coarse + floor x E(0)
+RHO_RATIO_BOUND = 2.0  # lemma constants at rho = 100 over rho = 1, gamma <= 2/3
+GAMMA_GROWTH_MIN = 3.0  # the same ratio of the largest strong-form constants, gamma > 2/3
+FIRST_DERIVATIVE_CONSTANT = 3.0  # limit weight: |d1 phi| <= C eps psi
+MODULUS_SLOPE_MIN = 0.5  # log-log slope of the translation modulus
+LAMBDA1_ERROR_BOUND = 0.01  # relative error of the discrete lambda1
+ALPHA_SLOPE_WINDOW = (1.5, 2.5)  # log-log slope of the alpha sweep's distances
+DEPENDENCE_SPREAD_BOUND = 0.2  # relative spread of continuous-dependence ratios
 
 
 @dataclass
@@ -154,7 +163,6 @@ def operator_identity_study(nx: int = 128, ny: int = 129) -> OperatorIdentityStu
     domain = StripDomain(2.0 * np.pi, 1.0)
     ny_values = [(ny - 1) * 2 ** j + 1 for j in range(3)]
     r1s, r2s = [], []
-    cons = (0.0, 0.0)
     for j, ny_j in enumerate(ny_values):
         grid = make_grid(domain, nx, ny_j)
         ops = OperatorSet(grid)
@@ -163,7 +171,8 @@ def operator_identity_study(nx: int = 128, ny: int = 129) -> OperatorIdentityStu
         r1s.append(r1)
         r2s.append(r2)
         if j == 0:
-            cons = ops.trilinear_identity_relative(u, v, w)
+            cons = trilinear_relative(ops.bilinear_B_conservative(u, v),
+                                      ops.bilinear_B_conservative(u, w), v, w)
     return OperatorIdentityStudy(ny_values=ny_values, r1_pointwise=r1s,
                                  r2_pointwise=r2s, r1_conservative=cons[0],
                                  r2_conservative=cons[1])
@@ -344,12 +353,10 @@ def continuous_dependence_study():
     return deltas, ratios
 
 
-def weight_rho_stability(epsilon: float = 0.1, gamma: float = 2.0 / 3.0,
+def weight_rho_stability(epsilon: float = 0.1, gamma: float = GAMMA_THRESHOLD,
                          rhos=(1.0, 10.0, 100.0)):
-    """Empirical lemma constants per multi-index across cutoff radii."""
-    override = gamma > 2.0 / 3.0 + 1e-12
-    specs = (WeightSpec(epsilon=epsilon, rho=float(rho), gamma=gamma,
-                        allow_gamma_override=override) for rho in rhos)
+    """Empirical lemma constants per multi-index across cutoff radii, for any gamma."""
+    specs = (WeightSpec(epsilon=epsilon, rho=float(rho), gamma=gamma) for rho in rhos)
     return {spec.rho: certify_lemma_wfuncs(spec) for spec in specs}
 
 
@@ -371,8 +378,7 @@ def _suite_operators(settings: RunSettings) -> SuiteReport:
 
 
 def _suite_weights(settings: RunSettings) -> SuiteReport:
-    cfg = settings.solver
-    spec = cfg.weight
+    spec = settings.solver.weight
     rep = SuiteReport("weights")
     reports = weight_rho_stability(epsilon=spec.epsilon, gamma=spec.gamma)
 
@@ -380,23 +386,21 @@ def _suite_weights(settings: RunSettings) -> SuiteReport:
         return f"{name} " + ", ".join(f"rho {rho:g}: {value(r):.4f}"
                                       for rho, r in reports.items())
 
-    if spec.gamma <= 2.0 / 3.0 + 1e-12:
+    if spec.gamma <= GAMMA_THRESHOLD + 1e-12:
         for beta in lemma_beta_set():
             ratio = reports[100.0].c_strong[beta] / reports[1.0].c_strong[beta]
-            rep.add(f"strong-form rho ratio, beta={beta}", ratio, 2.0,
+            rep.add(f"strong-form rho ratio, beta={beta}", ratio, RHO_RATIO_BOUND,
                     note=constants("C_s", lambda r: r.c_strong[beta]))
         for beta in lemma_beta_set():
             ratio = reports[100.0].c_weak[beta] / reports[1.0].c_weak[beta]
-            rep.add(f"weak-form rho ratio, beta={beta}", ratio, 2.0,
+            rep.add(f"weak-form rho ratio, beta={beta}", ratio, RHO_RATIO_BOUND,
                     note=constants("C_w", lambda r: r.c_weak[beta]))
-        limit = certify_phi_control(
-            WeightSpec(epsilon=spec.epsilon, gamma=spec.gamma),
-            betas=[(1, 0)], x1_extent=40.0 / spec.epsilon)
+        limit = certify_phi_control(spec, betas=[(1, 0)], x1_extent=40.0 / spec.epsilon)
         rep.add("limit-weight first-derivative constant",
-                limit.c_strong[(1, 0)], 3.0)
+                limit.c_strong[(1, 0)], FIRST_DERIVATIVE_CONSTANT)
     else:
         ratio = (reports[100.0].aggregate_strong / reports[1.0].aggregate_strong)
-        rep.add("aggregate growth above the exponent threshold", ratio, 3.0,
+        rep.add("aggregate growth above the exponent threshold", ratio, GAMMA_GROWTH_MIN,
                 comparison=">=", note="growth expected for gamma > 2/3; "
                 + constants("max C_s", lambda r: r.aggregate_strong))
     return rep
@@ -409,7 +413,7 @@ def _suite_poincare(settings: RunSettings) -> SuiteReport:
     spec = replace(cfg.weight, epsilon=min(cfg.weight.epsilon, 0.05))
     audit = poincare_check(100, spec, grid, seed=settings.seed)
     rep.add("lambda1 relative error vs analytic",
-            audit.lambda1.relative_error, 0.01)
+            audit.lambda1.relative_error, LAMBDA1_ERROR_BOUND)
     rep.add("|psi v| / |psi grad v| worst case", audit.worst_zero_order,
             audit.bound_zero_order)
     rep.add("|psi grad v| / |psi lap v| worst case", audit.worst_first_order,
@@ -425,7 +429,7 @@ def _suite_budget(settings: RunSettings) -> SuiteReport:
     e0 = series.records[0].energy
     if settings.solver.forcing.kind == "zero" and e0 > 0:
         rep.add("max per-record energy increase", budget.max_energy_increase,
-                1e-8 * e0)
+                ENERGY_INCREASE_BOUND * e0)
         half = replace(cfg, dt=cfg.dt / 2.0,
                        t_end=min(cfg.t_end, 256 * cfg.dt))
         short = replace(cfg, t_end=half.t_end)
@@ -433,7 +437,7 @@ def _suite_budget(settings: RunSettings) -> SuiteReport:
         b_half = energy_budget(run(half)[1])
         rep.add("energy increase after dt halving",
                 b_half.max_energy_increase,
-                0.5 * b_short.max_energy_increase + 1e-16 * e0)
+                HALVING_FACTOR * b_short.max_energy_increase + HALVING_FLOOR * e0)
     rep.add("max excess over the closed dissipation bound", budget.max_excess,
             1e-8 * max(e0, 1.0))
     return rep
@@ -462,7 +466,7 @@ def _suite_compactness(settings: RunSettings) -> SuiteReport:
     if not mod.modulus.any():
         raise ValueError("the translation modulus is zero at every lag: the trajectory "
                          "never moves, so it has no slope")
-    rep.add("translation modulus log-log slope", mod.slope, 0.5, comparison=">=")
+    rep.add("translation modulus log-log slope", mod.slope, MODULUS_SLOPE_MIN, comparison=">=")
     rep.add("sqrt-envelope dominates", float(mod.envelope_dominates()), 1.0,
             comparison=">=")
     return rep
@@ -489,8 +493,8 @@ def _suite_alpha_sweep(settings: RunSettings) -> SuiteReport:
     rep.add("differences decrease with alpha", float(monotone), 1.0,
             comparison=">=",
             note=", ".join(f"alpha {a:g}: {d:.6e}" for a, d in zip(alphas, diffs)))
-    rep.add("log-log slope lower window", slope, 1.5, comparison=">=")
-    rep.add("log-log slope upper window", slope, 2.5)
+    rep.add("log-log slope lower window", slope, ALPHA_SLOPE_WINDOW[0], comparison=">=")
+    rep.add("log-log slope upper window", slope, ALPHA_SLOPE_WINDOW[1])
     return rep
 
 

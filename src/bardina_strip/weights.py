@@ -21,15 +21,15 @@ oversampled lattice, the empirical constants in the pointwise controls
     |d^beta psi^2| <= C eps^|beta| psi      (strong form)
     |d^beta psi^2| <= C eps^|beta| psi^2    (weak form)
 
-for multi-indices ``0 < |beta| <= 3`` with ``beta2 <= 2``.  ``gamma <= 2/3``
-is enforced unless the spec opts out; larger exponents are only meaningful
-for sharpness experiments.
+for multi-indices ``0 < |beta| <= 3`` with ``beta2 <= 2``.  The config reader
+enforces ``gamma <= 2/3`` unless ``--override-gamma`` is given; larger
+exponents are only meaningful for sharpness experiments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,16 +55,15 @@ GAMMA_THRESHOLD = 2.0 / 3.0
 class WeightSpec:
     """Parameters ``(epsilon, rho, gamma)`` of one weight.
 
-    ``rho = math.inf`` selects the limit weight.  ``gamma`` beyond ``2/3``
-    is rejected unless ``allow_gamma_override`` is set: above that threshold
+    ``rho = math.inf`` selects the limit weight.  Above ``GAMMA_THRESHOLD``
     the strong derivative control is known to fail, so such specs exist only
-    to demonstrate the failure.
+    to demonstrate the failure; the config reader admits them only under
+    ``--override-gamma``.
     """
 
     epsilon: float
     rho: float = math.inf
     gamma: float = GAMMA_THRESHOLD
-    allow_gamma_override: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
@@ -73,10 +72,6 @@ class WeightSpec:
             raise ValueError(f"rho must be >= 1 or inf, got {self.rho}")
         if not (np.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if self.gamma > GAMMA_THRESHOLD + 1e-12 and not self.allow_gamma_override:
-            raise ValueError(
-                f"gamma = {self.gamma} exceeds the 2/3 threshold; "
-                "set allow_gamma_override=True for sharpness experiments")
 
     @property
     def is_limit(self) -> bool:
@@ -215,7 +210,6 @@ class CertificationReport:
     what the stencil measures.
     """
 
-    spec: WeightSpec
     c_strong: dict[tuple[int, int], float]
     c_weak: dict[tuple[int, int], float]
 
@@ -255,7 +249,7 @@ def _certify(spec: WeightSpec, betas, x1_extent: float, n1: int) -> Certificatio
         ratio_weak = deriv / (scale * psi ** 2)
         c_strong[beta] = float(ratio_strong[keep].max())
         c_weak[beta] = float(ratio_weak[keep].max())
-    return CertificationReport(spec=spec, c_strong=c_strong, c_weak=c_weak)
+    return CertificationReport(c_strong=c_strong, c_weak=c_weak)
 
 
 def _auto_extent(spec: WeightSpec) -> float:
@@ -297,10 +291,8 @@ def certify_phi_control(spec: WeightSpec, betas=None, x1_extent: float = 100.0,
     expansion: for ``gamma <= 2/3`` every admissible constant stabilizes,
     while first-derivative constants grow like ``extent^(3 gamma / 2 - 1)``
     once ``gamma`` exceeds the threshold.  Pure second-order constants
-    remain bounded up to ``gamma <= 4/3``.
+    remain bounded up to ``gamma <= 4/3``; a spec of any ``gamma`` is taken.
     """
     if betas is None:
         betas = lemma_beta_set()
-    limit = WeightSpec(epsilon=spec.epsilon, rho=math.inf, gamma=spec.gamma,
-                       allow_gamma_override=spec.allow_gamma_override)
-    return _certify(limit, betas, x1_extent, n1)
+    return _certify(replace(spec, rho=math.inf), betas, x1_extent, n1)

@@ -18,9 +18,16 @@ from bardina_strip.operators import OperatorSet
 from bardina_strip.solver import FieldSpec, SolverConfig, run
 from bardina_strip.strip_grid import (Field, StripDomain, inner_product,
                                       l2_norm, make_grid)
-from bardina_strip.verification import (FIRST_ORDER_WINDOW,
+from bardina_strip.verification import (ALPHA_SLOPE_WINDOW,
+                                        DEPENDENCE_SPREAD_BOUND,
+                                        ENERGY_INCREASE_BOUND,
+                                        FIRST_DERIVATIVE_CONSTANT,
+                                        FIRST_ORDER_WINDOW, GAMMA_GROWTH_MIN,
+                                        HALVING_FACTOR, HALVING_FLOOR,
                                         IDENTITY_DEFECT_BOUND,
                                         IDENTITY_ORDER_MIN,
+                                        LAMBDA1_ERROR_BOUND,
+                                        MODULUS_SLOPE_MIN, RHO_RATIO_BOUND,
                                         SECOND_ORDER_WINDOW,
                                         TELESCOPING_BOUND, alpha_sweep_study,
                                         continuous_dependence_study,
@@ -109,18 +116,19 @@ def test_criterion_4_energy_decay(baseline_run):
     cfg, series, _mod = baseline_run
     budget = energy_budget(series)
     e0 = series.records[0].energy
-    increase_ok = budget.max_energy_increase <= 1e-8 * e0
-    monotone = bool(np.all(np.diff(series.column("energy")) <= 1e-8 * e0))
+    tol = ENERGY_INCREASE_BOUND * e0
+    increase_ok = budget.max_energy_increase <= tol
+    monotone = bool(np.all(np.diff(series.column("energy")) <= tol))
 
     short = replace(cfg, t_end=0.256)
     _, s_coarse = run(short)
     _, s_fine = run(replace(short, dt=cfg.dt / 2))
     exc_coarse = energy_budget(s_coarse).max_energy_increase
     exc_fine = energy_budget(s_fine).max_energy_increase
-    halving_ok = exc_fine <= 0.5 * exc_coarse + 1e-16 * e0
+    halving_ok = exc_fine <= HALVING_FACTOR * exc_coarse + HALVING_FLOOR * e0
     ok = increase_ok and monotone and halving_ok
     assert _report(4, ok, (
-        f"max increase={budget.max_energy_increase:.2e} (tol {1e-8 * e0:.2e}) "
+        f"max increase={budget.max_energy_increase:.2e} (tol {tol:.2e}) "
         f"halving {exc_coarse:.2e} -> {exc_fine:.2e}"))
 
 
@@ -165,7 +173,7 @@ def test_criterion_6a_weight_certification_rho_stability():
     ok = True
     for beta in lemma_beta_set():
         ratio = reports[100.0].c_strong[beta] / reports[1.0].c_strong[beta]
-        good = ratio <= 2.0
+        good = ratio <= RHO_RATIO_BOUND
         ok = ok and good
         lines.append(f"beta={beta}: ratio={ratio:.2f}{'' if good else ' *'}")
     assert _report("6a", ok, "strong-form C ratios rho=100 vs rho=1: "
@@ -176,21 +184,23 @@ def test_criterion_6b_weight_certification_gamma_growth():
     reports = weight_rho_stability(epsilon=0.1, gamma=1.0,
                                    rhos=(1.0, 100.0))
     ratio = reports[100.0].aggregate_strong / reports[1.0].aggregate_strong
-    ok = ratio >= 3.0
-    assert _report("6b", ok, f"aggregate growth at gamma=1: {ratio:.2f} >= 3")
+    ok = ratio >= GAMMA_GROWTH_MIN
+    assert _report("6b", ok, (f"aggregate growth at gamma=1: {ratio:.2f} "
+                              f">= {GAMMA_GROWTH_MIN:g}"))
 
 
 def test_criterion_6c_explicit_first_derivative_constant():
     spec = WeightSpec(epsilon=0.1, gamma=2.0 / 3.0)
     rep = certify_phi_control(spec, betas=[(1, 0)], x1_extent=400.0)
     c = rep.c_strong[(1, 0)]
-    ok = c <= 3.0
-    assert _report("6c", ok, f"limit-weight |d1 phi| constant: {c:.3f} <= 3")
+    ok = c <= FIRST_DERIVATIVE_CONSTANT
+    assert _report("6c", ok, (f"limit-weight |d1 phi| constant: {c:.3f} "
+                              f"<= {FIRST_DERIVATIVE_CONSTANT:g}"))
 
 
 def test_criterion_7_compactness_modulus(baseline_run):
     _cfg, _series, mod = baseline_run
-    ok = mod.slope >= 0.5 and mod.envelope_dominates()
+    ok = mod.slope >= MODULUS_SLOPE_MIN and mod.envelope_dominates()
     assert _report(7, ok, (f"slope={mod.slope:.3f} envelope "
                            f"{'dominates' if mod.envelope_dominates() else 'violated'}"))
 
@@ -199,7 +209,7 @@ def test_criterion_8_poincare_suite():
     grid = make_grid(StripDomain(2 * np.pi, 1.0), 64, 65)
     spec = WeightSpec(epsilon=0.05, rho=10.0, gamma=2.0 / 3.0)
     audit = poincare_check(100, spec, grid, seed=7)
-    lam_ok = audit.lambda1.relative_error <= 0.01
+    lam_ok = audit.lambda1.relative_error <= LAMBDA1_ERROR_BOUND
     ok = audit.passed and lam_ok
     assert _report(8, ok, (
         f"|psi v|/|psi grad v|={audit.worst_zero_order:.3f}<= {audit.bound_zero_order:.3f}, "
@@ -210,7 +220,7 @@ def test_criterion_8_poincare_suite():
 def test_criterion_9_alpha_consistency():
     alphas, diffs, slope = alpha_sweep_study(alphas=(0.4, 0.2, 0.1, 0.05))
     monotone = all(b < a for a, b in zip(diffs, diffs[1:]))
-    ok = monotone and 1.5 <= slope <= 2.5
+    ok = monotone and ALPHA_SLOPE_WINDOW[0] <= slope <= ALPHA_SLOPE_WINDOW[1]
     assert _report(9, ok, ("diffs=" + ", ".join(f"{d:.2e}" for d in diffs)
                            + f" slope={slope:.2f}"))
 
@@ -231,7 +241,7 @@ def test_criterion_10_refinement_cauchy():
 def test_criterion_11_continuous_dependence():
     deltas, ratios = continuous_dependence_study()
     spread = abs(ratios[0] - ratios[1]) / ratios[1]
-    ok = spread <= 0.2
+    ok = spread <= DEPENDENCE_SPREAD_BOUND
     assert _report(11, ok, (
         f"C(delta=1e-3)={ratios[0]:.4f} C(delta=1e-4)={ratios[1]:.4f} "
         f"spread={spread:.2%}"))

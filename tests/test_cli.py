@@ -140,6 +140,14 @@ class TestRun:
         err = capsys.readouterr().err
         assert "--override-gamma" in err and "allow_gamma_override" not in err
 
+    @pytest.mark.parametrize("key", ["output.dir", "ic.path", "forcing.path"])
+    def test_path_the_os_refuses_names_the_key(self, tmp_path, capsys, key):
+        # a name longer than any file system takes, which the OS refuses to look up
+        kind = "" if key == "output.dir" else f"{key.split('.')[0]}.kind = file\n"
+        cfg = _write(tmp_path, f"{kind}{key} = {tmp_path / ('1' + '0' * 300)}\n")
+        assert main(["run", cfg]) == 2
+        assert f"error: {key} " in capsys.readouterr().err
+
     def test_bad_value_is_config_error(self, tmp_path, capsys):
         cfg = _write(tmp_path, "nx = abc\n")
         assert main(["run", cfg]) == 2

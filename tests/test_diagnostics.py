@@ -363,11 +363,11 @@ class TestRefinementStudy:
                 sums[j] += 2e-2 * float(np.vdot(ch, ch).real)
         np.testing.assert_allclose(study.deltas, np.sqrt(sums), rtol=1e-13, atol=0)
 
-    def test_linear_problem_converges_at_second_order(self):
+    def test_linear_problem_converges_at_second_order(self, frozen_advection):
         def make_config(nx, ny):
             return SolverConfig(
                 nx=nx, ny=ny, dt=1e-3, t_end=0.2, nu=0.02, alpha=0.3,
-                record_every=20, nonlinear=False,
+                record_every=20,
                 ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0))
         study = galerkin_refinement_study(
             make_config, [(16, 17), (32, 33), (64, 65)])

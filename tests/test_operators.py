@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bardina_strip import operators
-from bardina_strip.operators import OperatorSet, d2_matrix, d2_values
+from bardina_strip.operators import (OperatorSet, d2_matrix, d2_values,
+                                     trilinear_relative)
 from bardina_strip.strip_grid import (Field, StripDomain, inner_product,
                                       l2_norm, make_grid)
 from bardina_strip.verification import fit_order, identity_test_fields
@@ -328,10 +329,15 @@ class TestBatchedAdvection:
 
 class TestTrilinearIdentities:
 
+    @staticmethod
+    def _conservative(ops, u, v, w):
+        return trilinear_relative(ops.bilinear_B_conservative(u, v),
+                                  ops.bilinear_B_conservative(u, w), v, w)
+
     def test_zero_triple(self):
         grid = _grid()
         z = Field(grid, np.zeros(grid.shape), clamped=True)
-        assert OperatorSet(grid).trilinear_identity_relative(z, z, z) == (0.0, 0.0)
+        assert self._conservative(OperatorSet(grid), z, z, z) == (0.0, 0.0)
 
     def test_conservative_form_telescopes_exactly(self):
         # spectral summation by parts in x1 plus wall-vanishing tangential
@@ -339,7 +345,7 @@ class TestTrilinearIdentities:
         grid = _grid(64, 65)
         ops = OperatorSet(grid)
         u, v, w = identity_test_fields(grid)
-        r1, r2 = ops.trilinear_identity_relative(u, v, w)
+        r1, r2 = self._conservative(ops, u, v, w)
         assert r1 <= 1e-12
         assert r2 <= 1e-12
 
@@ -347,8 +353,8 @@ class TestTrilinearIdentities:
         grid = _grid(32, 33)
         ops = OperatorSet(grid)
         u, v, w = identity_test_fields(grid)
-        r1a, _ = ops.trilinear_identity_relative(u, v, w)
-        r1b, _ = ops.trilinear_identity_relative(u, w, v)
+        r1a, _ = self._conservative(ops, u, v, w)
+        r1b, _ = self._conservative(ops, u, w, v)
         assert r1a == pytest.approx(r1b, rel=1e-9, abs=1e-14)
 
     def test_pointwise_defect_second_order(self):

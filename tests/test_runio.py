@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -7,18 +8,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bardina_strip.diagnostics import CSV_COLUMNS, DiagnosticsRecord, DiagnosticsSeries
-from bardina_strip.runio import (KNOWN_KEYS, SNAPSHOT_MAGIC, RunSettings, load_config,
-                                 parse_config_text, read_snapshot, read_timeseries,
-                                 write_snapshot, write_timeseries)
-from bardina_strip.solver import SolverConfig
+from bardina_strip.runio import (_KEYS, KNOWN_KEYS, SNAPSHOT_MAGIC, RunSettings,
+                                 load_config, parse_config_text, read_snapshot,
+                                 read_timeseries, write_snapshot, write_timeseries)
+from bardina_strip.solver import FieldSpec, SolverConfig
 from bardina_strip.strip_grid import Field, StripDomain, make_grid
 from bardina_strip.verification import decay_config
+from bardina_strip.weights import WeightSpec
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
 _GRID = make_grid(StripDomain(2.0 * np.pi, 1.0), 16, 17)
 
 _HUGE_INT = "1" + "0" * 400  # an int beyond the float range
+_LONG_NAME = "1" + "0" * 300  # a path component longer than any file system takes
 _EXTREME_NUMBERS = st.one_of(
     st.sampled_from(["0", "-0", "-1", "1e308", "-1e308", "5e-324", "inf", "-inf",
                      "nan", "1e400", _HUGE_INT, "-" + _HUGE_INT]),
@@ -298,6 +301,7 @@ class TestConfigParsing:
     @settings(max_examples=300, deadline=200)
     @given(text=_CONFIG_TEXTS, override=st.booleans())
     @example(text=f"nx = {_HUGE_INT}", override=False)
+    @example(text=f"output.dir = {_LONG_NAME}", override=False)
     def test_any_text_parses_or_raises_value_error(self, text, override):
         try:
             settings_ = parse_config_text(text, allow_gamma_override=override)
@@ -320,6 +324,17 @@ class TestConfigParsing:
             "forcing.kind", "forcing.amplitude", "forcing.k1", "forcing.k2",
             "forcing.reference", "forcing.path", "ic.kind", "ic.amplitude",
             "ic.k1", "ic.k2", "ic.reference", "ic.path"}
+
+    def test_keys_are_the_only_settings(self):
+        # every leaf field of the config objects is set by exactly one key
+        leaves = {("solver", f.name) for f in fields(SolverConfig)
+                  if f.name not in ("forcing", "ic", "weight")}
+        leaves |= {(section, f.name) for section in ("forcing", "ic")
+                   for f in fields(FieldSpec)}
+        leaves |= {("weight", f.name) for f in fields(WeightSpec)}
+        leaves |= {("settings", f.name) for f in fields(RunSettings) if f.name != "solver"}
+        pairs = [(section, attr) for section, attr, _kind in _KEYS.values()]
+        assert set(pairs) == leaves and len(pairs) == len(leaves)
 
     def test_defaults_are_the_dataclass_defaults(self):
         assert parse_config_text("") == RunSettings(SolverConfig())

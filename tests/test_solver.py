@@ -581,6 +581,7 @@ class TestExplicitTerm:
         assert np.array_equal(explicit, (g_hat - b_hat) / stepper.mult[:, None])
 
 
+@pytest.mark.usefixtures("frozen_advection")
 class TestLinearizedPropagator:
     """Single-mode runs with the advection frozen against expm of the
     mass-consistent reduced operator."""
@@ -588,7 +589,7 @@ class TestLinearizedPropagator:
     @staticmethod
     def _oracle_error(scheme, dt, t_end=0.2, nx=16, ny=33, nu=0.05, alpha=0.3):
         cfg = SolverConfig(nx=nx, ny=ny, dt=dt, t_end=t_end, nu=nu, alpha=alpha,
-                           scheme=scheme, nonlinear=False,
+                           scheme=scheme,
                            ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1))
         state, _ = run(cfg)
         grid = cfg.grid()
@@ -695,15 +696,16 @@ class TestDeterminismAndBlowUp:
         with pytest.raises(BlowUpError, match="at step 1: non-finite state after t = 0$"):
             stepper.step(state)
 
-    def test_states_compute_no_values_until_read(self, monkeypatch):
+    def test_states_compute_no_values_until_read(self, frozen_advection, monkeypatch):
         irfft, calls = np.fft.irfft, []
         monkeypatch.setattr(np.fft, "irfft",
                             lambda *args, **kw: calls.append(args) or irfft(*args, **kw))
         # with the advection frozen, only reading a state's values transforms
-        stepper = ImexStepper(_decay_config(scheme="imex_cnab2", nonlinear=False))
+        stepper = ImexStepper(_decay_config(scheme="imex_cnab2"))
         *_, final = stepper.states(MAX_STEPS)
         assert final.step_index == stepper.config.n_steps and not calls
         assert final.v.values.shape == stepper.grid.shape and len(calls) == 1
+        monkeypatch.undo()  # the advection runs again
         for state in ImexStepper(_decay_config(scheme="imex_cnab2")).states(1):
             assert ("v" in vars(state)) == (state.step_index == 0)
 

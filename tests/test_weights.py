@@ -38,12 +38,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             WeightSpec(epsilon=0.1, rho=0.5)
 
-    def test_gamma_threshold_needs_override(self):
-        with pytest.raises(ValueError, match="override"):
-            WeightSpec(epsilon=0.1, gamma=1.0)
-        spec = WeightSpec(epsilon=0.1, gamma=1.0, allow_gamma_override=True)
-        assert spec.gamma == 1.0
-
 
 class TestProfile:
 
@@ -89,7 +83,7 @@ class TestWeightValues:
         assert phi_limit(0.0, 0.0, spec) == 1.0
 
     def test_limit_weight_sample(self):
-        spec = WeightSpec(epsilon=1.0, gamma=1.0, allow_gamma_override=True)
+        spec = WeightSpec(epsilon=1.0, gamma=1.0)
         assert phi_limit(1.0, 1.0, spec) == pytest.approx(3.0, rel=1e-15)
 
     def test_cutoff_at_origin(self):
@@ -232,8 +226,7 @@ class TestCertification:
     def test_aggregate_grows_above_threshold(self):
         reports = {}
         for rho in (1.0, 100.0):
-            spec = WeightSpec(epsilon=0.1, rho=rho, gamma=1.0,
-                              allow_gamma_override=True)
+            spec = WeightSpec(epsilon=0.1, rho=rho, gamma=1.0)
             reports[rho] = certify_lemma_wfuncs(spec)
         ratio = reports[100.0].aggregate_strong / reports[1.0].aggregate_strong
         assert ratio >= 3.0
@@ -247,7 +240,7 @@ class TestLimitWeightControl:
         assert rep.c_strong[(1, 0)] <= 3.0
 
     def test_second_order_bounded_below_four_thirds(self):
-        spec = WeightSpec(epsilon=0.1, gamma=1.2, allow_gamma_override=True)
+        spec = WeightSpec(epsilon=0.1, gamma=1.2)
         betas = [(2, 0), (1, 1), (0, 2)]
         small = certify_phi_control(spec, betas=betas, x1_extent=200.0)
         large = certify_phi_control(spec, betas=betas, x1_extent=400.0, n1=8193)
@@ -257,7 +250,7 @@ class TestLimitWeightControl:
     def test_first_derivative_grows_above_threshold(self):
         # the sharp exponent threshold lives at first order: beyond it the
         # constant grows like extent^(3 gamma / 2 - 1)
-        spec = WeightSpec(epsilon=0.1, gamma=1.2, allow_gamma_override=True)
+        spec = WeightSpec(epsilon=0.1, gamma=1.2)
         small = certify_phi_control(spec, betas=[(1, 0)], x1_extent=100.0)
         large = certify_phi_control(spec, betas=[(1, 0)], x1_extent=400.0, n1=8193)
         assert large.c_strong[(1, 0)] >= 1.5 * small.c_strong[(1, 0)]
@@ -265,7 +258,7 @@ class TestLimitWeightControl:
     def test_third_derivative_constant_decays_above_threshold(self):
         # pure third-derivative constants fall off like |x1|^(3(gamma-2)/2),
         # so no growth is seen there even above the first-order threshold
-        spec = WeightSpec(epsilon=0.1, gamma=1.2, allow_gamma_override=True)
+        spec = WeightSpec(epsilon=0.1, gamma=1.2)
         small = certify_phi_control(spec, betas=[(3, 0)], x1_extent=100.0)
         large = certify_phi_control(spec, betas=[(3, 0)], x1_extent=400.0, n1=8193)
         assert large.c_strong[(3, 0)] <= 1.1 * small.c_strong[(3, 0)]
