@@ -16,8 +16,8 @@ from .weights import (WeightSpec, g_profile, phi_limit, varphi,
 from .solver import (SolverConfig, SolverState, FieldSpec, BlowUpError,
                      ImexStepper, run)
 from .diagnostics import (DiagnosticsRecord, DiagnosticsSeries, energy_budget,
-                          weighted_energy_budget, StreamingTranslationModulus,
-                          poincare_check, lambda1_estimate)
+                          StreamingTranslationModulus, poincare_check,
+                          lambda1_estimate)
 
 __version__ = "0.1.0"
 

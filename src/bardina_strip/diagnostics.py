@@ -4,7 +4,7 @@ Per-record scalars: the energy ``E = |grad v|^2 + alpha^2 |d1 grad v|^2``
 and dissipation ``D = nu (|lap v|^2 + alpha^2 |d1 lap v|^2)``, their
 weighted counterparts, the anisotropic space norms, discrete budget
 residuals and the advective CFL number.  Post-processing turns a recorded
-series into budget reports; a streaming accumulator builds the
+series into one budget report; a streaming accumulator builds the
 time-translation compactness modulus from states as they arrive;
 :func:`prolong` lifts a field onto a nested finer grid; and random clamped
 fields feed weighted Poincare audits.
@@ -30,17 +30,15 @@ from .strip_grid import Field, Grid, quadrature
 from .weights import WeightSpec, make_weight_field
 
 __all__ = [
+    "CSV_SCHEMA",
     "CSV_COLUMNS",
     "DiagnosticsRecord",
     "DiagnosticsSeries",
     "DiagnosticsCollector",
-    "Lambda1Estimate",
     "lambda1_estimate",
     "BudgetReport",
     "closed_bound",
     "energy_budget",
-    "WeightedBudgetReport",
-    "weighted_energy_budget",
     "TranslationModulus",
     "StreamingTranslationModulus",
     "prolong",
@@ -49,15 +47,19 @@ __all__ = [
     "random_clamped_field",
 ]
 
-# the time-series schema: (CSV column, DiagnosticsRecord attribute) in file order
-_CSV_SCHEMA = (
-    ("t", "t"), ("E", "energy"), ("D", "dissipation"), ("E_w", "energy_w"),
-    ("D_w", "dissipation_w"), ("norm_l2", "norm_l2"), ("norm_h1h", "norm_h1h"),
-    ("norm_h2h_gamma", "norm_h2h_gamma"), ("norm_h3h_gamma", "norm_h3h_gamma"),
-    ("budget_residual", "budget_residual"),
-    ("weighted_budget_residual", "weighted_budget_residual"), ("cfl", "cfl"),
+# the time-series schema in file order: (CSV column, DiagnosticsRecord
+# attribute, the config keys the column scales with besides the sizes of the
+# initial condition and the forcing; the rest scale with those alone)
+CSV_SCHEMA = (
+    ("t", "t", ()), ("E", "energy", ("alpha",)), ("D", "dissipation", ("alpha", "nu")),
+    ("E_w", "energy_w", ("alpha",)), ("D_w", "dissipation_w", ("alpha", "nu")),
+    ("norm_l2", "norm_l2", ()), ("norm_h1h", "norm_h1h", ()),
+    ("norm_h2h_gamma", "norm_h2h_gamma", ()), ("norm_h3h_gamma", "norm_h3h_gamma", ()),
+    ("budget_residual", "budget_residual", ("alpha", "nu", "dt")),
+    ("weighted_budget_residual", "weighted_budget_residual", ("alpha", "nu", "dt")),
+    ("cfl", "cfl", ("dt",)),
 )
-CSV_COLUMNS = tuple(column for column, _ in _CSV_SCHEMA)
+CSV_COLUMNS = tuple(column for column, _, _ in CSV_SCHEMA)
 
 
 @dataclass
@@ -78,7 +80,7 @@ class DiagnosticsRecord:
     forcing_norm_sq: float = 0.0  # |g(t)|^2, which the closed bound reads
 
     def csv_values(self) -> tuple[float, ...]:
-        return tuple(getattr(self, attr) for _, attr in _CSV_SCHEMA)
+        return tuple(getattr(self, attr) for _, attr, _ in CSV_SCHEMA)
 
 
 @dataclass
@@ -96,25 +98,12 @@ class DiagnosticsSeries:
         return len(self.records)
 
 
-@dataclass(frozen=True)
-class Lambda1Estimate:
-    """First Dirichlet eigenvalue of ``-d2^2`` on ``[-m, m]`` (k = 0 mode)."""
-
-    value: float
-    analytic: float
-
-    @property
-    def relative_error(self) -> float:
-        return abs(self.value - self.analytic) / self.analytic
-
-
-def lambda1_estimate(grid: Grid) -> Lambda1Estimate:
-    """The discrete ``lambda1``: the smallest eigenvalue of
-    ``tridiag(-1, 2, -1) / dy^2`` on the ``ny - 2`` interior nodes, which is
-    exactly ``(2 sin(pi / (2 (ny - 1))) / dy)^2``."""
-    ny, dy, m = grid.ny, grid.dy, grid.domain.m
-    value = (2.0 * math.sin(math.pi / (2 * (ny - 1))) / dy) ** 2
-    return Lambda1Estimate(value=value, analytic=(np.pi / (2.0 * m)) ** 2)
+def lambda1_estimate(grid: Grid) -> float:
+    """The discrete first Dirichlet eigenvalue of ``-d2^2`` on ``[-m, m]``
+    (the k = 0 mode, ``(pi / (2 m))^2`` in the limit): the smallest
+    eigenvalue of ``tridiag(-1, 2, -1) / dy^2`` on the ``ny - 2`` interior
+    nodes, which is exactly ``(2 sin(pi / (2 (ny - 1))) / dy)^2``."""
+    return (2.0 * math.sin(math.pi / (2 * (grid.ny - 1))) / grid.dy) ** 2
 
 
 class DiagnosticsCollector:
@@ -139,7 +128,7 @@ class DiagnosticsCollector:
         self.nu = nu
         self.alpha = alpha
         self.g = g
-        self.lambda1 = lambda1_estimate(grid).value
+        self.lambda1 = lambda1_estimate(grid)
         self._qw = grid.dx * grid.quad_weights
         self._qw_phi = self._qw * weight
         self._prev: tuple[float, float, float] | None = None
@@ -197,29 +186,24 @@ class DiagnosticsCollector:
 # Budgets
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class BudgetReport:
-    """Discrete energy balance along a recorded trajectory.
+    """The energy chain of a recorded trajectory, plain then weighted.
 
-    ``residuals[n] = (E_n - E_{n-1}) / dt + 2 D_n - 2 P_n`` should be
-    nonpositive up to discretization error for the dissipative schemes;
-    ``excess_over_bound`` measures violation of the closed inequality
-    ``dE/dt + D <= |g(t_n)|^2 / (nu lambda1^2)`` at each record ``n``, and
-    ``bound`` is the largest of those bounds.
+    ``max_energy_increase`` is the largest rise of ``E`` between two records
+    and ``max_excess`` the largest excess of ``dE/dt + D`` over the closed
+    bound ``|g(t_n)|^2 / (nu lambda1^2)`` at each record ``n``, each 0 when
+    there is none; ``bound`` is the largest of those bounds.  The weighted
+    energy's initial and supremal values and the time integral of ``D_w``
+    close the chain.
     """
 
-    residuals: np.ndarray
-    excess_over_bound: np.ndarray
+    max_energy_increase: float
+    max_excess: float
     bound: float
-    energy_increases: np.ndarray
-
-    @property
-    def max_excess(self) -> float:
-        return float(max(self.excess_over_bound.max(initial=0.0), 0.0))
-
-    @property
-    def max_energy_increase(self) -> float:
-        return float(max(self.energy_increases.max(initial=0.0), 0.0))
+    initial_energy_w: float
+    sup_energy_w: float
+    dissipation_w_integral: float
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -231,45 +215,20 @@ def closed_bound(forcing_norm_sq, nu: float, lambda1: float) -> np.ndarray:
 
 @np.errstate(over="ignore")  # a sum beyond the float range is inf
 def energy_budget(series: DiagnosticsSeries) -> BudgetReport:
-    t = series.column("t")
-    e = series.column("energy")
-    d = series.column("dissipation")
+    """The run's budget, from its columns ``t``, ``E``, ``D``, ``E_w`` and
+    ``D_w``, the records' ``forcing_norm_sq`` and ``meta`` (``nu``,
+    ``lambda1``) alone."""
+    t, e, d = series.column("t"), series.column("energy"), series.column("dissipation")
+    e_w = series.column("energy_w")
     bounds = closed_bound(series.column("forcing_norm_sq"), series.meta["nu"],
                           series.meta["lambda1"])
     dedt = np.diff(e) / np.diff(t)
-    excess = np.maximum(dedt + d[1:] - bounds[1:], 0.0)
-    return BudgetReport(residuals=series.column("budget_residual")[1:],
-                        excess_over_bound=excess, bound=float(bounds.max()),
-                        energy_increases=np.maximum(np.diff(e), 0.0))
-
-
-@dataclass
-class WeightedBudgetReport:
-    """Boundedness summary of the weighted energy along a trajectory."""
-
-    times: np.ndarray
-    energy_w: np.ndarray
-    dissipation_w: np.ndarray
-
-    @property
-    def sup_energy(self) -> float:
-        return float(self.energy_w.max())
-
-    @property
-    def initial_energy(self) -> float:
-        return float(self.energy_w[0])
-
-    @property
-    def dissipation_integral(self) -> float:
-        with np.errstate(over="ignore"):  # beyond the float range it is inf
-            return float(np.trapezoid(self.dissipation_w, self.times))
-
-
-def weighted_energy_budget(series: DiagnosticsSeries) -> WeightedBudgetReport:
-    return WeightedBudgetReport(
-        times=series.column("t"),
-        energy_w=series.column("energy_w"),
-        dissipation_w=series.column("dissipation_w"))
+    return BudgetReport(
+        max_energy_increase=float(np.diff(e).max(initial=0.0)),
+        max_excess=float((dedt + d[1:] - bounds[1:]).max(initial=0.0)),
+        bound=float(bounds.max()),
+        initial_energy_w=float(e_w[0]), sup_energy_w=float(e_w.max()),
+        dissipation_w_integral=float(np.trapezoid(series.column("dissipation_w"), t)))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +372,7 @@ def random_clamped_field(grid: Grid, rng: np.random.Generator) -> Field:
 
 @dataclass
 class PoincareReport:
-    lambda1: Lambda1Estimate
+    lambda1_error: float      # |lambda1 - (pi / (2 m))^2| / (pi / (2 m))^2
     worst_zero_order: float   # max |psi v| / |psi grad v|
     worst_first_order: float  # max |psi grad v| / |psi lap v|
     bound_zero_order: float
@@ -430,6 +389,7 @@ def poincare_check(sample_count: int, spec: WeightSpec, grid: Grid,
                    seed: int = 0) -> PoincareReport:
     """Audit both weighted Poincare inequalities over random clamped fields."""
     lam = lambda1_estimate(grid)
+    analytic = (np.pi / (2.0 * grid.domain.m)) ** 2
     qw_phi = grid.dx * grid.quad_weights * make_weight_field(grid, spec)
     ops = OperatorSet(grid)
     rng = np.random.default_rng(seed)
@@ -448,7 +408,7 @@ def poincare_check(sample_count: int, spec: WeightSpec, grid: Grid,
         worst1 = max(worst1, grad / lap)
         n += 1
     return PoincareReport(
-        lambda1=lam, worst_zero_order=worst0, worst_first_order=worst1,
-        bound_zero_order=2.0 / lam.value,
-        bound_first_order=2.0 / math.sqrt(lam.value),
+        lambda1_error=abs(lam - analytic) / analytic,
+        worst_zero_order=worst0, worst_first_order=worst1,
+        bound_zero_order=2.0 / lam, bound_first_order=2.0 / math.sqrt(lam),
         samples=sample_count)

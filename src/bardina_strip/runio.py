@@ -218,5 +218,8 @@ def parse_config_text(text: str, allow_gamma_override: bool = False) -> RunSetti
 
 
 def load_config(path, allow_gamma_override: bool = False) -> RunSettings:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:  # missing, a directory or a name the OS refuses
+        raise ValueError(f"config {str(path)!r} cannot be read: {exc.strerror}") from None
     return parse_config_text(text, allow_gamma_override=allow_gamma_override)

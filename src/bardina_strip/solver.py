@@ -562,15 +562,6 @@ class ImexStepper:
                 yield state
 
 
-# the config keys a recorded column scales with, besides the sizes of the
-# initial condition and the forcing; the rest scale with those alone
-_COLUMN_KEYS = {
-    "E": ("alpha",), "E_w": ("alpha",), "D": ("alpha", "nu"), "D_w": ("alpha", "nu"),
-    "budget_residual": ("alpha", "nu", "dt"),
-    "weighted_budget_residual": ("alpha", "nu", "dt"), "cfl": ("dt",),
-}
-
-
 def _scale_keys(config: SolverConfig, keys, sections=("ic", "forcing")) -> str:
     """``keys`` and the keys that size the fields of ``sections`` (a zero
     field has none), each with its value, for an overflow message."""
@@ -612,10 +603,9 @@ def run(config: SolverConfig, on_record=None):
                 raise ValueError("the closed bound |g|^2 / (nu lambda1^2) is out of "
                                  "range; it scales with "
                                  f"{_scale_keys(config, ('nu', 'm'), ('forcing',))}")
-            for column, value in zip(diag.CSV_COLUMNS, rec.csv_values()):
+            for (column, _, keys), value in zip(diag.CSV_SCHEMA, rec.csv_values()):
                 if math.isfinite(value):
                     continue
-                keys = _COLUMN_KEYS.get(column, ())
                 # a column that does not scale with dt measures the state
                 # alone: past the initial state, its overflow is a blow-up
                 if state.step_index > 0 and "dt" not in keys:

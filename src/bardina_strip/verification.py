@@ -413,7 +413,7 @@ def _suite_poincare(settings: RunSettings) -> SuiteReport:
     spec = replace(cfg.weight, epsilon=min(cfg.weight.epsilon, 0.05))
     audit = poincare_check(100, spec, grid, seed=settings.seed)
     rep.add("lambda1 relative error vs analytic",
-            audit.lambda1.relative_error, LAMBDA1_ERROR_BOUND)
+            audit.lambda1_error, LAMBDA1_ERROR_BOUND)
     rep.add("|psi v| / |psi grad v| worst case", audit.worst_zero_order,
             audit.bound_zero_order)
     rep.add("|psi grad v| / |psi lap v| worst case", audit.worst_first_order,

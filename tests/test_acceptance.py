@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from bardina_strip.diagnostics import (StreamingTranslationModulus,
-                                       energy_budget, poincare_check,
-                                       weighted_energy_budget)
+                                       energy_budget, poincare_check)
 from bardina_strip.operators import OperatorSet
 from bardina_strip.solver import FieldSpec, SolverConfig, run
 from bardina_strip.strip_grid import (Field, StripDomain, inner_product,
@@ -141,13 +140,13 @@ def doubled_run():
 
 def test_criterion_5_weighted_estimates(baseline_run, doubled_run):
     _cfg, series, _ = baseline_run
-    base = weighted_energy_budget(series)
-    dbl = weighted_energy_budget(doubled_run)
-    sup_ok = base.sup_energy <= 1.05 * base.initial_energy
-    ratio_base = base.sup_energy / base.initial_energy
-    ratio_dbl = dbl.sup_energy / dbl.initial_energy
+    base = energy_budget(series)
+    dbl = energy_budget(doubled_run)
+    sup_ok = base.sup_energy_w <= 1.05 * base.initial_energy_w
+    ratio_base = base.sup_energy_w / base.initial_energy_w
+    ratio_dbl = dbl.sup_energy_w / dbl.initial_energy_w
     stable_sup = abs(ratio_base - ratio_dbl) <= 0.05 * ratio_dbl
-    int_base, int_dbl = base.dissipation_integral, dbl.dissipation_integral
+    int_base, int_dbl = base.dissipation_w_integral, dbl.dissipation_w_integral
     stable_int = (np.isfinite(int_base) and np.isfinite(int_dbl)
                   and abs(int_base - int_dbl) <= 0.05 * int_dbl)
     ok = sup_ok and stable_sup and stable_int
@@ -209,12 +208,12 @@ def test_criterion_8_poincare_suite():
     grid = make_grid(StripDomain(2 * np.pi, 1.0), 64, 65)
     spec = WeightSpec(epsilon=0.05, rho=10.0, gamma=2.0 / 3.0)
     audit = poincare_check(100, spec, grid, seed=7)
-    lam_ok = audit.lambda1.relative_error <= LAMBDA1_ERROR_BOUND
+    lam_ok = audit.lambda1_error <= LAMBDA1_ERROR_BOUND
     ok = audit.passed and lam_ok
     assert _report(8, ok, (
         f"|psi v|/|psi grad v|={audit.worst_zero_order:.3f}<= {audit.bound_zero_order:.3f}, "
         f"|psi grad v|/|psi lap v|={audit.worst_first_order:.3f}<= {audit.bound_first_order:.3f}, "
-        f"lambda1 err={audit.lambda1.relative_error:.2e}"))
+        f"lambda1 err={audit.lambda1_error:.2e}"))
 
 
 def test_criterion_9_alpha_consistency():

@@ -108,13 +108,15 @@ class TestRun:
         assert "UserWarning" in result.stderr
         assert "alpha = 0.5, nu = 0.01; this run has alpha = 0.25, nu = 0.01" in result.stderr
 
-    def test_rerun_is_byte_identical(self, tmp_path):
+    def test_rerun_is_byte_identical(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = _write(tmp_path, DECAY_CONFIG.format(out=out))
         assert main(["run", cfg]) == 0
+        first_out = capsys.readouterr().out
         first_ts = (out / "timeseries.csv").read_bytes()
         first_snap = (out / "final.bstr").read_bytes()
         assert main(["run", cfg]) == 0
+        assert capsys.readouterr().out == first_out
         assert (out / "timeseries.csv").read_bytes() == first_ts
         assert (out / "final.bstr").read_bytes() == first_snap
 
@@ -365,6 +367,16 @@ class TestRun:
     def test_config_path_naming_a_directory_is_config_error(self, tmp_path, capsys):
         assert main(["run", str(tmp_path)]) == 2
         assert "Is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("refused", ["name_too_long", "under_a_file"])
+    def test_config_path_the_os_refuses_is_config_error(self, tmp_path, capsys, refused):
+        if refused == "name_too_long":  # ENAMETOOLONG
+            path = str(tmp_path / ("a" * 301 + ".cfg"))
+        else:  # ENOTDIR
+            path = str(Path(_write(tmp_path, DECAY_CONFIG.format(out=tmp_path / "o"))) / "x")
+        for command in (["run"], ["verify", "--suite", "budget"]):
+            assert main([*command, path]) == 2
+            assert path in capsys.readouterr().err
 
     def test_output_dir_naming_a_file_is_config_error(self, tmp_path, capsys):
         taken = tmp_path / "taken"

@@ -309,6 +309,24 @@ class TestConfigParsing:
             return
         assert isinstance(settings_, RunSettings)
 
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.one_of(
+        st.text(st.characters(exclude_characters="/\x00"), min_size=1, max_size=400),
+        st.just("ok.cfg/x")))
+    @example(name="a" * 301)  # ENAMETOOLONG
+    @example(name="ok.cfg/x")  # ENOTDIR
+    def test_any_config_path_loads_or_raises_value_error(self, tmp_path_factory, name):
+        # a name inside one directory, never an absolute path: a device such
+        # as /dev/zero would be read without end
+        root = tmp_path_factory.getbasetemp() / "names"
+        root.mkdir(exist_ok=True)
+        (root / "ok.cfg").write_text("nx = 16\n")
+        try:
+            settings_ = load_config(root / name)
+        except ValueError:
+            return
+        assert isinstance(settings_, RunSettings)
+
     def test_huge_grid_size_is_a_config_error(self):
         with pytest.raises(ValueError, match="nx is too large"):
             parse_config_text(f"nx = {_HUGE_INT}\n")
