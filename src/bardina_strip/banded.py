@@ -1,9 +1,9 @@
 """Banded LU of the implicit operator's per-mode blocks, in numpy alone.
 
-:class:`MirrorBandLU` splits each pentadiagonal block by its mirror
-symmetry and eliminates both halves from their two ends at once;
-:func:`lu_pentadiagonal` is the batched factorization it runs.  The solver
-imports this module only for grids above ``solver.DENSE_INVERSE_BYTES``.
+:class:`MirrorBandLU` slices the mirror halves of each pentadiagonal block
+straight into the rows of :func:`lu_pentadiagonal`, the batched factorization
+that eliminates them from both ends at once.  The solver imports this module
+only for grids above ``solver.DENSE_INVERSE_BYTES``.
 """
 
 from __future__ import annotations
@@ -45,13 +45,15 @@ class MirrorBandLU:
     """Banded LU of the implicit blocks, split by the mirror ``x2 -> -x2``.
 
     ``band[k, i, s]`` is row ``i`` of mode ``k``'s block at column
-    ``i + s - 2``.  With its row ``ny - 2`` negated, a block commutes with
-    the reflection ``j -> ny - 1 - j``, so it maps mirror-even columns to
-    mirror-even ones and odd to odd.  Each half is the block's top
-    ``(ny + 1) // 2`` rows with every column folded onto its mirror image,
-    added (even) or subtracted (odd), and stays pentadiagonal; identity
-    rows pad both halves to an even ``2 m`` rows, with a zero right-hand
-    side (the odd half of an odd ``ny`` has a zero centre value).
+    ``i + s - 2``, zero outside the block.  With its row ``ny - 2`` negated,
+    a block commutes with the reflection ``j -> ny - 1 - j``, so it maps
+    mirror-even columns to mirror-even ones and odd to odd.  Each half is
+    the block's top ``(ny + 1) // 2`` rows with every column folded onto its
+    mirror image, added (even) or subtracted (odd), and stays pentadiagonal;
+    identity rows pad both halves to an even ``2 m`` rows, with a zero
+    right-hand side (the odd half of an odd ``ny`` has a zero centre value).
+    Band rows are sliced into both halves at once; only a half's last two
+    rows reach past the centre, and they alone are folded in place.
 
     Each half is eliminated from both ends at once: one
     :func:`lu_pentadiagonal` call factors the first ``m`` rows of all
@@ -71,28 +73,26 @@ class MirrorBandLU:
         n_modes, ny = band.shape[:2]
         h = (ny + 1) // 2
         m = (h + 1) // 2
-        cols = np.arange(h)[:, None] + np.arange(-2, 3)
-        mirror = ny - 1 - cols
-        halves = np.zeros((2, n_modes, 2 * m, 5))
-        halves[:, :, h:, 2] = 1.0
-        top = band[:, :h]
-        left = (cols >= 0) & (cols <= mirror)
-        halves[:, :, :h][:, :, left] = top[:, left]
-        # a column past the centre folds onto its mirror, slot mirror - i + 2
-        i, s = np.nonzero(cols > mirror)
-        folded = top[:, i, s]
-        halves[0][:, i, mirror[i, s] - i + 2] += folded
-        halves[1][:, i, mirror[i, s] - i + 2] -= folded
-        if ny % 2:  # the odd half's centre value is zero
-            halves[1][:, :h][:, cols == h - 1] = 0.0
-            halves[1][:, h - 1] = (0.0, 0.0, 1.0, 0.0, 0.0)
-        rows = halves.reshape(2 * n_modes, 2 * m, 5).transpose(1, 0, 2)
-        # the last m rows, eliminated upwards, are the first m of the
-        # reversed half: row 2 m - 1 - r, its slots reversed
-        rows = np.concatenate([rows[:m], rows[::-1, :, ::-1][:m]], axis=1)
-        del halves
-        lu = lu_pentadiagonal(rows)
-        del rows
+        pad = 2 * m - h
+        # row r of (end, half, mode): the top end holds half row r, the
+        # bottom end half row 2 m - 1 - r with its slots reversed
+        rows = np.empty((m, 2, 2, n_modes, 5))
+        top, bottom = rows[:, 0], rows[pad:, 1, :, :, ::-1][::-1]
+        top[...] = band[:, :m].transpose(1, 0, 2)[:, None]
+        bottom[...] = band[:, m:h].transpose(1, 0, 2)[:, None]
+        rows[:pad, 1] = (0.0, 0.0, 1.0, 0.0, 0.0)
+        # only rows h - 2 and h - 1 reach past the centre: column c >= h folds
+        # onto its mirror ny - 1 - c, added (even) or subtracted (odd, as x + -y)
+        q, sign = 1 - ny % 2, np.array([1.0, -1.0])[:, None, None]
+        last, before = bottom[-1], bottom[-2]
+        last[..., q:q + 2] += sign * last[..., 4:2:-1]
+        before[..., q + 2:q + 3] += sign * before[..., 4:]
+        last[..., 3:] = before[..., 4] = 0.0
+        if ny % 2:  # the odd half's centre value is zero: no column, an identity row
+            (top[h - 3] if h - 3 < m else bottom[h - 3 - m])[1, :, 4] = before[1, :, 3] = 0.0
+            last[1] = (0.0, 0.0, 1.0, 0.0, 0.0)
+        lu = lu_pentadiagonal(rows.reshape(m, 4 * n_modes, 5))
+        del rows, top, bottom, last, before
         ends = (lu[:, :, :2 * n_modes], lu[:, :, 2 * n_modes:])
         # the unknowns where the ends meet, x[m - 2 .. m + 1], from the unit
         # upper rows m - 2 and m - 1 of either end

@@ -45,7 +45,9 @@ def d2sq_values(values: np.ndarray, dy: float) -> np.ndarray:
     """Second ``x2`` derivative along axis 1, one-sided at the walls."""
     out = np.empty_like(values)
     dy2 = dy * dy
-    out[:, 1:-1] = (values[:, :-2] - 2.0 * values[:, 1:-1] + values[:, 2:]) / dy2
+    mid = np.multiply(2.0, values[:, 1:-1], out=out[:, 1:-1])  # (lo - 2 v + hi) / dy2
+    np.subtract(values[:, :-2], mid, out=mid)
+    np.divide(np.add(mid, values[:, 2:], out=mid), dy2, out=mid)
     out[:, 0] = (2.0 * values[:, 0] - 5.0 * values[:, 1]
                  + 4.0 * values[:, 2] - values[:, 3]) / dy2
     out[:, -1] = (2.0 * values[:, -1] - 5.0 * values[:, -2]

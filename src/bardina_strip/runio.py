@@ -78,12 +78,10 @@ def read_snapshot(path) -> SnapshotData:
         raise ValueError(f"snapshot {path} has an empty grid {nx} x {ny}")
     if not all(map(math.isfinite, (time, alpha, nu))):
         raise ValueError(f"snapshot {path} has a non-finite time, alpha or nu")
-    expected = nx * ny * 8
-    payload = raw[_HEADER.size:]
-    if len(payload) != expected:
-        raise ValueError(
-            f"snapshot {path} payload is {len(payload)} bytes, expected {expected}")
-    values = np.frombuffer(payload, dtype="<f8").reshape(nx, ny).copy()
+    size, expected = len(raw) - _HEADER.size, nx * ny * 8
+    if size != expected:
+        raise ValueError(f"snapshot {path} payload is {size} bytes, expected {expected}")
+    values = np.frombuffer(raw, "<f8", count=nx * ny, offset=_HEADER.size).reshape(nx, ny).copy()
     if not np.all(np.isfinite(values)):
         raise ValueError(f"snapshot {path} holds non-finite values")
     return SnapshotData(nx=nx, ny=ny, time=time, alpha=alpha, nu=nu, values=values)

@@ -420,14 +420,15 @@ class ImexStepper:
             far = np.full(n_modes, -(c * (a * a)))
             near = a - c * (a * b + b * a)
             centre = b - c * ((a * a + b * b) + a * a)
-        # slot (i, s) of a block holds its row i at column i + s - 2
-        band = np.zeros((n_modes, ny, 5))
-        band[:, 2:-2] = np.stack([far, near, centre, near, far], 1)[:, None]
+        stencil = np.stack([far, near, centre, near, far], 1)
+        at = f"lx = {cfg.lx:g}, m = {cfg.m:g}, nu = {cfg.nu:g}, dt = {cfg.dt:g}"
+        if not (np.all(np.isfinite(stencil)) and np.all(np.isfinite(wall))):
+            raise ValueError(f"the implicit operator overflows at {at}")
+        # slot (i, s) holds row i at column i + s - 2, rows outermost as the fold reads them
+        band = np.zeros((ny, n_modes, 5)).transpose(1, 0, 2)
+        band[:, 2:-2] = stencil[:, None]
         band[:, [0, -1], 2] = 1.0
         band[:, 1, 1:4], band[:, -2, 1:4] = wall[0, :3], wall[1, 2:]
-        at = f"lx = {cfg.lx:g}, m = {cfg.m:g}, nu = {cfg.nu:g}, dt = {cfg.dt:g}"
-        if not np.all(np.isfinite(band)):
-            raise ValueError(f"the implicit operator overflows at {at}")
         if n_modes * ny * ny * 8 > DENSE_INVERSE_BYTES:
             from .banded import MirrorBandLU  # only grids above the bound load it
             lu = MirrorBandLU(band)

@@ -11,12 +11,13 @@ Two weight families share one scale parameter ``epsilon`` and exponent
   ``r <= rho``.
 
 :func:`make_weight_field` samples ``varphi`` at the grid nodes as one
-``(nx, ny)`` array, the only weight data a run keeps: the diagnostics
-integrate squared channels against ``dx * quad_weights`` times it.  In the
-lemma that array is ``psi^2``, with ``psi = varphi^(1/2)`` the multiplier of
-the weighted Sobolev norms; ``psi`` is a symbol of the lemma, not an array.
-The certification routines measure, by high-order finite differences on an
-oversampled lattice, the empirical constants in the pointwise controls
+``(nx, ny)`` array, the only weight data a run keeps, with the cutoff
+profile evaluated only where ``r > rho``: the diagnostics integrate squared
+channels against ``dx * quad_weights`` times it.  In the lemma that array is
+``psi^2``, with ``psi = varphi^(1/2)`` the multiplier of the weighted Sobolev
+norms; ``psi`` is a symbol of the lemma, not an array.  The certification
+routines measure, by high-order finite differences on an oversampled
+lattice, the empirical constants in the pointwise controls
 
     |d^beta psi^2| <= C eps^|beta| psi      (strong form)
     |d^beta psi^2| <= C eps^|beta| psi^2    (weak form)
@@ -91,20 +92,10 @@ def g_profile(tau, rho: float):
     tau_arr = np.asarray(tau, dtype=np.float64)
     if np.any(tau_arr < 0):
         raise ValueError("g_profile requires tau >= 0")
-    out = np.where(
-        tau_arr <= 0.5, 0.25 + tau_arr ** 2,
-        np.where(
-            tau_arr <= rho, tau_arr,
-            np.where(
-                tau_arr <= rho + 1.0,
-                rho + 0.5 - 0.5 * (rho + 1.0 - tau_arr) ** 2,
-                rho + 0.5,
-            ),
-        ),
-    )
-    if np.isscalar(tau) or np.ndim(tau) == 0:
-        return float(out)
-    return out
+    out = np.select([tau_arr <= 0.5, tau_arr <= rho, tau_arr <= rho + 1.0],
+                    [0.25 + tau_arr ** 2, tau_arr, rho + 0.5 - 0.5 * (rho + 1.0 - tau_arr) ** 2],
+                    rho + 0.5)
+    return float(out) if np.ndim(tau) == 0 else out
 
 
 def _radical_sq(x1, x2, epsilon: float):
@@ -114,7 +105,9 @@ def _radical_sq(x1, x2, epsilon: float):
 
 def phi_limit(x1, x2, spec: WeightSpec):
     """Limit weight ``(1 + |eps x1|^3 + |eps x2|^2)^gamma``."""
-    return _radical_sq(x1, x2, spec.epsilon) ** spec.gamma
+    s = _radical_sq(x1, x2, spec.epsilon)
+    s **= spec.gamma  # in place on arrays, with ``**``'s arithmetic
+    return s
 
 
 def varphi(x1, x2, spec: WeightSpec):
@@ -126,11 +119,18 @@ def varphi(x1, x2, spec: WeightSpec):
     """
     if spec.is_limit:
         return phi_limit(x1, x2, spec)
-    s = _radical_sq(x1, x2, spec.epsilon)
-    r = np.sqrt(s)
-    inside = r <= spec.rho
-    general = g_profile(r, spec.rho) ** (2.0 * spec.gamma)
-    return np.where(inside, s ** spec.gamma, general)
+    s = np.asarray(_radical_sq(x1, x2, spec.epsilon))
+    # r <= rho exactly where s <= top, the largest float whose rounded root is <= rho
+    top = spec.rho * spec.rho
+    while math.sqrt(top) > spec.rho:
+        top = math.nextafter(top, 0.0)
+    while math.sqrt(math.nextafter(top, math.inf)) <= spec.rho:
+        top = math.nextafter(top, math.inf)
+    outside = ~(s <= top)
+    general = g_profile(np.sqrt(s[outside]), spec.rho) ** (2.0 * spec.gamma)
+    s **= spec.gamma
+    s[outside] = general
+    return s
 
 
 def make_weight_field(grid: Grid, spec: WeightSpec) -> np.ndarray:
@@ -139,7 +139,7 @@ def make_weight_field(grid: Grid, spec: WeightSpec) -> np.ndarray:
     # a radical beyond the float range lies beyond any finite rho, where the
     # cutoff weight is constant; only the limit weight can overflow
     with np.errstate(over="ignore"):
-        phi = np.broadcast_to(varphi(x1, x2, spec), grid.shape).copy()
+        phi = varphi(x1, x2, spec)
     if not np.all(np.isfinite(phi)):
         raise ValueError(f"the weight overflows on the grid at lx = {grid.domain.lx:g}, "
                          f"m = {grid.domain.m:g}, epsilon = {spec.epsilon:g}")
@@ -231,8 +231,7 @@ def _certify(spec: WeightSpec, betas, x1_extent: float, n1: int) -> Certificatio
     if not spec.is_limit:  # skip stencils straddling the profile junctions
         x1_t = x1[_PAD:-_PAD][:, None]
         x2_t = x2[_PAD:-_PAD][None, :]
-        s = _radical_sq(x1_t, x2_t, spec.epsilon)
-        r = np.sqrt(s)
+        r = np.sqrt(_radical_sq(x1_t, x2_t, spec.epsilon))
         dr1 = 1.5 * spec.epsilon * (spec.epsilon * np.abs(x1_t)) ** 2 / r
         dr2 = spec.epsilon * (spec.epsilon * np.abs(x2_t)) / r
         margin = 5.0 * (h1 * dr1 + h2 * dr2) + 1e-12

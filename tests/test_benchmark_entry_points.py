@@ -57,6 +57,23 @@ def test_fine_forced_above_the_dense_bound_passes_its_checks(bench, tmp_path, mo
     assert workloads.check_inprocess(wl, state, series, modulus) == []
 
 
+@pytest.mark.parametrize("layer", [("solver", "ImexStepper", "__init__"),
+                                   ("weights", None, "make_weight_field"),
+                                   ("operators", None, "d2sq_values")])
+def test_set_up_layers_wrap_names_the_package_defines(layer):
+    # the tracer skips a target the package lacks, so a renamed set-up name
+    # would drop its layer number without an error
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        tracer = importlib.import_module("tracer")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    assert layer in [target[:3] for target in tracer.TARGETS]
+    module, cls, attr = layer
+    owner = importlib.import_module(f"bardina_strip.{module}")
+    assert callable(vars(getattr(owner, cls) if cls else owner).get(attr))
+
+
 @pytest.mark.parametrize("name", ["cli_mms", "cli_decay"])
 def test_tiny_cli_workloads_run_and_pass_their_checks(bench, tmp_path, name):
     workloads, _worker = bench

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -428,6 +429,57 @@ class TestImplicitAssembly:
         with np.errstate(invalid="ignore"):
             stepper._solve(np.full_like(rhs, np.nan))
         assert np.array_equal(stepper._solve(rhs), expected)
+
+    @staticmethod
+    def _mirror_band(rng, n_modes, ny):
+        """Random diagonally dominant bands whose blocks, with row ``ny - 2``
+        negated, commute with the mirror, as the implicit operator's do."""
+        h = (ny + 1) // 2
+        band = rng.uniform(-1.0, 1.0, (n_modes, ny, 5))
+        band[:, :, 2] += 6.0
+        band[:, 0, :2] = band[:, 1, 0] = 0.0
+        if ny % 2:  # the centre row is its own mirror
+            band[:, h - 1] += band[:, h - 1, ::-1]
+        band[:, h:] = band[:, ny - h - 1::-1, ::-1]
+        band[:, -2] *= -1.0
+        return band
+
+    # sha256 of the rows handed to the factorization, its factors, the 4 x 4
+    # inverses and a solve, for ny 9..40 and for 129, pinned with the earlier
+    # construction that formed both halves as arrays and concatenated them
+    BANDED_BYTES = {
+        "9-40": "df96bbee9b48fe9806a90a4ee694feee325deda24c049ec650eaa01adef21206",
+        "129": "f9af157573d89766d70549010dce12747682501e7c8a1d6e0a5b2aa4dc318f13",
+    }
+
+    @pytest.mark.parametrize("nys", ["9-40", "129"])
+    def test_banded_factors_and_solves_keep_their_bytes(self, monkeypatch, nys):
+        handed = []
+        factor = banded.lu_pentadiagonal
+
+        def capture(rows):
+            handed.extend([rows.copy(), factor(rows)])
+            return handed[-1]
+
+        monkeypatch.setattr(banded, "lu_pentadiagonal", capture)
+        rng = np.random.default_rng(11)
+        digest = hashlib.sha256()
+        for ny in range(9, 41) if nys == "9-40" else [129]:
+            band = self._mirror_band(rng, 3, ny)
+            rhs = rng.standard_normal((3, ny)) + 1j * rng.standard_normal((3, ny))
+            handed.clear()
+            lu = banded.MirrorBandLU(band)
+            x = lu.solve(rhs)
+            for k in range(3):
+                block = np.zeros((ny, ny))
+                for s in range(5):
+                    i = np.arange(max(0, 2 - s), min(ny, ny + 2 - s))
+                    block[i, i + s - 2] = band[k, i, s]
+                exact = np.linalg.solve(block, rhs[k])
+                assert np.abs(x[k] - exact).max() <= 1e-12 * np.abs(exact).max()
+            for arr in (*handed, lu._meet, x):
+                digest.update(np.ascontiguousarray(arr).tobytes())
+        assert digest.hexdigest() == self.BANDED_BYTES[nys]
 
     @pytest.mark.parametrize("pivot", [0.0, 5e-324], ids=["zero", "subnormal"])
     def test_pentadiagonal_factors_mark_a_vanishing_pivot(self, pivot):

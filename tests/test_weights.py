@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +125,35 @@ class TestWeightValues:
         assert isinstance(phi, np.ndarray)
         assert phi.dtype == np.float64 and phi.shape == medium_grid.shape
         assert np.all(phi >= 1.0)
+
+    @pytest.mark.parametrize("rho", [1.0, 10.0, math.inf])
+    def test_weight_field_is_the_two_branch_formula_bit_for_bit(self, rho):
+        # on the 32 pi box at epsilon 0.5 the radical reaches about 354, so
+        # the identity, the blend and the plateau of the profile all hold nodes
+        grid = make_grid(StripDomain(lx=32 * np.pi, m=1.0), 512, 33)
+        x1, x2 = grid.mesh()
+        s = 1.0 + np.abs(0.5 * x1) ** 3 + (0.5 * x2) ** 2
+        expected = s ** GAMMA
+        if rho < math.inf:
+            r = np.sqrt(s)
+            assert (r <= rho).any() and ((r > rho) & (r < rho + 1)).any()
+            assert (r > rho + 1).any()
+            expected = np.where(r <= rho, expected, g_profile(r, rho) ** (2 * GAMMA))
+        phi = make_weight_field(grid, WeightSpec(epsilon=0.5, rho=rho, gamma=GAMMA))
+        assert np.array_equal(phi, expected)
+
+    @pytest.mark.parametrize("rho", [10.0, math.inf])
+    def test_weight_field_peak_memory(self, rho):
+        # the design holds one float field, raised to gamma in place, and at
+        # most two boolean masks of an eighth of a field each beside it
+        grid = make_grid(StripDomain(lx=2 * np.pi, m=1.0), 512, 513)
+        tracemalloc.start()
+        try:
+            phi = make_weight_field(grid, WeightSpec(epsilon=0.1, rho=rho))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - phi.nbytes <= 0.5 * phi.nbytes
 
 
 class TestWeightedNorms:
