@@ -122,8 +122,9 @@ class DiagnosticsCollector:
     residuals and the closed bound hold for every forcing kind.
     """
 
-    def __init__(self, grid: Grid, ops: OperatorSet, nu: float, alpha: float,
+    def __init__(self, ops: OperatorSet, nu: float, alpha: float,
                  weight: np.ndarray, g: Callable[[float], np.ndarray]):
+        grid = ops.grid
         self.ops = ops
         self.nu = nu
         self.alpha = alpha
@@ -385,30 +386,67 @@ class PoincareReport:
                 and self.worst_first_order <= self.bound_first_order)
 
 
+# a draw whose |psi v| is below this fraction of its largest value times the
+# root of the total weight is degenerate: a bound that scales as |psi v| does
+_DEGENERATE_RTOL = 1e-12
+# draws per requested sample before the audit gives up
+_DRAWS_PER_SAMPLE = 10
+
+
 def poincare_check(sample_count: int, spec: WeightSpec, grid: Grid,
                    seed: int = 0) -> PoincareReport:
-    """Audit both weighted Poincare inequalities over random clamped fields."""
-    lam = lambda1_estimate(grid)
-    analytic = (np.pi / (2.0 * grid.domain.m)) ** 2
-    qw_phi = grid.dx * grid.quad_weights * make_weight_field(grid, spec)
+    """Audit both weighted Poincare inequalities over random clamped fields.
+
+    Both bounds are ``2 / sqrt(lambda1)``, a length, as both ratios are.
+    The strip inequality ``|v| <= lambda1^(-1/2) |d2 v|`` gives
+    ``|v| <= lambda1^(-1/2) |grad v|`` and, through ``|grad v|^2 =
+    -(v, lap v)``, ``|grad v| <= lambda1^(-1/2) |lap v|``; the factor 2 is
+    the slack for the weight, whose derivatives ``|d psi| <= C eps psi``
+    take less than half of ``lambda1^(1/2)`` at a small ``eps``.
+    Degenerate draws are redrawn, up to ``_DRAWS_PER_SAMPLE`` draws per
+    sample in all.  A ``lambda1``, weight total or ratio beyond the float
+    range is a ``ValueError`` that names ``lx`` and ``m``.
+    """
+    domain = grid.domain
+    out_of_range = ValueError(f"the Poincare audit leaves the float range at "
+                              f"lx = {domain.lx:g}, m = {domain.m:g}")
+    try:
+        lam = lambda1_estimate(grid)
+        analytic = (math.pi / (2.0 * domain.m)) ** 2
+    except OverflowError:
+        raise out_of_range from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        qw_phi = grid.dx * grid.quad_weights * make_weight_field(grid, spec)
+        root_total = math.sqrt(qw_phi.sum())
+    if not (0.0 < lam and 0.0 < analytic and 0.0 < root_total < math.inf):
+        raise out_of_range
     ops = OperatorSet(grid)
     rng = np.random.default_rng(seed)
     worst0 = worst1 = 0.0
     n = 0
-    while n < sample_count:
+    for _ in range(_DRAWS_PER_SAMPLE * sample_count):
+        if n == sample_count:
+            break
         v = random_clamped_field(grid, rng)
-        sq = ops.ladder(v.values)
-        f, d1f, d2f, _, _, lap, _ = quadrature(sq * sq, qw_phi).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = ops.ladder(v.values)
+            f, d1f, d2f, _, _, lap, _ = quadrature(sq * sq, qw_phi).tolist()
         nv = math.sqrt(f)
-        if nv < 1e-12:
+        if nv <= _DEGENERATE_RTOL * root_total * np.abs(v.values).max():
             continue  # rejected degenerate sample
         grad = math.sqrt(d1f + d2f)
         lap = math.sqrt(lap)
+        if not all(0.0 < x < math.inf for x in (nv, grad, lap)):
+            raise out_of_range
         worst0 = max(worst0, nv / grad)
         worst1 = max(worst1, grad / lap)
         n += 1
+    if n < sample_count:
+        raise ValueError(f"only {n} of {_DRAWS_PER_SAMPLE * sample_count} random fields "
+                         f"were not degenerate at lx = {domain.lx:g}, m = {domain.m:g}")
+    bound = 2.0 / math.sqrt(lam)
     return PoincareReport(
         lambda1_error=abs(lam - analytic) / analytic,
         worst_zero_order=worst0, worst_first_order=worst1,
-        bound_zero_order=2.0 / lam, bound_first_order=2.0 / math.sqrt(lam),
+        bound_zero_order=bound, bound_first_order=bound,
         samples=sample_count)

@@ -145,25 +145,17 @@ class OperatorSet:
         return out
 
     def field_ladder(self, f: Field, coeffs: np.ndarray | None = None) -> np.ndarray:
-        """:meth:`ladder` of ``f.values`` and ``coeffs``, computed once per
-        frozen field.
+        """:meth:`ladder` of ``f.values`` and ``coeffs``, computed once per field.
 
-        A frozen field (every solver state is one) keeps its ladder, read-only,
-        in ``f.cache``, so every consumer of a recorded state shares one
-        stack, the one its first consumer built; any ``OperatorSet`` on the
-        same grid computes the same bits.  A writable field gets a fresh
-        stack on every call.
+        The stack is kept, read-only, in ``f.ladder``, so every consumer of
+        a recorded state shares one stack, the one its first consumer built;
+        any ``OperatorSet`` on the same grid computes the same bits.
         """
         _check_same_grid(f, self)
-        frozen = not f.values.flags.writeable
-        hit = f.cache.get("ladder")
-        if frozen and hit is not None and hit[0] is f.values:
-            return hit[1]
-        stack = self.ladder(f.values, coeffs)
-        if frozen:
-            stack.flags.writeable = False
-            f.cache["ladder"] = (f.values, stack)
-        return stack
+        if f.ladder is None:
+            f.ladder = self.ladder(f.values, coeffs)
+            f.ladder.flags.writeable = False
+        return f.ladder
 
     def laplacian_modal(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # with no out, the x2 term's own buffer takes the result: a fresh

@@ -66,6 +66,8 @@ def write_snapshot(path, field: Field, time: float, alpha: float, nu: float):
 
 
 def read_snapshot(path) -> SnapshotData:
+    """The snapshot at ``path``; ``values`` is a read-only view of the
+    file's bytes, not a copy."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise ValueError(f"snapshot {path} is truncated")
@@ -81,7 +83,7 @@ def read_snapshot(path) -> SnapshotData:
     size, expected = len(raw) - _HEADER.size, nx * ny * 8
     if size != expected:
         raise ValueError(f"snapshot {path} payload is {size} bytes, expected {expected}")
-    values = np.frombuffer(raw, "<f8", count=nx * ny, offset=_HEADER.size).reshape(nx, ny).copy()
+    values = np.frombuffer(raw, "<f8", count=nx * ny, offset=_HEADER.size).reshape(nx, ny)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"snapshot {path} holds non-finite values")
     return SnapshotData(nx=nx, ny=ny, time=time, alpha=alpha, nu=nu, values=values)

@@ -67,10 +67,10 @@ one inverse transform computed on first read, so a state nobody reads costs
 no transform.  :func:`run` hands the collector the state's ``v_hat`` with
 its values, so the record builds the state's derivative ladder
 (``OperatorSet.field_ladder``) from the coefficients, with no forward
-transform.  A state's values are frozen (read-only), and the ladder is kept
-on them, so a streaming modulus that sees the same recorded state reads the
-collector's ladder; :func:`run` drops the state and its ladder once the
-record's callback returns, and keeps no weight field beyond the
+transform.  Like every :class:`Field`, a state's values are read-only and
+keep their ladder, so a streaming modulus that sees the same recorded state
+reads the collector's ladder; :func:`run` drops the state and its ladder
+once the record's callback returns, and keeps no weight field beyond the
 collector's ``qw * phi``.  A state whose coefficients, or values when read, are not finite raises
 :class:`BlowUpError` with its step; a run longer than ``MAX_STEPS`` steps,
 or on a grid of more than ``MAX_NODES`` nodes, is a configuration error, and
@@ -272,8 +272,8 @@ class SolverState:
     """Modal solution snapshot plus the pieces the schemes carry.
 
     ``v_hat`` holds the ``x1`` Fourier coefficients of the stream function,
-    ``(n_modes, ny)`` in Fortran order.  ``v``, their values as a frozen,
-    C-ordered :class:`Field`, is computed on first read and kept with the
+    ``(n_modes, ny)`` in Fortran order.  ``v``, their values as a C-ordered
+    :class:`Field`, is computed on first read and kept with the
     state; values that overflow raise :class:`BlowUpError` with the state's
     step and time.
     """
@@ -291,7 +291,7 @@ class SolverState:
             values = np.fft.irfft(self.v_hat, n=self.grid.nx, axis=0,
                                   out=np.empty(self.grid.shape))
         try:
-            return Field(self.grid, values, clamped=True).freeze()
+            return Field(self.grid, values, clamped=True)
         except ValueError:  # non-finite values; the shape is the grid's
             raise BlowUpError(self.t, self.step_index) from None
 
@@ -451,11 +451,11 @@ class ImexStepper:
 
     def initial_state(self, v0: Field | None = None) -> SolverState:
         """The state at ``t = 0`` holding ``v0``, the config's initial
-        condition by default; its values are ``v0``'s own, frozen."""
+        condition by default; its values are ``v0``'s own."""
         if v0 is None:
             v0 = build_field(self.config.ic, self.grid, self.config)
         state = SolverState(t=0.0, step_index=0, v_hat=_modal(v0.values), grid=self.grid)
-        state.v = v0.freeze()
+        state.v = v0
         return state
 
     def _clamped_rows(self, v_hat: np.ndarray) -> np.ndarray:
@@ -589,7 +589,7 @@ def run(config: SolverConfig, on_record=None):
     grid = stepper.grid
     # the collector keeps only qw * phi: the weight field is not held here
     collector = diag.DiagnosticsCollector(
-        grid=grid, ops=stepper.ops, nu=config.nu, alpha=config.alpha,
+        ops=stepper.ops, nu=config.nu, alpha=config.alpha,
         weight=make_weight_field(grid, config.weight), g=stepper.forcing.at)
     series = diag.DiagnosticsSeries(meta=dict(
         nu=config.nu, alpha=config.alpha, dt=config.dt,
@@ -618,7 +618,7 @@ def run(config: SolverConfig, on_record=None):
                 on_record(state, rec)
             # the state and its ladder have served every consumer of this
             # record; the steps that follow need their memory
-            state.v.cache.clear()
+            state.v.ladder = None
             if state.step_index == config.n_steps:
                 final = state
             del state

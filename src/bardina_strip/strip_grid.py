@@ -106,16 +106,18 @@ def make_grid(domain: StripDomain, nx: int, ny: int) -> Grid:
 class Field:
     """Real scalar sample on the grid nodes (stream function, vorticity, forcing).
 
+    A field is a read-only value: ``values`` is made read-only on
+    construction (a float64 array passed in is not copied, so it turns
+    read-only too), and the derivative ladder that
+    ``OperatorSet.field_ladder`` keeps in ``ladder`` cannot go stale.
     ``clamped=True`` marks a field expected to vanish on both walls; it is
-    carried along, never checked.  :meth:`freeze` makes ``values`` read-only,
-    as the solver's states are; only such a field keeps derived data in
-    ``cache`` (``OperatorSet.field_ladder``), so nothing cached can go stale.
+    carried along, never checked.
     """
 
     grid: Grid
     values: np.ndarray
     clamped: bool = False
-    cache: dict = field(default_factory=dict, init=False, repr=False)
+    ladder: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -124,11 +126,7 @@ class Field:
                 f"field shape {self.values.shape} does not match grid {self.grid.shape}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite entries")
-
-    def freeze(self) -> "Field":
-        """Make ``values`` read-only in place; returns the field."""
         self.values.flags.writeable = False
-        return self
 
 
 def _check_same_grid(f, h):

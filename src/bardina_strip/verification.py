@@ -386,21 +386,25 @@ def _suite_weights(settings: RunSettings) -> SuiteReport:
         return f"{name} " + ", ".join(f"rho {rho:g}: {value(r):.4f}"
                                       for rho, r in reports.items())
 
+    @np.errstate(divide="ignore", invalid="ignore")
+    def ratio(value):  # rho 100 over rho 1: inf, or nan, where rho 1's is 0
+        return float(np.float64(value(reports[100.0])) / value(reports[1.0]))
+
     if spec.gamma <= GAMMA_THRESHOLD + 1e-12:
         for beta in lemma_beta_set():
-            ratio = reports[100.0].c_strong[beta] / reports[1.0].c_strong[beta]
-            rep.add(f"strong-form rho ratio, beta={beta}", ratio, RHO_RATIO_BOUND,
+            rep.add(f"strong-form rho ratio, beta={beta}",
+                    ratio(lambda r: r.c_strong[beta]), RHO_RATIO_BOUND,
                     note=constants("C_s", lambda r: r.c_strong[beta]))
         for beta in lemma_beta_set():
-            ratio = reports[100.0].c_weak[beta] / reports[1.0].c_weak[beta]
-            rep.add(f"weak-form rho ratio, beta={beta}", ratio, RHO_RATIO_BOUND,
+            rep.add(f"weak-form rho ratio, beta={beta}",
+                    ratio(lambda r: r.c_weak[beta]), RHO_RATIO_BOUND,
                     note=constants("C_w", lambda r: r.c_weak[beta]))
         limit = certify_phi_control(spec, betas=[(1, 0)], x1_extent=40.0 / spec.epsilon)
         rep.add("limit-weight first-derivative constant",
                 limit.c_strong[(1, 0)], FIRST_DERIVATIVE_CONSTANT)
     else:
-        ratio = (reports[100.0].aggregate_strong / reports[1.0].aggregate_strong)
-        rep.add("aggregate growth above the exponent threshold", ratio, GAMMA_GROWTH_MIN,
+        rep.add("aggregate growth above the exponent threshold",
+                ratio(lambda r: r.aggregate_strong), GAMMA_GROWTH_MIN,
                 comparison=">=", note="growth expected for gamma > 2/3; "
                 + constants("max C_s", lambda r: r.aggregate_strong))
     return rep

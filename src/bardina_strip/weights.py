@@ -161,6 +161,10 @@ _STENCILS = {
 _PAD = 3  # widest stencil half-width
 _X2_HALFWIDTH = 1.0
 _N2 = 41
+# the differences divide by the x1 step to the |beta| and the constants by
+# eps^|beta|, |beta| <= 3: in this range the cubes and their reciprocals are
+# normal floats
+_CUBE_RANGE = (np.finfo(float).tiny ** (1 / 3), np.finfo(float).tiny ** (-1 / 3))
 
 
 def lemma_beta_set() -> list[tuple[int, int]]:
@@ -222,6 +226,10 @@ def _certify(spec: WeightSpec, betas, x1_extent: float, n1: int) -> Certificatio
     betas = _validate_betas(betas)
     h1 = x1_extent / (n1 - 1)
     h2 = 2.0 * _X2_HALFWIDTH / (_N2 - 1)
+    lo, hi = _CUBE_RANGE
+    if not (lo <= spec.epsilon <= hi and lo <= h1 <= hi):
+        raise ValueError(f"epsilon = {spec.epsilon:g} puts the certification lattice "
+                         f"(x1 step {h1:g}) beyond the float range")
     x1 = -_PAD * h1 + h1 * np.arange(n1 + 2 * _PAD)
     x2 = -_X2_HALFWIDTH - _PAD * h2 + h2 * np.arange(_N2 + 2 * _PAD)
     w = varphi(x1[:, None], x2[None, :], spec)

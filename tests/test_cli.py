@@ -77,6 +77,14 @@ def _write(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def _package_env():
+    """The environment with this checkout's package first on ``PYTHONPATH``."""
+    src = str(Path(bardina_strip.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestRun:
 
     def test_decay_run_writes_outputs(self, tmp_path, capsys):
@@ -463,6 +471,35 @@ class TestVerify:
         assert main(["verify", cfg, "--suite", "poincare"]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite, text, named", [
+        ("poincare", "lx = 1e300\nm = 1e-300\n", "lx = 1e+300, m = 1e-300"),
+        ("poincare", "lx = 1e150\nm = 1e150\n", "lx = 1e+150, m = 1e+150"),
+        ("weights", "epsilon = 1e-300\n", "epsilon = 1e-300"),
+        ("weights", "epsilon = 1e300\n", "epsilon = 1e+300")])
+    def test_suite_beyond_the_float_range_is_a_config_error(self, tmp_path, capsys,
+                                                             suite, text, named):
+        # these ended in an OverflowError or a ZeroDivisionError, or warned
+        # and then named no key
+        cfg = _write(tmp_path, "nx = 16\nny = 17\n" + text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["verify", cfg, "--suite", suite]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and named in captured.err
+
+    @pytest.mark.parametrize("lx, m", [(1e-20, 1e-10), (1e-150, 1e-150)])
+    def test_poincare_suite_on_a_tiny_strip_ends(self, tmp_path, lx, m):
+        # an absolute floor on |psi v| rejected every draw on these strips and
+        # the suite drew forever; a subprocess, so that a hang fails the test
+        cfg = _write(tmp_path, f"nx = 16\nny = 17\nlx = {lx!r}\nm = {m!r}\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "bardina_strip", "verify", cfg, "--suite", "poincare"],
+            capture_output=True, text=True, env=_package_env(), timeout=60)
+        assert result.returncode in (0, 1, 2), result.stderr
+        assert "Warning" not in result.stderr
+        if result.returncode == 2:
+            assert f"lx = {lx:g}, m = {m:g}" in result.stderr
+
     def test_unknown_suite_is_config_error(self, tmp_path, capsys):
         cfg = _write(tmp_path, "nx = 16\n")
         assert main(["verify", cfg, "--suite", "nonsense"]) == 2
@@ -510,6 +547,8 @@ class TestCompareNse:
 # the checking commands of the small-check property, each with its arguments
 _CHECKS = {"budget": ["verify", "--suite", "budget"],
            "compactness": ["verify", "--suite", "compactness"],
+           "poincare": ["verify", "--suite", "poincare"],
+           "weights": ["verify", "--suite", "weights"],
            "compare-nse": ["compare-nse"]}
 
 
@@ -518,7 +557,7 @@ def _small_check(**over):
     default scales, no fields."""
     return example(**{**dict(check="compare-nse", nx=8, ny=9, steps=0,
                              scheme="imex_euler", lx=6.283185307179586, m=1.0,
-                             nu=0.01, dt=1e-3, alpha=0.5, ic=("zero", 0.0),
+                             nu=0.01, dt=1e-3, alpha=0.5, epsilon=0.1, ic=("zero", 0.0),
                              forcing=("zero", 0.0)), **over})
 
 
@@ -529,7 +568,7 @@ class TestSmallChecks:
            ny=st.sampled_from([9, 17]), steps=st.sampled_from([0, 1, 2, 3, 64]),
            scheme=st.sampled_from(["imex_euler", "imex_cnab2"]),
            lx=_SCALE, m=_SCALE, nu=_SCALE, dt=_SCALE, alpha=st.just(0.0) | _SCALE,
-           ic=_FIELD, forcing=_FIELD)
+           epsilon=_SCALE, ic=_FIELD, forcing=_FIELD)
     # the runs never separate from alpha = 0: numpy warned on log(0)
     @_small_check(ic=("trig_clamped", 1.0))
     @_small_check(steps=4)
@@ -538,14 +577,25 @@ class TestSmallChecks:
     # the translation modulus overflows: its slope read nan and its envelope
     # check passed
     @_small_check(check="compactness", steps=64, m=1e150, ic=("mms", 1.0))
+    # lambda1 overflowed: an OverflowError
+    @_small_check(check="poincare", lx=1e300, m=1e-300)
+    # |psi lap v| underflowed to 0: a ZeroDivisionError
+    @_small_check(check="poincare", lx=1e150, m=1e150)
+    # the lattice step's cube overflowed: an OverflowError
+    @_small_check(check="weights", epsilon=1e-300)
+    # numpy warned, then a reduction over no lattice point named no key
+    @_small_check(check="weights", epsilon=1e300)
+    # a constant that vanishes at rho = 1 divided the rho ratio by zero
+    @_small_check(check="weights", epsilon=56.23413251903491)
     def test_any_small_check_exits_0_to_3_without_a_warning(
-            self, check, nx, ny, steps, scheme, lx, m, nu, dt, alpha, ic, forcing):
+            self, check, nx, ny, steps, scheme, lx, m, nu, dt, alpha, epsilon, ic, forcing):
         # exit 1 is a suite that measured and failed; 3 a run that stepped
         # and blew up
         with tempfile.TemporaryDirectory() as tmp:
             text = (f"nx = {nx}\nny = {ny}\nlx = {lx!r}\nm = {m!r}\nnu = {nu!r}\n"
                     f"dt = {dt!r}\nt_end = {steps * dt!r}\nalpha = {alpha!r}\n"
-                    f"scheme = {scheme}\noutput.dir = {Path(tmp) / 'o'}\n")
+                    f"epsilon = {epsilon!r}\nscheme = {scheme}\n"
+                    f"output.dir = {Path(tmp) / 'o'}\n")
             for section, (kind, amplitude) in (("ic", ic), ("forcing", forcing)):
                 text += (f"{section}.kind = {kind}\n{section}.amplitude = {amplitude!r}\n"
                          f"{section}.reference = two_mode\n")
@@ -564,11 +614,8 @@ class TestSmallChecks:
 class TestEntryPoint:
 
     def test_module_invocation(self):
-        src = str(Path(bardina_strip.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         result = subprocess.run([sys.executable, "-m", "bardina_strip", "--help"],
-                                capture_output=True, text=True, env=env)
+                                capture_output=True, text=True, env=_package_env())
         assert result.returncode == 0
         assert "compare-nse" in result.stdout
 

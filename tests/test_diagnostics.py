@@ -277,7 +277,7 @@ class TestSharedLadder:
         def observe(state, shared, fresh):
             shared.add(state.t, state.v)
             # a fresh operator set's ladder of the state's coefficients
-            copy = Field(state.v.grid, state.v.values.copy()).freeze()
+            copy = Field(state.v.grid, state.v.values.copy())
             OperatorSet(state.grid).field_ladder(copy, state.v_hat.copy())
             fresh.add(state.t, copy)
 
@@ -324,7 +324,7 @@ class TestStateLadder:
         # the two-channel modal work array and the transients of one channel
         stepper, state = self._state(128, steps=1)
         grid, cfg = stepper.grid, stepper.config
-        collector = DiagnosticsCollector(grid, stepper.ops, cfg.nu, cfg.alpha,
+        collector = DiagnosticsCollector(stepper.ops, cfg.nu, cfg.alpha,
                                          make_weight_field(grid, cfg.weight),
                                          stepper.forcing.at)
         tracemalloc.start()
@@ -465,6 +465,17 @@ class TestPoincare:
         assert report.passed
         assert report.worst_zero_order > 0.0
         assert report.samples == 30
+
+    @pytest.mark.parametrize("m", [0.1, 1.0, 10.0])
+    def test_audit_passes_at_every_strip_width(self, m):
+        # both ratios are lengths, so both bounds scale as m: 2 / sqrt(lambda1)
+        # with lambda1 -> (pi / (2 m))^2; a zero-order bound of 2 / lambda1
+        # failed this correct discretization at m = 0.1
+        grid = make_grid(StripDomain(2 * np.pi, m), 64, 65)
+        report = poincare_check(100, WeightSpec(epsilon=0.05, rho=10.0, gamma=2 / 3),
+                                grid, seed=7)
+        assert report.passed
+        assert report.bound_zero_order == pytest.approx(4 * m / np.pi, rel=1e-3)
 
     def test_random_fields_are_clamped(self, medium_grid, rng):
         f = random_clamped_field(medium_grid, rng)

@@ -91,6 +91,8 @@ class TestSnapshots:
         assert (data.nx, data.ny) == _GRID.shape
         assert data.time == 1.25 and data.alpha == 0.4 and data.nu == 0.01
         assert np.array_equal(data.values, f.values)
+        # a view of the file's bytes, not a copy
+        assert not data.values.flags.writeable and not data.values.flags.owndata
 
     @settings(deadline=None, max_examples=20)
     @given(seed=st.integers(0, 2 ** 31 - 1))

@@ -1024,7 +1024,7 @@ class TestMmsConvergence:
             stepper = ImexStepper(cfg)
             _, series = run(cfg)
             exact = DiagnosticsCollector(
-                stepper.grid, stepper.ops, cfg.nu, cfg.alpha,
+                stepper.ops, cfg.nu, cfg.alpha,
                 make_weight_field(stepper.grid, cfg.weight), stepper.forcing.at)
             truth = [exact.record(t, mms.solution_field("two_mode", stepper.grid, t), 0.0)
                      for t in series.column("t")]

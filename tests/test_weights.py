@@ -25,7 +25,7 @@ def _record(f, spec):
     |psi f|^2 + E_w``.
     """
     grid = f.grid
-    collector = DiagnosticsCollector(grid=grid, ops=OperatorSet(grid), nu=1.0,
+    collector = DiagnosticsCollector(ops=OperatorSet(grid), nu=1.0,
                                      alpha=1.0, weight=make_weight_field(grid, spec),
                                      g=lambda t: np.zeros(grid.shape))
     return collector.record(0.0, f, cfl=0.0)
