@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .diagnostics import energy_budget
 from .runio import load_config, write_snapshot, write_timeseries
-from .solver import BlowUpError, _scale_keys, run
+from .solver import BlowUpError, run, scale_keys
 
 __all__ = ["main"]
 
@@ -60,7 +60,7 @@ def _cmd_run(args, settings) -> int:
              ("alpha", "nu", "t_end"))):
         if math.isinf(value):
             raise ValueError(f"the {name} is {value}; it scales with "
-                             f"{_scale_keys(cfg, keys)}")
+                             f"{scale_keys(cfg, keys)}")
     out_dir.mkdir(parents=True, exist_ok=True)
     write_timeseries(out_dir / "timeseries.csv", series)
     write_snapshot(out_dir / "final.bstr", state.v, state.t, cfg.alpha, cfg.nu)

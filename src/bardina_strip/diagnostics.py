@@ -25,8 +25,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .operators import OperatorSet
-from .strip_grid import Field, Grid, quadrature
+from .operators import H2H_CHANNELS, OperatorSet
+from .strip_grid import Field, Grid, quadrature, squared_quadrature
 from .weights import WeightSpec, make_weight_field
 
 __all__ = [
@@ -111,12 +111,11 @@ class DiagnosticsCollector:
 
     Every quantity comes from the state's :meth:`OperatorSet.field_ladder`,
     built from its ``x1`` coefficients when :meth:`record` is given them,
-    and two :func:`quadrature` calls per channel, with ``qw`` and with
-    ``qw * weight``, the only weight data the collector keeps (``weight`` is
-    the sampled array of :func:`make_weight_field`).  The ladder of a solver
-    state is shared with other consumers, such as the streaming modulus, so
-    the channels are squared one at a time into a one-field buffer of the
-    record, never into a second stack.  ``g(t)`` returns
+    and one :func:`squared_quadrature` against the grid's ``node_weights``
+    and those times ``weight``, the only weight data the collector keeps
+    (``weight`` is the sampled array of :func:`make_weight_field`).  The
+    ladder of a solver state is shared with other consumers, such as the
+    streaming modulus, and is never squared in place.  ``g(t)`` returns
     the forcing's values at a time; the forcing power ``-(g, v)`` and
     ``|g|^2`` read it at the record time, so ``forcing_power``, both budget
     residuals and the closed bound hold for every forcing kind.
@@ -130,7 +129,7 @@ class DiagnosticsCollector:
         self.alpha = alpha
         self.g = g
         self.lambda1 = lambda1_estimate(grid)
-        self._qw = grid.dx * grid.quad_weights
+        self._qw = grid.node_weights
         self._qw_phi = self._qw * weight
         self._prev: tuple[float, float, float] | None = None
 
@@ -141,15 +140,8 @@ class DiagnosticsCollector:
         of ``v.values`` if the caller holds them, spare the ladder its
         forward transform."""
         a2 = self.alpha ** 2
-        qw, qw_phi = self._qw, self._qw_phi
-        plain, weighted = [], []
-        ladder = self.ops.field_ladder(v, coeffs)
-        # allocated once the ladder is built, and not held between records
-        sq = np.empty(ladder.shape[1:])
-        for channel in ladder:
-            np.multiply(channel, channel, out=sq)
-            plain.append(float(quadrature(sq, qw)))
-            weighted.append(float(quadrature(sq, qw_phi)))
+        plain, weighted = squared_quadrature(self.ops.field_ladder(v, coeffs),
+                                             self._qw, self._qw_phi).tolist()
         f, d1f, d2f, d1d1f, d1d2f, lap, d1lap = plain
         f_w, d1f_w, d2f_w, d1d1f_w, d1d2f_w, lap_w, d1lap_w = weighted
 
@@ -160,9 +152,9 @@ class DiagnosticsCollector:
         h2h_w_sq = f_w + (d1f_w + d2f_w) + (d1d1f_w + d1d2f_w)
 
         g = self.g(t)
-        g_sq = float(quadrature(np.multiply(g, g, out=sq), qw))
-        np.multiply(g, v.values, out=sq)
-        power, power_w = -float(quadrature(sq, qw)), -float(quadrature(sq, qw_phi))
+        g_sq = float(squared_quadrature(g[None], self._qw)[0, 0])
+        sq = g * v.values
+        power, power_w = -float(quadrature(sq, self._qw)), -float(quadrature(sq, self._qw_phi))
         residual = residual_w = 0.0
         if self._prev is not None:
             t0, e0, ew0 = self._prev
@@ -236,9 +228,6 @@ def energy_budget(series: DiagnosticsSeries) -> BudgetReport:
 # The translation modulus
 # ---------------------------------------------------------------------------
 
-# the leading ladder channels f, d1 f, d2 f, d1 d1 f, d1 d2 f: their squared
-# sum is the H^{2,h} norm squared
-_H2H_CHANNELS = 5
 # an add may miss the previous one's t + dt_record by this much of dt_record:
 # a record time n dt is rounded by at most n dt 2^-53, below 1.2e-7 dt up to
 # the solver's MAX_STEPS, while a skipped record misses by a whole dt_record
@@ -276,7 +265,7 @@ class StreamingTranslationModulus:
     array of :func:`make_weight_field`, and ``"h2h"`` is the one ``norm``
     accepts.  It is the one integral not in :func:`quadrature`: each
     record's channels are kept for the largest lag anyway, so they are kept
-    premultiplied by ``sqrt(dx * quad_weights * weight)`` and each lag pair
+    premultiplied by ``sqrt(grid.node_weights * weight)`` and each lag pair
     costs one subtraction into a reused buffer and one dot product.  The
     channels come from :meth:`OperatorSet.field_ladder`, so a solver state
     the collector has recorded costs no second ladder.
@@ -291,9 +280,9 @@ class StreamingTranslationModulus:
         self.k_lags = sorted(k_lags)
         self.dt_record = dt_record
         self.ops = ops
-        self._root_w = np.sqrt(grid.dx * grid.quad_weights * weight)
+        self._root_w = np.sqrt(grid.node_weights * weight)
         self._buffer: deque[np.ndarray] = deque(maxlen=self.k_lags[-1] + 1)
-        self._work = np.empty((_H2H_CHANNELS,) + grid.shape)
+        self._work = np.empty((H2H_CHANNELS,) + grid.shape)
         self._sums = {lag: 0.0 for lag in self.k_lags}
         self._t_last: float | None = None
 
@@ -308,7 +297,7 @@ class StreamingTranslationModulus:
                     f"record at t = {t:.9g} is off the cadence: the previous one is at "
                     f"t = {self._t_last:.9g}, so this one must be at {expected:.9g}")
         self._t_last = t
-        channels = self.ops.field_ladder(v)[:_H2H_CHANNELS]
+        channels = self.ops.field_ladder(v)[:H2H_CHANNELS]
         if len(self._buffer) == self._buffer.maxlen:
             # no lag reaches the oldest record any more: reuse its array
             feats = np.multiply(channels, self._root_w, out=self._buffer.popleft())
@@ -376,14 +365,12 @@ class PoincareReport:
     lambda1_error: float      # |lambda1 - (pi / (2 m))^2| / (pi / (2 m))^2
     worst_zero_order: float   # max |psi v| / |psi grad v|
     worst_first_order: float  # max |psi grad v| / |psi lap v|
-    bound_zero_order: float
-    bound_first_order: float
+    bound: float              # 2 / sqrt(lambda1), of both ratios
     samples: int
 
     @property
     def passed(self) -> bool:
-        return (self.worst_zero_order <= self.bound_zero_order
-                and self.worst_first_order <= self.bound_first_order)
+        return self.worst_zero_order <= self.bound and self.worst_first_order <= self.bound
 
 
 # a draw whose |psi v| is below this fraction of its largest value times the
@@ -416,7 +403,7 @@ def poincare_check(sample_count: int, spec: WeightSpec, grid: Grid,
     except OverflowError:
         raise out_of_range from None
     with np.errstate(over="ignore", invalid="ignore"):
-        qw_phi = grid.dx * grid.quad_weights * make_weight_field(grid, spec)
+        qw_phi = grid.node_weights * make_weight_field(grid, spec)
         root_total = math.sqrt(qw_phi.sum())
     if not (0.0 < lam and 0.0 < analytic and 0.0 < root_total < math.inf):
         raise out_of_range
@@ -429,8 +416,8 @@ def poincare_check(sample_count: int, spec: WeightSpec, grid: Grid,
             break
         v = random_clamped_field(grid, rng)
         with np.errstate(over="ignore", invalid="ignore"):
-            sq = ops.ladder(v.values)
-            f, d1f, d2f, _, _, lap, _ = quadrature(sq * sq, qw_phi).tolist()
+            f, d1f, d2f, _, _, lap, _ = squared_quadrature(ops.ladder(v.values),
+                                                           qw_phi)[0].tolist()
         nv = math.sqrt(f)
         if nv <= _DEGENERATE_RTOL * root_total * np.abs(v.values).max():
             continue  # rejected degenerate sample
@@ -444,9 +431,7 @@ def poincare_check(sample_count: int, spec: WeightSpec, grid: Grid,
     if n < sample_count:
         raise ValueError(f"only {n} of {_DRAWS_PER_SAMPLE * sample_count} random fields "
                          f"were not degenerate at lx = {domain.lx:g}, m = {domain.m:g}")
-    bound = 2.0 / math.sqrt(lam)
     return PoincareReport(
         lambda1_error=abs(lam - analytic) / analytic,
         worst_zero_order=worst0, worst_first_order=worst1,
-        bound_zero_order=bound, bound_first_order=bound,
-        samples=sample_count)
+        bound=2.0 / math.sqrt(lam), samples=sample_count)

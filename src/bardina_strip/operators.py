@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .strip_grid import Field, Grid, _check_same_grid, inner_product, l2_norm
+from .strip_grid import Field, Grid, check_same_grid, inner_product, l2_norm
 
-__all__ = ["ADVECTION_BLOCK_BYTES", "OperatorSet", "d2_matrix", "d2_wall_rows",
-           "trilinear_relative"]
+__all__ = ["ADVECTION_BLOCK_BYTES", "H1_CHANNELS", "H2H_CHANNELS", "OperatorSet",
+           "d2_matrix", "d2_wall_rows", "trilinear_relative"]
 
 # the bytes of one (rows, nx) float64 array of an advection block, which set
 # its height (about six such arrays at once).  In process on 2 vCPUs, one BLAS
@@ -24,6 +24,7 @@ __all__ = ["ADVECTION_BLOCK_BYTES", "OperatorSet", "d2_matrix", "d2_wall_rows",
 # 10.6 ms in 128s and 15.7 ms as one block, with a tracemalloc peak of 7.4
 # fields against 2.6 in 64s; 128 x 129 is one block, 1.18 ms (0.99 in 32s).
 ADVECTION_BLOCK_BYTES = 2 ** 18
+H1_CHANNELS, H2H_CHANNELS = 3, 5  # the ladder prefixes of the H^1 and H^{2,h} norms
 
 
 def d2_values(values: np.ndarray, dy: float, axis: int = 1,
@@ -92,7 +93,7 @@ class OperatorSet:
         return 1.0 + (alpha * self.grid.wavenumbers) ** 2
 
     def _scale_modes(self, f: Field, scale: np.ndarray) -> Field:
-        _check_same_grid(f, self)
+        check_same_grid(f, self)
         coeffs = np.fft.rfft(f.values, axis=0)
         coeffs *= scale[:, None]
         return Field(self.grid, np.fft.irfft(coeffs, n=self.grid.nx, axis=0),
@@ -111,19 +112,19 @@ class OperatorSet:
         """The derivative set of the anisotropic norms, stacked ``(7, nx, ny)``.
 
         Channels in order: ``f, d1 f, d2 f, d1 d1 f, d1 d2 f, lap f,
-        d1 lap f``, so the ``l2``, ``h1h`` and ``h2h`` norms use the first
-        one, two and five.  ``coeffs`` are the ``x1`` coefficients of
-        ``values``, ``rfft(values)`` if not given; a solver state passes its
-        ``v_hat``, whose values are ``irfft(v_hat)``, so its ladder needs no
-        forward transform.  Channel 0 is ``values`` itself.  The four
-        spectral channels are formed two at a time in a two-channel modal
-        work array, and each pair comes back through one batched inverse
-        transform written straight into the stack; ``d2 f`` and ``d1 d2 f``
-        are the ``x2`` stencil applied to ``f`` and ``d1 f``.  The work array
-        is allocated per call: at 128 x 129 with a record every step, a run
-        takes 31 minor page faults per step this way and 32 with the array
-        kept across calls, and kept it would hold 4.2 MB through every step
-        at 512 x 513.
+        d1 lap f``; the ``l2``, ``h1h``, ``H^1`` and ``h2h`` norms use the
+        first 1, 2, ``H1_CHANNELS`` and ``H2H_CHANNELS``.  ``coeffs`` are the
+        ``x1`` coefficients of ``values``, ``rfft(values)`` if not given; a
+        solver state passes its ``v_hat``, whose values are ``irfft(v_hat)``,
+        so its ladder needs no forward transform.  Channel 0 is ``values``
+        itself.  The four spectral channels are formed two at a time in a
+        two-channel modal work array, and each pair comes back through one
+        batched inverse transform written straight into the stack; ``d2 f``
+        and ``d1 d2 f`` are the ``x2`` stencil applied to ``f`` and ``d1 f``.
+        The work array is allocated per call: at 128 x 129 with a record
+        every step, a run takes 31 minor page faults per step this way and 32
+        with the array kept across calls, and kept it would hold 4.2 MB
+        through every step at 512 x 513.
         """
         nx, dy = self.grid.nx, self.grid.dy
         if coeffs is None:
@@ -151,7 +152,7 @@ class OperatorSet:
         a recorded state shares one stack, the one its first consumer built;
         any ``OperatorSet`` on the same grid computes the same bits.
         """
-        _check_same_grid(f, self)
+        check_same_grid(f, self)
         if f.ladder is None:
             f.ladder = self.ladder(f.values, coeffs)
             f.ladder.flags.writeable = False

@@ -111,6 +111,7 @@ __all__ = [
     "build_field",
     "Forcing",
     "build_forcing",
+    "scale_keys",
 ]
 
 # each scheme and its implicit weight: it factorizes L - theta nu dt L^2
@@ -563,7 +564,7 @@ class ImexStepper:
                 yield state
 
 
-def _scale_keys(config: SolverConfig, keys, sections=("ic", "forcing")) -> str:
+def scale_keys(config: SolverConfig, keys, sections=("ic", "forcing")) -> str:
     """``keys`` and the keys that size the fields of ``sections`` (a zero
     field has none), each with its value, for an overflow message."""
     named = []
@@ -603,7 +604,7 @@ def run(config: SolverConfig, on_record=None):
                                                    collector.lambda1)):
                 raise ValueError("the closed bound |g|^2 / (nu lambda1^2) is out of "
                                  "range; it scales with "
-                                 f"{_scale_keys(config, ('nu', 'm'), ('forcing',))}")
+                                 f"{scale_keys(config, ('nu', 'm'), ('forcing',))}")
             for (column, _, keys), value in zip(diag.CSV_SCHEMA, rec.csv_values()):
                 if math.isfinite(value):
                     continue
@@ -612,7 +613,7 @@ def run(config: SolverConfig, on_record=None):
                 if state.step_index > 0 and "dt" not in keys:
                     raise BlowUpError(state.t, state.step_index)
                 raise ValueError(f"the recorded {column} is {value} at t = {state.t:.6g}; "
-                                 f"it scales with {_scale_keys(config, keys)}")
+                                 f"it scales with {scale_keys(config, keys)}")
             series.append(rec)
             if on_record is not None:
                 on_record(state, rec)

@@ -25,6 +25,8 @@ __all__ = [
     "inner_product",
     "l2_norm",
     "quadrature",
+    "squared_quadrature",
+    "check_same_grid",
 ]
 
 
@@ -47,8 +49,8 @@ class Grid:
     """Uniform discretization of a :class:`StripDomain`.
 
     ``x1`` nodes are periodic (no duplicate of the seam node); ``x2`` nodes
-    include both walls.  ``quad_weights`` are trapezoidal weights in ``x2``
-    and sum to ``2 m`` exactly up to rounding.
+    include both walls.  ``node_weights`` are ``dx`` times the trapezoidal
+    weights in ``x2``, which sum to ``2 m`` up to rounding.
     """
 
     domain: StripDomain
@@ -58,7 +60,7 @@ class Grid:
     dy: float
     x1: np.ndarray = field(repr=False)
     x2: np.ndarray = field(repr=False)
-    quad_weights: np.ndarray = field(repr=False)
+    node_weights: np.ndarray = field(repr=False)
     wavenumbers: np.ndarray = field(repr=False)
 
     @property
@@ -99,7 +101,7 @@ def make_grid(domain: StripDomain, nx: int, ny: int) -> Grid:
     qw[0] = qw[-1] = 0.5 * dy
     kappa = 2.0 * np.pi * np.arange(nx // 2 + 1) / domain.lx
     return Grid(domain=domain, nx=nx, ny=ny, dx=dx, dy=dy,
-                x1=x1, x2=x2, quad_weights=qw, wavenumbers=kappa)
+                x1=x1, x2=x2, node_weights=dx * qw, wavenumbers=kappa)
 
 
 @dataclass(eq=False)
@@ -129,7 +131,8 @@ class Field:
         self.values.flags.writeable = False
 
 
-def _check_same_grid(f, h):
+def check_same_grid(f, h):
+    """Refuse two objects (fields, operator sets) whose grids differ."""
     ga, gb = f.grid, h.grid
     if ga is not gb and (ga.domain != gb.domain or ga.nx != gb.nx or ga.ny != gb.ny):
         raise ValueError("fields live on different grids")
@@ -137,8 +140,8 @@ def _check_same_grid(f, h):
 
 def inner_product(f: Field, h: Field) -> float:
     """L2 pairing: the :func:`quadrature` of ``f h``."""
-    _check_same_grid(f, h)
-    return float(quadrature(f.values * h.values, f.grid.dx * f.grid.quad_weights))
+    check_same_grid(f, h)
+    return float(quadrature(f.values * h.values, f.grid.node_weights))
 
 
 def l2_norm(f: Field) -> float:
@@ -150,8 +153,8 @@ def quadrature(integrand: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
     The package's one grid integral, but for the streaming modulus, which
     stores its channels premultiplied by the root of its weights.
-    ``weights`` are node weights: ``dx * quad_weights`` of shape ``(ny,)``,
-    or that times the sampled weight array, of shape ``(nx, ny)``.  Leading
+    ``weights`` are the grid's ``node_weights``, of shape ``(ny,)``, or
+    those times the sampled weight array, of shape ``(nx, ny)``.  Leading
     axes are kept, so a stack of channels gives one value per channel.
     Field weights take one ``matmul`` of the flattened blocks against the
     flattened weights: for one block that is a flat dot product, and a
@@ -160,3 +163,14 @@ def quadrature(integrand: np.ndarray, weights: np.ndarray) -> np.ndarray:
     if weights.ndim == 1:
         return (integrand @ weights).sum(axis=-1)
     return integrand.reshape(*integrand.shape[:-2], -1) @ weights.ravel()
+
+
+def squared_quadrature(stack: np.ndarray, *weights: np.ndarray) -> np.ndarray:
+    """The squared norms: the :func:`quadrature` of each channel of ``stack``,
+    squared into one field buffer, against each of ``weights``, a row each."""
+    sq = np.empty(stack.shape[1:])  # first: after out, it raised a 128x129 run's peak RSS 0.45 MiB
+    out = np.empty((len(weights), len(stack)))
+    for i, channel in enumerate(stack):
+        np.multiply(channel, channel, out=sq)
+        out[:, i] = [quadrature(sq, w) for w in weights]
+    return out

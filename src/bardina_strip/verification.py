@@ -25,13 +25,13 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .diagnostics import (_H2H_CHANNELS, StreamingTranslationModulus, energy_budget,
-                          poincare_check, prolong, random_clamped_field)
-from .operators import OperatorSet, trilinear_relative
+from .diagnostics import (StreamingTranslationModulus, energy_budget, poincare_check,
+                          prolong, random_clamped_field)
+from .operators import H1_CHANNELS, H2H_CHANNELS, OperatorSet, trilinear_relative
 from .runio import RunSettings
 from .solver import (MAX_STEPS, BlowUpError, FieldSpec, ImexStepper, SolverConfig,
-                     SolverState, _scale_keys, run)
-from .strip_grid import Field, Grid, StripDomain, l2_norm, make_grid, quadrature
+                     SolverState, run, scale_keys)
+from .strip_grid import Field, Grid, StripDomain, l2_norm, make_grid, squared_quadrature
 from .weights import (GAMMA_THRESHOLD, WeightSpec, certify_lemma_wfuncs,
                       certify_phi_control, lemma_beta_set, make_weight_field)
 
@@ -316,9 +316,8 @@ def galerkin_refinement_study(make_config, resolutions,
                 continue
             grid = fine.v.grid
             diff = prolong(coarse.v, grid).values - fine.v.values
-            ch = steppers[j + 1].ops.ladder(diff)[:_H2H_CHANNELS]
-            qw = grid.dx * grid.quad_weights
-            sums[j] += dt_rec[j] * float(quadrature(ch * ch, qw).sum())
+            ch = steppers[j + 1].ops.ladder(diff)[:H2H_CHANNELS]
+            sums[j] += dt_rec[j] * float(squared_quadrature(ch, grid.node_weights).sum())
     return RefinementStudy(resolutions=resolutions,
                            deltas=[math.sqrt(total) for total in sums])
 
@@ -333,11 +332,10 @@ def continuous_dependence_study():
                        ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0))
     stepper = ImexStepper(cfg)
     grid, ops = stepper.grid, stepper.ops
-    qw = grid.dx * grid.quad_weights
 
     def h1_norm(values: np.ndarray) -> float:
-        sq = ops.ladder(values)[:3]
-        return math.sqrt(quadrature(sq * sq, qw).sum())
+        return math.sqrt(squared_quadrature(ops.ladder(values)[:H1_CHANNELS],
+                                            grid.node_weights).sum())
 
     start = stepper.initial_state()
     base = _final_state(stepper, start)
@@ -418,10 +416,8 @@ def _suite_poincare(settings: RunSettings) -> SuiteReport:
     audit = poincare_check(100, spec, grid, seed=settings.seed)
     rep.add("lambda1 relative error vs analytic",
             audit.lambda1_error, LAMBDA1_ERROR_BOUND)
-    rep.add("|psi v| / |psi grad v| worst case", audit.worst_zero_order,
-            audit.bound_zero_order)
-    rep.add("|psi grad v| / |psi lap v| worst case", audit.worst_first_order,
-            audit.bound_first_order)
+    rep.add("|psi v| / |psi grad v| worst case", audit.worst_zero_order, audit.bound)
+    rep.add("|psi grad v| / |psi lap v| worst case", audit.worst_first_order, audit.bound)
     return rep
 
 
@@ -466,7 +462,7 @@ def _suite_compactness(settings: RunSettings) -> SuiteReport:
     mod = acc.result()
     if not np.all(np.isfinite(mod.modulus)):
         raise ValueError(f"the translation modulus is out of range; it scales with "
-                         f"{_scale_keys(cfg, ('dt', 'lx', 'm'))}")
+                         f"{scale_keys(cfg, ('dt', 'lx', 'm'))}")
     if not mod.modulus.any():
         raise ValueError("the translation modulus is zero at every lag: the trajectory "
                          "never moves, so it has no slope")

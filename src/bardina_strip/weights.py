@@ -13,11 +13,11 @@ Two weight families share one scale parameter ``epsilon`` and exponent
 :func:`make_weight_field` samples ``varphi`` at the grid nodes as one
 ``(nx, ny)`` array, the only weight data a run keeps, with the cutoff
 profile evaluated only where ``r > rho``: the diagnostics integrate squared
-channels against ``dx * quad_weights`` times it.  In the lemma that array is
-``psi^2``, with ``psi = varphi^(1/2)`` the multiplier of the weighted Sobolev
-norms; ``psi`` is a symbol of the lemma, not an array.  The certification
-routines measure, by high-order finite differences on an oversampled
-lattice, the empirical constants in the pointwise controls
+channels against the grid's ``node_weights`` times it.  In the lemma that
+array is ``psi^2``, with ``psi = varphi^(1/2)`` the multiplier of the
+weighted Sobolev norms; ``psi`` is a symbol of the lemma, not an array.  The
+certification routines measure, by high-order finite differences on an
+oversampled lattice, the empirical constants in the pointwise controls
 
     |d^beta psi^2| <= C eps^|beta| psi      (strong form)
     |d^beta psi^2| <= C eps^|beta| psi^2    (weak form)
@@ -142,7 +142,8 @@ def make_weight_field(grid: Grid, spec: WeightSpec) -> np.ndarray:
         phi = varphi(x1, x2, spec)
     if not np.all(np.isfinite(phi)):
         raise ValueError(f"the weight overflows on the grid at lx = {grid.domain.lx:g}, "
-                         f"m = {grid.domain.m:g}, epsilon = {spec.epsilon:g}")
+                         f"m = {grid.domain.m:g}, epsilon = {spec.epsilon:g}, "
+                         f"gamma = {spec.gamma:g}")
     if np.any(phi < 1.0 - 1e-12):
         raise ValueError("weight must be >= 1 everywhere")
     return phi
@@ -232,7 +233,13 @@ def _certify(spec: WeightSpec, betas, x1_extent: float, n1: int) -> Certificatio
                          f"(x1 step {h1:g}) beyond the float range")
     x1 = -_PAD * h1 + h1 * np.arange(n1 + 2 * _PAD)
     x2 = -_X2_HALFWIDTH - _PAD * h2 + h2 * np.arange(_N2 + 2 * _PAD)
-    w = varphi(x1[:, None], x2[None, :], spec)
+    beyond = ValueError(f"the weight leaves the float range on the certification lattice "
+                        f"at gamma = {spec.gamma:g}, epsilon = {spec.epsilon:g}, "
+                        f"rho = {spec.rho:g}")
+    with np.errstate(over="ignore"):
+        w = varphi(x1[:, None], x2[None, :], spec)
+    if not np.all(np.isfinite(w)):
+        raise beyond
     psi = np.sqrt(w[_PAD:-_PAD, _PAD:-_PAD])
 
     keep = np.ones((n1, _N2), dtype=bool)
@@ -249,13 +256,15 @@ def _certify(spec: WeightSpec, betas, x1_extent: float, n1: int) -> Certificatio
     c_strong: dict[tuple[int, int], float] = {}
     c_weak: dict[tuple[int, int], float] = {}
     for beta in betas:
-        order = sum(beta)
-        deriv = np.abs(_fd(w, beta, (h1, h2)))
-        scale = spec.epsilon ** order
-        ratio_strong = deriv / (scale * psi)
-        ratio_weak = deriv / (scale * psi ** 2)
+        scale = spec.epsilon ** sum(beta)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            deriv = np.abs(_fd(w, beta, (h1, h2)))
+            ratio_strong = deriv / (scale * psi)
+            ratio_weak = deriv / (scale * psi ** 2)
         c_strong[beta] = float(ratio_strong[keep].max())
         c_weak[beta] = float(ratio_weak[keep].max())
+        if not (math.isfinite(c_strong[beta]) and math.isfinite(c_weak[beta])):
+            raise beyond
     return CertificationReport(c_strong=c_strong, c_weak=c_weak)
 
 

@@ -211,8 +211,8 @@ def test_criterion_8_poincare_suite():
     lam_ok = audit.lambda1_error <= LAMBDA1_ERROR_BOUND
     ok = audit.passed and lam_ok
     assert _report(8, ok, (
-        f"|psi v|/|psi grad v|={audit.worst_zero_order:.3f}<= {audit.bound_zero_order:.3f}, "
-        f"|psi grad v|/|psi lap v|={audit.worst_first_order:.3f}<= {audit.bound_first_order:.3f}, "
+        f"|psi v|/|psi grad v|={audit.worst_zero_order:.3f}<= {audit.bound:.3f}, "
+        f"|psi grad v|/|psi lap v|={audit.worst_first_order:.3f}<= {audit.bound:.3f}, "
         f"lambda1 err={audit.lambda1_error:.2e}"))
 
 

@@ -487,6 +487,17 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == "" and named in captured.err
 
+    def test_weights_suite_beyond_the_float_range_in_gamma_is_a_config_error(
+            self, tmp_path, capsys):
+        # (rho + 1/2)^(2 gamma) overflows at rho = 100: numpy warned, and the
+        # suite printed "measured nan >= 3" and exited 1
+        cfg = _write(tmp_path, "nx = 16\nny = 17\ngamma = 100\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["verify", cfg, "--suite", "weights", "--override-gamma"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "gamma = 100" in captured.err
+
     @pytest.mark.parametrize("lx, m", [(1e-20, 1e-10), (1e-150, 1e-150)])
     def test_poincare_suite_on_a_tiny_strip_ends(self, tmp_path, lx, m):
         # an absolute floor on |psi v| rejected every draw on these strips and

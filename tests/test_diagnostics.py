@@ -386,7 +386,7 @@ class TestRefinementStudy:
                 grid = fine.v.grid
                 diff = prolong(coarse.v, grid).values - fine.v.values
                 ch = (steppers[j + 1].ops.ladder(diff)[:5]
-                      * np.sqrt(grid.dx * grid.quad_weights))
+                      * np.sqrt(grid.node_weights))
                 sums[j] += 2e-2 * float(np.vdot(ch, ch).real)
         np.testing.assert_allclose(study.deltas, np.sqrt(sums), rtol=1e-13, atol=0)
 
@@ -475,7 +475,7 @@ class TestPoincare:
         report = poincare_check(100, WeightSpec(epsilon=0.05, rho=10.0, gamma=2 / 3),
                                 grid, seed=7)
         assert report.passed
-        assert report.bound_zero_order == pytest.approx(4 * m / np.pi, rel=1e-3)
+        assert report.bound == pytest.approx(4 * m / np.pi, rel=1e-3)
 
     def test_random_fields_are_clamped(self, medium_grid, rng):
         f = random_clamped_field(medium_grid, rng)

@@ -1,8 +1,10 @@
 """Every exported name resolves: a deletion that leaves a stale export fails here."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +28,23 @@ def test_package_reexports_public_module_names():
             continue
         module = importlib.import_module(obj.__module__)
         assert name in module.__all__, f"{name} is not in {obj.__module__}.__all__"
+
+
+def _private_imports(path):
+    """``(module, name)`` of each underscore name a source file imports from
+    another module of the package."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "bardina_strip"):
+            found += [(node.module, alias.name) for alias in node.names
+                      if alias.name.startswith("_")]
+    return found
+
+
+def test_no_module_imports_another_modules_private_name():
+    # an underscore name is its module's own: a second user makes it public
+    src = Path(bardina_strip.__file__).parent
+    found = {path.name: _private_imports(path) for path in sorted(src.glob("*.py"))}
+    assert not {name: names for name, names in found.items() if names}

@@ -1159,7 +1159,7 @@ def weak_residual(v_prev: Field, v_next: Field, dt: float, h: Field,
     """
     a2 = alpha ** 2
     grid = v_prev.grid
-    qw = grid.dx * grid.quad_weights
+    qw = grid.node_weights
     ladder_h = ops.ladder(h.values)
     # pairings of the ladders of v_t and of v_next with the one of h
     _, d1t, d2t, d1d1t, d1d2t, _, _ = quadrature(

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bardina_strip.strip_grid import (Field, StripDomain, inner_product,
-                                      l2_norm, make_grid, quadrature)
+from bardina_strip.operators import OperatorSet
+from bardina_strip.strip_grid import (Field, StripDomain, inner_product, l2_norm,
+                                      make_grid, quadrature, squared_quadrature)
 
 _HYPO_GRID = make_grid(StripDomain(2.0 * np.pi, 1.0), 16, 17)
 
@@ -28,7 +29,8 @@ class TestMakeGrid:
 
     def test_quadrature_weights_sum_to_width(self):
         grid = make_grid(StripDomain(2.0 * np.pi, 1.0), 8, 9)
-        assert grid.quad_weights.sum() == pytest.approx(2.0, rel=1e-15)
+        # dx times trapezoid weights that sum to the width 2 m
+        assert grid.node_weights.sum() == pytest.approx(2.0 * grid.dx, rel=1e-15)
 
     @pytest.mark.parametrize("nx,ny,match", [
         (7, 9, "even"), (6, 9, ">= 8"), (8, 8, ">= 9"),
@@ -143,30 +145,29 @@ class TestInnerProduct:
     def test_weighted_pairing(self, small_grid, rng):
         f = Field(small_grid, rng.standard_normal(small_grid.shape))
         w = Field(small_grid, 1.0 + rng.random(small_grid.shape))
-        direct = small_grid.dx * ((f.values ** 2 * w.values)
-                                  @ small_grid.quad_weights).sum()
-        weights = small_grid.dx * small_grid.quad_weights * w.values
+        direct = ((f.values ** 2 * w.values) @ small_grid.node_weights).sum()
+        weights = small_grid.node_weights * w.values
         assert quadrature(f.values ** 2, weights) == pytest.approx(direct, rel=1e-14)
 
     @pytest.mark.parametrize("nx", [64, 128, 512])
     def test_field_weights_on_one_block_are_the_flat_dot(self, nx, rng):
         grid = make_grid(StripDomain(2.0 * np.pi, 1.0), nx, nx + 1)
         block = rng.standard_normal(grid.shape) ** 2
-        weights = grid.dx * grid.quad_weights * (1.0 + rng.random(grid.shape))
+        weights = grid.node_weights * (1.0 + rng.random(grid.shape))
         assert float(quadrature(block, weights)).hex() == \
             float(np.dot(block.ravel(), weights.ravel())).hex()
 
     def test_field_weights_on_a_ladder_stack(self, small_grid, rng):
         # one value per channel, as the per-block products give them
         stack = rng.standard_normal((7,) + small_grid.shape) ** 2
-        weights = small_grid.dx * small_grid.quad_weights * (1.0 + rng.random(small_grid.shape))
+        weights = small_grid.node_weights * (1.0 + rng.random(small_grid.shape))
         reference = np.array([(b * weights).sum() for b in stack])
         np.testing.assert_allclose(quadrature(stack, weights), reference, rtol=1e-14, atol=0)
 
     def test_field_weights_make_no_field_temporary(self, rng):
         grid = make_grid(StripDomain(2.0 * np.pi, 1.0), 128, 129)
         stack = rng.standard_normal((7,) + grid.shape)
-        weights = grid.dx * grid.quad_weights * (1.0 + rng.random(grid.shape))
+        weights = grid.node_weights * (1.0 + rng.random(grid.shape))
         tracemalloc.start()
         try:
             quadrature(stack, weights)
@@ -180,6 +181,46 @@ class TestInnerProduct:
         h = Field(medium_grid, np.zeros(medium_grid.shape))
         with pytest.raises(ValueError, match="different grids"):
             inner_product(f, h)
+
+
+class TestSquaredQuadrature:
+
+    @staticmethod
+    def _ladder_and_weights(rng):
+        grid = make_grid(StripDomain(2.0 * np.pi, 1.0), 128, 129)
+        stack = OperatorSet(grid).ladder(rng.standard_normal(grid.shape))
+        return grid, stack, grid.node_weights * (1.0 + rng.random(grid.shape))
+
+    def test_bit_equal_to_one_channel_at_a_time(self, rng):
+        # the record's arithmetic: each channel squared into a buffer and
+        # integrated on its own, against plain and field weights
+        grid, stack, field_weights = self._ladder_and_weights(rng)
+        sq = np.empty(grid.shape)
+        for j, w in enumerate((grid.node_weights, field_weights)):
+            reference = []
+            for channel in stack:
+                np.multiply(channel, channel, out=sq)
+                reference.append(float(quadrature(sq, w)))
+            got = squared_quadrature(stack, grid.node_weights, field_weights)[j]
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in reference]
+
+    def test_plain_weights_bit_equal_to_the_squared_stack(self, rng):
+        # the refinement and dependence studies integrated a squared stack
+        grid, stack, _ = self._ladder_and_weights(rng)
+        got = squared_quadrature(stack, grid.node_weights)[0]
+        reference = quadrature(stack * stack, grid.node_weights)
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in reference.tolist()]
+
+    def test_holds_one_field_beyond_its_input(self, rng):
+        grid, stack, field_weights = self._ladder_and_weights(rng)
+        tracemalloc.start()
+        try:
+            squared_quadrature(stack, grid.node_weights, field_weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_field = grid.nx * grid.ny * 8
+        assert one_field <= peak < 1.1 * one_field
 
 
 class TestFieldValidation:

@@ -155,6 +155,11 @@ class TestWeightValues:
             tracemalloc.stop()
         assert peak - phi.nbytes <= 0.5 * phi.nbytes
 
+    def test_weight_field_overflow_names_gamma(self, medium_grid):
+        # the limit weight reaches about 207^gamma on the 2 pi box at epsilon 1
+        with pytest.raises(ValueError, match="epsilon = 1, gamma = 200"):
+            make_weight_field(medium_grid, WeightSpec(epsilon=1.0, gamma=200.0))
+
 
 class TestWeightedNorms:
 
