@@ -39,6 +39,7 @@ __all__ = [
     "BudgetReport",
     "closed_bound",
     "energy_budget",
+    "CADENCE_RTOL", "check_cadence",
     "TranslationModulus",
     "StreamingTranslationModulus",
     "prolong",
@@ -228,10 +229,20 @@ def energy_budget(series: DiagnosticsSeries) -> BudgetReport:
 # The translation modulus
 # ---------------------------------------------------------------------------
 
-# an add may miss the previous one's t + dt_record by this much of dt_record:
+# a record may miss the previous one's t + dt_record by this much of dt_record:
 # a record time n dt is rounded by at most n dt 2^-53, below 1.2e-7 dt up to
 # the solver's MAX_STEPS, while a skipped record misses by a whole dt_record
-_CADENCE_RTOL = 1e-6
+CADENCE_RTOL = 1e-6
+
+
+def check_cadence(t_last: float | None, t: float, dt_record: float) -> float:
+    """``t``, refused unless it is ``t_last + dt_record`` or ``t_last`` is None."""
+    expected = t if t_last is None else t_last + dt_record
+    if abs(t - expected) > CADENCE_RTOL * dt_record:
+        raise ValueError(
+            f"record at t = {t:.9g} is off the cadence: the previous one is at "
+            f"t = {t_last:.9g}, so this one must be at {expected:.9g}")
+    return t
 
 
 @dataclass
@@ -289,14 +300,8 @@ class StreamingTranslationModulus:
     @np.errstate(over="ignore", invalid="ignore")  # a sum beyond the float range is inf
     def add(self, t: float, v: Field):
         """Add the record of ``v`` at ``t``, which must be the previous
-        add's ``t + dt_record`` (to ``_CADENCE_RTOL`` of ``dt_record``)."""
-        if self._t_last is not None:
-            expected = self._t_last + self.dt_record
-            if abs(t - expected) > _CADENCE_RTOL * self.dt_record:
-                raise ValueError(
-                    f"record at t = {t:.9g} is off the cadence: the previous one is at "
-                    f"t = {self._t_last:.9g}, so this one must be at {expected:.9g}")
-        self._t_last = t
+        add's ``t + dt_record`` (:func:`check_cadence`)."""
+        self._t_last = check_cadence(self._t_last, t, self.dt_record)
         channels = self.ops.field_ladder(v)[:H2H_CHANNELS]
         if len(self._buffer) == self._buffer.maxlen:
             # no lag reaches the oldest record any more: reuse its array

@@ -13,8 +13,8 @@ cadence, so the final state of an odd step count is left out, records none
 and refuses a run too short for its largest lag.  ``budget`` accepts every
 forcing kind: the closed bound is read at each record time.
 
-Every study steps through :meth:`ImexStepper.states`; the refinement study
-steps its nested resolutions side by side and keeps no field past its record.
+Every study that steps runs through :meth:`ImexStepper.states`; the refinement
+study steps nothing: it reads one given trajectory per resolution, side by side.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .diagnostics import (StreamingTranslationModulus, energy_budget, poincare_check,
-                          prolong, random_clamped_field)
+from .diagnostics import (CADENCE_RTOL, StreamingTranslationModulus, check_cadence,
+                          energy_budget, poincare_check, prolong, random_clamped_field)
 from .operators import H1_CHANNELS, H2H_CHANNELS, OperatorSet, trilinear_relative
 from .runio import RunSettings
 from .solver import (MAX_STEPS, BlowUpError, FieldSpec, ImexStepper, SolverConfig,
@@ -281,7 +281,6 @@ def compare_nse(cfg: SolverConfig, alphas):
 
 @dataclass
 class RefinementStudy:
-    resolutions: list[tuple[int, int]]
     deltas: list[float]
 
     @property
@@ -289,37 +288,32 @@ class RefinementStudy:
         return all(b < a for a, b in zip(self.deltas, self.deltas[1:]))
 
 
-def galerkin_refinement_study(make_config, resolutions,
-                              tau: float = 0.0) -> RefinementStudy:
+def galerkin_refinement_study(legs, dt_record: float, tau: float = 0.0) -> RefinementStudy:
     """``L^2(tau, T; H^{2,h})`` distances between consecutive resolutions.
 
-    ``make_config(nx, ny)`` must return a solver config; consecutive
-    resolutions must nest (``2 nx``, ``2 ny - 1``) and record equally often.
-    The resolutions step side by side; at each record the coarse state is
-    prolonged onto the finer grid and the pair's squared distance, over the
-    record interval, is added to the pair's sum.
+    ``legs`` holds one trajectory per resolution, coarse to fine, on nested
+    grids (``2 nx``, ``2 ny - 1``): ``(t, field)`` records ``dt_record``
+    apart, at the same times in every leg.  The legs advance side by side, so
+    :meth:`ImexStepper.states` legs hold no field past its record.  From
+    ``tau`` on, each record adds each pair's squared distance times ``dt_record``.
     """
-    resolutions = list(resolutions)
-    if len(resolutions) < 2:
+    legs = list(legs)
+    if len(legs) < 2:
         raise ValueError("need at least two resolutions")
-    for (nxa, nya), (nxb, nyb) in zip(resolutions, resolutions[1:]):
-        if nxb != 2 * nxa or nyb != 2 * nya - 1:
-            raise ValueError(f"resolutions not nested: {(nxa, nya)} -> {(nxb, nyb)}")
-    steppers = [ImexStepper(make_config(nx, ny)) for nx, ny in resolutions]
-    # a record's time is its step index times dt, and the first is at 0
-    dt_rec = [min(s.config.record_every, s.config.n_steps) * s.config.dt
-              for s in steppers]
-    sums = [0.0] * (len(steppers) - 1)
-    for states in zip(*(s.states(s.config.record_every) for s in steppers), strict=True):
-        for j, (coarse, fine) in enumerate(zip(states, states[1:])):
-            if coarse.t < tau - 1e-12:
+    ops = functools.cache(OperatorSet)  # one per fine grid
+    sums, t_last = [0.0] * (len(legs) - 1), None
+    for records in zip(*legs, strict=True):
+        t_last = check_cadence(t_last, records[0][0], dt_record)
+        for j, ((t_coarse, coarse), (t_fine, fine)) in enumerate(zip(records, records[1:])):
+            if abs(t_fine - t_coarse) > CADENCE_RTOL * dt_record:
+                raise ValueError(f"the legs are out of step: a record at t = {t_coarse:.9g} "
+                                 f"meets a finer one at t = {t_fine:.9g}")
+            if t_last < tau - 1e-12:
                 continue
-            grid = fine.v.grid
-            diff = prolong(coarse.v, grid).values - fine.v.values
-            ch = steppers[j + 1].ops.ladder(diff)[:H2H_CHANNELS]
-            sums[j] += dt_rec[j] * float(squared_quadrature(ch, grid.node_weights).sum())
-    return RefinementStudy(resolutions=resolutions,
-                           deltas=[math.sqrt(total) for total in sums])
+            diff = prolong(coarse, fine.grid).values - fine.values
+            ch = ops(fine.grid).ladder(diff)[:H2H_CHANNELS]
+            sums[j] += dt_record * float(squared_quadrature(ch, fine.grid.node_weights).sum())
+    return RefinementStudy(deltas=[math.sqrt(total) for total in sums])
 
 
 def continuous_dependence_study():

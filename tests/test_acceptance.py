@@ -1,9 +1,12 @@
 """Acceptance gate: one test per criterion, one printed line per criterion.
 
-Criteria 4, 5 and 7 share the baseline unforced decay run (128 x 129,
+Criteria 4, 5, 7 and 10 share the baseline unforced decay run (128 x 129,
 nu = 0.01, alpha = 0.5, dt = 1e-3, T = 5) through a module-scoped fixture:
 per-step diagnostics feed the energy checks while a streaming accumulator
-collects the time-translation modulus at twice the step cadence.
+collects the time-translation modulus at twice the step cadence.  Criteria
+5 and 10 share its doubled-resolution run (256 x 257) the same way.  Both
+fixtures keep the fields criterion 10 reads, every 20th step to ``t = 1``:
+51 fields, 6.7 MB at 128 x 129 and 27 MB at 256 x 257.
 """
 
 from dataclasses import replace
@@ -11,10 +14,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bardina_strip.diagnostics import (StreamingTranslationModulus,
+from bardina_strip.diagnostics import (DiagnosticsSeries,
+                                       StreamingTranslationModulus,
                                        energy_budget, poincare_check)
 from bardina_strip.operators import OperatorSet
-from bardina_strip.solver import FieldSpec, SolverConfig, run
+from bardina_strip.solver import ImexStepper, run
 from bardina_strip.strip_grid import (Field, StripDomain, inner_product,
                                       l2_norm, make_grid)
 from bardina_strip.verification import (ALPHA_SLOPE_WINDOW,
@@ -45,6 +49,20 @@ def _report(num, ok, detail):
     return ok
 
 
+# criterion 10's legs: decay_config's run to t = 1, a record every 20 steps
+REFINEMENT_CONFIG = replace(decay_config(nx=64, ny=65, record_every=20), t_end=1.0)
+
+
+def _keep_refinement_records(kept):
+    """An observer that appends ``(t, v)`` to ``kept`` at each of
+    criterion 10's record steps."""
+    def observer(state, _rec):
+        if (state.step_index % REFINEMENT_CONFIG.record_every == 0
+                and state.step_index <= REFINEMENT_CONFIG.n_steps):
+            kept.append((state.t, state.v))
+    return observer
+
+
 @pytest.fixture(scope="module")
 def baseline_run():
     cfg = decay_config()  # 128 x 129, dt = 1e-3, T = 5, record every step
@@ -54,13 +72,16 @@ def baseline_run():
     acc = StreamingTranslationModulus(grid, ops, [1, 2, 4, 8, 16, 32],
                                       dt_record=2 * cfg.dt, norm="h2h",
                                       weight=weight)
+    kept = []
+    keep = _keep_refinement_records(kept)
 
-    def observer(state, _rec):
+    def observer(state, rec):
         if state.step_index % 2 == 0:
             acc.add(state.t, state.v)
+        keep(state, rec)
 
     _state, series = run(cfg, on_record=observer)
-    return cfg, series, acc.result()
+    return cfg, series, acc.result(), kept
 
 
 def test_criterion_1_operator_identities():
@@ -112,16 +133,16 @@ def test_criterion_3_mms_convergence():
 
 
 def test_criterion_4_energy_decay(baseline_run):
-    cfg, series, _mod = baseline_run
+    cfg, series, _mod, _kept = baseline_run
     budget = energy_budget(series)
     e0 = series.records[0].energy
     tol = ENERGY_INCREASE_BOUND * e0
     increase_ok = budget.max_energy_increase <= tol
     monotone = bool(np.all(np.diff(series.column("energy")) <= tol))
 
-    short = replace(cfg, t_end=0.256)
-    _, s_coarse = run(short)
-    _, s_fine = run(replace(short, dt=cfg.dt / 2))
+    # the run to t = 0.256 is the baseline's first 257 records
+    s_coarse = DiagnosticsSeries(series.records[:257], series.meta)
+    _, s_fine = run(replace(cfg, t_end=0.256, dt=cfg.dt / 2))
     exc_coarse = energy_budget(s_coarse).max_energy_increase
     exc_fine = energy_budget(s_fine).max_energy_increase
     halving_ok = exc_fine <= HALVING_FACTOR * exc_coarse + HALVING_FLOOR * e0
@@ -134,14 +155,15 @@ def test_criterion_4_energy_decay(baseline_run):
 @pytest.fixture(scope="module")
 def doubled_run():
     cfg = decay_config(nx=256, ny=257, record_every=5)
-    _, series = run(cfg)
-    return series
+    kept = []
+    _, series = run(cfg, on_record=_keep_refinement_records(kept))
+    return series, kept
 
 
 def test_criterion_5_weighted_estimates(baseline_run, doubled_run):
-    _cfg, series, _ = baseline_run
+    _cfg, series, _mod, _kept = baseline_run
     base = energy_budget(series)
-    dbl = energy_budget(doubled_run)
+    dbl = energy_budget(doubled_run[0])
     sup_ok = base.sup_energy_w <= 1.05 * base.initial_energy_w
     ratio_base = base.sup_energy_w / base.initial_energy_w
     ratio_dbl = dbl.sup_energy_w / dbl.initial_energy_w
@@ -198,7 +220,7 @@ def test_criterion_6c_explicit_first_derivative_constant():
 
 
 def test_criterion_7_compactness_modulus(baseline_run):
-    _cfg, _series, mod = baseline_run
+    _cfg, _series, mod, _kept = baseline_run
     ok = mod.slope >= MODULUS_SLOPE_MIN and mod.envelope_dominates()
     assert _report(7, ok, (f"slope={mod.slope:.3f} envelope "
                            f"{'dominates' if mod.envelope_dominates() else 'violated'}"))
@@ -224,15 +246,12 @@ def test_criterion_9_alpha_consistency():
                            + f" slope={slope:.2f}"))
 
 
-def test_criterion_10_refinement_cauchy():
-    def make_config(nx, ny):
-        return SolverConfig(
-            nx=nx, ny=ny, dt=1e-3, t_end=1.0, nu=0.01, alpha=0.5,
-            record_every=20,
-            ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0))
-
+def test_criterion_10_refinement_cauchy(baseline_run, doubled_run):
+    cfg = REFINEMENT_CONFIG  # 64 x 65; the finer legs are the fixtures' records
+    coarse = ((s.t, s.v) for s in ImexStepper(cfg).states(cfg.record_every))
     study = galerkin_refinement_study(
-        make_config, [(64, 65), (128, 129), (256, 257)], tau=0.1)
+        [coarse, baseline_run[3], doubled_run[1]],
+        dt_record=cfg.record_every * cfg.dt, tau=0.1)
     ok = study.monotone
     assert _report(10, ok, "deltas=" + ", ".join(f"{d:.3e}" for d in study.deltas))
 

@@ -356,27 +356,46 @@ class TestProlongation:
             prolong(f, bad)
 
 
+def _leg(nx, ny, every, **over):
+    """The ``(t, v)`` records of a stepped run at ``nx`` x ``ny``, every
+    ``every``-th step and the last, as a generator."""
+    stepper = ImexStepper(SolverConfig(nx=nx, ny=ny, **over))
+    return ((state.t, state.v) for state in stepper.states(every))
+
+
 class TestRefinementStudy:
 
     def test_rejects_non_nested_resolutions(self):
-        def make_config(nx, ny):
-            return SolverConfig(nx=nx, ny=ny, dt=1e-2, t_end=0.1)
+        legs = [_leg(nx, ny, 1, dt=1e-2, t_end=0.1) for nx, ny in [(16, 17), (24, 25)]]
         with pytest.raises(ValueError, match="nested"):
-            galerkin_refinement_study(make_config, [(16, 17), (24, 25)])
+            galerkin_refinement_study(legs, dt_record=1e-2)
 
     def test_rejects_resolutions_with_different_record_counts(self):
-        def make_config(nx, ny):
-            return SolverConfig(nx=nx, ny=ny, dt=1e-2, t_end=0.1,
-                                record_every=1 if nx == 16 else 5)
+        legs = [_leg(16, 17, 1, dt=1e-2, t_end=0.1), _leg(32, 33, 1, dt=1e-2, t_end=0.05)]
         with pytest.raises(ValueError, match="shorter|longer"):
-            galerkin_refinement_study(make_config, [(16, 17), (32, 33)])
+            galerkin_refinement_study(legs, dt_record=1e-2)
+
+    def test_rejects_a_record_off_the_cadence(self):
+        # states() yields the last step too: 0, 3, 6, 9 and 10, whose one-step
+        # interval a record weight of 3 dt would count as three
+        legs = [_leg(nx, ny, 3, dt=1e-2, t_end=0.1) for nx, ny in [(16, 17), (32, 33)]]
+        with pytest.raises(ValueError, match=r"t = 0\.1 is off the cadence.*t = 0\.09"):
+            galerkin_refinement_study(legs, dt_record=3e-2)
+
+    def test_rejects_legs_out_of_step(self):
+        # equally many records, but the finer leg's dt is twice the coarse one's
+        legs = [_leg(16, 17, 1, dt=1e-2, t_end=0.1), _leg(32, 33, 1, dt=2e-2, t_end=0.2)]
+        with pytest.raises(ValueError, match=r"out of step.*t = 0\.01 .*t = 0\.02"):
+            galerkin_refinement_study(legs, dt_record=1e-2)
 
     def test_deltas_equal_the_premultiplied_dot_form(self):
         def make_config(nx, ny):
             return SolverConfig(nx=nx, ny=ny, dt=1e-2, t_end=0.1, record_every=2,
                                 ic=FieldSpec(kind="trig_clamped", amplitude=1.0))
         resolutions = [(16, 17), (32, 33), (64, 65)]
-        study = galerkin_refinement_study(make_config, resolutions)
+        study = galerkin_refinement_study(
+            [((s.t, s.v) for s in ImexStepper(make_config(nx, ny)).states(2))
+             for nx, ny in resolutions], dt_record=2e-2)
         # the oracle: channels premultiplied by the root of the node weights,
         # each record's squared distance one vdot
         steppers = [ImexStepper(make_config(nx, ny)) for nx, ny in resolutions]
@@ -390,14 +409,22 @@ class TestRefinementStudy:
                 sums[j] += 2e-2 * float(np.vdot(ch, ch).real)
         np.testing.assert_allclose(study.deltas, np.sqrt(sums), rtol=1e-13, atol=0)
 
+    def test_list_and_generator_legs_give_the_same_deltas(self):
+        kw = dict(dt=1e-2, t_end=0.1, ic=FieldSpec(kind="trig_clamped", amplitude=1.0))
+        resolutions = [(16, 17), (32, 33)]
+        lists = galerkin_refinement_study(
+            [list(_leg(nx, ny, 2, **kw)) for nx, ny in resolutions], dt_record=2e-2)
+        generators = galerkin_refinement_study(
+            [_leg(nx, ny, 2, **kw) for nx, ny in resolutions], dt_record=2e-2)
+        assert lists.deltas[0] > 0
+        assert [d.hex() for d in lists.deltas] == [d.hex() for d in generators.deltas]
+
     def test_linear_problem_converges_at_second_order(self, frozen_advection):
-        def make_config(nx, ny):
-            return SolverConfig(
-                nx=nx, ny=ny, dt=1e-3, t_end=0.2, nu=0.02, alpha=0.3,
-                record_every=20,
-                ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0))
+        kw = dict(dt=1e-3, t_end=0.2, nu=0.02, alpha=0.3,
+                  ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0))
         study = galerkin_refinement_study(
-            make_config, [(16, 17), (32, 33), (64, 65)])
+            [_leg(nx, ny, 20, **kw) for nx, ny in [(16, 17), (32, 33), (64, 65)]],
+            dt_record=20 * 1e-3)
         assert study.monotone
         # values converge at second order but the x2-linear lift has a
         # first-order-accurate derivative, so the trajectory-space ratio
@@ -405,13 +432,11 @@ class TestRefinementStudy:
         assert 2.0 <= study.deltas[0] / study.deltas[1] <= 6.0
 
     def test_nonlinear_decay_is_cauchy(self):
-        def make_config(nx, ny):
-            return SolverConfig(
-                nx=nx, ny=ny, dt=2e-3, t_end=0.3, nu=0.01, alpha=0.5,
-                record_every=25,
-                ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0))
+        kw = dict(dt=2e-3, t_end=0.3, nu=0.01, alpha=0.5,
+                  ic=FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=0))
         study = galerkin_refinement_study(
-            make_config, [(16, 17), (32, 33), (64, 65)], tau=0.05)
+            [_leg(nx, ny, 25, **kw) for nx, ny in [(16, 17), (32, 33), (64, 65)]],
+            dt_record=25 * 2e-3, tau=0.05)
         assert study.monotone
 
 
@@ -433,11 +458,21 @@ class TestStudiesRecordNothing:
         run_suite("compactness", settings)
         assert records == []
 
-    def test_refinement_study(self, records):
-        def make_config(nx, ny):
-            return SolverConfig(nx=nx, ny=ny, dt=1e-2, t_end=0.1, record_every=2,
-                                ic=FieldSpec(kind="trig_clamped", amplitude=1.0))
-        study = galerkin_refinement_study(make_config, [(16, 17), (32, 33)])
+    def test_refinement_study(self, records, monkeypatch):
+        # the legs' steppers are built first; the study steps them but builds none
+        legs = [_leg(nx, ny, 2, dt=1e-2, t_end=0.1,
+                     ic=FieldSpec(kind="trig_clamped", amplitude=1.0))
+                for nx, ny in [(16, 17), (32, 33)]]
+        built = []
+        init = ImexStepper.__init__
+
+        def counting_init(self, config):
+            built.append(config)
+            init(self, config)
+
+        monkeypatch.setattr(ImexStepper, "__init__", counting_init)
+        study = galerkin_refinement_study(legs, dt_record=2e-2)
+        assert built == []
         assert records == []
         assert study.deltas[0] > 0
 
