@@ -44,9 +44,11 @@ def lu_pentadiagonal(rows: np.ndarray) -> np.ndarray:
 class MirrorBandLU:
     """Banded LU of the implicit blocks, split by the mirror ``x2 -> -x2``.
 
-    ``band[k, i, s]`` is row ``i`` of mode ``k``'s block at column
-    ``i + s - 2``, zero outside the block.  With its row ``ny - 2`` negated,
-    a block commutes with the reflection ``j -> ny - 1 - j``, so it maps
+    ``band[k, i, s]`` is row ``i`` of mode ``k``'s ``ny``-row block at
+    column ``i + s - 2``, zero outside the block; only the top
+    ``(ny + 1) // 2`` rows are read, so ``band`` may hold only those.  With
+    its row ``ny - 2`` negated, a block commutes with the reflection
+    ``j -> ny - 1 - j``, so it maps
     mirror-even columns to mirror-even ones and odd to odd.  Each half is
     the block's top ``(ny + 1) // 2`` rows with every column folded onto its
     mirror image, added (even) or subtracted (odd), and stays pentadiagonal;
@@ -69,8 +71,8 @@ class MirrorBandLU:
     contiguous modes of Fortran-ordered ``(n_modes, ny)`` arrays.
     """
 
-    def __init__(self, band: np.ndarray):
-        n_modes, ny = band.shape[:2]
+    def __init__(self, band: np.ndarray, ny: int):
+        n_modes = len(band)
         h = (ny + 1) // 2
         m = (h + 1) // 2
         pad = 2 * m - h

@@ -18,13 +18,31 @@ from .strip_grid import Field, Grid, check_same_grid, inner_product, l2_norm
 __all__ = ["ADVECTION_BLOCK_BYTES", "H1_CHANNELS", "H2H_CHANNELS", "OperatorSet",
            "d2_matrix", "d2_wall_rows", "trilinear_relative"]
 
-# the bytes of one (rows, nx) float64 array of an advection block, which set
-# its height (about six such arrays at once).  In process on 2 vCPUs, one BLAS
-# thread, the advection at 512 x 513 took 9.0 ms in blocks of 32 or 64 rows,
-# 10.6 ms in 128s and 15.7 ms as one block, with a tracemalloc peak of 7.4
-# fields against 2.6 in 64s; 128 x 129 is one block, 1.18 ms (0.99 in 32s).
+# the bytes of one row of an x2-row block, which set its height: a row of
+# nx float64 values in the advection (about six such arrays at once), of
+# n_modes complex128 coefficients in the modal Laplacian and the step's
+# right-hand side.  In process on 2 vCPUs, one BLAS thread, the advection at
+# 512 x 513 took 9.0 ms in blocks of 32 or 64 rows, 10.6 ms in 128s and
+# 15.7 ms as one block, with a tracemalloc peak of 7.4 fields against 2.6 in
+# 64s; 128 x 129 is one block, 1.18 ms (0.99 in 32s).  At 512 x 513 a modal
+# block is 63 rows, about 250 KiB, so it stays in a 2 MiB L2 cache through
+# all of its passes.
 ADVECTION_BLOCK_BYTES = 2 ** 18
 H1_CHANNELS, H2H_CHANNELS = 3, 5  # the ladder prefixes of the H^1 and H^{2,h} norms
+
+
+def _divide(x: np.ndarray, c: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``x / c`` for a real ``c``; a complex ``x`` is multiplied by ``1 / c``.
+
+    numpy divides a complex array by a real as by ``c + 0j`` (Smith's
+    algorithm), which evaluates to that product: bit for bit, but for the
+    sign of a zero part where ``x`` holds a negative zero, at a third of the
+    cost.  A real ``x`` keeps its division, which the product would move by
+    an ulp.
+    """
+    if np.iscomplexobj(x):
+        return np.multiply(x, 1.0 / c, out=out)
+    return np.divide(x, c, out=out)
 
 
 def d2_values(values: np.ndarray, dy: float, axis: int = 1,
@@ -32,27 +50,40 @@ def d2_values(values: np.ndarray, dy: float, axis: int = 1,
     """First ``x2`` derivative along ``axis``, one-sided at the walls, into
     ``out`` if given.
 
-    Every element gets the same arithmetic whichever axis holds ``x2``.
+    Every element gets the same arithmetic whichever axis holds ``x2``; a
+    complex ``values`` is multiplied by ``1 / (2 dy)`` (:func:`_divide`).
     """
     out = np.empty_like(values) if out is None else out
     v, o = values.swapaxes(axis, 0), out.swapaxes(axis, 0)
-    np.divide(np.subtract(v[2:], v[:-2], out=o[1:-1]), 2.0 * dy, out=o[1:-1])
-    o[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dy)
-    o[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dy)
+    _divide(np.subtract(v[2:], v[:-2], out=o[1:-1]), 2.0 * dy, out=o[1:-1])
+    o[0] = _divide(-3.0 * v[0] + 4.0 * v[1] - v[2], 2.0 * dy)
+    o[-1] = _divide(3.0 * v[-1] - 4.0 * v[-2] + v[-3], 2.0 * dy)
     return out
 
 
-def d2sq_values(values: np.ndarray, dy: float) -> np.ndarray:
-    """Second ``x2`` derivative along axis 1, one-sided at the walls."""
-    out = np.empty_like(values)
+def d2sq_values(values: np.ndarray, dy: float, rows: slice = slice(None),
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Second ``x2`` derivative along axis 1, one-sided at the walls, at the
+    ``rows`` of ``values`` (all of them by default), into ``out`` if given.
+
+    A row block reads its neighbours' rows as halo, so blocks of any height
+    give the bits of the whole array.  A complex ``values`` is multiplied by
+    ``1 / dy^2`` (:func:`_divide`).
+    """
+    ny = values.shape[1]
+    j0, j1, _ = rows.indices(ny)
+    out = np.empty_like(values[:, j0:j1]) if out is None else out
     dy2 = dy * dy
-    mid = np.multiply(2.0, values[:, 1:-1], out=out[:, 1:-1])  # (lo - 2 v + hi) / dy2
-    np.subtract(values[:, :-2], mid, out=mid)
-    np.divide(np.add(mid, values[:, 2:], out=mid), dy2, out=mid)
-    out[:, 0] = (2.0 * values[:, 0] - 5.0 * values[:, 1]
-                 + 4.0 * values[:, 2] - values[:, 3]) / dy2
-    out[:, -1] = (2.0 * values[:, -1] - 5.0 * values[:, -2]
-                  + 4.0 * values[:, -3] - values[:, -4]) / dy2
+    a, b = max(j0, 1), min(j1, ny - 1)  # the interior rows: (lo - 2 v + hi) / dy2
+    mid = np.multiply(2.0, values[:, a:b], out=out[:, a - j0:b - j0])
+    np.subtract(values[:, a - 1:b - 1], mid, out=mid)
+    _divide(np.add(mid, values[:, a + 1:b + 1], out=mid), dy2, out=mid)
+    if j0 == 0:
+        out[:, 0] = _divide(2.0 * values[:, 0] - 5.0 * values[:, 1]
+                            + 4.0 * values[:, 2] - values[:, 3], dy2)
+    if j1 == ny:
+        out[:, -1] = _divide(2.0 * values[:, -1] - 5.0 * values[:, -2]
+                             + 4.0 * values[:, -3] - values[:, -4], dy2)
     return out
 
 
@@ -89,7 +120,7 @@ class OperatorSet:
 
     def helmholtz(self, alpha: float) -> np.ndarray:
         """Per-mode symbol ``1 + (alpha kappa_k)^2`` of ``I - alpha^2 d1^2``;
-        the stepper divides its explicit terms by it."""
+        the stepper multiplies its explicit terms by its reciprocal."""
         return 1.0 + (alpha * self.grid.wavenumbers) ** 2
 
     def _scale_modes(self, f: Field, scale: np.ndarray) -> Field:
@@ -158,11 +189,22 @@ class OperatorSet:
             f.ladder.flags.writeable = False
         return f.ladder
 
+    def row_blocks(self, row_bytes: int) -> list[slice]:
+        """The ``x2`` rows in blocks of about ``ADVECTION_BLOCK_BYTES``, for
+        work arrays of ``row_bytes`` per row; the last block may be shorter."""
+        ny = self.grid.ny
+        rows = max(1, ADVECTION_BLOCK_BYTES // row_bytes)
+        return [slice(j0, min(j0 + rows, ny)) for j0 in range(0, ny, rows)]
+
     def laplacian_modal(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # with no out, the x2 term's own buffer takes the result: a fresh
-        # one costs 500 more page faults per call at 512 x 513
-        lap = d2sq_values(coeffs, self.grid.dy)
-        return np.subtract(lap, self._k2[:, None] * coeffs, out=lap if out is None else out)
+        """``(D2 - kappa^2) coeffs`` into ``out`` if given, in blocks of
+        modal rows (:meth:`row_blocks`), each through every pass in cache."""
+        out = np.empty_like(coeffs) if out is None else out
+        k2 = self._k2[:, None]
+        for rows in self.row_blocks(16 * self.grid.n_modes):
+            lap = d2sq_values(coeffs, self.grid.dy, rows, out=out[:, rows])
+            np.subtract(lap, k2 * coeffs[:, rows], out=lap)
+        return out
 
     # -- dealiased products ---------------------------------------------------
 
@@ -195,47 +237,53 @@ class OperatorSet:
         ``lap_u_hat`` is the :meth:`laplacian_modal` of ``u_hat``, if the caller
         has it.  The Laplacian acts mode by mode, so truncating it is bitwise
         the Laplacian of the truncated ``u``.  The values are formed in blocks
-        of ``x2`` rows (``ADVECTION_BLOCK_BYTES``), so the work arrays scale
-        with a block.  A block gathers its rows and the ``x2`` stencil's halo
-        (a row each side; at a wall the one-sided stencil's three rows) into
-        zero-padded rows with the ``x1`` modes on their contiguous last axis:
-        one batched inverse transform gives the three factors, one batched
-        forward transform the two products, of which the kept modes are kept.
-        Every element gets the arithmetic of one transform per factor along
-        ``x1`` and the whole grid's stencil rows, whatever the block height.
+        of ``x2`` rows (:meth:`row_blocks`), so the work arrays scale with a
+        block; they are allocated once per call.  A block gathers its rows and
+        the ``x2`` stencil's halo (a row each side; at a wall the one-sided
+        stencil's three rows) into rows with the ``x1`` modes on their
+        contiguous last axis, zero past the kept modes, which no block writes:
+        one batched inverse transform gives the three factors, and the two
+        products' forward transforms write straight into full-width spectra
+        rows, the first of them the result's; a running maximum keeps the
+        speed.  Every
+        element gets the arithmetic of one transform per factor along ``x1``
+        and the whole grid's stencil rows, whatever the block height.
         """
         nx, ny, dy = self.grid.nx, self.grid.ny, self.grid.dy
         kept = self._kept
         ik = self._ik[:kept]
         lap_u_hat = self.laplacian_modal(u_hat) if lap_u_hat is None else lap_u_hat
-        rows = max(1, ADVECTION_BLOCK_BYTES // (8 * nx))
-        spectra = np.empty((2, ny, kept), dtype=np.complex128)
-        speed2 = []
-        for j0 in range(0, ny, rows):
-            j1 = min(j0 + rows, ny)
-            g0, g1 = max(min(j0 - 1, ny - 3), 0), min(max(j1 + 1, 3), ny)
-            # the modes beyond the kept ones are zero
-            factors = np.zeros((3, g1 - g0, self.grid.n_modes), dtype=np.complex128)
-            factors[1, :, :kept] = v_hat[:kept, g0:g1].T
-            np.multiply(ik, factors[1, :, :kept], out=factors[0, :, :kept])
-            factors[2, :, :kept] = lap_u_hat[:kept, g0:g1].T
-            values = np.fft.irfft(factors, n=nx, axis=-1)
-            del factors
-            inner = slice(j0 - g0, j1 - g0)
-            d2v = d2_values(values[1], dy, axis=0)[inner]
+        # each block's rows with their halo, g0 <= j0 < j1 <= g1
+        spans = [(rows, max(min(rows.start - 1, ny - 3), 0), min(max(rows.stop + 1, 3), ny))
+                 for rows in self.row_blocks(8 * nx)]
+        height = max(g1 - g0 for _, g0, g1 in spans)
+        factors = np.zeros((3, height, self.grid.n_modes), dtype=np.complex128)
+        values = np.empty((3, height, nx))
+        # the products' spectra, x2 rows outermost; the first becomes the
+        # result, (n_modes, ny) in Fortran order
+        b_hat = np.empty((ny, self.grid.n_modes), dtype=np.complex128)
+        d1v_lap = np.empty_like(b_hat)
+        speed2 = -np.inf
+        for rows, g0, g1 in spans:
+            kf = factors[:, :g1 - g0, :kept]
+            kf[1] = v_hat[:kept, g0:g1].T
+            np.multiply(ik, kf[1], out=kf[0])
+            kf[2] = lap_u_hat[:kept, g0:g1].T
+            np.fft.irfft(factors[:, :g1 - g0], n=nx, axis=-1, out=values[:, :g1 - g0])
+            inner = slice(rows.start - g0, rows.stop - g0)
+            d2v = d2_values(values[1, :g1 - g0], dy, axis=0)[inner]
             d1v, v, lap = values[:, inner]
             # the products overwrite v and lap, which they no longer need
-            np.multiply(d2v, lap, out=v)
-            np.multiply(d1v, lap, out=lap)
-            spectra[:, j0:j1] = np.fft.rfft(values[1:, inner], axis=-1)[:, :, :kept]
+            np.fft.rfft(np.multiply(d2v, lap, out=v), axis=-1, out=b_hat[rows])
+            np.fft.rfft(np.multiply(d1v, lap, out=lap), axis=-1, out=d1v_lap[rows])
             d1v *= d1v
             d1v += np.multiply(d2v, d2v, out=d2v)
-            speed2.append(d1v.max())
-        d2v_lap, d1v_lap = spectra
-        b_hat = np.zeros((ny, self.grid.n_modes), dtype=np.complex128).T
-        out = d2_values(d1v_lap, dy, axis=0, out=b_hat.T[:, :kept])
-        np.subtract(np.multiply(ik, d2v_lap, out=d2v_lap), out, out=out)
-        return b_hat, float(np.max(speed2))
+            speed2 = np.maximum(speed2, d1v.max())
+        del factors, values, d1v, v, lap, d2v  # before the stencil's output
+        d2v_lap = np.multiply(ik, b_hat[:, :kept], out=b_hat[:, :kept])
+        np.subtract(d2v_lap, d2_values(d1v_lap[:, :kept], dy, axis=0), out=d2v_lap)
+        b_hat[:, kept:] = 0.0
+        return b_hat.T, float(speed2)
 
     def bilinear_B_conservative(self, u: Field, v: Field) -> Field:
         """Values of :meth:`advection_modal`.

@@ -8,7 +8,9 @@ with clamped walls (``v = d2 v = 0``) and ``x1``-periodicity; ``alpha = 0``
 recovers the unfiltered stream-function vorticity equation.  Per Fourier
 mode ``k`` the Helmholtz factor is the scalar ``1 + alpha^2 kappa_k^2``
 (``OperatorSet.helmholtz``), so dividing the explicit terms by it turns each
-mode into an independent 1D fourth-order boundary value problem in ``x2``:
+mode into an independent 1D fourth-order boundary value problem in ``x2``
+(the step multiplies by its reciprocal, bit for bit numpy's complex division
+by it):
 
     (D2 - k^2) (v^{n+1} - v^n) / dt = nu (D2 - k^2)^2 v^{n+1}
         + (g_hat - B_hat(v^n)) / (1 + alpha^2 kappa_k^2)
@@ -46,9 +48,13 @@ One step computes the modal Laplacian ``L v^n`` of ``v^n`` once: it is the
 mass operator's right-hand side and, truncated, the advected factor of
 ``B_hat``.  ``B_hat`` streams over blocks of ``x2`` rows
 (``operators.ADVECTION_BLOCK_BYTES``), so a step's temporaries beyond its
-modal arrays scale with a block, not the grid.  Modal arrays (states, the
-forcing's coefficients, the step's arrays and both solves' outputs) are
-``(n_modes, ny)`` in Fortran order, each ``x2`` row's modes contiguous.
+modal arrays scale with a block, not the grid.  The Laplacian and the
+right-hand side go over blocks of modal rows of the same size: a block of
+the explicit term is the forcing minus ``B_hat`` times the reciprocal
+symbol, and the scheme's combination takes it while it is in cache.
+Modal arrays (states, the forcing's coefficients, the step's arrays and
+both solves' outputs) are ``(n_modes, ny)`` in Fortran order, each ``x2``
+row's modes contiguous.
 
 CNAB2's first step is two IMEX-Euler steps of ``dt / 2`` (Rannacher's
 start), with the explicit term at ``t`` and ``t + dt / 2``: an initial state
@@ -376,7 +382,9 @@ class ImexStepper:
         self.config = config
         self.grid = config.grid()
         self.ops = OperatorSet(self.grid)
-        self.mult = self.ops.helmholtz(config.alpha)
+        # the filter's reciprocal symbol: a multiply by it is bit for bit
+        # numpy's complex division by the symbol (operators._divide)
+        self._inv_mult = (1.0 / self.ops.helmholtz(config.alpha))[:, None]
         ny = self.grid.ny
         self.bc_rows = [0, 1, ny - 2, ny - 1]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -425,17 +433,21 @@ class ImexStepper:
         at = f"lx = {cfg.lx:g}, m = {cfg.m:g}, nu = {cfg.nu:g}, dt = {cfg.dt:g}"
         if not (np.all(np.isfinite(stencil)) and np.all(np.isfinite(wall))):
             raise ValueError(f"the implicit operator overflows at {at}")
-        # slot (i, s) holds row i at column i + s - 2, rows outermost as the fold reads them
-        band = np.zeros((ny, n_modes, 5)).transpose(1, 0, 2)
-        band[:, 2:-2] = stencil[:, None]
-        band[:, [0, -1], 2] = 1.0
-        band[:, 1, 1:4], band[:, -2, 1:4] = wall[0, :3], wall[1, 2:]
-        if n_modes * ny * ny * 8 > DENSE_INVERSE_BYTES:
+        # slot (i, s) holds row i at column i + s - 2, rows outermost as the
+        # fold reads them; the banded solve reads only the top half
+        banded = n_modes * ny * ny * 8 > DENSE_INVERSE_BYTES
+        band = np.zeros(((ny + 1) // 2 if banded else ny, n_modes, 5)).transpose(1, 0, 2)
+        band[:, 2:ny - 2] = stencil[:, None]
+        band[:, 0, 2] = 1.0
+        band[:, 1, 1:4] = wall[0, :3]
+        if banded:
             from .banded import MirrorBandLU  # only grids above the bound load it
-            lu = MirrorBandLU(band)
+            lu = MirrorBandLU(band, ny)
             if not lu.regular:
                 raise ValueError(f"the implicit operator is singular at {at}")
             return lu
+        band[:, -1, 2] = 1.0
+        band[:, -2, 1:4] = wall[1, 2:]
         cols = np.arange(ny)[:, None] + np.arange(-2, 3)
         inside = (cols >= 0) & (cols < ny)
         blocks = np.zeros((n_modes, ny, ny))
@@ -469,19 +481,28 @@ class ImexStepper:
 
     # -- per-step pieces --------------------------------------------------------
 
-    def _explicit_and_cfl(self, state: SolverState,
-                          lap_hat: np.ndarray) -> tuple[np.ndarray, float]:
+    def _explicit_and_cfl(self, state: SolverState, lap_hat: np.ndarray,
+                          combine: Callable[[slice, np.ndarray], None] | None = None,
+                          ) -> tuple[np.ndarray, float]:
         """``(g_hat - B_hat) / (1 + alpha^2 kappa^2)`` plus the CFL number.
 
         ``B_hat`` is :meth:`OperatorSet.advection_modal` of the modal state,
         given its modal Laplacian ``lap_hat``; the largest squared speed of
         the truncated velocity, which it returns too, feeds the CFL estimate,
-        since the truncated field is the one actually advecting.
+        since the truncated field is the one actually advecting.  The term
+        is formed in blocks of modal rows (``OperatorSet.row_blocks``), each
+        multiplied by the reciprocal symbol, bit for bit numpy's complex
+        division by it; ``combine(rows, term)``, if given, then takes each
+        block while it is in cache: the step adds it to its right-hand side.
         """
         out = np.asfortranarray(self._forcing_hat.at(state.t))
         b_hat, speed2 = self.ops.advection_modal(state.v_hat, state.v_hat, lap_hat)
-        out -= b_hat
-        out /= self.mult[:, None]
+        for rows in self.ops.row_blocks(16 * self.grid.n_modes):
+            term = out[:, rows]
+            term -= b_hat[:, rows]
+            term *= self._inv_mult
+            if combine is not None:
+                combine(rows, term)
         return out, self.config.dt * math.sqrt(speed2) / min(self.grid.dx, self.grid.dy)
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -501,8 +522,12 @@ class ImexStepper:
         # the mass operator (D2 - kappa^2) is the modal Laplacian, which the
         # advective term reads too
         rhs = self.ops.laplacian_modal(state.v_hat)
-        explicit, cfl = self._explicit_and_cfl(state, rhs)
-        rhs += self._euler_dt * explicit
+
+        def combine(rows, term):
+            block = rhs[:, rows]
+            block += self._euler_dt * term
+
+        explicit, cfl = self._explicit_and_cfl(state, rhs, combine)
         rhs[:, self.bc_rows] = 0.0
         return self._solve(rhs), explicit, cfl
 
@@ -528,10 +553,17 @@ class ImexStepper:
                 # Crank-Nicolson for s = v^{n+1} + v^n (module docstring):
                 # the interior rows of A s are 2 L v^n plus the AB2 term, its
                 # clamped rows those of v^n, since v^{n+1} satisfies them
-                rhs = self.ops.laplacian_modal(state.v_hat)
-                explicit, cfl = self._explicit_and_cfl(state, rhs)
-                rhs *= 2.0
-                rhs += cfg.dt * (1.5 * explicit - 0.5 * state.prev_explicit)
+                rhs, prev = self.ops.laplacian_modal(state.v_hat), state.prev_explicit
+
+                def combine(rows, term):
+                    ab2 = np.multiply(1.5, term)
+                    ab2 -= 0.5 * prev[:, rows]
+                    ab2 *= cfg.dt
+                    block = rhs[:, rows]
+                    block *= 2.0
+                    block += ab2
+
+                explicit, cfl = self._explicit_and_cfl(state, rhs, combine)
                 rhs[:, self.bc_rows] = self._clamped_rows(state.v_hat)
                 v_hat = self._solve(rhs)
                 v_hat -= state.v_hat

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bardina_strip import operators
-from bardina_strip.operators import (OperatorSet, d2_matrix, d2_values,
+from bardina_strip.operators import (OperatorSet, d2_matrix, d2_values, d2sq_values,
                                      trilinear_relative)
 from bardina_strip.strip_grid import (Field, StripDomain, inner_product,
                                       l2_norm, make_grid)
@@ -166,7 +166,6 @@ class TestLaplacianBiharmonic:
     def test_d2_matrix_matches_operator(self, rng):
         grid = _grid(8, 17)
         mat = d2_matrix(grid.ny, grid.dy)
-        from bardina_strip.operators import d2sq_values
         vals = rng.standard_normal(grid.shape)
         assert np.allclose(vals @ mat.T, d2sq_values(vals, grid.dy), atol=1e-10)
 
@@ -311,11 +310,76 @@ class TestBatchedAdvection:
         ops = OperatorSet(grid)
         u_hat, v_hat = (np.fft.rfft(rng.standard_normal(grid.shape), axis=0)
                         for _ in range(2))
-        assert operators.ADVECTION_BLOCK_BYTES >= 8 * nx * ny
+        assert operators.ADVECTION_BLOCK_BYTES >= 16 * grid.n_modes * ny
         b_hat, speed2 = ops.advection_modal(u_hat, v_hat)
+        lap = ops.laplacian_modal(u_hat)
+        # the modal blocks are 1, 1, 2, 3, 9, 14, 17 and 28 rows high
         monkeypatch.setattr(operators, "ADVECTION_BLOCK_BYTES", 8 * nx * rows)
         blocked, blocked_speed2 = ops.advection_modal(u_hat, v_hat)
-        assert np.array_equal(blocked, b_hat) and blocked_speed2 == speed2
+        assert blocked.tobytes() == b_hat.tobytes() and blocked_speed2 == speed2
+        assert ops.laplacian_modal(u_hat).tobytes() == lap.tobytes()
+
+    @pytest.mark.parametrize("scheme", ["imex_euler", "imex_cnab2"])
+    @pytest.mark.parametrize("nx,ny,dense,heights", [(24, 21, True, (1, 4, 8)),
+                                                     (24, 33, False, (2, 5, 16)),
+                                                     (16, 513, False, (63,))])
+    def test_steps_in_blocks_of_rows_equal_one_block(self, monkeypatch, scheme, nx, ny,
+                                                     dense, heights):
+        # the modal Laplacian and the right-hand side go in blocks of
+        # `height` modal rows; 513 rows in blocks of 63 leave a last one of 9.
+        # Two steps: CNAB2's start and one Crank-Nicolson step
+        from bardina_strip import solver
+
+        if not dense:
+            monkeypatch.setattr(solver, "DENSE_INVERSE_BYTES", 0)
+        cfg = solver.SolverConfig(
+            nx=nx, ny=ny, dt=1e-4, t_end=1e-3, nu=0.02, alpha=0.5, scheme=scheme,
+            ic=solver.FieldSpec(kind="trig_clamped", amplitude=1.0, k1=1, k2=1),
+            forcing=solver.FieldSpec(kind="trig_clamped", amplitude=0.5, k1=2, k2=1))
+
+        def two_steps():
+            stepper = solver.ImexStepper(cfg)
+            assert isinstance(stepper._implicit, np.ndarray) == dense
+            first = stepper.step(stepper.initial_state())
+            second = stepper.step(first)
+            return [(s.v_hat.tobytes(), s.cfl, None if s.prev_explicit is None
+                     else s.prev_explicit.tobytes()) for s in (first, second)]
+
+        one_block = two_steps()
+        for height in heights:
+            monkeypatch.setattr(operators, "ADVECTION_BLOCK_BYTES",
+                                16 * (nx // 2 + 1) * height)
+            assert two_steps() == one_block
+
+
+class TestReciprocals:
+    """The ``x2`` stencils multiply complex rows by ``1 / dy^2`` and
+    ``1 / (2 dy)``, and the step multiplies its explicit term by the
+    filter's reciprocal symbol.  numpy's complex division by a real computes
+    those products, so every output keeps the division's bits; a numpy whose
+    complex division differs fails here instead of moving the outputs."""
+
+    def test_complex_stencils_equal_their_division_form(self, rng):
+        grid = make_grid(StripDomain(5.0, 1.3), 24, 21)
+        ops, dy = OperatorSet(grid), grid.dy
+        # zero imaginary parts at k = 0 and at the Nyquist mode, as in a run
+        c = np.fft.rfft(rng.standard_normal(grid.shape), axis=0)
+        dy2 = dy * dy
+        d2sq = np.empty_like(c)
+        d2sq[:, 1:-1] = (c[:, :-2] - 2.0 * c[:, 1:-1] + c[:, 2:]) / dy2
+        d2sq[:, 0] = (2.0 * c[:, 0] - 5.0 * c[:, 1] + 4.0 * c[:, 2] - c[:, 3]) / dy2
+        d2sq[:, -1] = (2.0 * c[:, -1] - 5.0 * c[:, -2] + 4.0 * c[:, -3] - c[:, -4]) / dy2
+        d2 = np.empty_like(c)
+        d2[:, 1:-1] = (c[:, 2:] - c[:, :-2]) / (2.0 * dy)
+        d2[:, 0] = (-3.0 * c[:, 0] + 4.0 * c[:, 1] - c[:, 2]) / (2.0 * dy)
+        d2[:, -1] = (3.0 * c[:, -1] - 4.0 * c[:, -2] + c[:, -3]) / (2.0 * dy)
+        assert d2sq_values(c, dy).tobytes() == d2sq.tobytes()
+        lap = d2sq - (grid.wavenumbers ** 2)[:, None] * c
+        assert ops.laplacian_modal(c).tobytes() == lap.tobytes()
+        assert d2_values(c, dy).tobytes() == d2.tobytes()
+        assert d2_values(c.T, dy, axis=0).tobytes() == d2.T.tobytes()
+        mult = ops.helmholtz(0.7)[:, None]
+        assert (c * (1.0 / mult)).tobytes() == (c / mult).tobytes()
 
 
 class TestTrilinearIdentities:

@@ -468,7 +468,7 @@ class TestImplicitAssembly:
             band = self._mirror_band(rng, 3, ny)
             rhs = rng.standard_normal((3, ny)) + 1j * rng.standard_normal((3, ny))
             handed.clear()
-            lu = banded.MirrorBandLU(band)
+            lu = banded.MirrorBandLU(band[:, :(ny + 1) // 2], ny)
             x = lu.solve(rhs)
             for k in range(3):
                 block = np.zeros((ny, ny))
@@ -578,14 +578,16 @@ class TestImplicitAssembly:
     @staticmethod
     def _rigged_start(monkeypatch, scales, cfls):
         """A CNAB2 stepper whose starter's half steps scale their explicit
-        terms by ``scales`` and report ``cfls``; the times they are read at."""
+        terms by ``scales``, in the right-hand side too, and report ``cfls``;
+        the times they are read at."""
         stepper = TestImplicitAssembly._cnab2_stepper(16, 17, 2 * np.pi, 1.0)
         explicit_and_cfl, times = stepper._explicit_and_cfl, []
 
-        def rigged(state, lap_hat):
+        def rigged(state, lap_hat, combine):
             times.append(state.t)
-            explicit, _cfl = explicit_and_cfl(state, lap_hat)
-            return explicit * scales[len(times) - 1], cfls[len(times) - 1]
+            explicit = explicit_and_cfl(state, lap_hat)[0] * scales[len(times) - 1]
+            combine(slice(None), explicit)
+            return explicit, cfls[len(times) - 1]
 
         monkeypatch.setattr(stepper, "_explicit_and_cfl", rigged)
         return stepper, times
@@ -630,7 +632,78 @@ class TestExplicitTerm:
         g_hat = np.fft.rfft(stepper.forcing.at(state.t), axis=0)
         b_hat = stepper.ops.advection_modal(state.v_hat, state.v_hat)[0]
         assert np.abs(b_hat).max() > 0.0
-        assert np.array_equal(explicit, (g_hat - b_hat) / stepper.mult[:, None])
+        # numpy's division by the symbol, bit for bit: the step multiplies
+        # by the reciprocal
+        mult = stepper.ops.helmholtz(cfg.alpha)
+        assert explicit.tobytes() == ((g_hat - b_hat) / mult[:, None]).tobytes()
+
+
+class TestStripSymmetries:
+    """A short unforced run commutes with the strip's three exact maps: a
+    shift by a multiple of ``dx``, ``i -> -i mod nx`` with ``v -> -v``, and
+    ``j -> ny - 1 - j`` with ``v -> -v``.  The filter and the biharmonic
+    commute with each map and ``B(-v o R, -v o R) = -B(v, v) o R`` for each
+    reflection ``R``, so a defect shows a mirror fold, an asymmetric stencil
+    or a dealiasing slip, on grids with no reference solution."""
+
+    # fixed before measuring: well above the largest defect seen on such runs
+    # (5.5e-13, the x2 reflection at 32 x 33) and well below the control (3e-2)
+    BOUND = 1e-9
+
+    @staticmethod
+    def _datum(grid, rng):
+        """A smooth clamped field with random x1 modes 0..2 and a random cubic
+        in x2, so with no symmetry; its largest value is 0.3."""
+        x1, x2 = grid.mesh()
+        z, kap = x2 / grid.domain.m, 2.0 * np.pi / grid.domain.lx
+        w = sum(z ** p * sum(a * np.cos(k * kap * x1) + b * np.sin(k * kap * x1)
+                             for k, (a, b) in enumerate(rng.standard_normal((3, 2))))
+                for p in range(4))
+        w *= (1.0 - z ** 2) ** 2
+        return 0.3 * w / np.abs(w).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(nx=st.sampled_from([8, 12, 16]), ny=st.integers(9, 20),
+           scheme=st.sampled_from(["imex_euler", "imex_cnab2"]),
+           alpha=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 3.0),
+           banded_solve=st.booleans(), blocks=st.booleans(),
+           shift=st.integers(1, 15), seed=st.integers(0, 2 ** 32 - 1))
+    @example(nx=16, ny=17, scheme="imex_cnab2", alpha=0.0, banded_solve=True, blocks=True,
+             shift=3, seed=1)
+    @example(nx=12, ny=12, scheme="imex_euler", alpha=0.0, banded_solve=False, blocks=True,
+             shift=5, seed=2)
+    def test_a_short_run_commutes_with_the_strip_maps(self, nx, ny, scheme, alpha,
+                                                      banded_solve, blocks, shift, seed):
+        from bardina_strip import operators, solver
+
+        cfg = SolverConfig(nx=nx, ny=ny, alpha=alpha, nu=0.01, dt=5e-3, t_end=4e-2,
+                           scheme=scheme)
+        grid = cfg.grid()
+        maps = {"shift": lambda v: np.roll(v, shift % nx, axis=0),
+                "x1 reflection": lambda v: -np.roll(v[::-1], 1, axis=0),
+                "x2 reflection": lambda v: -v[:, ::-1],
+                "control": lambda v: v[:, ::-1]}  # without the sign flip: no symmetry
+        with pytest.MonkeyPatch.context() as mp:
+            if banded_solve:
+                mp.setattr(solver, "DENSE_INVERSE_BYTES", 0)
+            if blocks:  # advection blocks of 3 rows, modal blocks of 2
+                mp.setattr(operators, "ADVECTION_BLOCK_BYTES", 24 * nx)
+            stepper = ImexStepper(cfg)
+            assert isinstance(stepper._implicit, np.ndarray) != banded_solve
+
+            def final(values):
+                start = stepper.initial_state(Field(grid, values, clamped=True))
+                *_, last = stepper.states(MAX_STEPS, start)
+                return last.v.values
+
+            v0 = self._datum(grid, np.random.default_rng(seed))
+            reference = final(v0)
+            scale = np.abs(reference).max()
+            defects = {name: np.abs(final(f(v0)) - f(reference)).max() / scale
+                       for name, f in maps.items()}
+        control = defects.pop("control")
+        assert max(defects.values()) <= self.BOUND, defects
+        assert control > self.BOUND
 
 
 @pytest.mark.usefixtures("frozen_advection")
@@ -830,19 +903,19 @@ class TestMemory:
         # tracemalloc peaks at 512 x 513, in fields of nx ny float64 (2.1 MB);
         # a modal array is 1.004 fields.  Each bound is a count of the
         # design's arrays, made before measuring, plus about a field:
-        # - set-up: the band (n_modes, ny, 5), 2.5, lives through the banded
-        #   set-up; the stacked mirror halves and their factors, 2.5 each,
-        #   overlap (the unstacked halves go first), and the sweep factors
-        #   (2), the scale (0.5) and the work array (1) are made while the
-        #   factors live: 8.5.  The band and the factors go, and the forcing's
-        #   values and coefficients (2) come with the transients of its field
-        #   formula (about 4) over the 3.5 kept: 9.5.  Bound 11.
+        # - set-up: the band's top (ny + 1) // 2 rows, 1.25, live through the
+        #   banded set-up; the stacked mirror halves and their factors, 2.5
+        #   each, overlap (the unstacked halves go first), and the sweep
+        #   factors (2), the scale (0.5) and the work array (1) are made while
+        #   the factors live: 7.25.  The band and the factors go, and the
+        #   forcing's values and coefficients (2) come with the transients of
+        #   its field formula (about 4) over the 3.5 kept: 9.5.  Bound 11.
         # - one CNAB2 step after the start, above its state: the right-hand
-        #   side and the explicit term, 2, then in the advection the kept-mode
-        #   product spectra (2, ny, kept), 1.34, with one block's transforms
-        #   (under 1), then with the output, 1: 4.34.  The Adams-Bashforth
-        #   temporaries (2) and the solve's output (1) come after the
-        #   spectra go.  Bound 5.5.
+        #   side and the explicit term, 2, then in the advection the two
+        #   full-width product spectra, the first of them the output, 2, with
+        #   one block's work arrays (under 1): about 5.  The right-hand side's
+        #   block temporaries are small, and the solve's output (1) comes
+        #   after the spectra go.  Bound 5.5.
         cfg = SolverConfig(nx=512, ny=513, dt=5e-4, t_end=1e-3, nu=0.01, alpha=0.5,
                            scheme="imex_cnab2",
                            ic=FieldSpec(kind="trig_clamped", amplitude=0.25, k1=1, k2=0),
