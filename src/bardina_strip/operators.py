@@ -123,22 +123,6 @@ class OperatorSet:
         the stepper multiplies its explicit terms by its reciprocal."""
         return 1.0 + (alpha * self.grid.wavenumbers) ** 2
 
-    def _scale_modes(self, f: Field, scale: np.ndarray) -> Field:
-        check_same_grid(f, self)
-        coeffs = np.fft.rfft(f.values, axis=0)
-        coeffs *= scale[:, None]
-        return Field(self.grid, np.fft.irfft(coeffs, n=self.grid.nx, axis=0),
-                     clamped=f.clamped)
-
-    def apply_Ah(self, f: Field, alpha: float) -> Field:
-        """``(I - alpha^2 d1^2) f``: each mode times :meth:`helmholtz`."""
-        return self._scale_modes(f, self.helmholtz(alpha))
-
-    def invert_Ah(self, f: Field, alpha: float) -> Field:
-        """The horizontal filter: each mode divided by :meth:`helmholtz`, which
-        is never below one, so smoothing in ``x1`` with no boundary condition."""
-        return self._scale_modes(f, 1.0 / self.helmholtz(alpha))
-
     def ladder(self, values: np.ndarray, coeffs: np.ndarray | None = None) -> np.ndarray:
         """The derivative set of the anisotropic norms, stacked ``(7, nx, ny)``.
 

@@ -5,7 +5,9 @@ report; the command-line runner prints one line per check and exits nonzero
 if any fails.  The studies here own their field constructions and frozen
 parameters so the test suite and the CLI measure exactly the same things.
 Each suite reads only part of the config: ``operators`` and ``alpha_sweep``
-``nx`` and ``ny`` (``alpha_sweep`` notes the distance at each alpha); ``weights`` ``epsilon`` and ``gamma``; ``poincare`` the
+``nx`` and ``ny`` (``alpha_sweep`` notes the distance at each alpha);
+``weights`` ``epsilon``, ``m`` and ``gamma`` (it certifies the strip, the box
+of half-width ``epsilon m`` in ``y = epsilon x``); ``poincare`` the
 grid, ``rho``, ``gamma``, ``seed`` and ``epsilon`` (capped at 0.05); ``mms``
 only ``scheme``; ``budget`` and ``compactness`` the whole solver config,
 though ``compactness`` observes the states of even step index whatever the
@@ -345,11 +347,14 @@ def continuous_dependence_study():
     return deltas, ratios
 
 
-def weight_rho_stability(epsilon: float = 0.1, gamma: float = GAMMA_THRESHOLD,
+def weight_rho_stability(epsilon: float = 0.1, m: float = 1.0, gamma: float = GAMMA_THRESHOLD,
                          rhos=(1.0, 10.0, 100.0)):
-    """Empirical lemma constants per multi-index across cutoff radii, for any gamma."""
-    specs = (WeightSpec(epsilon=epsilon, rho=float(rho), gamma=gamma) for rho in rhos)
-    return {spec.rho: certify_lemma_wfuncs(spec) for spec in specs}
+    """Empirical lemma constants per multi-index across cutoff radii, for any
+    gamma, on the strip of half-width ``m``.  The largest radius, whose
+    lattice is the largest, goes first: a box it cannot take fails at once."""
+    specs = (WeightSpec(epsilon=epsilon, rho=float(rho), gamma=gamma)
+             for rho in sorted(rhos, reverse=True))
+    return {spec.rho: certify_lemma_wfuncs(spec, m) for spec in specs}
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +375,13 @@ def _suite_operators(settings: RunSettings) -> SuiteReport:
 
 
 def _suite_weights(settings: RunSettings) -> SuiteReport:
-    spec = settings.solver.weight
+    spec, m = settings.solver.weight, settings.solver.m
     rep = SuiteReport("weights")
-    reports = weight_rho_stability(epsilon=spec.epsilon, gamma=spec.gamma)
+    reports = weight_rho_stability(epsilon=spec.epsilon, m=m, gamma=spec.gamma)
 
     def constants(name, value):  # the note: the constant at each radius
         return f"{name} " + ", ".join(f"rho {rho:g}: {value(r):.4f}"
-                                      for rho, r in reports.items())
+                                      for rho, r in sorted(reports.items()))
 
     @np.errstate(divide="ignore", invalid="ignore")
     def ratio(value):  # rho 100 over rho 1: inf, or nan, where rho 1's is 0
@@ -391,7 +396,7 @@ def _suite_weights(settings: RunSettings) -> SuiteReport:
             rep.add(f"weak-form rho ratio, beta={beta}",
                     ratio(lambda r: r.c_weak[beta]), RHO_RATIO_BOUND,
                     note=constants("C_w", lambda r: r.c_weak[beta]))
-        limit = certify_phi_control(spec, betas=[(1, 0)], x1_extent=40.0 / spec.epsilon)
+        limit = certify_phi_control(spec, m, 40.0, betas=[(1, 0)])
         rep.add("limit-weight first-derivative constant",
                 limit.c_strong[(1, 0)], FIRST_DERIVATIVE_CONSTANT)
     else:

@@ -22,9 +22,12 @@ oversampled lattice, the empirical constants in the pointwise controls
     |d^beta psi^2| <= C eps^|beta| psi      (strong form)
     |d^beta psi^2| <= C eps^|beta| psi^2    (weak form)
 
-for multi-indices ``0 < |beta| <= 3`` with ``beta2 <= 2``.  The config reader
-enforces ``gamma <= 2/3`` unless ``--override-gamma`` is given; larger
-exponents are only meaningful for sharpness experiments.
+for multi-indices ``0 < |beta| <= 3`` with ``beta2 <= 2``.  As ``varphi(x) =
+Phi(eps x)``, ``Phi`` the weight at ``epsilon = 1``, each constant is one of
+``Phi`` in ``y = eps x`` on the box the strip ``|x2| <= m`` maps to: the
+lattice lives in ``y``, and ``epsilon`` enters only through ``|y2| <= eps m``.
+The config reader enforces ``gamma <= 2/3`` unless ``--override-gamma`` is
+given; larger exponents are only meaningful for sharpness experiments.
 """
 
 from __future__ import annotations
@@ -154,18 +157,23 @@ def make_weight_field(grid: Grid, spec: WeightSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _STENCILS = {
-    0: (np.array([1.0]), 0),
     1: (np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0, 2),
     2: (np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0, 2),
     3: (np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0, 3),
 }
 _PAD = 3  # widest stencil half-width
-_X2_HALFWIDTH = 1.0
-_N2 = 41
-# the differences divide by the x1 step to the |beta| and the constants by
-# eps^|beta|, |beta| <= 3: in this range the cubes and their reciprocals are
-# normal floats
-_CUBE_RANGE = (np.finfo(float).tiny ** (1 / 3), np.finfo(float).tiny ** (-1 / 3))
+_N2 = 41  # y2 nodes of the narrowest boxes
+# lattice steps across the blend along y1; along y2 the step is at most
+# 1 / _BLEND_SAMPLES, as |D2 r| < 1 and 1 + y2^2 varies on the unit scale
+_BLEND_SAMPLES = 30
+# the constants odd in y2 shrink with the box while the rounding of their
+# quotients grows: against the same lattice in extended precision (rho = 100)
+# it moved a constant by 5e-6 of itself at this half-width, 6e-4 at 1e-3
+_MIN_BOX = 1e-2
+# the weights suite's largest lattice under it, 4558 x 657 at rho = 100 (box
+# 10.93), took 0.74-0.90 s and 171 MiB peak RSS (2 vCPUs, one BLAS thread);
+# the box at the reach of rho = 100, 21.8, needs 4558 x 1309 nodes
+_MAX_NODES = 3_000_000
 
 
 def lemma_beta_set() -> list[tuple[int, int]]:
@@ -175,32 +183,31 @@ def lemma_beta_set() -> list[tuple[int, int]]:
 
 def _validate_betas(betas) -> list[tuple[int, int]]:
     betas = [tuple(int(b) for b in beta) for beta in betas]
-    for beta in betas:
-        b1, b2 = beta
-        order = b1 + b2
-        if b1 < 0 or b2 < 0:
-            raise ValueError(f"negative multi-index {beta}")
-        if order == 0:
-            raise ValueError("beta = (0, 0) is outside the certified range (|beta| > 0)")
-        if order > 3:
-            raise ValueError(f"|beta| = {order} > 3 is outside the certified range")
-        if b2 > 2:
-            raise ValueError(f"beta2 = {b2} > 2 is outside the certified range")
+    for b1, b2 in betas:
+        if not (b1 >= 0 and 0 <= b2 <= 2 and 0 < b1 + b2 <= 3):
+            raise ValueError(f"beta = {(b1, b2)} is outside the certified range: "
+                             f"0 < |beta| <= 3 and beta2 <= 2")
     return betas
 
 
 def _fd(values: np.ndarray, beta: tuple[int, int], steps: tuple[float, float]) -> np.ndarray:
-    """Fourth-order central difference ``d^beta`` on a lattice of spacings
-    ``steps``; trims _PAD from both ends of each axis (order 0 only trims)."""
+    """Fourth-order central difference ``D^beta`` on a lattice of spacings
+    ``steps``; trims _PAD from both ends of each axis."""
     out = values
     for axis, (order, h) in enumerate(zip(beta, steps)):
-        coeffs, half = _STENCILS[order]
-        n = out.shape[axis]
-        acc = 0.0
-        for c, off in zip(coeffs, range(-half, half + 1)):
-            if c != 0.0:
-                acc = acc + c * np.take(out, range(_PAD + off, n - _PAD + off), axis=axis)
-        out = acc / h ** order
+        v = out.swapaxes(axis, 0)
+        n = v.shape[0]
+        out = v[_PAD:n - _PAD]
+        if order:
+            coeffs, half = _STENCILS[order]
+            shifted = [v[_PAD + off:n - _PAD + off] for off in range(-half, half + 1)]
+            out = coeffs[0] * shifted[0]
+            term = np.empty_like(out)
+            for c, x in zip(coeffs[1:], shifted[1:]):
+                if c != 0.0:
+                    out += np.multiply(c, x, out=term)
+            out /= h ** order
+        out = out.swapaxes(0, axis)
     return out
 
 
@@ -208,11 +215,11 @@ def _fd(values: np.ndarray, beta: tuple[int, int], steps: tuple[float, float]) -
 class CertificationReport:
     """Empirical constants per multi-index for one weight spec.
 
-    ``c_strong[beta]`` is ``max |d^beta psi^2| / (eps^|beta| psi)`` over the
-    sampled lattice, ``c_weak[beta]`` the same against ``psi^2``.  Lattice
-    points where a finite difference stencil straddles a profile junction
-    are left out: there the pointwise (almost-everywhere) derivative is not
-    what the stencil measures.
+    ``c_strong[beta]`` is ``max |D^beta Phi| / Phi^(1/2)`` over the lattice
+    in ``y``, that is ``max |d^beta psi^2| / (eps^|beta| psi)`` over the
+    strip, ``c_weak[beta]`` the same against ``Phi``.  Lattice points where a
+    stencil straddles a profile junction are left out: there the pointwise
+    (almost-everywhere) derivative is not what the stencil measures.
     """
 
     c_strong: dict[tuple[int, int], float]
@@ -223,92 +230,82 @@ class CertificationReport:
         return max(self.c_strong.values())
 
 
-def _certify(spec: WeightSpec, betas, x1_extent: float, n1: int) -> CertificationReport:
-    betas = _validate_betas(betas)
-    h1 = x1_extent / (n1 - 1)
-    h2 = 2.0 * _X2_HALFWIDTH / (_N2 - 1)
-    lo, hi = _CUBE_RANGE
-    if not (lo <= spec.epsilon <= hi and lo <= h1 <= hi):
-        raise ValueError(f"epsilon = {spec.epsilon:g} puts the certification lattice "
-                         f"(x1 step {h1:g}) beyond the float range")
-    x1 = -_PAD * h1 + h1 * np.arange(n1 + 2 * _PAD)
-    x2 = -_X2_HALFWIDTH - _PAD * h2 + h2 * np.arange(_N2 + 2 * _PAD)
+def _off_junctions(spec: WeightSpec, y1: np.ndarray, y2: np.ndarray, h1: float,
+                   h2: float) -> np.ndarray:
+    """The lattice points whose stencils stay clear of the two profile
+    junctions: a step moves the radical by ``h1 |D1 r| + h2 |D2 r|``."""
+    r = np.sqrt(_radical_sq(y1, y2, 1.0))
+    margin = 5.0 * (h1 * (1.5 * y1 ** 2 / r) + h2 * (np.abs(y2) / r)) + 1e-12
+    return (np.abs(r - spec.rho) > margin) & (np.abs(r - (spec.rho + 1.0)) > margin)
+
+
+def _certify(spec: WeightSpec, m: float, betas, reach: float, n1: int) -> CertificationReport:
+    """The constants of ``Phi`` on ``[0, reach] x [-box, box]`` in ``y = eps x``,
+    ``box = min(eps m, reach)``: the strip ``|x2| <= m``, cut at the reach."""
+    betas = _validate_betas(lemma_beta_set() if betas is None else betas)
+    box = min(spec.epsilon * m, reach)
+    n2 = max(_N2, 2 * math.ceil(_BLEND_SAMPLES * box) + 1)
+    where = f"the certification box {box:g} (epsilon = {spec.epsilon:g}, m = {m:g})"
+    if not box >= _MIN_BOX:
+        raise ValueError(f"{where} is narrower than {_MIN_BOX:g}, which its lattice "
+                         f"cannot resolve")
+    if n1 * n2 > _MAX_NODES:
+        raise ValueError(f"{where} needs {n1} x {n2} lattice nodes at rho = {spec.rho:g}, "
+                         f"more than {_MAX_NODES}")
+    h1 = reach / (n1 - 1)
+    h2 = 2.0 * box / (n2 - 1)
+    y1 = -_PAD * h1 + h1 * np.arange(n1 + 2 * _PAD)
+    y2 = -box - _PAD * h2 + h2 * np.arange(n2 + 2 * _PAD)
     beyond = ValueError(f"the weight leaves the float range on the certification lattice "
-                        f"at gamma = {spec.gamma:g}, epsilon = {spec.epsilon:g}, "
-                        f"rho = {spec.rho:g}")
+                        f"at gamma = {spec.gamma:g}, rho = {spec.rho:g}")
     with np.errstate(over="ignore"):
-        w = varphi(x1[:, None], x2[None, :], spec)
+        w = varphi(y1[:, None], y2[None, :], replace(spec, epsilon=1.0))  # Phi
     if not np.all(np.isfinite(w)):
         raise beyond
-    psi = np.sqrt(w[_PAD:-_PAD, _PAD:-_PAD])
-
-    keep = np.ones((n1, _N2), dtype=bool)
-    if not spec.is_limit:  # skip stencils straddling the profile junctions
-        x1_t = x1[_PAD:-_PAD][:, None]
-        x2_t = x2[_PAD:-_PAD][None, :]
-        r = np.sqrt(_radical_sq(x1_t, x2_t, spec.epsilon))
-        dr1 = 1.5 * spec.epsilon * (spec.epsilon * np.abs(x1_t)) ** 2 / r
-        dr2 = spec.epsilon * (spec.epsilon * np.abs(x2_t)) / r
-        margin = 5.0 * (h1 * dr1 + h2 * dr2) + 1e-12
-        for junction in (spec.rho, spec.rho + 1.0):
-            keep &= np.abs(r - junction) > margin
-
-    c_strong: dict[tuple[int, int], float] = {}
-    c_weak: dict[tuple[int, int], float] = {}
+    psi_sq = w[_PAD:-_PAD, _PAD:-_PAD]
+    psi = np.sqrt(psi_sq)
+    keep = True if spec.is_limit else _off_junctions(spec, y1[_PAD:-_PAD, None],
+                                                     y2[None, _PAD:-_PAD], h1, h2)
+    rep = CertificationReport(c_strong={}, c_weak={})
     for beta in betas:
-        scale = spec.epsilon ** sum(beta)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             deriv = np.abs(_fd(w, beta, (h1, h2)))
-            ratio_strong = deriv / (scale * psi)
-            ratio_weak = deriv / (scale * psi ** 2)
-        c_strong[beta] = float(ratio_strong[keep].max())
-        c_weak[beta] = float(ratio_weak[keep].max())
-        if not (math.isfinite(c_strong[beta]) and math.isfinite(c_weak[beta])):
+            ratio = deriv / psi
+            rep.c_strong[beta] = float(np.max(ratio, where=keep, initial=0.0))
+            np.divide(deriv, psi_sq, out=ratio)
+            rep.c_weak[beta] = float(np.max(ratio, where=keep, initial=0.0))
+        del deriv, ratio  # before the next differences
+        if not (math.isfinite(rep.c_strong[beta]) and math.isfinite(rep.c_weak[beta])):
             raise beyond
-    return CertificationReport(c_strong=c_strong, c_weak=c_weak)
+    return rep
 
 
-def _auto_extent(spec: WeightSpec) -> float:
-    """``x1`` reach past the plateau: radical up to ``rho + 1.7``."""
-    target = (spec.rho + 1.7) ** 2 - 1.0
-    return target ** (1.0 / 3.0) / spec.epsilon
-
-
-def _auto_n1(spec: WeightSpec, x1_extent: float) -> int:
-    """Enough points to put ~30 samples across the blend region."""
-    lo = max((spec.rho ** 2 - 1.0), 1e-6) ** (1.0 / 3.0) / spec.epsilon
-    hi = ((spec.rho + 1.0) ** 2 - 1.0) ** (1.0 / 3.0) / spec.epsilon
-    width = max(hi - lo, 1e-6)
-    return int(min(max(2049, math.ceil(30.0 * x1_extent / width)), 16385))
-
-
-def certify_lemma_wfuncs(spec: WeightSpec, betas=None) -> CertificationReport:
+def certify_lemma_wfuncs(spec: WeightSpec, m: float, betas=None) -> CertificationReport:
     """Certify the derivative controls of the cutoff weight ``psi^2``.
 
-    Samples ``|d^beta psi^2|`` on a lattice stretching well past the plateau
-    radius, excluding stencils that straddle the two profile junctions (the
-    profile is C^1 there, so third-difference quotients would measure the
-    curvature jump rather than the almost-everywhere derivative).
+    Samples ``|D^beta Phi|`` on a lattice whose ``y1`` reach puts the radical
+    at ``rho + 1.7``, past the plateau, with ~30 samples across the blend,
+    excluding stencils that straddle the two profile junctions (the profile
+    is C^1 there, so third-difference quotients would measure the curvature
+    jump rather than the almost-everywhere derivative).
     """
     if spec.is_limit:
-        raise ValueError("cutoff certification requires finite rho; "
-                         "use certify_phi_control for the limit weight")
-    if betas is None:
-        betas = lemma_beta_set()
-    extent = _auto_extent(spec)
-    return _certify(spec, betas, extent, _auto_n1(spec, extent))
+        raise ValueError("cutoff certification requires finite rho; use certify_phi_control")
+    reach = ((spec.rho + 1.7) ** 2 - 1.0) ** (1.0 / 3.0)
+    lo = max(spec.rho ** 2 - 1.0, 1e-6) ** (1.0 / 3.0)
+    blend = max(((spec.rho + 1.0) ** 2 - 1.0) ** (1.0 / 3.0) - lo, 1e-6)
+    n1 = int(min(max(2049, math.ceil(_BLEND_SAMPLES * reach / blend)), 16385))
+    return _certify(spec, m, betas, reach, n1)
 
 
-def certify_phi_control(spec: WeightSpec, betas=None, x1_extent: float = 100.0,
+def certify_phi_control(spec: WeightSpec, m: float, reach: float, betas=None,
                         n1: int = 4097) -> CertificationReport:
-    """Certify the derivative controls of the limit weight on ``[0, x1_extent]``.
+    """Certify the derivative controls of the limit weight on ``[0, reach]`` in ``y1``.
 
-    The extent is explicit so callers can probe boundedness under lattice
+    The reach is explicit so callers can probe boundedness under lattice
     expansion: for ``gamma <= 2/3`` every admissible constant stabilizes,
-    while first-derivative constants grow like ``extent^(3 gamma / 2 - 1)``
+    while first-derivative constants grow like ``reach^(3 gamma / 2 - 1)``
     once ``gamma`` exceeds the threshold.  Pure second-order constants
     remain bounded up to ``gamma <= 4/3``; a spec of any ``gamma`` is taken.
     """
-    if betas is None:
-        betas = lemma_beta_set()
-    return _certify(replace(spec, rho=math.inf), betas, x1_extent, n1)
+    return _certify(replace(spec, rho=math.inf), m, betas, reach, n1)

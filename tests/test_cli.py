@@ -487,6 +487,26 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == "" and named in captured.err
 
+    def test_weights_suite_certifies_the_strip_of_half_width_m(self, tmp_path, capsys):
+        # the suite certifies the box eps m in y = eps x, so m moves its constants
+        outs = []
+        for m in (1.0, 10.0):
+            cfg = _write(tmp_path, f"epsilon = 0.1\nm = {m}\n", f"m{m:g}.cfg")
+            assert main(["verify", cfg, "--suite", "weights"]) == 1  # criterion 6a's lines
+            outs.append(capsys.readouterr().out)
+        assert outs[0] != outs[1]
+
+    @pytest.mark.parametrize("epsilon, m, problem", [
+        (1e-3, 1.0, "narrower than 0.01"),  # eps m below the narrowest box
+        (20.0, 1.0, "lattice nodes")])  # 4558 x 1201 nodes at rho = 100
+    def test_weights_suite_box_beyond_the_lattice_is_a_config_error(
+            self, tmp_path, capsys, epsilon, m, problem):
+        cfg = _write(tmp_path, f"epsilon = {epsilon!r}\nm = {m!r}\n")
+        assert main(["verify", cfg, "--suite", "weights"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"epsilon = {epsilon:g}, m = {m:g}" in captured.err and problem in captured.err
+
     def test_weights_suite_beyond_the_float_range_in_gamma_is_a_config_error(
             self, tmp_path, capsys):
         # (rho + 1/2)^(2 gamma) overflows at rho = 100: numpy warned, and the
@@ -598,6 +618,9 @@ class TestSmallChecks:
     @_small_check(check="weights", epsilon=1e300)
     # a constant that vanishes at rho = 1 divided the rho ratio by zero
     @_small_check(check="weights", epsilon=56.23413251903491)
+    # the certification box eps m at either end
+    @_small_check(check="weights", epsilon=1e-3, m=1e-3)
+    @_small_check(check="weights", epsilon=1e3, m=1e3)
     def test_any_small_check_exits_0_to_3_without_a_warning(
             self, check, nx, ny, steps, scheme, lx, m, nu, dt, alpha, epsilon, ic, forcing):
         # exit 1 is a suite that measured and failed; 3 a run that stepped

@@ -10,7 +10,22 @@ from bardina_strip.strip_grid import (Field, StripDomain, inner_product,
 
 _GRID = make_grid(StripDomain(2.0 * np.pi, 1.0), 16, 17)
 _OPS = OperatorSet(_GRID)
-apply_Ah, invert_Ah = _OPS.apply_Ah, _OPS.invert_Ah
+
+
+def _scale_modes(f, scale):
+    coeffs = np.fft.rfft(f.values, axis=0) * scale[:, None]
+    return Field(_GRID, np.fft.irfft(coeffs, n=_GRID.nx, axis=0))
+
+
+def apply_Ah(f, alpha):
+    """The filter ``I - alpha^2 d1^2``: each ``x1`` mode times its symbol."""
+    return _scale_modes(f, _OPS.helmholtz(alpha))
+
+
+def invert_Ah(f, alpha):
+    """The inverse filter as the stepper applies it: each mode times the
+    reciprocal of the symbol."""
+    return _scale_modes(f, 1.0 / _OPS.helmholtz(alpha))
 
 
 def _random_field(seed):

@@ -48,3 +48,57 @@ def test_no_module_imports_another_modules_private_name():
     src = Path(bardina_strip.__file__).parent
     found = {path.name: _private_imports(path) for path in sorted(src.glob("*.py"))}
     assert not {name: names for name, names in found.items() if names}
+
+
+# names only the acceptance criteria call, each with the criterion that does
+_ACCEPTANCE_ONLY = {
+    "decay_config": "criteria 4, 5, 7 and 10 build the baseline decay from it",
+    "galerkin_refinement_study": "criterion 10's refinement study",
+    "RefinementStudy.monotone": "criterion 10's verdict",
+    "continuous_dependence_study": "criterion 11's study",
+}
+
+
+def _read_names(root):
+    """The names the Python sources under ``root`` read: loaded names and
+    attributes, and whole strings (``perfbench`` names what it wraps by
+    string), but not the strings of an ``__all__``."""
+    found = set()
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exports = {id(node) for stmt in tree.body if isinstance(stmt, ast.Assign)
+                   and any(getattr(t, "id", None) == "__all__" for t in stmt.targets)
+                   for node in ast.walk(stmt.value)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                found.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in exports):
+                found.add(node.value)
+    return found
+
+
+def _public_api(module):
+    """Each name of ``module.__all__``, and ``Class.member`` for every public
+    method or property an exported class defines."""
+    for name in module.__all__:
+        yield name
+        obj = getattr(module, name)
+        if inspect.isclass(obj):
+            yield from (f"{name}.{attr}" for attr, member in vars(obj).items()
+                        if not attr.startswith("_") and (
+                            inspect.isfunction(member)
+                            or isinstance(member, (property, staticmethod, classmethod))))
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    # code that nothing in the package or the benchmark uses is a deletion
+    # candidate; the package's re-exports and a name's own definition are no use
+    src = Path(bardina_strip.__file__).parent
+    used = _read_names(src) | _read_names(src.parents[1] / "perfbench")
+    unused = [qual for name in MODULES
+              for qual in _public_api(importlib.import_module(f"bardina_strip.{name}"))
+              if qual.rsplit(".", 1)[-1] not in used and qual not in _ACCEPTANCE_ONLY]
+    assert not unused

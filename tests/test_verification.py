@@ -5,7 +5,8 @@ from bardina_strip.runio import parse_config_text
 from bardina_strip.solver import ImexStepper
 from bardina_strip.verification import (CheckResult, SuiteReport, compare_nse,
                                         continuous_dependence_study, fit_order,
-                                        run_suite)
+                                        run_suite, weight_rho_stability)
+from bardina_strip.weights import lemma_beta_set
 
 
 class TestCheckPlumbing:
@@ -97,6 +98,16 @@ class TestSuites:
             # the notes print four decimals; every constant here is above 0.04
             assert float(consts[2]) / float(consts[0]) == pytest.approx(res.measured,
                                                                         rel=5e-3)
+
+    def test_weight_constants_on_a_wide_box_are_measured(self):
+        # at epsilon = 10 the strip |x2| <= 1 is |y2| <= 10, across the blend
+        # of rho = 1 and rho = 10: a lattice too coarse there reads 0 for the
+        # (0, 1), (1, 1) and (2, 1) constants at rho = 1
+        reports = weight_rho_stability(epsilon=10.0, m=1.0)
+        for beta in lemma_beta_set():
+            for form in ("c_strong", "c_weak"):
+                c1, c10, c100 = (getattr(reports[rho], form)[beta] for rho in (1.0, 10.0, 100.0))
+                assert min(c1, c10, c100) > 0 and c100 / c1 <= 1e3, (beta, form)
 
     def test_alpha_sweep_suite_passes(self):
         settings = parse_config_text("nx = 32\nny = 33\n")

@@ -203,35 +203,59 @@ class TestCertification:
     def test_rejects_zero_beta(self):
         spec = WeightSpec(epsilon=0.1, rho=2.0, gamma=GAMMA)
         with pytest.raises(ValueError, match=r"\(0, 0\)"):
-            certify_lemma_wfuncs(spec, betas=[(0, 0)])
+            certify_lemma_wfuncs(spec, 1.0, betas=[(0, 0)])
 
     def test_rejects_third_vertical_derivative(self):
         spec = WeightSpec(epsilon=0.1, rho=2.0, gamma=GAMMA)
         with pytest.raises(ValueError, match="beta2"):
-            certify_lemma_wfuncs(spec, betas=[(0, 3)])
+            certify_lemma_wfuncs(spec, 1.0, betas=[(0, 3)])
 
     def test_rejects_limit_weight(self):
         with pytest.raises(ValueError, match="finite rho"):
-            certify_lemma_wfuncs(WeightSpec(epsilon=0.1, gamma=GAMMA))
+            certify_lemma_wfuncs(WeightSpec(epsilon=0.1, gamma=GAMMA), 1.0)
 
     def test_fd_oracle_matches_analytic_constants(self):
         # at the origin the pure-x2 second derivative of psi^2 equals
         # 2 gamma eps^2 psi exactly, so C_emp((0,2)) = 2 gamma
         spec = WeightSpec(epsilon=0.1, rho=10.0, gamma=GAMMA)
-        rep = certify_lemma_wfuncs(spec, betas=[(0, 2)])
+        rep = certify_lemma_wfuncs(spec, 1.0, betas=[(0, 2)])
         assert rep.c_strong[(0, 2)] == pytest.approx(2 * GAMMA, abs=0.01)
 
     def test_constants_are_pinned_bit_for_bit(self):
         # a change to the difference stencils or their order of summation
-        # moves these bits; (1, 2) differences along both axes
+        # moves these bits; (1, 2) differences along both axes of the lattice
+        # in y = eps x
         spec = WeightSpec(epsilon=0.1, rho=10.0, gamma=GAMMA)
-        rep = certify_lemma_wfuncs(spec, betas=[(2, 0), (1, 2)])
-        assert rep.c_strong[(2, 0)].hex() == "0x1.aaed74b659672p+2"
-        assert rep.c_weak[(1, 2)].hex() == "0x1.7e44e714055f3p-2"
+        rep = certify_lemma_wfuncs(spec, 1.0, betas=[(2, 0), (1, 2)])
+        assert rep.c_strong[(2, 0)].hex() == "0x1.aaed74b659671p+2"
+        assert rep.c_weak[(1, 2)].hex() == "0x1.7e44e713f3aa8p-2"
+
+    @pytest.mark.parametrize("epsilon", [1.0, 1e-3])
+    def test_constants_depend_on_epsilon_through_the_box_alone(self, epsilon):
+        # (0.1, 10) and (epsilon, 10 * 0.1 / epsilon) give the box eps m = 1:
+        # one lattice in y = eps x, so one set of constants; 1e-12 leaves
+        # room for the rounding of eps m
+        def constants(eps, m):
+            cut = certify_lemma_wfuncs(WeightSpec(epsilon=eps, rho=10.0, gamma=GAMMA), m)
+            limit = certify_phi_control(WeightSpec(epsilon=eps, gamma=GAMMA), m, 40.0)
+            return [c[beta] for rep in (cut, limit) for c in (rep.c_strong, rep.c_weak)
+                    for beta in lemma_beta_set()]
+
+        want = constants(0.1, 10.0)
+        assert constants(epsilon, 10.0 * 0.1 / epsilon) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("m, problem", [(1e-2, "narrower than 0.01"),
+                                            (1e3, "lattice nodes")])
+    def test_box_beyond_the_lattice_names_epsilon_and_m(self, m, problem):
+        # eps m = 1e-3 is below the narrowest box; at rho = 1000 the reach is
+        # 100, and a box of 100 needs 16385 x 6001 nodes
+        spec = WeightSpec(epsilon=0.1, rho=1000.0, gamma=GAMMA)
+        with pytest.raises(ValueError, match=f"epsilon = 0.1, m = {m:g}.*{problem}"):
+            certify_lemma_wfuncs(spec, m)
 
     def test_first_derivative_constant_saturates(self):
         spec = WeightSpec(epsilon=0.1, rho=100.0, gamma=GAMMA)
-        rep = certify_lemma_wfuncs(spec, betas=[(1, 0)])
+        rep = certify_lemma_wfuncs(spec, 1.0, betas=[(1, 0)])
         assert rep.c_strong[(1, 0)] == pytest.approx(3 * GAMMA, abs=0.05)
 
     def test_strong_form_stability_profile_across_rho(self):
@@ -240,7 +264,7 @@ class TestCertification:
         # rho^(1/3): the blend region contributes
         # 2 gamma g^(2 gamma - 1) |g''| (d1 r)^2 with (d1 r)^2 ~ eps^2 rho^(2/3).
         reports = {rho: certify_lemma_wfuncs(WeightSpec(epsilon=0.1, rho=rho,
-                                                        gamma=GAMMA))
+                                                        gamma=GAMMA), 1.0)
                    for rho in (10.0, 100.0)}
         for beta in lemma_beta_set():
             ratio = reports[100.0].c_strong[beta] / reports[10.0].c_strong[beta]
@@ -253,7 +277,7 @@ class TestCertification:
         # normalized against psi^2 every index is uniformly controlled: the
         # constant may shrink as the blend region moves out but never grows
         reports = {rho: certify_lemma_wfuncs(WeightSpec(epsilon=0.1, rho=rho,
-                                                        gamma=GAMMA))
+                                                        gamma=GAMMA), 1.0)
                    for rho in (1.0, 10.0, 100.0)}
         for beta in lemma_beta_set():
             c1, c10, c100 = (reports[r].c_weak[beta] for r in (1.0, 10.0, 100.0))
@@ -264,7 +288,7 @@ class TestCertification:
         reports = {}
         for rho in (1.0, 100.0):
             spec = WeightSpec(epsilon=0.1, rho=rho, gamma=1.0)
-            reports[rho] = certify_lemma_wfuncs(spec)
+            reports[rho] = certify_lemma_wfuncs(spec, 1.0)
         ratio = reports[100.0].aggregate_strong / reports[1.0].aggregate_strong
         assert ratio >= 3.0
 
@@ -273,29 +297,29 @@ class TestLimitWeightControl:
 
     def test_explicit_first_derivative_constant(self):
         spec = WeightSpec(epsilon=0.1, gamma=GAMMA)
-        rep = certify_phi_control(spec, betas=[(1, 0)], x1_extent=400.0)
+        rep = certify_phi_control(spec, 1.0, 40.0, betas=[(1, 0)])
         assert rep.c_strong[(1, 0)] <= 3.0
 
     def test_second_order_bounded_below_four_thirds(self):
         spec = WeightSpec(epsilon=0.1, gamma=1.2)
         betas = [(2, 0), (1, 1), (0, 2)]
-        small = certify_phi_control(spec, betas=betas, x1_extent=200.0)
-        large = certify_phi_control(spec, betas=betas, x1_extent=400.0, n1=8193)
+        small = certify_phi_control(spec, 1.0, 20.0, betas=betas)
+        large = certify_phi_control(spec, 1.0, 40.0, betas=betas, n1=8193)
         for beta in betas:
             assert large.c_strong[beta] <= 1.2 * small.c_strong[beta]
 
     def test_first_derivative_grows_above_threshold(self):
         # the sharp exponent threshold lives at first order: beyond it the
-        # constant grows like extent^(3 gamma / 2 - 1)
+        # constant grows like reach^(3 gamma / 2 - 1)
         spec = WeightSpec(epsilon=0.1, gamma=1.2)
-        small = certify_phi_control(spec, betas=[(1, 0)], x1_extent=100.0)
-        large = certify_phi_control(spec, betas=[(1, 0)], x1_extent=400.0, n1=8193)
+        small = certify_phi_control(spec, 1.0, 10.0, betas=[(1, 0)])
+        large = certify_phi_control(spec, 1.0, 40.0, betas=[(1, 0)], n1=8193)
         assert large.c_strong[(1, 0)] >= 1.5 * small.c_strong[(1, 0)]
 
     def test_third_derivative_constant_decays_above_threshold(self):
         # pure third-derivative constants fall off like |x1|^(3(gamma-2)/2),
         # so no growth is seen there even above the first-order threshold
         spec = WeightSpec(epsilon=0.1, gamma=1.2)
-        small = certify_phi_control(spec, betas=[(3, 0)], x1_extent=100.0)
-        large = certify_phi_control(spec, betas=[(3, 0)], x1_extent=400.0, n1=8193)
+        small = certify_phi_control(spec, 1.0, 10.0, betas=[(3, 0)])
+        large = certify_phi_control(spec, 1.0, 40.0, betas=[(3, 0)], n1=8193)
         assert large.c_strong[(3, 0)] <= 1.1 * small.c_strong[(3, 0)]
